@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, problem, serialize, solvers, spectral, threshold
 from .domain import ScalarField, integrate, make_torus
-from .errors import KWLabError
+from .errors import EigenSolveError, KWLabError
 from .fields import named_field
 from .problem import ProblemInstance
 from .solvers import SolveReport, SolverOptions
@@ -47,7 +47,6 @@ DEFAULTS = {
     "solver": "newton",
     "with_eigs": "false",
     "inject": "none",      # testing hook for negative controls: none|diverge_down|diverge_up
-    "seed": "0",
     "out": "",
     "single_thread": "true",
 }
@@ -218,14 +217,7 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
         return 0, summary
 
     if mode == "dingliu":
-        g0 = named_field(
-            domain, cfg["field"],
-            value=float(cfg["field_value"]) if cfg["field_value"] else None,
-            offset=float(cfg["field_offset"]),
-            seed=int(cfg["field_seed"]) if cfg["field_seed"] else None,
-            decay_p=float(cfg["field_p"]) if cfg["field_p"] else None,
-            shift_max_zero=True,
-        )
+        g0 = build_field({**cfg, "field_shift_max_zero": "true"}, domain)
         tol = float(cfg["tol"]) if cfg["tol"] else 1e-2
         rep = threshold.ding_liu_lambda_star(g0, float(cfg["s0"]), domain, tol=tol, budget=budget)
         summary["threshold"] = _threshold_summary(rep)
@@ -373,7 +365,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", default=None)
         p.add_argument("--single-thread", action="store_true")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
@@ -391,8 +382,6 @@ def main(argv=None) -> int:
             if key not in DEFAULTS:
                 raise KWLabError(f"unknown config key {key!r}")
             cfg[key] = value
-        if args.seed is not None:
-            cfg["seed"] = str(args.seed)
         if args.tol is not None:
             cfg["tol"] = args.tol
         if args.single_thread:
@@ -405,7 +394,11 @@ def main(argv=None) -> int:
             raise KWLabError("config validation failed: " + "; ".join(violations))
 
         outdir = Path(cfg["out"] or f"kwlab_out_{args.mode}")
-        code, summary = run(args.mode, cfg, outdir)
+        try:
+            code, summary = run(args.mode, cfg, outdir)
+        except EigenSolveError as e:
+            # an unconverged eigenvalue is a numerical outcome, not an operational error
+            code, summary = 2, {"mode": args.mode, "error": str(e)}
         summary["exit_code"] = code
         line = json.dumps(summary, sort_keys=True)
         (outdir / "summary.json").write_text(line + "\n")

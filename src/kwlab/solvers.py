@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import lgmres
 
 from . import problem, spectral
 from .domain import ScalarField, mean
@@ -28,7 +28,6 @@ class SolverOptions:
     residual_tol: float = 1e-10          # sup norm of F(u)
     armijo: float = 1e-4
     min_step: float = 2.0**-30
-    monotone_c: Optional[float] = None   # override of the monotonicity constant
     monotone_max_iters: int = 50000
     pgd_max_iters: int = 20000
     start: Union[str, ScalarField] = "zero"   # "zero" | "constant" | field
@@ -53,10 +52,10 @@ class SolveReport:
     failure_reason: Optional[str] = None
 
     def __post_init__(self):
-        if self.converged and self.residual_history:
-            # contract: converged implies the final residual met the tol the
-            # engine was run with; engines pass the history they verified.
-            assert np.isfinite(self.residual_history[-1])
+        # contract: converged implies the final residual met the tol the
+        # engine was run with; engines pass the history they verified.
+        if self.converged and self.residual_history and not np.isfinite(self.residual_history[-1]):
+            raise SolverError("converged report with a non-finite final residual")
 
 
 @dataclass
@@ -169,8 +168,6 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     """
     opts = opts or SolverOptions()
     plan = spectral.get_plan(inst.domain)
-    sizes = inst.domain.sizes
-    npts = inst.domain.npoints
     u = start_field(inst, opts)
     history: list[float] = []
 
@@ -186,28 +183,17 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
         if normF <= opts.residual_tol:
             return _finish(inst, u, True, it, history, "newton")
         W = -(2.0 / inst.n) * inst.S.values * problem.conformal_factor(inst, u)
-        c_pre = max(1.0, float(np.mean(np.abs(W))))
-
-        def matvec(x):
-            g = x.reshape(sizes)
-            return (plan.ifft(plan.ksq * plan.fft(g)) + W * g).reshape(-1)
-
-        def pre(x):
-            g = x.reshape(sizes)
-            return plan.ifft(plan.fft(g) / (plan.ksq + c_pre)).reshape(-1)
-
-        J = LinearOperator((npts, npts), matvec=matvec)
-        M = LinearOperator((npts, npts), matvec=pre)
+        J = spectral.SchrodingerOperator(plan, W, max(1.0, float(np.mean(np.abs(W)))))
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
         d, info = lgmres(
-            J, -F.values.reshape(-1), M=M, rtol=1e-10, atol=0.0,
+            J.A, -F.values.reshape(-1), M=J.M, rtol=1e-10, atol=0.0,
             inner_m=30, maxiter=4,
         )
         if not np.all(np.isfinite(d)):
             return _finish(inst, u, False, it, history, "newton", "linear_solve_diverged")
-        d = d.reshape(sizes)
+        d = d.reshape(inst.domain.sizes)
 
         t = 1.0
         accepted = False
@@ -259,7 +245,7 @@ def monotone_iterate(
     opts = opts or SolverOptions()
     interval.validate(inst)
     plan = spectral.get_plan(inst.domain)
-    c = opts.monotone_c if opts.monotone_c is not None else monotone_constant(inst, interval.upper)
+    c = monotone_constant(inst, interval.upper)
 
     u = interval.upper.copy()
     history: list[float] = []

@@ -28,8 +28,8 @@ class SolvabilityVerdict:
     evidence: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.status == "solved":
-            assert self.report is not None and self.report.converged
+        if self.status == "solved" and not (self.report is not None and self.report.converged):
+            raise SolverError("a solved verdict needs a converged report")
 
     @property
     def solved(self) -> bool:
@@ -56,14 +56,6 @@ class ThresholdReport:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def alpha_lo(self) -> float:
-        return self.lo
-
-    @property
-    def alpha_hi(self) -> float:
-        return self.hi
 
     @property
     def estimate(self) -> float:
@@ -200,11 +192,10 @@ def find_alpha_star(
     if lo is None:
         raise SolverError("descent never failed: threshold appears unbounded for sign-changing S")
 
-    flags: list[str] = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         inst = ProblemInstance(domain, S, mid, n)
-        v = _probe_twice(inst, budget, warm_start=hi_report.solution, super_source=hi_report)
+        v = _probe_twice(inst, budget, warm_start=hi_report.solution)
         if v.solved:
             hi, hi_report = mid, v.report
             family.append((mid, v.report))
@@ -219,7 +210,6 @@ def find_alpha_star(
         solvable_end="hi",
         solved_report=hi_report,
         family=family,
-        flags=flags,
     )
 
 

@@ -1,0 +1,35 @@
+"""The benchmark's layer tracer (perfbench/layertrace.py) reaches kwlab by
+name: it wraps SpectralPlan.fft/ifft, the module-level
+spectral.min_eigenvalue and threshold._probe_twice. This guards those names
+and checks that the eigen-solve and Newton FFTs go through the plan."""
+
+import sys
+from pathlib import Path
+
+from kwlab import cli, spectral, threshold
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from layertrace import Tracer  # noqa: E402
+
+
+def test_tracer_counts_eigen_and_newton_ffts(tmp_path, capsys):
+    originals = (spectral.SpectralPlan.fft, spectral.SpectralPlan.ifft,
+                 spectral.min_eigenvalue, threshold._probe_twice)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "family", "--out", str(tmp_path / "fam"), "field=sin1", "field_offset=-0.5",
+            "sizes=16,16", "alphas=-1", "with_eigs=true",
+        ])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["spectral.eig_calls"] == 1
+    assert metrics["spectral.eig_fft_pairs"] > 0
+    assert metrics["solvers.newton_fft_pairs"] > 0
+    assert (spectral.SpectralPlan.fft, spectral.SpectralPlan.ifft,
+            spectral.min_eigenvalue, threshold._probe_twice) == originals

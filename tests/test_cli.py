@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 
+from kwlab import spectral
 from kwlab.cli import main, parse_config_file
+from kwlab.errors import EigenSolveError
 from kwlab.serialize import read_field
 
 
@@ -125,6 +127,22 @@ def test_family_mode_explicit_alphas(tmp_path, capsys):
     summary = last_json_line(cap.out)
     assert summary["family_size"] == 3
     assert (out / "member_002.report.json").exists()
+
+
+def test_unconverged_eigenvalue_exits_2(tmp_path, capsys, monkeypatch):
+    def unconverged(plan, V, tol=1e-8, max_iters=None):
+        raise EigenSolveError("forced non-convergence", -0.5)
+
+    monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
+    out = tmp_path / "fam"
+    code, cap = run_cli(
+        capsys, "family", "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1", "with_eigs=true",
+    )
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 2
+    assert "forced non-convergence" in summary["error"]
 
 
 def test_diagnose_negative_control_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from kwlab.threshold import (
     find_alpha_star,
     limit_family,
     probe_solvable,
+    SolvabilityVerdict,
 )
 
 from oracles import dense_alpha_star
@@ -36,6 +37,11 @@ class TestProbe:
         inst = ProblemInstance(t2_32, sine_field(t2_32, -0.5), -1e-3, 1)
         v = probe_solvable(inst)
         assert v.solved
+
+    def test_solved_verdict_without_report_rejected(self):
+        # an explicit check, so it also holds under python -O
+        with pytest.raises(SolverError):
+            SolvabilityVerdict("solved", report=None)
 
     def test_failed_collects_evidence(self, t2_32):
         inst = ProblemInstance(t2_32, sine_field(t2_32, -0.5), -50.0, 1)
