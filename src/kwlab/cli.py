@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -127,11 +128,12 @@ def _family_csv(
         check = problem.integral_identity_defect(inst, rep.solution)
         lam = ""
         if with_eigs:
-            lam_val = spectral.min_eigenvalue(
-                plan, problem.stability_potential(inst, rep.solution), 1e-7
-            )
-            rep.min_eig = lam_val
-            lam = repr(lam_val)
+            # a threshold search already solved its members' λ_min at this tol
+            if rep.min_eig is None:
+                rep.min_eig = spectral.min_eigenvalue(
+                    plan, problem.stability_potential(inst, rep.solution), threshold.EIG_TOL
+                )
+            lam = repr(rep.min_eig)
         energy = rep.energy.total if rep.energy is not None else ""
         lines.append(
             f"{param!r},{rep.solution.sup_norm!r},{energy!r},{check.defect!r},{lam}"
@@ -148,7 +150,7 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
         "estimate": rep.estimate if np.isfinite(rep.lo) else None,
         "unbounded": rep.unbounded,
         "family_size": len(rep.family),
-        "flags": rep.flags,
+        "probes": [dataclasses.asdict(p) for p in rep.probes],
     }
 
 

@@ -105,6 +105,33 @@ def test_threshold_mode(tmp_path, capsys):
     assert (out / "member_000.report.json").exists()
 
 
+def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = spectral.min_eigenvalue
+
+    def counted(plan, V, tol=1e-8, max_iters=None):
+        calls.append(tol)
+        return original(plan, V, tol, max_iters)
+
+    monkeypatch.setattr(spectral, "min_eigenvalue", counted)
+    out = tmp_path / "thr"
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "tol=5e-3", "with_eigs=true",
+    )
+    assert code == 0
+    thr = json.loads((out / "summary.json").read_text())["threshold"]
+    assert "flags" not in thr
+    assert len(calls) == thr["family_size"]
+    # the probe record: every probe, with the λ_min the search steered by
+    solved = [p for p in thr["probes"] if p["solved"]]
+    assert len(solved) == thr["family_size"]
+    assert any(p["param"] == thr["lo"] and p["evidence"] for p in thr["probes"])
+    assert all(p["min_eig"] is None for p in thr["probes"] if not p["solved"])
+    csv_lines = (out / "family.csv").read_text().strip().splitlines()[1:]
+    assert [float(line.split(",")[-1]) for line in csv_lines] == [p["min_eig"] for p in solved]
+
+
 def test_dingliu_mode(tmp_path, capsys):
     out = tmp_path / "dl"
     code, cap = run_cli(

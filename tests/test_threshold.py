@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField
-from kwlab.errors import SolverError
+from kwlab import ProblemInstance, ScalarField, spectral, threshold
+from kwlab.errors import EigenSolveError, SolverError
+from kwlab.fields import named_field
 from kwlab.threshold import (
+    _probe_twice,
     ding_liu_lambda_star,
     find_alpha_star,
     limit_family,
@@ -50,6 +52,53 @@ class TestProbe:
         assert len(v.evidence) >= 2  # several starts, each with a reason
 
 
+def counting_probes(monkeypatch):
+    """Wrap threshold.probe_solvable; returns the list of its outcomes (solved or not)."""
+    calls = []
+    original = threshold.probe_solvable
+
+    def counted(inst, budget=1.0, **kw):
+        v = original(inst, budget, **kw)
+        calls.append(v.solved)
+        return v
+
+    monkeypatch.setattr(threshold, "probe_solvable", counted)
+    return calls
+
+
+def assert_bracket_on_probes(rep, tol):
+    """The unsolvable end is a failed probe, the solvable end a converged
+    report that carries the λ_min recorded for its probe, width ≤ tol."""
+    fail_end, solved_end = (rep.lo, rep.hi) if rep.param_name == "alpha" else (rep.hi, rep.lo)
+    assert 0 < rep.width <= tol
+    assert any(p.param == fail_end and not p.solved for p in rep.probes)
+    record = next(p for p in rep.probes if p.param == solved_end)
+    assert record.solved and rep.solved_report.converged
+    assert rep.solved_report.min_eig == record.min_eig
+
+
+class TestRetry:
+    @pytest.mark.parametrize("evidence, budgets", [
+        (["newton[warm]: stagnation", "newton[constant]: linear_solve_stagnation",
+          "newton[zero]: blow_up: overflow"], [1.0]),
+        (["newton[warm]: stagnation", "newton[zero]: max_iters"], [1.0, 4.0]),
+        (["newton[zero]: line_search_failure", "monotone: max_iters"], [1.0, 4.0]),
+    ])
+    def test_only_budget_exhaustion_is_retried(self, t2_16, monkeypatch, evidence, budgets):
+        calls = []
+
+        def fake(inst, budget=1.0, **kw):
+            calls.append(budget)
+            return SolvabilityVerdict("failed", evidence=list(evidence))
+
+        monkeypatch.setattr(threshold, "probe_solvable", fake)
+        inst = ProblemInstance(t2_16, sine_field(t2_16, -0.5), -50.0, 1)
+        v = _probe_twice(inst, 1.0)
+        assert calls == budgets
+        assert not v.solved
+        assert v.evidence == evidence * len(budgets)
+
+
 class TestAlphaStar:
     def test_requires_negative_mean(self, t2_32):
         with pytest.raises(SolverError):
@@ -81,6 +130,46 @@ class TestAlphaStar:
         dense_est = 0.5 * (lo + hi)
         assert rep.estimate == pytest.approx(dense_est, rel=0.05)
 
+    def test_few_failed_probes(self, t2_32, monkeypatch):
+        calls = counting_probes(monkeypatch)
+        rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
+        assert calls.count(False) <= 4
+        assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
+        assert_bracket_on_probes(rep, 1e-3)
+
+    def test_bracket_rests_on_probes_and_repeats(self, t2_16):
+        S = sine_field(t2_16, -0.5)
+        a = find_alpha_star(S, 1, t2_16, tol=1e-3)
+        b = find_alpha_star(S, 1, t2_16, tol=1e-3)
+        assert_bracket_on_probes(a, 1e-3)
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        assert a.probes == b.probes
+        # every family member solved its λ_min once, during the search
+        assert all(r.min_eig is not None for _, r in a.family)
+
+
+def unconverged_eig(plan, V, tol=1e-8, max_iters=None):
+    raise EigenSolveError("forced non-convergence", -0.5)
+
+
+class TestEigenFallback:
+    """Without λ_min the search steps a quarter of the gap and still closes."""
+
+    def test_alpha_star(self, t2_16, monkeypatch):
+        monkeypatch.setattr(spectral, "min_eigenvalue", unconverged_eig)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        assert rep.lo < rep.hi < 0
+        assert all(p.min_eig is None for p in rep.probes)
+        assert_bracket_on_probes(rep, 1e-3)
+
+    def test_lambda_star(self, t2_16, monkeypatch):
+        monkeypatch.setattr(spectral, "min_eigenvalue", unconverged_eig)
+        g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+        rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+        assert 0.0 < rep.lo < rep.hi < -g0.min
+        assert all(p.min_eig is None for p in rep.probes)
+        assert_bracket_on_probes(rep, 1e-2)
+
 
 class TestDingLiu:
     def test_input_validation(self, t2_32):
@@ -105,6 +194,14 @@ class TestDingLiu:
         assert rep.solved_report.converged
         lams = [lam for lam, _ in rep.family]
         assert lams == sorted(lams)
+
+    def test_few_failed_probes(self, t2_32, monkeypatch):
+        calls = counting_probes(monkeypatch)
+        g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
+        rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
+        assert calls.count(False) <= 4
+        assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
+        assert_bracket_on_probes(rep, 1e-2)
 
 
 class TestLimitFamily:
