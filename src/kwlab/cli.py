@@ -126,14 +126,13 @@ def _family_csv(
     for rep, inst, param in zip(members, insts, params):
         plan = spectral.get_plan(inst.domain)
         check = problem.integral_identity_defect(inst, rep.solution)
-        lam = ""
-        if with_eigs:
-            # a threshold search already solved its members' λ_min at this tol
-            if rep.min_eig is None:
-                rep.min_eig = spectral.min_eigenvalue(
-                    plan, problem.stability_potential(inst, rep.solution), threshold.EIG_TOL
-                )
-            lam = repr(rep.min_eig)
+        # a threshold search already solved its members' λ_min at this tol;
+        # only with_eigs solves the ones that are missing
+        if with_eigs and rep.min_eig is None:
+            rep.min_eig = spectral.min_eigenvalue(
+                plan, problem.stability_potential(inst, rep.solution), threshold.EIG_TOL
+            )
+        lam = "" if rep.min_eig is None else repr(rep.min_eig)
         energy = rep.energy.total if rep.energy is not None else ""
         lines.append(
             f"{param!r},{rep.solution.sup_norm!r},{energy!r},{check.defect!r},{lam}"
@@ -207,7 +206,8 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     if mode == "threshold":
         tol = float(cfg["tol"]) if cfg["tol"] else 1e-3
         rep = threshold.find_alpha_star(
-            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"])
+            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"]),
+            residual_tol=rtol,
         )
         summary["threshold"] = _threshold_summary(rep)
         members = [r for _, r in rep.family]
@@ -221,7 +221,9 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     if mode == "dingliu":
         g0 = build_field({**cfg, "field_shift_max_zero": "true"}, domain)
         tol = float(cfg["tol"]) if cfg["tol"] else 1e-2
-        rep = threshold.ding_liu_lambda_star(g0, float(cfg["s0"]), domain, tol=tol, budget=budget)
+        rep = threshold.ding_liu_lambda_star(
+            g0, float(cfg["s0"]), domain, tol=tol, budget=budget, residual_tol=rtol
+        )
         summary["threshold"] = _threshold_summary(rep)
         summary["lambda_range_upper"] = -g0.min
         members = [r for _, r in rep.family]
@@ -230,7 +232,7 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
             ProblemInstance(domain, ScalarField(domain, g0.values + lam), float(cfg["s0"]), 1)
             for lam in params
         ]
-        (outdir / "family.csv").write_text(_family_csv(members, insts, params, with_eigs=False))
+        (outdir / "family.csv").write_text(_family_csv(members, insts, params, with_eigs))
         for i, (lam, member) in enumerate(rep.family):
             serialize.write_report(member, outdir / f"member_{i:03d}")
         return 0, summary
@@ -256,13 +258,16 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     else:
         tol = float(cfg["tol"]) if cfg["tol"] else 1e-3
         thr = threshold.find_alpha_star(
-            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"])
+            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"]),
+            residual_tol=rtol,
         )
         summary["threshold"] = _threshold_summary(thr)
         if thr.unbounded:
             members = [r for _, r in thr.family]
         else:
-            members = threshold.limit_family(S, n, domain, thr, count, budget=budget)
+            members = threshold.limit_family(
+                S, n, domain, thr, count, budget=budget, residual_tol=rtol
+            )
 
     summary["family_size"] = len(members)
     params = [rep.alpha for rep in members]

@@ -6,6 +6,8 @@ Three routes:
                           super-solution through the interval [u₋, u₊],
   * minimize_over_interval — projected gradient descent of the energy over
                           the order interval (the variational route).
+and arclength_correct, the pseudo-arclength corrector that walks a branch of
+solutions in a parameter t through its fold (the threshold search).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse.linalg import lgmres
+from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import problem, spectral
 from .domain import ScalarField, mean
-from .errors import BlowUpError, SolverError
+from .errors import BlowUpError, DomainError, SolverError
 from .problem import EnergyBreakdown, ProblemInstance
 
 
@@ -220,6 +222,134 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     if normF <= opts.residual_tol:
         return _finish(inst, u, True, opts.max_iters, history, "newton")
     return _finish(inst, u, False, opts.max_iters, history, "newton", "max_iters")
+
+
+@dataclass
+class BranchPoint:
+    """A converged point (u, t) of a one-parameter branch F(u, t) = 0 with
+    its unit tangent (du, dt): mean(du²) + dt² = 1."""
+
+    report: SolveReport
+    t: float
+    du: np.ndarray
+    dt: float
+
+
+class BorderedOperator:
+    """The bordered Jacobian [[J, f_t], [τ_uᵀ/N, τ_t]] of a pseudo-arclength
+    step on (v, s) ∈ R^{N+1}, with the preconditioner diag((−Δ + c)⁻¹, 1).
+
+    J is a SchrodingerOperator, f_t = ∂F/∂t on the grid, (τ_u, τ_t) the
+    tangent the step is taken along. Like SchrodingerOperator it builds its
+    LinearOperators on access.
+    """
+
+    def __init__(self, J: spectral.SchrodingerOperator, ft: np.ndarray, du: np.ndarray, dt: float):
+        self.J, self.ft, self.du, self.dt = J, ft.reshape(-1), du.reshape(-1), dt
+        self.shape = (self.ft.size + 1,) * 2
+
+    @property
+    def A(self) -> LinearOperator:
+        return LinearOperator(self.shape, matvec=self.apply, dtype=float)
+
+    @property
+    def M(self) -> LinearOperator:
+        return LinearOperator(self.shape, matvec=self.precondition, dtype=float)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        z = z.reshape(-1)
+        v, s = z[:-1], z[-1]
+        return np.append(self.J.apply(v) + s * self.ft, self.du @ v / v.size + self.dt * s)
+
+    def precondition(self, z: np.ndarray) -> np.ndarray:
+        z = z.reshape(-1)
+        return np.append(self.J.solve_diagonal(z[:-1]), z[-1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # an inexact solve is enough: the corrector's residual test decides
+        # convergence, and the tangent only steers the next step
+        z, _ = lgmres(self.A, rhs, M=self.M, rtol=1e-6, atol=0.0, inner_m=30, maxiter=4)
+        return z
+
+
+def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
+    """The instance at t, F(u, t) and the bordered Jacobian at (u, t).
+    Raises BlowUpError, and DomainError for a t outside the instances' range."""
+    inst = make_inst(t)
+    e = problem.conformal_factor(inst, u)
+    F = problem.residual(inst, u)
+    W = -(2.0 / inst.n) * inst.S.values * e
+    J = spectral.SchrodingerOperator(
+        spectral.get_plan(inst.domain), W, max(1.0, float(np.mean(np.abs(W))))
+    )
+    ft = np.broadcast_to(dF_dt(e), e.shape)
+    return inst, F, BorderedOperator(J, ft, du, dt)
+
+
+def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
+    """The converged report at t with its branch tangent, oriented along
+    (du, dt): the tangent solves [[J, f_t], [duᵀ/N, dt]]·z = (0, 1)."""
+    _, _, B = _bordered(make_inst, dF_dt, report.solution, t, du, dt)
+    rhs = np.zeros(B.shape[0])
+    rhs[-1] = 1.0
+    z = B.solve(rhs)
+    v, s = z[:-1], float(z[-1])
+    norm = float(np.sqrt(v @ v / v.size + s * s))
+    return BranchPoint(report, t, (v / norm).reshape(report.solution.values.shape), s / norm)
+
+
+def arclength_correct(
+    make_inst,
+    dF_dt,
+    base: BranchPoint,
+    ds: float,
+    opts: SolverOptions | None = None,
+) -> tuple[SolveReport, Optional[BranchPoint]]:
+    """One pseudo-arclength step (Keller 1977) along the branch F(u, t) = 0.
+
+    make_inst maps t to its ProblemInstance and dF_dt maps the conformal
+    factor e^{2u/n} to the exact ∂F/∂t. From the tangent predictor
+    base + ds·(du, dt), Newton on (u, t) solves F = 0 together with the
+    arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is a
+    bordered Krylov solve, well posed through a fold where J is singular.
+    Converged means ‖F‖_∞ ≤ residual_tol, the contract of newton_solve;
+    the new point then carries its tangent. A corrector that does not halve
+    ‖F‖_∞ every iteration, blows up, leaves the instances' parameter range
+    or runs out of max_iters fails, with the reason on the report and no
+    point; the caller shortens the step.
+    """
+    opts = opts or SolverOptions()
+    shape = base.report.solution.values.shape
+    u0, t0 = base.report.solution.values, base.t
+    u = ScalarField(base.report.solution.domain, u0 + ds * base.du)
+    t = float(t0 + ds * base.dt)
+    history: list[float] = []
+    inst = make_inst(t0)
+    for it in range(opts.max_iters + 1):
+        try:
+            inst, F, B = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
+        except BlowUpError as e:
+            return _finish(inst, u, False, it, history, "arclength", f"blow_up: {e}"), None
+        except DomainError as e:
+            return _finish(inst, u, False, it, history, "arclength", f"out_of_range: {e}"), None
+        normF = F.sup_norm
+        history.append(normF)
+        if not np.isfinite(normF):
+            return _finish(inst, u, False, it, history, "arclength", "blow_up: non-finite"), None
+        if normF <= opts.residual_tol:
+            rep = _finish(inst, u, True, it, history, "arclength")
+            return rep, branch_point(make_inst, dF_dt, rep, t, base.du, base.dt)
+        if it == opts.max_iters:
+            break
+        if it >= 1 and normF > 0.5 * history[-2]:
+            return _finish(inst, u, False, it, history, "arclength", "stagnation"), None
+        arc = np.mean(base.du * (u.values - u0)) + base.dt * (t - t0) - ds
+        z = B.solve(-np.append(F.values.reshape(-1), arc))
+        if not np.all(np.isfinite(z)):
+            return _finish(inst, u, False, it, history, "arclength", "linear_solve_diverged"), None
+        u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
+        t += float(z[-1])
+    return _finish(inst, u, False, opts.max_iters, history, "arclength", "max_iters"), None
 
 
 def monotone_constant(inst: ProblemInstance, upper: ScalarField) -> float:

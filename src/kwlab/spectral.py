@@ -154,15 +154,19 @@ def min_eigenvalue(
     with warnings.catch_warnings():
         # non-convergence is reported by the residual check below
         warnings.simplefilter("ignore", UserWarning)
-        _, X = lobpcg(op.A, x[:, None], M=op.M, tol=tol, maxiter=max_iters, largest=False)
+        _, X, history = lobpcg(
+            op.A, x[:, None], M=op.M, tol=tol, maxiter=max_iters, largest=False,
+            retResidualNormsHistory=True,
+        )
     x = X[:, 0] / np.linalg.norm(X[:, 0])
     Ax = op.apply(x)
     lam_shifted = float(x @ Ax)
     resid = float(np.linalg.norm(Ax - lam_shifted * x))
     if resid > tol:
+        # the history holds the start residual, one per iteration and two closing entries
         raise EigenSolveError(
-            f"LOBPCG did not reach tol={tol} in {max_iters} iterations "
-            f"(eigenresidual {resid:.3g})",
+            f"LOBPCG did not reach tol={tol}: it stopped after {len(history) - 3} of at most "
+            f"{max_iters} iterations (eigenresidual {resid:.3g})",
             lam_shifted + sigma,
         )
     return lam_shifted + sigma

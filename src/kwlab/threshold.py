@@ -20,13 +20,17 @@ from .solvers import SolveReport, SolverOptions
 # S ≤ 0 regime is solvable at every negative α)
 UNBOUNDED_PROBE_ALPHAS = (-1.0, -10.0, -100.0, -1000.0)
 
-# fold-steered search (_fold_search): step rules and the λ_min accuracy
-MARCH_FACTOR = 1.5       # geometric march before the first failure
-STEER_FRACTION = 0.5     # at most this share of the way to the fold estimate
-GAP_FRACTION = 0.25      # at most this share of the gap to the failed end
+# the continuation search (_fold_search): step control, closing rules and
+# the λ_min accuracy. Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
+FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
+TARGET_ITERS = 3         # corrector iterations the step size is steered to
+CORRECTOR_ITERS = 10     # a corrector that has not converged by then has failed
+MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
+FOLD_MARGIN = 0.25       # the last stable point lies within this many tol of the fold estimate
 CLOSE_FRACTION = 0.99    # the closing probe sits this many tol past the solved end
+GAP_FRACTION = 0.25      # fallback: at most this share of the gap to the failed end
 EIG_TOL = 1e-7           # the tol of the CLI's λ_min column, so it can be reused
-MAX_SEARCH_PROBES = 200  # a bracket closes in a few dozen; past this the search is stuck
+MAX_SEARCH_PROBES = 200  # cap on corrector steps and on closing probes
 
 
 @dataclass
@@ -52,9 +56,11 @@ class SolvabilityVerdict:
 
 @dataclass
 class ProbeRecord:
-    """One probe of a threshold search: the parameter, the outcome, the
-    failure evidence, and the λ_min the search steered by (None for a failed
-    probe, a probe outside the search, or an unconverged eigen-solve)."""
+    """One point a threshold search tested: a probe_solvable call, or a
+    stable point of its continuation walk (solved, no evidence). The
+    parameter, the outcome, the failure evidence, and the λ_min of a solved
+    family member (None for a failed probe, a probe outside the search, or
+    an unconverged eigen-solve)."""
 
     param: float
     solved: bool
@@ -156,46 +162,72 @@ def _probe_record(param: float, v: SolvabilityVerdict) -> ProbeRecord:
     return ProbeRecord(param=param, solved=v.solved, evidence=v.evidence)
 
 
-def _fold_estimate(last: list, t_failed: Optional[float]) -> Optional[float]:
-    """Secant root t̂ of λ_min² through the last two solved points (t, λ_min).
+def _bisect(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f changes sign, to double precision.
+    (scipy.optimize would add about 17 MB and 0.2 s to every import.)"""
+    positive = f(a) > 0
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        if (f(mid) > 0) == positive:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
-    λ_min ~ √(t − t★) near the fold, so λ_min² is close to linear there.
-    None when an eigen-solve failed, λ_min² is not falling toward the
-    fold, or t̂ lies outside the bracket (t_failed, t_solved].
+
+def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
+    """The step from a stable point a (dt < 0) toward the fold, given a point
+    b past it (dt > 0), or None when a already lies within margin of the fold.
+
+    The fold estimate t★ is the minimum of the cubic Hermite interpolant of
+    t along the chord from a to b, with the tangent slopes at both ends; the
+    step lands where the interpolant is t★ + margin/2.
     """
-    if len(last) < 2 or last[0][1] is None or last[1][1] is None:
+    du = b.report.solution.values - a.report.solution.values
+    dt = b.t - a.t
+    h = float(np.sqrt(np.mean(du * du) + dt * dt))
+    m0, m1 = h * a.dt, h * b.dt
+    c2, c3 = 3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt
+
+    def p(x):
+        return a.t + x * (m0 + x * (c2 + x * c3))
+
+    x_star = _bisect(lambda x: m0 + x * (2.0 * c2 + 3.0 * x * c3), 0.0, 1.0)
+    t_star = p(x_star)
+    if a.t - t_star <= margin:
         return None
-    (t1, lam1), (t2, lam2) = last
-    y1, y2 = lam1 * lam1, lam2 * lam2
-    if not y2 < y1:
-        return None
-    t_hat = t2 - y2 * (t1 - t2) / (y1 - y2)
-    if t_failed is not None and not t_hat > t_failed:
-        return None
-    return t_hat
+    x_land = _bisect(lambda x: p(x) - t_star - 0.5 * margin, 0.0, x_star)
+    # a step is a projection on a's tangent, taken as linear along the chord
+    return float(x_land * (np.mean(a.du * du) + a.dt * dt))
 
 
-def _fold_search(make_inst, param_name, start, shrink, tol, budget, failed_bound=None):
+def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, residual_tol):
     """The threshold search behind find_alpha_star and ding_liu_lambda_star.
 
     Works in t = ±param (t = α, or t = −λ), where the solvable side is
-    larger t and t < 0 throughout. A bootstrap probes param = start and
-    divides it by shrink until a probe solves. From there the search walks
-    the warm-started branch down toward the fold, steered by λ_min of each
-    solved point:
-      * before any failure: march t ← 1.5·t;
-      * after a failure, or from the start when failed_bound is a known
-        unsolvable param: step at most a quarter of the gap to it;
-      * with a fold estimate t̂: step at most half the way to t̂, and once
-        t̂ is within tol/2 of the solved end, probe once at t − 0.99·tol.
-    Failures are never retried unless budget ran out (_probe_twice). The
-    bracket ends on a converged probe and a failed one, at most tol apart.
+    larger t and t < 0 throughout; dF_dt maps e^{2u/n} to the exact ∂F/∂t.
+    A bootstrap probes param = start and divides it by shrink until a probe
+    solves. From there a pseudo-arclength walk (solvers.arclength_correct)
+    follows the stable branch down to its fold at t★ without a failed solve:
+      * tangent predictor; the step grows or shrinks toward TARGET_ITERS
+        corrector iterations and halves when the corrector fails;
+      * the fold is passed when the tangent's t-component turns positive;
+      * from the last stable point, the step is then aimed by a Hermite
+        estimate of t★ until that point lies within FOLD_MARGIN·tol of it.
+    The last stable point is confirmed by probe_solvable (warm from its own
+    solution, 0 Newton iterations), and one _probe_twice at t − 0.99·tol
+    closes the bracket. Only if that probe solves does the fallback run: a
+    march doubling its step until a probe fails, then steps of a quarter of
+    the gap to the failed end. The bracket ends on a converged probe and a
+    failed one, at most tol apart. The family is the stable points only, t
+    strictly decreasing, each with its λ_min; probes lists the bootstrap
+    probes, the stable points and the closing probes.
     """
     sign = 1.0 if param_name == "alpha" else -1.0
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
-        v = probe_solvable(make_inst(param), budget)
+        v = probe_solvable(make_inst(param), budget, residual_tol=residual_tol)
         probes.append(_probe_record(param, v))
         if v.solved:
             break
@@ -203,8 +235,6 @@ def _fold_search(make_inst, param_name, start, shrink, tol, budget, failed_bound
     else:
         raise SolverError(f"no solvable {param_name} found from {start} toward 0")
 
-    t, report = sign * param, v.report
-    t_failed = None if failed_bound is None else sign * failed_bound
     family: list[tuple[float, SolveReport]] = []
 
     def accept(rep, record):
@@ -216,29 +246,68 @@ def _fold_search(make_inst, param_name, start, shrink, tol, budget, failed_bound
                 EIG_TOL,
             )
         except EigenSolveError:
-            pass  # min_eig stays None: no fold estimate runs through this point
+            pass  # min_eig stays None
         record.min_eig = rep.min_eig
         family.append((record.param, rep))
 
-    accept(report, probes[-1])
+    def inst_at(t):
+        return make_inst(sign * t)
+
+    accept(v.report, probes[-1])
+    opts = SolverOptions(max_iters=CORRECTOR_ITERS, residual_tol=residual_tol)
+    zero = np.zeros(v.report.solution.values.shape)
+    point = solvers.branch_point(inst_at, dF_dt, v.report, sign * param, zero, -1.0)
+    past = None          # the nearest converged point past the fold
+    ds, grow = FIRST_STEP, True
+    for _ in range(MAX_SEARCH_PROBES):
+        rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds, opts)
+        if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
+            ds, grow = 0.5 * ds, False
+            if ds < MIN_STEP:
+                raise SolverError(
+                    f"{param_name} continuation stalled at {sign * point.t}: {rep.failure_reason}"
+                )
+            continue
+        if nxt.dt < 0:
+            probes.append(ProbeRecord(param=sign * nxt.t, solved=True, evidence=[]))
+            accept(rep, probes[-1])
+            factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
+            point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
+        else:
+            past = nxt
+        if past is not None:
+            ds = _fold_step(point, past, FOLD_MARGIN * tol)
+            if ds is None:
+                break
+    else:
+        raise SolverError(
+            f"{param_name} continuation did not reach its fold in {MAX_SEARCH_PROBES} steps"
+        )
+
+    # close: confirm the last stable point, then probe past the fold
+    t = point.t
+    v = probe_solvable(inst_at(t), budget, warm_start=point.report.solution,
+                       residual_tol=residual_tol)
+    if not v.solved:
+        raise SolverError(f"continuation point {sign * t} failed its probe: {v.evidence}")
+    v.report.min_eig = point.report.min_eig
+    family[-1] = (sign * t, v.report)
+    report, t_failed, step = v.report, None, CLOSE_FRACTION * tol
     for _ in range(MAX_SEARCH_PROBES):
         if t_failed is not None and t - t_failed <= tol:
             break
-        last = [(sign * p.param, p.min_eig) for p in probes if p.solved][-2:]
-        t_hat = _fold_estimate(last, t_failed)
-        if t_hat is not None and t - t_hat <= 0.5 * tol:
-            nxt = t - CLOSE_FRACTION * tol
+        if t_failed is None:
+            nxt_t, step = t - step, 2.0 * step
         else:
-            nxt = MARCH_FACTOR * t if t_failed is None else t - GAP_FRACTION * (t - t_failed)
-            if t_hat is not None:
-                nxt = max(nxt, t - STEER_FRACTION * (t - t_hat))
-        v = _probe_twice(make_inst(sign * nxt), budget, warm_start=report.solution)
-        probes.append(_probe_record(sign * nxt, v))
+            nxt_t = t - GAP_FRACTION * (t - t_failed)
+        v = _probe_twice(inst_at(nxt_t), budget, warm_start=report.solution,
+                         residual_tol=residual_tol)
+        probes.append(_probe_record(sign * nxt_t, v))
         if v.solved:
-            t, report = nxt, v.report
+            t, report = nxt_t, v.report
             accept(report, probes[-1])
         else:
-            t_failed = nxt
+            t_failed = nxt_t
     else:
         raise SolverError(
             f"{param_name} search did not close its bracket in {MAX_SEARCH_PROBES} probes "
@@ -264,17 +333,19 @@ def find_alpha_star(
     tol: float = 1e-3,
     budget: float = 1.0,
     start_alpha: float = -0.01,
+    residual_tol: float = 1e-10,
 ) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
 
     Requires ∫S < 0. For S ≤ 0 (≢ 0) the threshold is −∞; that regime is
     verified on a fixed descending α ladder and reported as unbounded.
     Otherwise `_fold_search` finds a solvable α near 0⁻ (start_alpha,
-    divided by 4 on failure), marches down geometrically until the first
-    failure, and then approaches α★ from the solvable side, steered by the
-    stability eigenvalue λ_min, which vanishes like √(α − α★) at the fold.
-    lo is a failed probe, hi a converged one, hi − lo ≤ tol. Every family
-    report carries its λ_min (min_eig) and every probe is listed in probes.
+    divided by 4 on failure) and follows the solution branch down to its
+    fold at α★ by pseudo-arclength continuation, where the stability
+    eigenvalue λ_min vanishes. lo is a failed probe just past the fold, hi
+    a converged one, hi − lo ≤ tol. The family is the stable branch, α
+    strictly decreasing, every report with its λ_min (min_eig); probes
+    lists every probe and stable point. Every solve meets residual_tol.
     """
     if integrate(S) >= 0:
         raise SolverError("find_alpha_star requires integrate(S) < 0")
@@ -284,7 +355,7 @@ def find_alpha_star(
         warm = None
         for a in UNBOUNDED_PROBE_ALPHAS:
             inst = ProblemInstance(domain, S, a, n)
-            v = _probe_twice(inst, budget, warm_start=warm)
+            v = _probe_twice(inst, budget, warm_start=warm, residual_tol=residual_tol)
             probes.append(_probe_record(a, v))
             if not v.solved:
                 raise SolverError(
@@ -306,7 +377,10 @@ def find_alpha_star(
     def make_inst(alpha: float) -> ProblemInstance:
         return ProblemInstance(domain, S, alpha, n)
 
-    return _fold_search(make_inst, "alpha", float(start_alpha), 4.0, tol, budget)
+    # t = α: ∂F/∂t = 1
+    return _fold_search(
+        make_inst, lambda e: 1.0, "alpha", float(start_alpha), 4.0, tol, budget, residual_tol
+    )
 
 
 def ding_liu_lambda_star(
@@ -315,15 +389,18 @@ def ding_liu_lambda_star(
     domain: TorusDomain,
     tol: float = 1e-2,
     budget: float = 1.0,
+    residual_tol: float = 1e-10,
 ) -> ThresholdReport:
     """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.
 
     Requires max g₀ = 0 (callers shift), g₀ nonconstant, s₀ < 0. Solvable
-    for λ ∈ (0, λ★); g₀ + λ ≥ 0 makes λ ≥ −min g₀ unsolvable, the failed
-    end the search starts from. `_fold_search` finds a solvable λ near 0⁺
-    (0.05·(−min g₀), halved on failure) and approaches λ★ from below,
-    steered by λ_min. lo is a converged probe, hi a failed one, hi − lo ≤
-    tol, and the bracket is checked to lie strictly inside (0, −min g₀).
+    for λ ∈ (0, λ★); g₀ + λ ≥ 0 makes λ ≥ −min g₀ unsolvable.
+    `_fold_search` finds a solvable λ near 0⁺ (0.05·(−min g₀), halved on
+    failure) and follows the branch up to its fold at λ★ by pseudo-arclength
+    continuation in t = −λ. lo is a converged probe, hi a failed one just
+    past the fold, hi − lo ≤ tol, and the bracket is checked to lie strictly
+    inside (0, −min g₀). The family is the stable branch, λ strictly
+    increasing, each report with its λ_min. Every solve meets residual_tol.
     """
     if domain.d != 2:
         raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")
@@ -338,7 +415,10 @@ def ding_liu_lambda_star(
     def make_inst(lam: float) -> ProblemInstance:
         return ProblemInstance(domain, ScalarField(domain, g0.values + lam), s0, 1)
 
-    rep = _fold_search(make_inst, "lambda", 0.05 * lam_max, 2.0, tol, budget, lam_max)
+    # t = −λ: F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
+    rep = _fold_search(
+        make_inst, lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol, budget, residual_tol
+    )
     if not (0.0 < rep.lo and rep.hi < lam_max):
         raise SolverError(
             f"lambda bracket [{rep.lo}, {rep.hi}] does not lie strictly inside (0, {lam_max})"
@@ -354,6 +434,7 @@ def limit_family(
     count: int,
     budget: float = 1.0,
     alphas: Optional[list[float]] = None,
+    residual_tol: float = 1e-10,
 ) -> list[SolveReport]:
     """Converged solutions at α_k descending geometrically onto the bracket's
     solvable end (warm-started along the walk).
@@ -383,7 +464,9 @@ def limit_family(
     for a in alphas:
         inst = ProblemInstance(domain, S, a, n)
         src = super_source if (super_source is not None and super_source.alpha < a) else None
-        v = _probe_twice(inst, budget, warm_start=warm, super_source=src)
+        v = _probe_twice(
+            inst, budget, warm_start=warm, super_source=src, residual_tol=residual_tol
+        )
         if not v.solved:
             if out:
                 out[-1].failure_reason = (

@@ -33,3 +33,20 @@ def test_tracer_counts_eigen_and_newton_ffts(tmp_path, capsys):
     assert metrics["solvers.newton_fft_pairs"] > 0
     assert (spectral.SpectralPlan.fft, spectral.SpectralPlan.ifft,
             spectral.min_eigenvalue, threshold._probe_twice) == originals
+
+
+def test_tracer_sees_one_failed_probe_per_search(tmp_path, capsys):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "threshold", "--out", str(tmp_path / "thr"), "field=sin1", "field_offset=-0.5",
+            "sizes=16,16", "tol=1e-3",
+        ])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["threshold.probes_failed"] == 1
+    assert metrics["threshold.search_s"] > 0

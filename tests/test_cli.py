@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from kwlab import spectral
+from kwlab import spectral, threshold
 from kwlab.cli import main, parse_config_file
 from kwlab.errors import EigenSolveError
 from kwlab.serialize import read_field
@@ -142,6 +142,56 @@ def test_dingliu_mode(tmp_path, capsys):
     thr = last_json_line(cap.out)["threshold"]
     assert thr["param"] == "lambda"
     assert 0.0 < thr["lo"] < thr["hi"] < 2.0
+
+
+def csv_floats(path):
+    """The data rows of a family.csv, every cell parsed as a float."""
+    return [[float(x) for x in line.split(",")]
+            for line in path.read_text().strip().splitlines()[1:]]
+
+
+def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = spectral.min_eigenvalue
+
+    def counted(plan, V, tol=1e-8, max_iters=None):
+        calls.append(tol)
+        return original(plan, V, tol, max_iters)
+
+    monkeypatch.setattr(spectral, "min_eigenvalue", counted)
+    out = tmp_path / "dl"
+    code, cap = run_cli(
+        capsys, "dingliu", "--out", str(out), "field=two_mode", "sizes=16,16", "tol=1e-2",
+    )
+    assert code == 0
+    thr = last_json_line(cap.out)["threshold"]
+    # with_eigs is false: the λ_min column is the search's, no eigen-solve added
+    assert len(calls) == thr["family_size"]
+    solved = [p["min_eig"] for p in thr["probes"] if p["solved"]]
+    rows = csv_floats(out / "family.csv")
+    assert [row[-1] for row in rows] == solved
+    assert [row[0] for row in rows] == [p["param"] for p in thr["probes"] if p["solved"]]
+
+
+def test_residual_tol_reaches_the_search(tmp_path, capsys, monkeypatch):
+    seen = []
+    original = threshold.probe_solvable
+
+    def recorded(inst, budget=1.0, **kw):
+        seen.append(kw.get("residual_tol"))
+        return original(inst, budget, **kw)
+
+    monkeypatch.setattr(threshold, "probe_solvable", recorded)
+    out = tmp_path / "thr"
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "tol=5e-3", "residual_tol=1e-8",
+    )
+    assert code == 0
+    assert seen and all(tol == 1e-8 for tol in seen)
+    assert all(len(row) == 5 for row in csv_floats(out / "family.csv"))
+    for path in out.glob("member_*.report.json"):
+        assert json.loads(path.read_text())["final_residual"] <= 1e-8
 
 
 def test_family_mode_explicit_alphas(tmp_path, capsys):

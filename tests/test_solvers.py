@@ -3,11 +3,13 @@ import pytest
 
 from kwlab import ProblemInstance, ScalarField
 from kwlab.errors import SolverError
-from kwlab.problem import energy, residual
+from kwlab.problem import energy, residual, stability_potential
 from kwlab.solvers import (
     OrderInterval,
     SolveReport,
     SolverOptions,
+    arclength_correct,
+    branch_point,
     build_sub_solution,
     build_super_solution,
     make_interval,
@@ -271,3 +273,59 @@ def test_engines_agree(t2_32):
     u_min = minimize_over_interval(inst, iv).solution
     assert np.max(np.abs(u_newton.values - u_mono.values)) <= 1e-7
     assert np.max(np.abs(u_newton.values - u_min.values)) <= 1e-7
+
+
+class TestArclength:
+    """Pseudo-arclength corrector on branches in t = α."""
+
+    @staticmethod
+    def start(inst_at, t):
+        rep = newton_solve(inst_at(t), SolverOptions(start="constant"))
+        assert rep.converged
+        zero = np.zeros(rep.solution.values.shape)
+        return branch_point(inst_at, lambda e: 1.0, rep, t, zero, -1.0)
+
+    def test_constant_branch_closed_form(self, t2_16):
+        # S ≡ −1: u = ½·ln(−α) on the whole branch
+        def inst_at(t):
+            return constant_instance(t2_16, -1.0, t)
+
+        p = self.start(inst_at, -0.5)
+        assert p.dt < 0
+        assert np.mean(p.du**2) + p.dt**2 == pytest.approx(1.0)
+        for ds in (0.3, 0.6):
+            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, ds)
+            assert rep.converged and q is not None
+            assert q.report is rep and rep.method == "arclength"
+            assert np.max(np.abs(rep.solution.values - 0.5 * np.log(-q.t))) < 1e-9
+            arc = np.mean(p.du * (rep.solution.values - p.report.solution.values))
+            assert arc + p.dt * (q.t - p.t) == pytest.approx(ds, rel=1e-5)
+            p = q
+
+    def test_steps_through_the_fold(self, t2_16):
+        x = t2_16.coords()
+        S = ScalarField(t2_16, np.broadcast_to(np.sin(2 * np.pi * x[0]) - 0.5, t2_16.sizes).copy())
+
+        def inst_at(t):
+            return ProblemInstance(t2_16, S, t, 1)
+
+        p = self.start(inst_at, -3.0)
+        opts = SolverOptions(max_iters=10, residual_tol=1e-10)
+        for _ in range(40):
+            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02, opts)
+            assert rep.converged and residual(inst_at(q.t), rep.solution).sup_norm <= 1e-10
+            if q.dt > 0:
+                break
+            p = q
+        else:
+            pytest.fail("no fold within 40 steps")
+        # past the fold the branch is unstable: the stability operator has
+        # a negative eigenvalue there, and a positive one before it
+        lam = [
+            spectral.min_eigenvalue(
+                spectral.get_plan(t2_16), stability_potential(inst_at(b.t), b.report.solution), 1e-8
+            )
+            for b in (p, q)
+        ]
+        assert lam[0] > 0 > lam[1]
+        assert q.t > -3.2 and p.t > -3.2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,20 @@ class TestMinEigenvalue:
         with pytest.raises(EigenSolveError) as exc:
             min_eigenvalue(get_plan(t2_32), V, 1e-8, max_iters=1)
         assert np.isfinite(exc.value.best_estimate)
+
+    @pytest.mark.parametrize("tol, max_iters, ran", [
+        (1e-8, 3, 3),        # stopped by the iteration cap
+        (1e-13, None, None),  # below the round-off floor: stops long before the cap
+    ])
+    def test_nonconvergence_reports_iterations_run(self, t2_32, tol, max_iters, ran):
+        V = smooth_random_field(t2_32, seed=23, amplitude=5.0)
+        with pytest.raises(EigenSolveError) as exc:
+            min_eigenvalue(get_plan(t2_32), V, tol, max_iters=max_iters)
+        m = re.search(r"stopped after (\d+) of at most (\d+) iterations", str(exc.value))
+        assert m, str(exc.value)
+        k, cap = int(m.group(1)), int(m.group(2))
+        assert cap == (max_iters or 10 * 32)
+        if ran is not None:
+            assert k == ran
+        else:
+            assert 0 < k < cap // 10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, spectral, threshold
+from kwlab import ProblemInstance, ScalarField, problem, spectral, threshold
 from kwlab.errors import EigenSolveError, SolverError
 from kwlab.fields import named_field
 from kwlab.threshold import (
@@ -77,6 +77,39 @@ def assert_bracket_on_probes(rep, tol):
     assert rep.solved_report.min_eig == record.min_eig
 
 
+def assert_stable_family(rep):
+    """The family is the stable branch: the parameter moves strictly toward
+    the fold, and λ_min > 0 at every member."""
+    params = [p for p, _ in rep.family]
+    toward = -1.0 if rep.param_name == "alpha" else 1.0
+    assert all(toward * (b - a) > 0 for a, b in zip(params, params[1:]))
+    assert all(r.min_eig is not None and r.min_eig > 0 for _, r in rep.family)
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("param", ["alpha", "lambda"])
+    def test_family_is_the_stable_branch(self, t2_16, param):
+        if param == "alpha":
+            rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        else:
+            g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+            rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+        assert len(rep.family) >= 3
+        assert_stable_family(rep)
+        # the solved end is the last member, confirmed by a probe
+        assert rep.family[-1][1] is rep.solved_report
+
+    def test_corrector_reports_meet_residual_tol(self, t2_16):
+        S = sine_field(t2_16, -0.5)
+        rep = find_alpha_star(S, 1, t2_16, tol=1e-3, residual_tol=1e-8)
+        walked = [(a, r) for a, r in rep.family if r.method == "arclength"]
+        assert walked
+        for a, r in walked:
+            assert r.converged and r.residual_history[-1] <= 1e-8
+            inst = ProblemInstance(t2_16, S, a, 1)
+            assert problem.residual(inst, r.solution).sup_norm <= 1e-8
+
+
 class TestRetry:
     @pytest.mark.parametrize("evidence, budgets", [
         (["newton[warm]: stagnation", "newton[constant]: linear_solve_stagnation",
@@ -133,9 +166,36 @@ class TestAlphaStar:
     def test_few_failed_probes(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
         rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
-        assert calls.count(False) <= 4
+        assert calls.count(False) == 1
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
+
+    def test_few_failed_probes_two_mode(self, t2_32, monkeypatch):
+        calls = counting_probes(monkeypatch)
+        S = named_field(t2_32, "two_mode", offset=-0.5)
+        rep = find_alpha_star(S, 1, t2_32, tol=1e-3)
+        assert calls.count(False) == 1
+        assert abs(rep.lo - (-2.791003)) <= 1e-3 and abs(rep.hi - (-2.790053)) <= 1e-3
+        assert_bracket_on_probes(rep, 1e-3)
+
+    def test_closes_when_first_closing_probe_solves(self, t2_16, monkeypatch):
+        # stop the walk far above the fold, so that the probe at the last
+        # stable point − 0.99·tol solves and the fallback closes the bracket
+        monkeypatch.setattr(threshold, "FOLD_MARGIN", 20.0)
+        closing = []
+        original = threshold._probe_twice
+
+        def counted(inst, budget, **kw):
+            v = original(inst, budget, **kw)
+            closing.append(v.solved)
+            return v
+
+        monkeypatch.setattr(threshold, "_probe_twice", counted)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        assert closing[0] and False in closing
+        assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
+        assert_bracket_on_probes(rep, 1e-3)
+        assert_stable_family(rep)
 
     def test_bracket_rests_on_probes_and_repeats(self, t2_16):
         S = sine_field(t2_16, -0.5)
@@ -199,7 +259,7 @@ class TestDingLiu:
         calls = counting_probes(monkeypatch)
         g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
         rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
-        assert calls.count(False) <= 4
+        assert calls.count(False) == 1
         assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
         assert_bracket_on_probes(rep, 1e-2)
 
