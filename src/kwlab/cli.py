@@ -78,8 +78,23 @@ def _float_list(s: str) -> list[float]:
     return [float(x) for x in s.split(",") if x.strip()]
 
 
+# how each numeric key is read; a key whose default is empty may stay empty
+NUMERIC_KEYS = {
+    "sizes": _int_list, "lengths": _float_list, "alphas": _float_list,
+    "n": int, "field_seed": int, "count": int,
+    **{key: float for key in ("field_value", "field_offset", "field_p", "alpha", "s0",
+                              "tol", "residual_tol", "budget", "start_alpha")},
+}
+
+
 def validate(mode: str, cfg: dict[str, str]) -> list[str]:
     problems = []
+    for key, parse in NUMERIC_KEYS.items():
+        if cfg[key] or DEFAULTS[key]:
+            try:
+                parse(cfg[key])
+            except ValueError:
+                problems.append(f"{key}: malformed number {cfg[key]!r}")
     if mode != "selftest" and not cfg["field"]:
         problems.append("field: required (const|cos1|sin1|two_mode|random_fourier)")
     if mode == "solve" and not cfg["alpha"]:
@@ -91,8 +106,7 @@ def validate(mode: str, cfg: dict[str, str]) -> list[str]:
             problems.append("field_seed: required for field=random_fourier")
         if not cfg["field_p"]:
             problems.append("field_p: required for field=random_fourier")
-    d = int(cfg["d"]) if cfg["d"] in ("2", "4") else None
-    if d is None:
+    if cfg["d"] not in ("2", "4"):
         problems.append("d: must be 2 or 4")
     return problems
 
@@ -116,30 +130,6 @@ def build_field(cfg, domain) -> ScalarField:
     )
 
 
-def _family_csv(
-    members: list[SolveReport],
-    insts: list[ProblemInstance],
-    params: list[float],
-    with_eigs: bool,
-) -> str:
-    lines = ["param,sup_norm_u,energy,defect,lambda_min"]
-    for rep, inst, param in zip(members, insts, params):
-        plan = spectral.get_plan(inst.domain)
-        check = problem.integral_identity_defect(inst, rep.solution)
-        # a threshold search already solved its members' λ_min at this tol;
-        # only with_eigs solves the ones that are missing
-        if with_eigs and rep.min_eig is None:
-            rep.min_eig = spectral.min_eigenvalue(
-                plan, problem.stability_potential(inst, rep.solution), threshold.EIG_TOL
-            )
-        lam = "" if rep.min_eig is None else repr(rep.min_eig)
-        energy = rep.energy.total if rep.energy is not None else ""
-        lines.append(
-            f"{param!r},{rep.solution.sup_norm!r},{energy!r},{check.defect!r},{lam}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
     return {
         "param": rep.param_name,
@@ -155,14 +145,11 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
 
 def _injected_family(domain, sign: float, count: int) -> list[SolveReport]:
     """Synthetic divergent family u_k = sign·k (negative-control hook)."""
-    out = []
-    for k in range(count):
-        u = ScalarField.constant(domain, sign * float(k))
-        out.append(SolveReport(
-            solution=u, converged=True, iterations=0, residual_history=[0.0],
-            method="injected", alpha=-1.0 - k,
-        ))
-    return out
+    return [
+        SolveReport(solution=ScalarField.constant(domain, sign * float(k)), converged=True,
+                    iterations=0, residual_history=[0.0], method="injected", alpha=-1.0 - k)
+        for k in range(count)
+    ]
 
 
 def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
@@ -173,17 +160,14 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     summary: dict = {"mode": mode}
 
     if mode == "selftest":
-        failures = _selftest()
-        summary["checks_failed"] = failures
-        code = 0 if not failures else 2
-        return code, summary
+        summary["checks_failed"] = failures = _selftest()
+        return (2 if failures else 0), summary
 
     domain = build_domain(cfg)
     S = build_field(cfg, domain)
     n = int(cfg["n"]) if cfg["n"] else domain.d // 2
     rtol = float(cfg["residual_tol"])
     budget = float(cfg["budget"])
-    with_eigs = _bool(cfg["with_eigs"])
     serialize.write_field(S, outdir / "S", label="S")
     summary["mean_S"] = integrate(S) / domain.volume
 
@@ -199,108 +183,81 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
             rep = solvers.newton_solve(inst, SolverOptions(residual_tol=rtol))
         serialize.write_report(rep, outdir / "solve")
         summary.update(serialize.report_summary(rep))
-        check = problem.integral_identity_defect(inst, rep.solution)
-        summary["defect"] = check.defect
+        summary["defect"] = problem.integral_identity_defect(inst, rep.solution).defect
         return (0 if rep.converged else 2), summary
 
-    if mode == "threshold":
-        tol = float(cfg["tol"]) if cfg["tol"] else 1e-3
-        rep = threshold.find_alpha_star(
-            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"]),
-            residual_tol=rtol,
-        )
-        summary["threshold"] = _threshold_summary(rep)
-        members = [r for _, r in rep.family]
-        params = [a for a, _ in rep.family]
-        insts = [ProblemInstance(domain, S, a, n) for a in params]
-        (outdir / "family.csv").write_text(_family_csv(members, insts, params, with_eigs))
-        for i, (_, member) in enumerate(rep.family):
-            serialize.write_report(member, outdir / f"member_{i:03d}")
-        return 0, summary
-
+    # threshold, dingliu, family and diagnose: each mode yields a family of
+    # (param, report) and the instance make_inst(param) of each member
+    thr = None
+    injected = mode == "diagnose" and cfg["inject"] != "none"
+    tol = float(cfg["tol"]) if cfg["tol"] else 1e-2 if mode == "dingliu" else 1e-3
     if mode == "dingliu":
         g0 = build_field({**cfg, "field_shift_max_zero": "true"}, domain)
-        tol = float(cfg["tol"]) if cfg["tol"] else 1e-2
-        rep = threshold.ding_liu_lambda_star(
-            g0, float(cfg["s0"]), domain, tol=tol, budget=budget, residual_tol=rtol
-        )
-        summary["threshold"] = _threshold_summary(rep)
+        s0 = float(cfg["s0"])
+        thr = threshold.ding_liu_lambda_star(g0, s0, domain, tol=tol, budget=budget,
+                                             residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
-        members = [r for _, r in rep.family]
-        params = [lam for lam, _ in rep.family]
-        insts = [
-            ProblemInstance(domain, ScalarField(domain, g0.values + lam), float(cfg["s0"]), 1)
-            for lam in params
-        ]
-        (outdir / "family.csv").write_text(_family_csv(members, insts, params, with_eigs))
-        for i, (lam, member) in enumerate(rep.family):
-            serialize.write_report(member, outdir / f"member_{i:03d}")
-        return 0, summary
 
-    # family and diagnose share the family construction
-    count = int(cfg["count"])
-    if mode == "diagnose" and cfg["inject"] != "none":
-        sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
-        members = _injected_family(domain, sign, count)
-        thr = None
-    elif cfg["alphas"]:
-        alphas = _float_list(cfg["alphas"])
-        members = []
-        warm = None
-        for a in alphas:
-            inst = ProblemInstance(domain, S, a, n)
-            v = threshold.probe_solvable(inst, budget, warm_start=warm, residual_tol=rtol)
-            if not v.solved:
-                break
-            members.append(v.report)
-            warm = v.report.solution
-        thr = None
+        def make_inst(lam):  # S = g₀ + λ at α = s₀
+            return ProblemInstance(domain, ScalarField(domain, g0.values + lam), s0, 1)
     else:
-        tol = float(cfg["tol"]) if cfg["tol"] else 1e-3
-        thr = threshold.find_alpha_star(
-            S, n, domain, tol=tol, budget=budget, start_alpha=float(cfg["start_alpha"]),
-            residual_tol=rtol,
-        )
+        def make_inst(alpha):
+            return ProblemInstance(domain, S, alpha, n)
+
+        if mode == "threshold" or not (injected or cfg["alphas"]):
+            thr = threshold.find_alpha_star(
+                S, n, domain, tol=tol, budget=budget,
+                start_alpha=float(cfg["start_alpha"]), residual_tol=rtol,
+            )
+    if thr is not None:
         summary["threshold"] = _threshold_summary(thr)
-        if thr.unbounded:
+
+    if mode in ("threshold", "dingliu"):
+        family = thr.family
+    else:
+        count = int(cfg["count"])
+        if injected:
+            sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
+            members = _injected_family(domain, sign, count)
+        elif cfg["alphas"]:
+            members = []
+            warm = None
+            for a in _float_list(cfg["alphas"]):
+                v = threshold.probe_solvable(make_inst(a), budget, warm_start=warm,
+                                             residual_tol=rtol)
+                if not v.solved:
+                    break
+                members.append(v.report)
+                warm = v.report.solution
+        elif thr.unbounded:
             members = [r for _, r in thr.family]
         else:
-            members = threshold.limit_family(
-                S, n, domain, thr, count, budget=budget, residual_tol=rtol
-            )
+            members = threshold.limit_family(S, n, domain, thr, count, budget=budget,
+                                             residual_tol=rtol)
+        summary["family_size"] = len(members)
+        family = [(rep.alpha, rep) for rep in members]
 
-    summary["family_size"] = len(members)
-    params = [rep.alpha for rep in members]
-    insts = [ProblemInstance(domain, S, a, n) for a in params]
-    (outdir / "family.csv").write_text(
-        _family_csv(members, insts, params, with_eigs or mode == "diagnose")
-    )
-    for i, member in enumerate(members):
+    with_eigs = _bool(cfg["with_eigs"]) or mode == "diagnose"
+    rows = [diagnostics.member_row(make_inst(p), rep, p, with_eigs) for p, rep in family]
+    (outdir / "family.csv").write_text(diagnostics.table_csv(diagnostics.MEMBER_COLUMNS, rows))
+    for i, (_, member) in enumerate(family):
         serialize.write_report(member, outdir / f"member_{i:03d}")
 
-    if mode == "family":
-        return (0 if members else 2), summary
-
-    # diagnose
-    if not members:
+    if mode != "diagnose":
+        return (0 if family else 2), summary
+    if not family:
         summary["error"] = "empty family"
         return 2, summary
-    phi, K, m_minus = diagnostics.auto_cutoff_region(S)
+    phi, K, _ = diagnostics.auto_cutoff_region(S)
     table = diagnostics.family_table(members, K, S, n)
     (outdir / "diagnostics.csv").write_text(table.to_csv())
-    lower = diagnostics.check_lower_bound(members)
-    supinf = diagnostics.sup_inf_track(members, K)
     verdicts = dict(table.verdicts)
-    verdicts["lower_bound"] = lower.passed
-    verdicts["sup_inf"] = supinf.passed
-    cert_holds = None
     if thr is not None and not thr.unbounded:
         cert = diagnostics.apriori_c0_bound(S, thr.lo, phi, K, n)
-        cert_holds = cert.check_family(members)
-        verdicts["apriori_sup_bound"] = cert_holds
+        verdicts["apriori_sup_bound"] = cert.check_family(members)
         summary["apriori_bound_on_sup_u"] = cert.bound_on_sup_u
     summary["verdicts"] = verdicts
-    summary["A_observed"] = lower.A_observed
+    summary["A_observed"] = table.A_observed
     (outdir / "verdicts.json").write_text(json.dumps(verdicts, indent=2) + "\n")
     return (0 if all(verdicts.values()) else 2), summary
 

@@ -10,15 +10,13 @@ falsifiable surrogate.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import problem, spectral
+from . import problem, spectral, threshold
 from .domain import RegionMask, ScalarField, integrate
-from .errors import DomainError, EigenSolveError
+from .errors import DomainError
 from .problem import ProblemInstance
 from .solvers import SolveReport
 
@@ -184,28 +182,59 @@ def sup_inf_track(family: list[SolveReport], K: RegionMask) -> SupInfTrack:
     return SupInfTrack(series=series, passed=passed)
 
 
+MEMBER_COLUMNS = ("param", "sup_norm_u", "energy", "defect", "lambda_min")
+
 FAMILY_COLUMNS = (
     "alpha", "sup_K_u", "inf_M_u", "grad_l2", "int_exp", "lambda_min",
     "sup_plus_inf", "defect",
 )
 
 
+def table_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """CSV text of rows under columns: each value as its repr (which
+    round-trips a float exactly), None as an empty cell, lines ended by \\n."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join("" if row[k] is None else repr(float(row[k])) for k in columns))
+    return "\n".join(lines) + "\n"
+
+
+def member_row(
+    inst: ProblemInstance, rep: SolveReport, param: float, with_eig: bool = True
+) -> dict:
+    """A family member's row (MEMBER_COLUMNS): its parameter value, sup|u|,
+    energy (None without one), mean-identity defect and λ_min of the
+    stability operator.
+
+    λ_min is rep.min_eig when the report carries one. Otherwise, with_eig
+    solves it at threshold.EIG_TOL and stores it on the report, and an
+    EigenSolveError propagates; without with_eig it stays None.
+    """
+    u = rep.solution
+    if rep.min_eig is None and with_eig:
+        V = problem.stability_potential(inst, u)
+        rep.min_eig = spectral.min_eigenvalue(spectral.get_plan(inst.domain), V, threshold.EIG_TOL)
+    return {
+        "param": param,
+        "sup_norm_u": u.sup_norm,
+        "energy": None if rep.energy is None else rep.energy.total,
+        "defect": problem.integral_identity_defect(inst, u).defect,
+        "lambda_min": rep.min_eig,
+    }
+
+
 @dataclass
 class FamilyDiagnostics:
     rows: list[dict]
     verdicts: dict[str, bool]
+    A_observed: float
 
     @property
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=FAMILY_COLUMNS)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: row[k] for k in FAMILY_COLUMNS})
-        return buf.getvalue()
+        return table_csv(FAMILY_COLUMNS, self.rows)
 
 
 def family_table(
@@ -213,61 +242,48 @@ def family_table(
     K: RegionMask,
     S: ScalarField,
     n: int,
-    eig_tol: float = 1e-7,
 ) -> FamilyDiagnostics:
     """Per-member diagnostics plus boundedness verdicts.
 
-    Columns: parameter value, sup of u on K, global inf of u, Dirichlet
-    seminorm, ∫e^{2u/n}, smallest stability eigenvalue, sup_K u + inf_K u,
-    and the mean-identity defect. A member's eigenvalue is solved at eig_tol
-    unless its report already carries one (rep.min_eig).
+    Each row is the member's member_row (its λ_min solved unless the report
+    carries one), with the parameter named alpha, extended by the sup of u
+    on K, the global inf of u, the Dirichlet seminorm, ∫e^{2u/n} and
+    sup_K u + inf_K u. The verdicts include check_lower_bound's (lower_bound,
+    whose A_observed the table keeps) and sup_inf_track's (sup_inf).
     """
-    if not family:
-        raise DomainError("empty family")
-    if K.empty:
-        raise DomainError("empty K")
+    lower = check_lower_bound(family)   # raises on an empty family
+    supinf = sup_inf_track(family, K)   # raises on an empty K
     plan = spectral.get_plan(S.domain)
     rows = []
-    for rep in family:
+    for rep, inf_u, sup_plus_inf in zip(family, lower.inf_series, supinf.series):
         u = rep.solution
         inst = ProblemInstance(S.domain, S, rep.alpha, n)
-        gsq = spectral.grad_norm_sq(plan, u)
-        exp_field = ScalarField(S.domain, problem.conformal_factor(inst, u))
-        if rep.min_eig is None:
-            try:
-                rep.min_eig = spectral.min_eigenvalue(
-                    plan, problem.stability_potential(inst, u), eig_tol
-                )
-            except EigenSolveError as e:
-                rep.min_eig = e.best_estimate
-        lam = rep.min_eig
-        on_K = u.values[K.mask]
-        check = problem.integral_identity_defect(inst, u)
-        rows.append({
-            "alpha": rep.alpha,
-            "sup_K_u": float(np.max(on_K)),
-            "inf_M_u": u.min,
-            "grad_l2": float(np.sqrt(integrate(gsq))),
-            "int_exp": integrate(exp_field),
-            "lambda_min": lam,
-            "sup_plus_inf": float(np.max(on_K) + np.min(on_K)),
-            "defect": check.defect,
-        })
+        row = member_row(inst, rep, rep.alpha)
+        row.update(
+            alpha=row.pop("param"),
+            sup_K_u=float(np.max(u.values[K.mask])),
+            inf_M_u=inf_u,
+            grad_l2=float(np.sqrt(integrate(spectral.grad_norm_sq(plan, u)))),
+            int_exp=integrate(ScalarField(S.domain, problem.conformal_factor(inst, u))),
+            sup_plus_inf=sup_plus_inf,
+        )
+        rows.append(row)
 
     def col(name):
         return [row[name] for row in rows]
 
     verdicts = {
-        "lower_bound": check_lower_bound(family).passed,
+        "lower_bound": lower.passed,
         "sup_K_bounded": is_flat(col("sup_K_u")),
         "w12_bounded": is_flat(col("grad_l2")),
         "exp_mass_bounded": is_flat(col("int_exp")),
-        "sup_inf_bounded": trend_slope(col("sup_plus_inf")) <= TREND_SLOPE_TOL,
+        "sup_inf_bounded": trend_slope(supinf.series) <= TREND_SLOPE_TOL,
         "stability": all(
             row["lambda_min"] >= -1e-6
             for row, rep in zip(rows, family)
             if rep.method in ("monotone", "minimize")
         ),
         "identity": all(row["defect"] <= 1e-8 for row in rows),
+        "sup_inf": supinf.passed,
     }
-    return FamilyDiagnostics(rows=rows, verdicts=verdicts)
+    return FamilyDiagnostics(rows=rows, verdicts=verdicts, A_observed=lower.A_observed)

@@ -23,15 +23,16 @@ from .domain import ScalarField, mean
 from .errors import BlowUpError, DomainError, SolverError
 from .problem import EnergyBreakdown, ProblemInstance
 
+ARMIJO = 1e-4              # sufficient-decrease constant of both line searches
+MIN_DAMPING = 2.0**-30     # Newton's line search gives up below this step
+PGD_MAX_ITERS = 20000      # projected-gradient iterations of minimize_over_interval
+
 
 @dataclass
 class SolverOptions:
     max_iters: int = 80
     residual_tol: float = 1e-10          # sup norm of F(u)
-    armijo: float = 1e-4
-    min_step: float = 2.0**-30
     monotone_max_iters: int = 50000
-    pgd_max_iters: int = 20000
     start: Union[str, ScalarField] = "zero"   # "zero" | "constant" | field
 
     def __post_init__(self):
@@ -199,14 +200,14 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
 
         t = 1.0
         accepted = False
-        while t >= opts.min_step:
+        while t >= MIN_DAMPING:
             trial = ScalarField(inst.domain, u.values + t * d)
             try:
                 Ft = problem.residual(inst, trial)
             except BlowUpError:
                 t *= 0.5
                 continue
-            if Ft.sup_norm <= (1.0 - opts.armijo * t) * normF:
+            if Ft.sup_norm <= (1.0 - ARMIJO * t) * normF:
                 u, F, normF = trial, Ft, Ft.sup_norm
                 history.append(normF)
                 accepted = True
@@ -426,7 +427,7 @@ def minimize_over_interval(
     prev_u = prev_g = None
     interior_margin = 1e-6
 
-    for it in range(opts.pgd_max_iters):
+    for it in range(PGD_MAX_ITERS):
         field_u = ScalarField(inst.domain, u)
         F = problem.residual(inst, field_u)
         normF = F.sup_norm
@@ -473,7 +474,7 @@ def minimize_over_interval(
             except BlowUpError:
                 tt *= 0.5
                 continue
-            if I_v <= I_u + opts.armijo * slope:
+            if I_v <= I_u + ARMIJO * slope:
                 prev_u, prev_g = u, g
                 u = v
                 I_u = I_v
@@ -492,5 +493,5 @@ def minimize_over_interval(
 
     field_u = ScalarField(inst.domain, u)
     ok = problem.residual(inst, field_u).sup_norm <= opts.residual_tol
-    return _finish(inst, field_u, ok, opts.pgd_max_iters, history, "minimize",
+    return _finish(inst, field_u, ok, PGD_MAX_ITERS, history, "minimize",
                    None if ok else "max_iters")

@@ -29,7 +29,7 @@ MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
 FOLD_MARGIN = 0.25       # the last stable point lies within this many tol of the fold estimate
 CLOSE_FRACTION = 0.99    # the closing probe sits this many tol past the solved end
 GAP_FRACTION = 0.25      # fallback: at most this share of the gap to the failed end
-EIG_TOL = 1e-7           # the tol of the CLI's λ_min column, so it can be reused
+EIG_TOL = 1e-7           # the tol of every λ_min: the search's and diagnostics.member_row's
 MAX_SEARCH_PROBES = 200  # cap on corrector steps and on closing probes
 
 

@@ -1,6 +1,8 @@
+import csv
 import json
 
 import numpy as np
+import pytest
 
 from kwlab import spectral, threshold
 from kwlab.cli import main, parse_config_file
@@ -60,6 +62,18 @@ def test_unknown_override_exit_1(tmp_path, capsys):
         "field=const", "field_value=-1.0", "alpha=-1.0", "bogus_key=3",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("override", ["tol=abc", "count=x", "sizes=a,b"])
+def test_malformed_number_exit_1(tmp_path, capsys, override):
+    code, cap = run_cli(
+        capsys, "diagnose", "--out", str(tmp_path / "run"), "field=sin1", override,
+    )
+    assert code == 1
+    key, _, value = override.partition("=")
+    err = json.loads(cap.err.strip())
+    assert key in err["error"] and repr(value) in err["error"]
+    assert cap.out == ""
 
 
 def test_config_file_and_override_precedence(tmp_path, capsys):
@@ -206,15 +220,19 @@ def test_family_mode_explicit_alphas(tmp_path, capsys):
     assert (out / "member_002.report.json").exists()
 
 
-def test_unconverged_eigenvalue_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode, extra", [
+    ("family", ["with_eigs=true"]),
+    ("diagnose", []),
+], ids=["family", "diagnose"])
+def test_unconverged_eigenvalue_exits_2(tmp_path, capsys, monkeypatch, mode, extra):
     def unconverged(plan, V, tol=1e-8, max_iters=None):
         raise EigenSolveError("forced non-convergence", -0.5)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
-    out = tmp_path / "fam"
+    out = tmp_path / mode
     code, cap = run_cli(
-        capsys, "family", "--out", str(out),
-        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1", "with_eigs=true",
+        capsys, mode, "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1", *extra,
     )
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
@@ -231,6 +249,45 @@ def test_diagnose_negative_control_exits_2(tmp_path, capsys):
     assert code == 2
     verdicts = last_json_line(cap.out)["verdicts"]
     assert not all(verdicts.values())
+
+
+def test_injected_family_csv_leaves_energy_empty(tmp_path, capsys):
+    # injected members carry no energy: an empty cell, not the text ''
+    out = tmp_path / "neg"
+    code, cap = run_cli(
+        capsys, "diagnose", "--out", str(out),
+        "field=const", "field_value=-1.0", "sizes=32,32", "inject=diverge_up", "count=3",
+    )
+    assert code == 2
+    with (out / "family.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(row["energy"] == "" for row in rows)
+    assert all(float(row["lambda_min"]) > 0 for row in rows)
+
+
+def test_diagnose_tables_agree_per_member(tmp_path, capsys):
+    out = tmp_path / "diag"
+    code, cap = run_cli(
+        capsys, "diagnose", "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-1.5,-2,-2.5",
+    )
+    summary = last_json_line(cap.out)
+    assert code == summary["exit_code"]
+    tables = {}
+    for name in ("family.csv", "diagnostics.csv"):
+        raw = (out / name).read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        with (out / name).open(newline="") as fh:
+            tables[name] = list(csv.DictReader(fh))
+    family, diag = tables["family.csv"], tables["diagnostics.csv"]
+    assert len(family) == len(diag) == summary["family_size"] == 4
+    for f_row, d_row in zip(family, diag):
+        assert f_row["param"] == d_row["alpha"]
+        assert f_row["defect"] == d_row["defect"]
+        assert f_row["lambda_min"] == d_row["lambda_min"] != ""
+    # A_observed comes from the table: −min of its inf_M_u column
+    assert summary["A_observed"] == -min(float(row["inf_M_u"]) for row in diag)
 
 
 def test_determinism(tmp_path, capsys):

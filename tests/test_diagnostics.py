@@ -8,6 +8,7 @@ from kwlab import (
     ScalarField,
     ball_mask,
     make_cutoff,
+    spectral,
 )
 from kwlab.diagnostics import (
     FAMILY_COLUMNS,
@@ -19,7 +20,7 @@ from kwlab.diagnostics import (
     sup_inf_track,
     trend_slope,
 )
-from kwlab.errors import DomainError
+from kwlab.errors import DomainError, EigenSolveError
 from kwlab.solvers import SolveReport, newton_solve
 
 
@@ -181,6 +182,19 @@ class TestFamilyTable:
         lines = diag.to_csv().strip().splitlines()
         assert lines[0] == ",".join(FAMILY_COLUMNS)
         assert len(lines) == 2
+
+    def test_unconverged_eigenvalue_raises(self, t2_32, monkeypatch):
+        # the stability verdict never rests on an unconverged λ_min
+        def unconverged(plan, V, tol=1e-8, max_iters=None):
+            raise EigenSolveError("forced non-convergence", -0.5)
+
+        monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
+        S = ScalarField.constant(t2_32, -1.0)
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        rep = newton_solve(ProblemInstance(t2_32, S, -1.0, 1))
+        with pytest.raises(EigenSolveError, match="forced non-convergence"):
+            family_table([rep], K, S, n=1)
+        assert rep.min_eig is None
 
     def test_empty_family_rejected(self, t2_32):
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
