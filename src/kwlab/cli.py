@@ -220,15 +220,8 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
             sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
             members = _injected_family(domain, sign, count)
         elif cfg["alphas"]:
-            members = []
-            warm = None
-            for a in _float_list(cfg["alphas"]):
-                v = threshold.probe_solvable(make_inst(a), budget, warm_start=warm,
-                                             residual_tol=rtol)
-                if not v.solved:
-                    break
-                members.append(v.report)
-                warm = v.report.solution
+            members, _ = threshold.walk_schedule(S, n, domain, _float_list(cfg["alphas"]),
+                                                 budget, rtol)
         elif thr.unbounded:
             members = [r for _, r in thr.family]
         else:

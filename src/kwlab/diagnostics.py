@@ -277,7 +277,6 @@ def family_table(
         "sup_K_bounded": is_flat(col("sup_K_u")),
         "w12_bounded": is_flat(col("grad_l2")),
         "exp_mass_bounded": is_flat(col("int_exp")),
-        "sup_inf_bounded": trend_slope(supinf.series) <= TREND_SLOPE_TOL,
         "stability": all(
             row["lambda_min"] >= -1e-6
             for row, rep in zip(rows, family)

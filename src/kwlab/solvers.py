@@ -23,16 +23,16 @@ from .domain import ScalarField, mean
 from .errors import BlowUpError, DomainError, SolverError
 from .problem import EnergyBreakdown, ProblemInstance
 
-ARMIJO = 1e-4              # sufficient-decrease constant of both line searches
-MIN_DAMPING = 2.0**-30     # Newton's line search gives up below this step
-PGD_MAX_ITERS = 20000      # projected-gradient iterations of minimize_over_interval
+ARMIJO = 1e-4               # sufficient-decrease constant of both line searches
+MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
+PGD_MAX_ITERS = 20000       # projected-gradient iterations of minimize_over_interval
+MONOTONE_MAX_ITERS = 50000  # fixed-point iterations of monotone_iterate
 
 
 @dataclass
 class SolverOptions:
     max_iters: int = 80
     residual_tol: float = 1e-10          # sup norm of F(u)
-    monotone_max_iters: int = 50000
     start: Union[str, ScalarField] = "zero"   # "zero" | "constant" | field
 
     def __post_init__(self):
@@ -380,7 +380,7 @@ def monotone_iterate(
 
     u = interval.upper.copy()
     history: list[float] = []
-    for it in range(opts.monotone_max_iters):
+    for it in range(MONOTONE_MAX_ITERS):
         F = problem.residual(inst, u)
         normF = F.sup_norm
         history.append(normF)
@@ -401,7 +401,7 @@ def monotone_iterate(
         ):
             raise SolverError("monotone iterate escaped the order interval by more than 1e-9")
         u = unew
-    return _finish(inst, u, False, opts.monotone_max_iters, history, "monotone", "max_iters")
+    return _finish(inst, u, False, MONOTONE_MAX_ITERS, history, "monotone", "max_iters")
 
 
 def minimize_over_interval(

@@ -5,6 +5,7 @@ approach the threshold for the a-priori diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,8 +50,8 @@ class SolvabilityVerdict:
 
     @property
     def budget_exhausted(self) -> bool:
-        """Some engine (Newton from any start, or monotone) stopped at its
-        iteration cap: the only failure a larger budget can change."""
+        """Some Newton start stopped at its iteration cap: the only failure
+        a larger budget can change."""
         return any(e.endswith(": max_iters") for e in self.evidence)
 
 
@@ -99,15 +100,15 @@ def probe_solvable(
     budget: float = 1.0,
     *,
     warm_start: Optional[ScalarField] = None,
-    super_source: Optional[SolveReport] = None,
     residual_tol: float = 1e-10,
 ) -> SolvabilityVerdict:
     """Numerical solvability verdict at one parameter value.
 
-    Newton from warm/constant/zero starts first; when a converged report at
-    a strictly more negative α for the same S is supplied, the sub/super
-    bracket plus monotone iteration runs as the robust fallback. "failed"
-    means every engine exhausted its budget, not a proof of nonexistence.
+    Newton from the warm, constant and zero starts in turn; the first that
+    converges solves the probe. "failed" means no start converged, not a
+    proof of nonexistence: the evidence names each start's failure reason
+    (max_iters, stagnation, a line-search or linear-solve failure, blow-up),
+    and only max_iters is one a larger budget can change.
     """
     evidence: list[str] = []
     if inst.S.min >= 0:
@@ -126,21 +127,6 @@ def probe_solvable(
             return SolvabilityVerdict("solved", report=rep)
         tag = "warm" if isinstance(start, ScalarField) else start
         evidence.append(f"newton[{tag}]: {rep.failure_reason}")
-
-    if super_source is not None and super_source.converged and super_source.alpha < inst.alpha:
-        try:
-            interval = solvers.make_interval(inst, super_source)
-            opts = SolverOptions(
-                residual_tol=residual_tol,
-                monotone_max_iters=max(1000, int(round(50000 * budget))),
-            )
-            rep = solvers.monotone_iterate(inst, interval, opts)
-            if rep.converged:
-                return SolvabilityVerdict("solved", report=rep)
-            evidence.append(f"monotone: {rep.failure_reason}")
-        except SolverError as e:
-            evidence.append(f"monotone: {e}")
-
     return SolvabilityVerdict("failed", evidence=evidence)
 
 
@@ -160,6 +146,44 @@ def _probe_twice(inst, budget, **kw) -> SolvabilityVerdict:
 
 def _probe_record(param: float, v: SolvabilityVerdict) -> ProbeRecord:
     return ProbeRecord(param=param, solved=v.solved, evidence=v.evidence)
+
+
+def walk_schedule(
+    S: ScalarField,
+    n: int,
+    domain: TorusDomain,
+    alphas: Sequence[float],
+    budget: float = 1.0,
+    residual_tol: float = 1e-10,
+) -> tuple[list[SolveReport], list[ProbeRecord]]:
+    """Converged solutions along a strictly decreasing α schedule, and one
+    ProbeRecord per α probed.
+
+    Each α is probed by _probe_twice warm from the previous member, so it is
+    retried at 4x budget only when a Newton start ran out of iterations. The
+    first failed α ends the walk: the family is truncated there, the gap is
+    noted in the last converged report's failure_reason, and the failed
+    probe's record, with its evidence, is the last of the probes. A schedule
+    that is not strictly decreasing raises SolverError.
+    """
+    if any(not b < a for a, b in zip(alphas, alphas[1:])):
+        raise SolverError(f"alpha schedule must be strictly decreasing, got {alphas}")
+    members: list[SolveReport] = []
+    probes: list[ProbeRecord] = []
+    warm = None
+    for a in alphas:
+        v = _probe_twice(ProblemInstance(domain, S, a, n), budget, warm_start=warm,
+                         residual_tol=residual_tol)
+        probes.append(_probe_record(a, v))
+        if not v.solved:
+            if members:
+                members[-1].failure_reason = (
+                    f"family truncated: alpha={a} failed, nearest converged alpha={members[-1].alpha}"
+                )
+            break
+        members.append(v.report)
+        warm = v.report.solution
+    return members, probes
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -337,8 +361,10 @@ def find_alpha_star(
 ) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
 
-    Requires ∫S < 0. For S ≤ 0 (≢ 0) the threshold is −∞; that regime is
-    verified on a fixed descending α ladder and reported as unbounded.
+    Requires ∫S < 0. For S ≤ 0 (≢ 0) the threshold is −∞; walk_schedule
+    verifies that regime on the fixed ladder UNBOUNDED_PROBE_ALPHAS (a failed
+    member raises SolverError with its evidence), and it is reported as
+    unbounded with the ladder as its family.
     Otherwise `_fold_search` finds a solvable α near 0⁻ (start_alpha,
     divided by 4 on failure) and follows the solution branch down to its
     fold at α★ by pseudo-arclength continuation, where the stability
@@ -350,26 +376,18 @@ def find_alpha_star(
     if integrate(S) >= 0:
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
-        family = []
-        probes: list[ProbeRecord] = []
-        warm = None
-        for a in UNBOUNDED_PROBE_ALPHAS:
-            inst = ProblemInstance(domain, S, a, n)
-            v = _probe_twice(inst, budget, warm_start=warm, residual_tol=residual_tol)
-            probes.append(_probe_record(a, v))
-            if not v.solved:
-                raise SolverError(
-                    f"S <= 0 but probe at alpha={a} failed: {v.evidence}"
-                )
-            family.append((a, v.report))
-            warm = v.report.solution
+        members, probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, budget, residual_tol)
+        if not probes[-1].solved:
+            raise SolverError(
+                f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
+            )
         return ThresholdReport(
             param_name="alpha",
             lo=-np.inf,
-            hi=family[-1][0],
+            hi=members[-1].alpha,
             solvable_end="hi",
-            solved_report=family[0][1],
-            family=family,
+            solved_report=members[0],
+            family=[(rep.alpha, rep) for rep in members],
             unbounded=True,
             probes=probes,
         )
@@ -433,46 +451,21 @@ def limit_family(
     threshold_report: ThresholdReport,
     count: int,
     budget: float = 1.0,
-    alphas: Optional[list[float]] = None,
     residual_tol: float = 1e-10,
 ) -> list[SolveReport]:
-    """Converged solutions at α_k descending geometrically onto the bracket's
-    solvable end (warm-started along the walk).
+    """Converged solutions at count values of α descending geometrically
+    onto the bracket's solvable end, walked by walk_schedule (so a failed
+    member truncates the family, with the gap noted on the last report).
 
-    For unbounded thresholds an explicit α schedule must be supplied. On a
-    member failure the family is truncated and the gap to the bracket is
-    recorded on the last report.
+    An unbounded threshold has no solvable end to descend onto: walk an
+    explicit schedule with walk_schedule instead.
     """
-    if alphas is None:
-        if threshold_report.unbounded or not np.isfinite(threshold_report.lo):
-            raise SolverError("unbounded threshold: supply an explicit alpha schedule")
-        a_hi = threshold_report.hi
-        a0 = 0.5 * a_hi
-        # ratio 1/4 rather than 1/2: near the fold the solution moves like
-        # sqrt(α − α★), so the faster schedule is what makes an 8-member
-        # family visibly plateau in the diagnostics
-        alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    else:
-        alphas = [float(a) for a in alphas]
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise SolverError("alpha schedule must be strictly decreasing")
-    alphas = alphas[:count]
-
-    out: list[SolveReport] = []
-    warm = None
-    super_source = threshold_report.solved_report
-    for a in alphas:
-        inst = ProblemInstance(domain, S, a, n)
-        src = super_source if (super_source is not None and super_source.alpha < a) else None
-        v = _probe_twice(
-            inst, budget, warm_start=warm, super_source=src, residual_tol=residual_tol
-        )
-        if not v.solved:
-            if out:
-                out[-1].failure_reason = (
-                    f"family truncated: alpha={a} failed, nearest converged alpha={out[-1].alpha}"
-                )
-            break
-        out.append(v.report)
-        warm = v.report.solution
-    return out
+    if threshold_report.unbounded or not np.isfinite(threshold_report.lo):
+        raise SolverError("unbounded threshold: walk an explicit alpha schedule")
+    a_hi = threshold_report.hi
+    a0 = 0.5 * a_hi
+    # ratio 1/4 rather than 1/2: near the fold the solution moves like
+    # sqrt(α − α★), so the faster schedule is what makes an 8-member
+    # family visibly plateau in the diagnostics
+    alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
+    return walk_schedule(S, n, domain, alphas, budget, residual_tol)[0]

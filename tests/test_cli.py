@@ -220,6 +220,52 @@ def test_family_mode_explicit_alphas(tmp_path, capsys):
     assert (out / "member_002.report.json").exists()
 
 
+def test_family_rejects_nondecreasing_alphas(tmp_path, capsys):
+    code, cap = run_cli(
+        capsys, "family", "--out", str(tmp_path / "fam"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-0.5,-2",
+    )
+    assert code == 1
+    assert "strictly decreasing" in json.loads(cap.err.strip())["error"]
+    assert cap.out == ""
+
+
+def test_family_alphas_truncated_with_note(tmp_path, capsys):
+    # α★ ≈ −3.18 on this field, so α = −5 fails and ends the family
+    out = tmp_path / "fam"
+    code, cap = run_cli(
+        capsys, "family", "--out", str(out),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-2,-5",
+    )
+    assert code == 0
+    assert last_json_line(cap.out)["family_size"] == 2
+    last = json.loads((out / "member_001.report.json").read_text())
+    assert last["converged"]
+    assert last["failure_reason"] == (
+        "family truncated: alpha=-5.0 failed, nearest converged alpha=-2.0"
+    )
+
+
+def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch):
+    probes = []
+    original = threshold.probe_solvable
+
+    def first_runs_out(inst, budget=1.0, **kw):
+        probes.append((inst.alpha, budget))
+        if len(probes) == 1:
+            return threshold.SolvabilityVerdict("failed", evidence=["newton[zero]: max_iters"])
+        return original(inst, budget, **kw)
+
+    monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
+    code, cap = run_cli(
+        capsys, "family", "--out", str(tmp_path / "fam"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-2",
+    )
+    assert code == 0
+    assert last_json_line(cap.out)["family_size"] == 2
+    assert probes == [(-1.0, 1.0), (-1.0, 4.0), (-2.0, 1.0)]
+
+
 @pytest.mark.parametrize("mode, extra", [
     ("family", ["with_eigs=true"]),
     ("diagnose", []),

@@ -21,7 +21,7 @@ from kwlab.diagnostics import (
     trend_slope,
 )
 from kwlab.errors import DomainError, EigenSolveError
-from kwlab.solvers import SolveReport, newton_solve
+from kwlab.solvers import SolveReport, make_interval, monotone_iterate, newton_solve
 
 
 def fake_report(domain, value, alpha=-1.0, method="monotone"):
@@ -173,6 +173,25 @@ class TestFamilyTable:
             assert row["lambda_min"] == pytest.approx(-2 * a, abs=1e-6)
             assert row["sup_plus_inf"] == pytest.approx(2 * u_exact, abs=1e-9)
             assert row["defect"] <= 1e-10
+
+    def test_stability_verdict_on_monotone_members(self, t2_32, monkeypatch):
+        # the verdict judges the members of the order-preserving routes
+        S = ScalarField.constant(t2_32, -1.0)
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+
+        def monotone_family():
+            family = []
+            for a in (-1.0, -1.5, -1.75):
+                inst = ProblemInstance(t2_32, S, a, 1)
+                warm = newton_solve(ProblemInstance(t2_32, S, a - 1.0, 1))
+                rep = monotone_iterate(inst, make_interval(inst, warm))
+                assert rep.converged and rep.method == "monotone"
+                family.append(rep)
+            return family
+
+        assert family_table(monotone_family(), K, S, n=1).verdicts["stability"]
+        monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
+        assert not family_table(monotone_family(), K, S, n=1).verdicts["stability"]
 
     def test_csv_shape(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)

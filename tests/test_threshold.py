@@ -11,6 +11,7 @@ from kwlab.threshold import (
     limit_family,
     probe_solvable,
     SolvabilityVerdict,
+    walk_schedule,
 )
 
 from oracles import dense_alpha_star
@@ -144,6 +145,18 @@ class TestAlphaStar:
         assert len(rep.family) == 4
         assert all(r.converged for _, r in rep.family)
 
+    def test_unbounded_ladder_failure_keeps_evidence(self, t2_32, monkeypatch):
+        original = threshold.probe_solvable
+
+        def fails_at_minus_100(inst, budget=1.0, **kw):
+            if inst.alpha == -100.0:
+                return SolvabilityVerdict("failed", evidence=["newton[zero]: stagnation"])
+            return original(inst, budget, **kw)
+
+        monkeypatch.setattr(threshold, "probe_solvable", fails_at_minus_100)
+        with pytest.raises(SolverError, match=r"alpha=-100.0 failed: \['newton\[zero\]: stagnation'\]"):
+            find_alpha_star(sine_field(t2_32, -1.5), 1, t2_32)
+
     def test_bracket_sign_changing(self, t2_32):
         rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
         assert not rep.unbounded
@@ -264,28 +277,29 @@ class TestDingLiu:
         assert_bracket_on_probes(rep, 1e-2)
 
 
-class TestLimitFamily:
+class TestWalkSchedule:
     def test_constant_closed_form(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         rep = find_alpha_star(S, 1, t2_32)
         assert rep.unbounded
-        fam = limit_family(S, 1, t2_32, rep, count=3, alphas=[-1.0, -2.0, -4.0])
+        fam, _ = walk_schedule(S, 1, t2_32, [-1.0, -2.0, -4.0])
         assert len(fam) == 3
         for r, a in zip(fam, [-1.0, -2.0, -4.0]):
             assert r.converged and r.alpha == a
             assert np.max(np.abs(r.solution.values - 0.5 * np.log(-a))) < 1e-9
 
+    def test_rejects_nonmonotone_schedule(self, t2_32):
+        S = ScalarField.constant(t2_32, -1.0)
+        with pytest.raises(SolverError):
+            walk_schedule(S, 1, t2_32, [-1.0, -0.5, -2.0])
+
+
+class TestLimitFamily:
     def test_unbounded_requires_schedule(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         rep = find_alpha_star(S, 1, t2_32)
         with pytest.raises(SolverError):
             limit_family(S, 1, t2_32, rep, count=3)
-
-    def test_rejects_nonmonotone_schedule(self, t2_32):
-        S = ScalarField.constant(t2_32, -1.0)
-        rep = find_alpha_star(S, 1, t2_32)
-        with pytest.raises(SolverError):
-            limit_family(S, 1, t2_32, rep, count=3, alphas=[-1.0, -0.5, -2.0])
 
     def test_default_schedule_approaches_bracket(self, t2_32):
         S = sine_field(t2_32, -0.5)
