@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, problem, serialize, solvers, spectral, threshold
 from .domain import ScalarField, integrate, make_torus
-from .errors import EigenSolveError, KWLabError
+from .errors import EigenSolveError, KWLabError, SolverError
 from .fields import named_field
 from .problem import ProblemInstance
 from .solvers import SolveReport, SolverOptions
@@ -88,11 +88,11 @@ NUMERIC_KEYS = {
 
 
 def validate(mode: str, cfg: dict[str, str]) -> list[str]:
-    problems = []
+    problems, parsed = [], {}
     for key, parse in NUMERIC_KEYS.items():
         if cfg[key] or DEFAULTS[key]:
             try:
-                parse(cfg[key])
+                parsed[key] = parse(cfg[key])
             except ValueError:
                 problems.append(f"{key}: malformed number {cfg[key]!r}")
     if mode != "selftest" and not cfg["field"]:
@@ -108,6 +108,12 @@ def validate(mode: str, cfg: dict[str, str]) -> list[str]:
             problems.append("field_p: required for field=random_fourier")
     if cfg["d"] not in ("2", "4"):
         problems.append("d: must be 2 or 4")
+    if cfg["solver"] not in ("newton", "probe"):
+        problems.append("solver: must be newton or probe")
+    try:
+        threshold.check_schedule(parsed.get("alphas", []))
+    except SolverError as e:
+        problems.append(f"alphas: {e}")
     return problems
 
 
@@ -198,8 +204,8 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
                                              residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
 
-        def make_inst(lam):  # S = g₀ + λ at α = s₀
-            return ProblemInstance(domain, ScalarField(domain, g0.values + lam), s0, 1)
+        def make_inst(lam):
+            return threshold.ding_liu_instance(g0, s0, lam)
     else:
         def make_inst(alpha):
             return ProblemInstance(domain, S, alpha, n)
@@ -323,7 +329,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol", default=None)
-        p.add_argument("--single-thread", action="store_true")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="override any config key")
     args = parser.parse_args(argv)
@@ -341,8 +346,6 @@ def main(argv=None) -> int:
             cfg[key] = value
         if args.tol is not None:
             cfg["tol"] = args.tol
-        if args.single_thread:
-            cfg["single_thread"] = "true"
         if args.out:
             cfg["out"] = args.out
 

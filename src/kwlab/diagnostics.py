@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import problem, spectral, threshold
+from . import problem, spectral
 from .domain import RegionMask, ScalarField, integrate
 from .errors import DomainError
 from .problem import ProblemInstance
@@ -207,13 +207,12 @@ def member_row(
     stability operator.
 
     λ_min is rep.min_eig when the report carries one. Otherwise, with_eig
-    solves it at threshold.EIG_TOL and stores it on the report, and an
-    EigenSolveError propagates; without with_eig it stays None.
+    solves it (problem.stability_eigenvalue) and stores it on the report, and
+    an EigenSolveError propagates; without with_eig it stays None.
     """
     u = rep.solution
     if rep.min_eig is None and with_eig:
-        V = problem.stability_potential(inst, u)
-        rep.min_eig = spectral.min_eigenvalue(spectral.get_plan(inst.domain), V, threshold.EIG_TOL)
+        rep.min_eig = problem.stability_eigenvalue(inst, u)
     return {
         "param": param,
         "sup_norm_u": u.sup_norm,
@@ -249,7 +248,8 @@ def family_table(
     carries one), with the parameter named alpha, extended by the sup of u
     on K, the global inf of u, the Dirichlet seminorm, ∫e^{2u/n} and
     sup_K u + inf_K u. The verdicts include check_lower_bound's (lower_bound,
-    whose A_observed the table keeps) and sup_inf_track's (sup_inf).
+    whose A_observed the table keeps) and sup_inf_track's (sup_inf);
+    stability holds when every member's λ_min ≥ −1e-6.
     """
     lower = check_lower_bound(family)   # raises on an empty family
     supinf = sup_inf_track(family, K)   # raises on an empty K
@@ -277,11 +277,7 @@ def family_table(
         "sup_K_bounded": is_flat(col("sup_K_u")),
         "w12_bounded": is_flat(col("grad_l2")),
         "exp_mass_bounded": is_flat(col("int_exp")),
-        "stability": all(
-            row["lambda_min"] >= -1e-6
-            for row, rep in zip(rows, family)
-            if rep.method in ("monotone", "minimize")
-        ),
+        "stability": all(lam >= -1e-6 for lam in col("lambda_min")),
         "identity": all(row["defect"] <= 1e-8 for row in rows),
         "sup_inf": supinf.passed,
     }

@@ -173,7 +173,6 @@ class CutoffSpec:
     center: tuple[float, ...]
     r_inner: float
     r_outer: float
-    profile: str = "quintic"
 
 
 def make_cutoff(domain: TorusDomain, spec: CutoffSpec) -> ScalarField:
@@ -183,8 +182,6 @@ def make_cutoff(domain: TorusDomain, spec: CutoffSpec) -> ScalarField:
     both ends of the transition band, so Δφ is continuous (needed by the
     maximum-principle sup bound, which evaluates Δφ).
     """
-    if spec.profile != "quintic":
-        raise DomainError(f"unknown cutoff profile {spec.profile!r}")
     if not (0 < spec.r_inner < spec.r_outer):
         raise DomainError("need 0 < r_inner < r_outer")
     half_min_period = 0.5 * min(domain.lengths)

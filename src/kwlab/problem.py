@@ -1,5 +1,6 @@
 """One Kazdan-Warner instance −Δu + α = S·e^{2u/n} on a flat torus, with its
-residual, energy functional, first/second variations, and the mean identity
+residual F, energy functional, first/second variations, the linearization
+F′(u) with its smallest eigenvalue (stability), and the mean identity
 ∫ S e^{2u/n} = α·Vol obtained by integrating the equation.
 """
 
@@ -17,6 +18,7 @@ from .errors import BlowUpError, DomainError
 # e^{2u/n} is never evaluated past this exponent; hitting the cap is treated
 # as blow-up evidence, not as a value.
 EXP_ARG_CAP = 400.0
+EIG_TOL = 1e-7  # the tol of every λ_min (stability_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -87,21 +89,33 @@ def energy_gradient(inst: ProblemInstance, u: ScalarField) -> ScalarField:
     return ScalarField(inst.domain, 2.0 * r.values)
 
 
+def linearization(inst: ProblemInstance, u: ScalarField, e=None) -> spectral.SchrodingerOperator:
+    """F′(u) = −Δ + W with W = −(2/n) S e^{2u/n}: Newton's Jacobian, the
+    bordered corrector's block, half the second variation and the stability
+    operator. Its preconditioner constant is c = max(1, mean|W|); e is
+    e^{2u/n} when the caller already has it."""
+    W = -(2.0 / inst.n) * inst.S.values * (conformal_factor(inst, u) if e is None else e)
+    plan = spectral.get_plan(inst.domain)
+    return spectral.SchrodingerOperator(plan, W, max(1.0, float(np.mean(np.abs(W)))))
+
+
 def hessian_apply(inst: ProblemInstance, u: ScalarField, phi: ScalarField) -> ScalarField:
-    """Second variation applied to φ: 2·(−Δφ − (2/n) S e^{2u/n} φ)."""
+    """Second variation applied to φ: 2·F′(u)φ."""
     if phi.domain != inst.domain:
         raise DomainError("phi lives on a different domain")
-    plan = spectral.get_plan(inst.domain)
-    lap = spectral.laplacian(plan, phi)
-    ef = conformal_factor(inst, u)
-    vals = 2.0 * (-lap.values - (2.0 / inst.n) * inst.S.values * ef * phi.values)
-    return ScalarField(inst.domain, vals)
+    return ScalarField(inst.domain, 2.0 * linearization(inst, u).apply(phi.values))
 
 
 def stability_potential(inst: ProblemInstance, u: ScalarField) -> ScalarField:
-    """V = −(2/n) S e^{2u/n}: potential of the stability operator −Δ + V."""
-    vals = -(2.0 / inst.n) * inst.S.values * conformal_factor(inst, u)
-    return ScalarField(inst.domain, vals)
+    """V = −(2/n) S e^{2u/n}: potential of the stability operator −Δ + V = F′(u)."""
+    return ScalarField(inst.domain, linearization(inst, u).W)
+
+
+def stability_eigenvalue(inst: ProblemInstance, u: ScalarField) -> float:
+    """λ_min of the stability operator F′(u), solved at EIG_TOL; an
+    unconverged solve raises EigenSolveError."""
+    V = stability_potential(inst, u)
+    return spectral.min_eigenvalue(spectral.get_plan(inst.domain), V, EIG_TOL)
 
 
 class IdentityCheck(NamedTuple):

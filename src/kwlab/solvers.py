@@ -164,13 +164,12 @@ def _finish(inst, u, converged, iters, history, method, reason=None) -> SolveRep
 def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
-    Linearization −Δ − (2/n) S e^{2u/n} (half the second-variation operator);
+    Jacobian problem.linearization, F′(u) = −Δ − (2/n) S e^{2u/n};
     inner solves by preconditioned lgmres with the constant-coefficient
     Helmholtz inverse. Backtracking on ‖F‖_∞; failures (line search, blow-up)
     are reported as evidence, never raised.
     """
     opts = opts or SolverOptions()
-    plan = spectral.get_plan(inst.domain)
     u = start_field(inst, opts)
     history: list[float] = []
 
@@ -185,8 +184,7 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     for it in range(opts.max_iters):
         if normF <= opts.residual_tol:
             return _finish(inst, u, True, it, history, "newton")
-        W = -(2.0 / inst.n) * inst.S.values * problem.conformal_factor(inst, u)
-        J = spectral.SchrodingerOperator(plan, W, max(1.0, float(np.mean(np.abs(W)))))
+        J = problem.linearization(inst, u)
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
@@ -279,12 +277,8 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
     inst = make_inst(t)
     e = problem.conformal_factor(inst, u)
     F = problem.residual(inst, u)
-    W = -(2.0 / inst.n) * inst.S.values * e
-    J = spectral.SchrodingerOperator(
-        spectral.get_plan(inst.domain), W, max(1.0, float(np.mean(np.abs(W))))
-    )
     ft = np.broadcast_to(dF_dt(e), e.shape)
-    return inst, F, BorderedOperator(J, ft, du, dt)
+    return inst, F, BorderedOperator(problem.linearization(inst, u, e), ft, du, dt)
 
 
 def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
@@ -368,7 +362,8 @@ def monotone_constant(inst: ProblemInstance, upper: ScalarField) -> float:
 def monotone_iterate(
     inst: ProblemInstance, interval: OrderInterval, opts: SolverOptions | None = None
 ) -> SolveReport:
-    """Fixed point u ← (−Δ + c)⁻¹(c·u − α + S e^{2u/n}) from u₀ = u₊.
+    """Fixed point u ← u − (−Δ + c)⁻¹F(u) = (−Δ + c)⁻¹(c·u − α + S e^{2u/n})
+    from u₀ = u₊.
 
     With c at least the monotonicity constant the iterates decrease
     pointwise, stay inside [u₋, u₊], and converge to a solution.
@@ -386,11 +381,7 @@ def monotone_iterate(
         history.append(normF)
         if normF <= opts.residual_tol:
             return _finish(inst, u, True, it, history, "monotone")
-        rhs = ScalarField(
-            inst.domain,
-            c * u.values - inst.alpha + inst.S.values * problem.conformal_factor(inst, u),
-        )
-        unew = spectral.helmholtz_solve(plan, c, rhs)
+        unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(plan, c, F).values)
         if float(np.max(unew.values - u.values)) > 1e-12:
             raise SolverError(
                 "monotone iterate increased: monotonicity constant too small or interval invalid"

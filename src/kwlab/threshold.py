@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import problem, solvers, spectral
+from . import problem, solvers
 from .domain import ScalarField, TorusDomain, integrate
 from .errors import EigenSolveError, SolverError
 from .problem import ProblemInstance
@@ -21,8 +21,8 @@ from .solvers import SolveReport, SolverOptions
 # S ≤ 0 regime is solvable at every negative α)
 UNBOUNDED_PROBE_ALPHAS = (-1.0, -10.0, -100.0, -1000.0)
 
-# the continuation search (_fold_search): step control, closing rules and
-# the λ_min accuracy. Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
+# the continuation search (_fold_search): step control and closing rules.
+# Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
 FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
 TARGET_ITERS = 3         # corrector iterations the step size is steered to
 CORRECTOR_ITERS = 10     # a corrector that has not converged by then has failed
@@ -30,7 +30,6 @@ MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
 FOLD_MARGIN = 0.25       # the last stable point lies within this many tol of the fold estimate
 CLOSE_FRACTION = 0.99    # the closing probe sits this many tol past the solved end
 GAP_FRACTION = 0.25      # fallback: at most this share of the gap to the failed end
-EIG_TOL = 1e-7           # the tol of every λ_min: the search's and diagnostics.member_row's
 MAX_SEARCH_PROBES = 200  # cap on corrector steps and on closing probes
 
 
@@ -71,7 +70,8 @@ class ProbeRecord:
 
 @dataclass
 class ThresholdReport:
-    """Bracketed critical value of the continuation parameter.
+    """Bracketed critical value of the continuation parameter; the family
+    (parameter, report) ends at the solvable end with solved_report.
 
     For param_name "alpha" the solvable end is hi (solvability persists as
     α increases toward 0); for "lambda" the solvable end is lo.
@@ -80,11 +80,18 @@ class ThresholdReport:
     param_name: str
     lo: float
     hi: float
-    solvable_end: str                      # "lo" or "hi"
-    solved_report: Optional[SolveReport]
-    family: list[tuple[float, SolveReport]] = field(default_factory=list)
+    family: list[tuple[float, SolveReport]]
     unbounded: bool = False
     probes: list[ProbeRecord] = field(default_factory=list)
+
+    @property
+    def solvable_end(self) -> str:
+        return "hi" if self.param_name == "alpha" else "lo"
+
+    @property
+    def solved_report(self) -> SolveReport:
+        """The converged report at the solvable end: the family's last."""
+        return self.family[-1][1]
 
     @property
     def width(self) -> float:
@@ -148,6 +155,12 @@ def _probe_record(param: float, v: SolvabilityVerdict) -> ProbeRecord:
     return ProbeRecord(param=param, solved=v.solved, evidence=v.evidence)
 
 
+def check_schedule(alphas: Sequence[float]) -> None:
+    """Raise SolverError unless the α schedule is strictly decreasing."""
+    if any(not b < a for a, b in zip(alphas, alphas[1:])):
+        raise SolverError(f"alpha schedule must be strictly decreasing, got {alphas}")
+
+
 def walk_schedule(
     S: ScalarField,
     n: int,
@@ -166,8 +179,7 @@ def walk_schedule(
     probe's record, with its evidence, is the last of the probes. A schedule
     that is not strictly decreasing raises SolverError.
     """
-    if any(not b < a for a, b in zip(alphas, alphas[1:])):
-        raise SolverError(f"alpha schedule must be strictly decreasing, got {alphas}")
+    check_schedule(alphas)
     members: list[SolveReport] = []
     probes: list[ProbeRecord] = []
     warm = None
@@ -230,7 +242,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
 
     Works in t = ±param (t = α, or t = −λ), where the solvable side is
     larger t and t < 0 throughout; dF_dt maps e^{2u/n} to the exact ∂F/∂t.
-    A bootstrap probes param = start and divides it by shrink until a probe
+    Bootstrap: _probe_twice at param = start, divided by shrink until a probe
     solves. From there a pseudo-arclength walk (solvers.arclength_correct)
     follows the stable branch down to its fold at t★ without a failed solve:
       * tangent predictor; the step grows or shrinks toward TARGET_ITERS
@@ -251,7 +263,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
-        v = probe_solvable(make_inst(param), budget, residual_tol=residual_tol)
+        v = _probe_twice(make_inst(param), budget, residual_tol=residual_tol)
         probes.append(_probe_record(param, v))
         if v.solved:
             break
@@ -262,13 +274,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
     family: list[tuple[float, SolveReport]] = []
 
     def accept(rep, record):
-        inst = make_inst(record.param)
         try:
-            rep.min_eig = spectral.min_eigenvalue(
-                spectral.get_plan(inst.domain),
-                problem.stability_potential(inst, rep.solution),
-                EIG_TOL,
-            )
+            rep.min_eig = problem.stability_eigenvalue(make_inst(record.param), rep.solution)
         except EigenSolveError:
             pass  # min_eig stays None
         record.min_eig = rep.min_eig
@@ -343,8 +350,6 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
         param_name=param_name,
         lo=ends[0],
         hi=ends[1],
-        solvable_end="hi" if sign > 0 else "lo",
-        solved_report=report,
         family=family,
         probes=probes,
     )
@@ -385,8 +390,6 @@ def find_alpha_star(
             param_name="alpha",
             lo=-np.inf,
             hi=members[-1].alpha,
-            solvable_end="hi",
-            solved_report=members[0],
             family=[(rep.alpha, rep) for rep in members],
             unbounded=True,
             probes=probes,
@@ -399,6 +402,11 @@ def find_alpha_star(
     return _fold_search(
         make_inst, lambda e: 1.0, "alpha", float(start_alpha), 4.0, tol, budget, residual_tol
     )
+
+
+def ding_liu_instance(g0: ScalarField, s0: float, lam: float) -> ProblemInstance:
+    """The Ding-Liu instance −Δu + s₀ = (g₀ + λ)e^{2u} (n = 1) at λ."""
+    return ProblemInstance(g0.domain, ScalarField(g0.domain, g0.values + lam), s0, 1)
 
 
 def ding_liu_lambda_star(
@@ -420,8 +428,8 @@ def ding_liu_lambda_star(
     inside (0, −min g₀). The family is the stable branch, λ strictly
     increasing, each report with its λ_min. Every solve meets residual_tol.
     """
-    if domain.d != 2:
-        raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")
+    if domain.d != 2 or g0.domain != domain:
+        raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem, with g0 on domain")
     if abs(g0.max) > 1e-8:
         raise SolverError(f"max g0 must be 0 (got {g0.max}); shift the field first")
     if g0.max - g0.min < 1e-12:
@@ -430,12 +438,10 @@ def ding_liu_lambda_star(
         raise SolverError("s0 must be negative")
     lam_max = -g0.min
 
-    def make_inst(lam: float) -> ProblemInstance:
-        return ProblemInstance(domain, ScalarField(domain, g0.values + lam), s0, 1)
-
     # t = −λ: F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
     rep = _fold_search(
-        make_inst, lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol, budget, residual_tol
+        lambda lam: ding_liu_instance(g0, s0, lam), lambda e: e, "lambda", 0.05 * lam_max, 2.0,
+        tol, budget, residual_tol,
     )
     if not (0.0 < rep.lo and rep.hi < lam_max):
         raise SolverError(

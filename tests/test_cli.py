@@ -228,6 +228,17 @@ def test_family_rejects_nondecreasing_alphas(tmp_path, capsys):
     assert code == 1
     assert "strictly decreasing" in json.loads(cap.err.strip())["error"]
     assert cap.out == ""
+    assert not (tmp_path / "fam").exists()
+
+
+def test_unknown_solver_rejected(tmp_path, capsys):
+    code, cap = run_cli(
+        capsys, "solve", "--out", str(tmp_path / "solve"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alpha=-1", "solver=bogus",
+    )
+    assert code == 1
+    assert "solver" in json.loads(cap.err.strip())["error"]
+    assert not (tmp_path / "solve").exists()
 
 
 def test_family_alphas_truncated_with_note(tmp_path, capsys):

@@ -175,7 +175,7 @@ class TestFamilyTable:
             assert row["defect"] <= 1e-10
 
     def test_stability_verdict_on_monotone_members(self, t2_32, monkeypatch):
-        # the verdict judges the members of the order-preserving routes
+        # the verdict judges the members of the order-preserving routes too
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
 
@@ -192,6 +192,20 @@ class TestFamilyTable:
         assert family_table(monotone_family(), K, S, n=1).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
         assert not family_table(monotone_family(), K, S, n=1).verdicts["stability"]
+
+    def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
+        # every member is judged, whichever engine solved it
+        S = ScalarField.constant(t2_32, -1.0)
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+
+        def newton_family():
+            return [newton_solve(ProblemInstance(t2_32, S, a, 1)) for a in (-1.0, -1.5, -1.75)]
+
+        assert family_table(newton_family(), K, S, n=1).verdicts["stability"]
+        monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
+        diag = family_table(newton_family(), K, S, n=1)
+        assert [row["lambda_min"] for row in diag.rows] == [-0.5] * 3
+        assert not diag.verdicts["stability"]
 
     def test_csv_shape(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)

@@ -132,6 +132,22 @@ class TestRetry:
         assert not v.solved
         assert v.evidence == evidence * len(budgets)
 
+    def test_bootstrap_probe_retried_on_max_iters(self, t2_16, monkeypatch):
+        calls = []
+        original = threshold.probe_solvable
+
+        def first_runs_out(inst, budget=1.0, **kw):
+            calls.append((inst.alpha, budget))
+            if len(calls) == 1:
+                return SolvabilityVerdict("failed", evidence=["newton[zero]: max_iters"])
+            return original(inst, budget, **kw)
+
+        monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        assert calls[:2] == [(-0.01, 1.0), (-0.01, 4.0)]
+        assert rep.probes[0].param == -0.01 and rep.probes[0].solved
+        assert rep.width <= 1e-3
+
 
 class TestAlphaStar:
     def test_requires_negative_mean(self, t2_32):
@@ -144,6 +160,12 @@ class TestAlphaStar:
         assert rep.lo == -np.inf
         assert len(rep.family) == 4
         assert all(r.converged for _, r in rep.family)
+
+    def test_unbounded_solved_report_at_hi(self, t2_16):
+        # the solved report sits at the solvable end of the ladder
+        rep = find_alpha_star(sine_field(t2_16, -1.5), 1, t2_16)
+        assert rep.solvable_end == "hi"
+        assert rep.solved_report.alpha == rep.hi == -1000.0
 
     def test_unbounded_ladder_failure_keeps_evidence(self, t2_32, monkeypatch):
         original = threshold.probe_solvable
