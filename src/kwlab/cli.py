@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,8 +65,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
 def _bool(s: str) -> bool:
-    return s.strip().lower() in ("1", "true", "yes", "on")
+    return s.strip().lower() in TRUE_WORDS
 
 
 def _int_list(s: str) -> list[int]:
@@ -85,6 +87,8 @@ NUMERIC_KEYS = {
     **{key: float for key in ("field_value", "field_offset", "field_p", "alpha", "s0",
                               "tol", "residual_tol", "budget", "start_alpha")},
 }
+CHOICES = {"d": ("2", "4"), "solver": ("newton", "probe"),
+           "inject": ("none", "diverge_down", "diverge_up")}
 
 
 def validate(mode: str, cfg: dict[str, str]) -> list[str]:
@@ -106,10 +110,12 @@ def validate(mode: str, cfg: dict[str, str]) -> list[str]:
             problems.append("field_seed: required for field=random_fourier")
         if not cfg["field_p"]:
             problems.append("field_p: required for field=random_fourier")
-    if cfg["d"] not in ("2", "4"):
-        problems.append("d: must be 2 or 4")
-    if cfg["solver"] not in ("newton", "probe"):
-        problems.append("solver: must be newton or probe")
+    for key, choices in CHOICES.items():
+        if cfg[key] not in choices:
+            problems.append(f"{key}: must be one of {'|'.join(choices)}")
+    for key in ("field_shift_max_zero", "with_eigs", "single_thread"):
+        if cfg[key].strip().lower() not in TRUE_WORDS + FALSE_WORDS:
+            problems.append(f"{key}: must be one of {'|'.join(TRUE_WORDS + FALSE_WORDS)}")
     try:
         threshold.check_schedule(parsed.get("alphas", []))
     except SolverError as e:
@@ -145,7 +151,8 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
         "estimate": rep.estimate if np.isfinite(rep.lo) else None,
         "unbounded": rep.unbounded,
         "family_size": len(rep.family),
-        "probes": [dataclasses.asdict(p) for p in rep.probes],
+        "probes": [{"param": p.param, "solved": p.solved, "evidence": p.evidence,
+                    "min_eig": p.min_eig} for p in rep.probes],
     }
 
 
@@ -158,15 +165,22 @@ def _injected_family(domain, sign: float, count: int) -> list[SolveReport]:
     ]
 
 
-def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
+def start_outputs(mode: str, cfg: dict[str, str], outdir: Path, S=None) -> None:
+    """Start the outputs after the mode's solve, search or walk: rejected input writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective_config.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in sorted({**cfg, "mode": mode}.items()))
     )
+    if S is not None:
+        serialize.write_field(S, outdir / "S", label="S")
+
+
+def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     summary: dict = {"mode": mode}
 
     if mode == "selftest":
         summary["checks_failed"] = failures = _selftest()
+        start_outputs(mode, cfg, outdir)
         return (2 if failures else 0), summary
 
     domain = build_domain(cfg)
@@ -174,7 +188,6 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     n = int(cfg["n"]) if cfg["n"] else domain.d // 2
     rtol = float(cfg["residual_tol"])
     budget = float(cfg["budget"])
-    serialize.write_field(S, outdir / "S", label="S")
     summary["mean_S"] = integrate(S) / domain.volume
 
     if mode == "solve":
@@ -182,11 +195,12 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
         if cfg["solver"] == "probe":
             verdict = threshold.probe_solvable(inst, budget, residual_tol=rtol)
             rep = verdict.report
-            if rep is None:
-                summary.update(converged=False, evidence=verdict.evidence)
-                return 2, summary
         else:
             rep = solvers.newton_solve(inst, SolverOptions(residual_tol=rtol))
+        start_outputs(mode, cfg, outdir, S)
+        if rep is None:
+            summary.update(converged=False, evidence=verdict.evidence)
+            return 2, summary
         serialize.write_report(rep, outdir / "solve")
         summary.update(serialize.report_summary(rep))
         summary["defect"] = problem.integral_identity_defect(inst, rep.solution).defect
@@ -226,8 +240,9 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
             sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
             members = _injected_family(domain, sign, count)
         elif cfg["alphas"]:
-            members, _ = threshold.walk_schedule(S, n, domain, _float_list(cfg["alphas"]),
-                                                 budget, rtol)
+            probes = threshold.walk_schedule(S, n, domain, _float_list(cfg["alphas"]),
+                                             budget, rtol)
+            members = [p.report for p in probes if p.solved]
         elif thr.unbounded:
             members = [r for _, r in thr.family]
         else:
@@ -236,6 +251,7 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
         summary["family_size"] = len(members)
         family = [(rep.alpha, rep) for rep in members]
 
+    start_outputs(mode, cfg, outdir, S)
     with_eigs = _bool(cfg["with_eigs"]) or mode == "diagnose"
     rows = [diagnostics.member_row(make_inst(p), rep, p, with_eigs) for p, rep in family]
     (outdir / "family.csv").write_text(diagnostics.table_csv(diagnostics.MEMBER_COLUMNS, rows))

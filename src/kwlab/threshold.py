@@ -56,22 +56,23 @@ class SolvabilityVerdict:
 
 @dataclass
 class ProbeRecord:
-    """One point a threshold search tested: a probe_solvable call, or a
-    stable point of its continuation walk (solved, no evidence). The
-    parameter, the outcome, the failure evidence, and the λ_min of a solved
-    family member (None for a failed probe, a probe outside the search, or
-    an unconverged eigen-solve)."""
+    """One point a threshold search or schedule walk tested: a probe_solvable
+    call, or a stable point of a continuation walk (solved, no evidence). The
+    parameter, the outcome, the failure evidence, the λ_min of a solved member
+    (None for a failed probe, a probe outside the search, or an unconverged
+    eigen-solve), and the converged report of a solved record (else None)."""
 
     param: float
     solved: bool
     evidence: list[str]
     min_eig: Optional[float] = None
+    report: Optional[SolveReport] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ThresholdReport:
-    """Bracketed critical value of the continuation parameter; the family
-    (parameter, report) ends at the solvable end with solved_report.
+    """Bracketed critical value of the continuation parameter; the family, the
+    (param, report) of each solved probe, ends at the solvable end (solved_report).
 
     For param_name "alpha" the solvable end is hi (solvability persists as
     α increases toward 0); for "lambda" the solvable end is lo.
@@ -80,9 +81,12 @@ class ThresholdReport:
     param_name: str
     lo: float
     hi: float
-    family: list[tuple[float, SolveReport]]
+    probes: list[ProbeRecord]
     unbounded: bool = False
-    probes: list[ProbeRecord] = field(default_factory=list)
+
+    @property
+    def family(self) -> list[tuple[float, SolveReport]]:
+        return [(p.param, p.report) for p in self.probes if p.solved]
 
     @property
     def solvable_end(self) -> str:
@@ -151,10 +155,6 @@ def _probe_twice(inst, budget, **kw) -> SolvabilityVerdict:
     return v4
 
 
-def _probe_record(param: float, v: SolvabilityVerdict) -> ProbeRecord:
-    return ProbeRecord(param=param, solved=v.solved, evidence=v.evidence)
-
-
 def check_schedule(alphas: Sequence[float]) -> None:
     """Raise SolverError unless the α schedule is strictly decreasing."""
     if any(not b < a for a, b in zip(alphas, alphas[1:])):
@@ -168,9 +168,9 @@ def walk_schedule(
     alphas: Sequence[float],
     budget: float = 1.0,
     residual_tol: float = 1e-10,
-) -> tuple[list[SolveReport], list[ProbeRecord]]:
-    """Converged solutions along a strictly decreasing α schedule, and one
-    ProbeRecord per α probed.
+) -> list[ProbeRecord]:
+    """One ProbeRecord per α probed along a strictly decreasing α schedule;
+    the solved records carry the converged solutions.
 
     Each α is probed by _probe_twice warm from the previous member, so it is
     retried at 4x budget only when a Newton start ran out of iterations. The
@@ -180,22 +180,18 @@ def walk_schedule(
     that is not strictly decreasing raises SolverError.
     """
     check_schedule(alphas)
-    members: list[SolveReport] = []
     probes: list[ProbeRecord] = []
-    warm = None
     for a in alphas:
-        v = _probe_twice(ProblemInstance(domain, S, a, n), budget, warm_start=warm,
-                         residual_tol=residual_tol)
-        probes.append(_probe_record(a, v))
+        last = probes[-1].report if probes else None
+        v = _probe_twice(ProblemInstance(domain, S, a, n), budget,
+                         warm_start=last.solution if last else None, residual_tol=residual_tol)
+        probes.append(ProbeRecord(a, v.solved, v.evidence, report=v.report))
         if not v.solved:
-            if members:
-                members[-1].failure_reason = (
-                    f"family truncated: alpha={a} failed, nearest converged alpha={members[-1].alpha}"
-                )
+            if last is not None:
+                last.failure_reason = (f"family truncated: alpha={a} failed, "
+                                       f"nearest converged alpha={last.alpha}")
             break
-        members.append(v.report)
-        warm = v.report.solution
-    return members, probes
+    return probes
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -250,41 +246,38 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
       * the fold is passed when the tangent's t-component turns positive;
       * from the last stable point, the step is then aimed by a Hermite
         estimate of t★ until that point lies within FOLD_MARGIN·tol of it.
-    The last stable point is confirmed by probe_solvable (warm from its own
-    solution, 0 Newton iterations), and one _probe_twice at t − 0.99·tol
+    One _probe_twice at t − 0.99·tol, warm from the last stable point,
     closes the bracket. Only if that probe solves does the fallback run: a
     march doubling its step until a probe fails, then steps of a quarter of
-    the gap to the failed end. The bracket ends on a converged probe and a
-    failed one, at most tol apart. The family is the stable points only, t
-    strictly decreasing, each with its λ_min; probes lists the bootstrap
-    probes, the stable points and the closing probes.
+    the gap to the failed end. The bracket ends on a converged point and a
+    failed probe, at most tol apart. probes lists the bootstrap probes, the
+    stable points and the closing probes; the solved ones, t strictly
+    decreasing, each with its report and λ_min, are the family.
     """
     sign = 1.0 if param_name == "alpha" else -1.0
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
         v = _probe_twice(make_inst(param), budget, residual_tol=residual_tol)
-        probes.append(_probe_record(param, v))
+        probes.append(ProbeRecord(param, v.solved, v.evidence, report=v.report))
         if v.solved:
             break
         param /= shrink
     else:
         raise SolverError(f"no solvable {param_name} found from {start} toward 0")
 
-    family: list[tuple[float, SolveReport]] = []
-
-    def accept(rep, record):
+    def accept(record):
+        rep = record.report
         try:
             rep.min_eig = problem.stability_eigenvalue(make_inst(record.param), rep.solution)
         except EigenSolveError:
             pass  # min_eig stays None
         record.min_eig = rep.min_eig
-        family.append((record.param, rep))
 
     def inst_at(t):
         return make_inst(sign * t)
 
-    accept(v.report, probes[-1])
+    accept(probes[-1])
     opts = SolverOptions(max_iters=CORRECTOR_ITERS, residual_tol=residual_tol)
     zero = np.zeros(v.report.solution.values.shape)
     point = solvers.branch_point(inst_at, dF_dt, v.report, sign * param, zero, -1.0)
@@ -300,8 +293,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
                 )
             continue
         if nxt.dt < 0:
-            probes.append(ProbeRecord(param=sign * nxt.t, solved=True, evidence=[]))
-            accept(rep, probes[-1])
+            probes.append(ProbeRecord(param=sign * nxt.t, solved=True, evidence=[], report=rep))
+            accept(probes[-1])
             factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
             point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
         else:
@@ -315,15 +308,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             f"{param_name} continuation did not reach its fold in {MAX_SEARCH_PROBES} steps"
         )
 
-    # close: confirm the last stable point, then probe past the fold
-    t = point.t
-    v = probe_solvable(inst_at(t), budget, warm_start=point.report.solution,
-                       residual_tol=residual_tol)
-    if not v.solved:
-        raise SolverError(f"continuation point {sign * t} failed its probe: {v.evidence}")
-    v.report.min_eig = point.report.min_eig
-    family[-1] = (sign * t, v.report)
-    report, t_failed, step = v.report, None, CLOSE_FRACTION * tol
+    # close: probe past the fold from the last stable point
+    t, report, t_failed, step = point.t, point.report, None, CLOSE_FRACTION * tol
     for _ in range(MAX_SEARCH_PROBES):
         if t_failed is not None and t - t_failed <= tol:
             break
@@ -333,10 +319,10 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             nxt_t = t - GAP_FRACTION * (t - t_failed)
         v = _probe_twice(inst_at(nxt_t), budget, warm_start=report.solution,
                          residual_tol=residual_tol)
-        probes.append(_probe_record(sign * nxt_t, v))
+        probes.append(ProbeRecord(sign * nxt_t, v.solved, v.evidence, report=v.report))
         if v.solved:
             t, report = nxt_t, v.report
-            accept(report, probes[-1])
+            accept(probes[-1])
         else:
             t_failed = nxt_t
     else:
@@ -345,14 +331,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             f"(solvable end {sign * t})"
         )
 
-    ends = sorted((sign * t, sign * t_failed))
-    return ThresholdReport(
-        param_name=param_name,
-        lo=ends[0],
-        hi=ends[1],
-        family=family,
-        probes=probes,
-    )
+    lo, hi = sorted((sign * t, sign * t_failed))
+    return ThresholdReport(param_name=param_name, lo=lo, hi=hi, probes=probes)
 
 
 def find_alpha_star(
@@ -374,14 +354,14 @@ def find_alpha_star(
     divided by 4 on failure) and follows the solution branch down to its
     fold at α★ by pseudo-arclength continuation, where the stability
     eigenvalue λ_min vanishes. lo is a failed probe just past the fold, hi
-    a converged one, hi − lo ≤ tol. The family is the stable branch, α
-    strictly decreasing, every report with its λ_min (min_eig); probes
-    lists every probe and stable point. Every solve meets residual_tol.
+    a converged point, hi − lo ≤ tol. probes lists every probe and stable
+    point; the solved ones are the family, the stable branch, α strictly
+    decreasing, each report with its λ_min. Every solve meets residual_tol.
     """
     if integrate(S) >= 0:
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
-        members, probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, budget, residual_tol)
+        probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, budget, residual_tol)
         if not probes[-1].solved:
             raise SolverError(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
@@ -389,10 +369,9 @@ def find_alpha_star(
         return ThresholdReport(
             param_name="alpha",
             lo=-np.inf,
-            hi=members[-1].alpha,
-            family=[(rep.alpha, rep) for rep in members],
-            unbounded=True,
+            hi=probes[-1].param,
             probes=probes,
+            unbounded=True,
         )
 
     def make_inst(alpha: float) -> ProblemInstance:
@@ -423,7 +402,7 @@ def ding_liu_lambda_star(
     for λ ∈ (0, λ★); g₀ + λ ≥ 0 makes λ ≥ −min g₀ unsolvable.
     `_fold_search` finds a solvable λ near 0⁺ (0.05·(−min g₀), halved on
     failure) and follows the branch up to its fold at λ★ by pseudo-arclength
-    continuation in t = −λ. lo is a converged probe, hi a failed one just
+    continuation in t = −λ. lo is a converged point, hi a failed probe just
     past the fold, hi − lo ≤ tol, and the bracket is checked to lie strictly
     inside (0, −min g₀). The family is the stable branch, λ strictly
     increasing, each report with its λ_min. Every solve meets residual_tol.
@@ -460,8 +439,8 @@ def limit_family(
     residual_tol: float = 1e-10,
 ) -> list[SolveReport]:
     """Converged solutions at count values of α descending geometrically
-    onto the bracket's solvable end, walked by walk_schedule (so a failed
-    member truncates the family, with the gap noted on the last report).
+    onto the bracket's solvable end, the solved records of walk_schedule
+    (so a failed member truncates the family, the gap noted on its last report).
 
     An unbounded threshold has no solvable end to descend onto: walk an
     explicit schedule with walk_schedule instead.
@@ -474,4 +453,5 @@ def limit_family(
     # sqrt(α − α★), so the faster schedule is what makes an 8-member
     # family visibly plateau in the diagnostics
     alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    return walk_schedule(S, n, domain, alphas, budget, residual_tol)[0]
+    probes = walk_schedule(S, n, domain, alphas, budget, residual_tol)
+    return [p.report for p in probes if p.solved]

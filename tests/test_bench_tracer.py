@@ -49,4 +49,5 @@ def test_tracer_sees_one_failed_probe_per_search(tmp_path, capsys):
     assert code == 0
     metrics = tracer.metrics()
     assert metrics["threshold.probes_failed"] == 1
+    assert metrics["threshold.probes_solved"] == 1  # the bootstrap probe
     assert metrics["threshold.search_s"] > 0

@@ -241,6 +241,30 @@ def test_unknown_solver_rejected(tmp_path, capsys):
     assert not (tmp_path / "solve").exists()
 
 
+@pytest.mark.parametrize("mode, bad, keys", [
+    ("diagnose", "inject=bogus", ["field=const", "field_value=-1", "count=3"]),
+    ("family", "with_eigs=ture", ["field=sin1", "field_offset=-0.5", "alphas=-1"]),
+], ids=["inject", "with_eigs"])
+def test_unknown_enumerated_value_rejected(tmp_path, capsys, mode, bad, keys):
+    code, cap = run_cli(capsys, mode, "--out", str(tmp_path / "run"), "sizes=16,16", bad, *keys)
+    assert code == 1
+    assert bad.partition("=")[0] in json.loads(cap.err.strip())["error"]
+    assert cap.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_search_precondition_failure_writes_nothing(tmp_path, capsys):
+    # ∫S > 0: find_alpha_star rejects the field before any output is started
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(tmp_path / "thr"),
+        "field=sin1", "field_offset=0.5", "sizes=16,16",
+    )
+    assert code == 1
+    assert "integrate(S) < 0" in json.loads(cap.err.strip())["error"]
+    assert cap.out == ""
+    assert not (tmp_path / "thr").exists()
+
+
 def test_family_alphas_truncated_with_note(tmp_path, capsys):
     # α★ ≈ −3.18 on this field, so α = −5 fails and ends the family
     out = tmp_path / "fam"

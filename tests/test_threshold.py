@@ -97,8 +97,22 @@ class TestContinuation:
             rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
         assert len(rep.family) >= 3
         assert_stable_family(rep)
-        # the solved end is the last member, confirmed by a probe
+        # the solved end is the last member, the corrector's last stable point
         assert rep.family[-1][1] is rep.solved_report
+
+    @pytest.mark.parametrize("search", ["alpha", "lambda", "ladder"])
+    def test_family_is_the_solved_probes(self, t2_16, search):
+        if search == "lambda":
+            g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+            rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+        else:
+            rep = find_alpha_star(sine_field(t2_16, -0.5 if search == "alpha" else -1.5), 1,
+                                  t2_16, tol=1e-3)
+        solved = [p for p in rep.probes if p.solved]
+        assert len(rep.family) == len(solved) >= 3
+        for (param, report), p in zip(rep.family, solved):
+            assert param == p.param and report is p.report
+            assert p.min_eig == p.report.min_eig
 
     def test_corrector_reports_meet_residual_tol(self, t2_16):
         S = sine_field(t2_16, -0.5)
@@ -202,6 +216,7 @@ class TestAlphaStar:
         calls = counting_probes(monkeypatch)
         rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
         assert calls.count(False) == 1
+        assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
 
@@ -295,6 +310,7 @@ class TestDingLiu:
         g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
         rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
         assert calls.count(False) == 1
+        assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
         assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
         assert_bracket_on_probes(rep, 1e-2)
 
@@ -304,7 +320,7 @@ class TestWalkSchedule:
         S = ScalarField.constant(t2_32, -1.0)
         rep = find_alpha_star(S, 1, t2_32)
         assert rep.unbounded
-        fam, _ = walk_schedule(S, 1, t2_32, [-1.0, -2.0, -4.0])
+        fam = [p.report for p in walk_schedule(S, 1, t2_32, [-1.0, -2.0, -4.0])]
         assert len(fam) == 3
         for r, a in zip(fam, [-1.0, -2.0, -4.0]):
             assert r.converged and r.alpha == a
