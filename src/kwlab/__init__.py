@@ -16,16 +16,16 @@ from .domain import (
 )
 from .problem import EnergyBreakdown, ProblemInstance
 from .solvers import OrderInterval, SolveReport, SolverOptions
-from .threshold import SolvabilityVerdict, ThresholdReport
+from .threshold import ProbeRecord, ThresholdReport
 
 __all__ = [
     "CutoffSpec",
     "EnergyBreakdown",
     "OrderInterval",
+    "ProbeRecord",
     "ProblemInstance",
     "RegionMask",
     "ScalarField",
-    "SolvabilityVerdict",
     "SolveReport",
     "SolverOptions",
     "ThresholdReport",

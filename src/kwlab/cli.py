@@ -147,8 +147,8 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
         "param": rep.param_name,
         "lo": rep.lo,
         "hi": rep.hi,
-        "width": rep.width if np.isfinite(rep.lo) else None,
-        "estimate": rep.estimate if np.isfinite(rep.lo) else None,
+        "width": None if rep.unbounded else rep.width,
+        "estimate": None if rep.unbounded else rep.estimate,
         "unbounded": rep.unbounded,
         "family_size": len(rep.family),
         "probes": [{"param": p.param, "solved": p.solved, "evidence": p.evidence,
@@ -193,13 +193,13 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     if mode == "solve":
         inst = ProblemInstance(domain, S, float(cfg["alpha"]), n)
         if cfg["solver"] == "probe":
-            verdict = threshold.probe_solvable(inst, budget, residual_tol=rtol)
-            rep = verdict.report
+            record = threshold.probe_solvable(inst, budget, residual_tol=rtol)
+            rep = record.report
         else:
             rep = solvers.newton_solve(inst, SolverOptions(residual_tol=rtol))
         start_outputs(mode, cfg, outdir, S)
         if rep is None:
-            summary.update(converged=False, evidence=verdict.evidence)
+            summary.update(converged=False, evidence=record.evidence)
             return 2, summary
         serialize.write_report(rep, outdir / "solve")
         summary.update(serialize.report_summary(rep))
@@ -251,6 +251,9 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
         summary["family_size"] = len(members)
         family = [(rep.alpha, rep) for rep in members]
 
+    if mode == "diagnose" and family:
+        # the cutoff can reject S, so it is found before any output is written
+        phi, K, _ = diagnostics.auto_cutoff_region(S)
     start_outputs(mode, cfg, outdir, S)
     with_eigs = _bool(cfg["with_eigs"]) or mode == "diagnose"
     rows = [diagnostics.member_row(make_inst(p), rep, p, with_eigs) for p, rep in family]
@@ -263,7 +266,6 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     if not family:
         summary["error"] = "empty family"
         return 2, summary
-    phi, K, _ = diagnostics.auto_cutoff_region(S)
     table = diagnostics.family_table(members, K, S, n)
     (outdir / "diagnostics.csv").write_text(table.to_csv())
     verdicts = dict(table.verdicts)

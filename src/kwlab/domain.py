@@ -102,10 +102,6 @@ class ScalarField:
     def constant(cls, domain: TorusDomain, value: float) -> "ScalarField":
         return cls(domain, np.full(domain.sizes, float(value)))
 
-    @classmethod
-    def from_function(cls, domain: TorusDomain, fn) -> "ScalarField":
-        return cls(domain, np.broadcast_to(fn(*domain.coords()), domain.sizes).copy())
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.domain, self.values.copy())
 

@@ -234,60 +234,47 @@ class BranchPoint:
     dt: float
 
 
-class BorderedOperator:
-    """The bordered Jacobian [[J, f_t], [τ_uᵀ/N, τ_t]] of a pseudo-arclength
-    step on (v, s) ∈ R^{N+1}, with the preconditioner diag((−Δ + c)⁻¹, 1).
-
-    J is a SchrodingerOperator, f_t = ∂F/∂t on the grid, (τ_u, τ_t) the
-    tangent the step is taken along. Like SchrodingerOperator it builds its
-    LinearOperators on access.
-    """
-
-    def __init__(self, J: spectral.SchrodingerOperator, ft: np.ndarray, du: np.ndarray, dt: float):
-        self.J, self.ft, self.du, self.dt = J, ft.reshape(-1), du.reshape(-1), dt
-        self.shape = (self.ft.size + 1,) * 2
-
-    @property
-    def A(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.apply, dtype=float)
-
-    @property
-    def M(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.precondition, dtype=float)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        z = z.reshape(-1)
-        v, s = z[:-1], z[-1]
-        return np.append(self.J.apply(v) + s * self.ft, self.du @ v / v.size + self.dt * s)
-
-    def precondition(self, z: np.ndarray) -> np.ndarray:
-        z = z.reshape(-1)
-        return np.append(self.J.solve_diagonal(z[:-1]), z[-1])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # an inexact solve is enough: the corrector's residual test decides
-        # convergence, and the tangent only steers the next step
-        z, _ = lgmres(self.A, rhs, M=self.M, rtol=1e-6, atol=0.0, inner_m=30, maxiter=4)
-        return z
-
-
 def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
-    """The instance at t, F(u, t) and the bordered Jacobian at (u, t).
-    Raises BlowUpError, and DomainError for a t outside the instances' range."""
+    """The instance at t, F(u, t), and solve(rhs): an inexact Krylov solve on
+    (v, s) ∈ R^{N+1} of the bordered Jacobian [[J, f_t], [duᵀ/N, dt]], J = F′(u),
+    f_t = ∂F/∂t, preconditioned by diag((−Δ + c)⁻¹, 1). Raises BlowUpError,
+    and DomainError for a t outside the instances' range."""
     inst = make_inst(t)
     e = problem.conformal_factor(inst, u)
     F = problem.residual(inst, u)
-    ft = np.broadcast_to(dF_dt(e), e.shape)
-    return inst, F, BorderedOperator(problem.linearization(inst, u, e), ft, du, dt)
+    J = problem.linearization(inst, u, e)
+    ft = np.broadcast_to(dF_dt(e), e.shape).reshape(-1)
+    du = du.reshape(-1)
+    shape = (ft.size + 1,) * 2
+
+    def apply(z):
+        z = z.reshape(-1)
+        v, s = z[:-1], z[-1]
+        return np.append(J.apply(v) + s * ft, du @ v / v.size + dt * s)
+
+    def precondition(z):
+        z = z.reshape(-1)
+        return np.append(J.solve_diagonal(z[:-1]), z[-1])
+
+    def solve(rhs):
+        # an inexact solve is enough: the corrector's residual test decides
+        # convergence, and the tangent only steers the next step
+        A = LinearOperator(shape, matvec=apply, dtype=float)
+        M = LinearOperator(shape, matvec=precondition, dtype=float)
+        z, _ = lgmres(A, rhs, M=M, rtol=1e-6, atol=0.0, inner_m=30, maxiter=4)
+        return z
+
+    return inst, F, solve
 
 
 def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
     """The converged report at t with its branch tangent, oriented along
-    (du, dt): the tangent solves [[J, f_t], [duᵀ/N, dt]]·z = (0, 1)."""
-    _, _, B = _bordered(make_inst, dF_dt, report.solution, t, du, dt)
-    rhs = np.zeros(B.shape[0])
+    (du, dt): the bordered solve of _bordered gives z with
+    [[J, f_t], [duᵀ/N, dt]]·z = (0, 1)."""
+    _, _, solve = _bordered(make_inst, dF_dt, report.solution, t, du, dt)
+    rhs = np.zeros(report.solution.values.size + 1)
     rhs[-1] = 1.0
-    z = B.solve(rhs)
+    z = solve(rhs)
     v, s = z[:-1], float(z[-1])
     norm = float(np.sqrt(v @ v / v.size + s * s))
     return BranchPoint(report, t, (v / norm).reshape(report.solution.values.shape), s / norm)
@@ -305,8 +292,8 @@ def arclength_correct(
     make_inst maps t to its ProblemInstance and dF_dt maps the conformal
     factor e^{2u/n} to the exact ∂F/∂t. From the tangent predictor
     base + ds·(du, dt), Newton on (u, t) solves F = 0 together with the
-    arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is a
-    bordered Krylov solve, well posed through a fold where J is singular.
+    arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is the
+    bordered solve of _bordered, well posed through a fold where J is singular.
     Converged means ‖F‖_∞ ≤ residual_tol, the contract of newton_solve;
     the new point then carries its tangent. A corrector that does not halve
     ‖F‖_∞ every iteration, blows up, leaves the instances' parameter range
@@ -322,7 +309,7 @@ def arclength_correct(
     inst = make_inst(t0)
     for it in range(opts.max_iters + 1):
         try:
-            inst, F, B = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
+            inst, F, solve = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
         except BlowUpError as e:
             return _finish(inst, u, False, it, history, "arclength", f"blow_up: {e}"), None
         except DomainError as e:
@@ -339,7 +326,7 @@ def arclength_correct(
         if it >= 1 and normF > 0.5 * history[-2]:
             return _finish(inst, u, False, it, history, "arclength", "stagnation"), None
         arc = np.mean(base.du * (u.values - u0)) + base.dt * (t - t0) - ds
-        z = B.solve(-np.append(F.values.reshape(-1), arc))
+        z = solve(-np.append(F.values.reshape(-1), arc))
         if not np.all(np.isfinite(z)):
             return _finish(inst, u, False, it, history, "arclength", "linear_solve_diverged"), None
         u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))

@@ -34,18 +34,28 @@ MAX_SEARCH_PROBES = 200  # cap on corrector steps and on closing probes
 
 
 @dataclass
-class SolvabilityVerdict:
-    status: str                      # "solved" | "failed"
-    report: Optional[SolveReport] = None
-    evidence: list[str] = field(default_factory=list)
+class ProbeRecord:
+    """One point a threshold search or schedule walk tested: what
+    probe_solvable returns, or a stable point of a continuation walk (no
+    evidence). report is the converged report of a solved record, None when
+    it failed; solved and min_eig (its λ_min, None unless solved) are read
+    from it. A report that did not converge raises SolverError."""
+
+    param: float
+    evidence: list[str]
+    report: Optional[SolveReport] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.status == "solved" and not (self.report is not None and self.report.converged):
-            raise SolverError("a solved verdict needs a converged report")
+        if self.report is not None and not self.report.converged:
+            raise SolverError("a probe record's report must be converged")
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.report is not None
+
+    @property
+    def min_eig(self) -> Optional[float]:
+        return None if self.report is None else self.report.min_eig
 
     @property
     def budget_exhausted(self) -> bool:
@@ -55,24 +65,11 @@ class SolvabilityVerdict:
 
 
 @dataclass
-class ProbeRecord:
-    """One point a threshold search or schedule walk tested: a probe_solvable
-    call, or a stable point of a continuation walk (solved, no evidence). The
-    parameter, the outcome, the failure evidence, the λ_min of a solved member
-    (None for a failed probe, a probe outside the search, or an unconverged
-    eigen-solve), and the converged report of a solved record (else None)."""
-
-    param: float
-    solved: bool
-    evidence: list[str]
-    min_eig: Optional[float] = None
-    report: Optional[SolveReport] = field(default=None, compare=False, repr=False)
-
-
-@dataclass
 class ThresholdReport:
-    """Bracketed critical value of the continuation parameter; the family, the
-    (param, report) of each solved probe, ends at the solvable end (solved_report).
+    """Bracketed critical value of the continuation parameter, resting on
+    probes, the ProbeRecord of every tested point. The family, the
+    (param, report) of each solved record, ends at the solvable end
+    (solved_report); unbounded (lo = −∞) is the S ≤ 0 regime.
 
     For param_name "alpha" the solvable end is hi (solvability persists as
     α increases toward 0); for "lambda" the solvable end is lo.
@@ -82,7 +79,10 @@ class ThresholdReport:
     lo: float
     hi: float
     probes: list[ProbeRecord]
-    unbounded: bool = False
+
+    @property
+    def unbounded(self) -> bool:
+        return self.lo == -np.inf
 
     @property
     def family(self) -> list[tuple[float, SolveReport]]:
@@ -110,21 +110,25 @@ def probe_solvable(
     inst: ProblemInstance,
     budget: float = 1.0,
     *,
+    param: Optional[float] = None,
     warm_start: Optional[ScalarField] = None,
     residual_tol: float = 1e-10,
-) -> SolvabilityVerdict:
-    """Numerical solvability verdict at one parameter value.
+) -> ProbeRecord:
+    """The ProbeRecord of a numerical solvability test of inst, filed under
+    param (default inst.alpha; λ for a Ding-Liu instance).
 
     Newton from the warm, constant and zero starts in turn; the first that
-    converges solves the probe. "failed" means no start converged, not a
-    proof of nonexistence: the evidence names each start's failure reason
-    (max_iters, stagnation, a line-search or linear-solve failure, blow-up),
-    and only max_iters is one a larger budget can change.
+    converges solves the probe and is the record's report. A failed record
+    means no start converged, not a proof of nonexistence: its evidence
+    names each start's failure reason (max_iters, stagnation, a line-search
+    or linear-solve failure, blow-up), and only max_iters is one a larger
+    budget can change.
     """
+    param = inst.alpha if param is None else param
     evidence: list[str] = []
     if inst.S.min >= 0:
         # ∫S e^{2u/n} > 0 can never equal α·Vol < 0
-        return SolvabilityVerdict("failed", evidence=["sign_obstruction: S >= 0 everywhere"])
+        return ProbeRecord(param, ["sign_obstruction: S >= 0 everywhere"])
 
     iters = max(10, int(round(80 * budget)))
     starts: list = []
@@ -135,16 +139,17 @@ def probe_solvable(
         opts = SolverOptions(max_iters=iters, residual_tol=residual_tol, start=start)
         rep = solvers.newton_solve(inst, opts)
         if rep.converged:
-            return SolvabilityVerdict("solved", report=rep)
+            return ProbeRecord(param, [], rep)
         tag = "warm" if isinstance(start, ScalarField) else start
         evidence.append(f"newton[{tag}]: {rep.failure_reason}")
-    return SolvabilityVerdict("failed", evidence=evidence)
+    return ProbeRecord(param, evidence)
 
 
-def _probe_twice(inst, budget, **kw) -> SolvabilityVerdict:
-    """Probe at 1x budget and, only when some engine ran out of iterations,
-    again at 4x. Stagnation, line-search failure and blow-up repeat
-    identically at any budget, so they are not retried."""
+def _probe_twice(inst, budget, **kw) -> ProbeRecord:
+    """The ProbeRecord of probe_solvable at 1x budget or, only when some
+    engine ran out of iterations, at 4x; a failed retry's evidence starts
+    with the first probe's. Stagnation, line-search failure and blow-up
+    repeat identically at any budget, so they are not retried."""
     v = probe_solvable(inst, budget, **kw)
     if v.solved or not v.budget_exhausted:
         return v
@@ -183,10 +188,10 @@ def walk_schedule(
     probes: list[ProbeRecord] = []
     for a in alphas:
         last = probes[-1].report if probes else None
-        v = _probe_twice(ProblemInstance(domain, S, a, n), budget,
-                         warm_start=last.solution if last else None, residual_tol=residual_tol)
-        probes.append(ProbeRecord(a, v.solved, v.evidence, report=v.report))
-        if not v.solved:
+        probes.append(_probe_twice(ProblemInstance(domain, S, a, n), budget,
+                                   warm_start=last.solution if last else None,
+                                   residual_tol=residual_tol))
+        if not probes[-1].solved:
             if last is not None:
                 last.failure_reason = (f"family truncated: alpha={a} failed, "
                                        f"nearest converged alpha={last.alpha}")
@@ -258,8 +263,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
-        v = _probe_twice(make_inst(param), budget, residual_tol=residual_tol)
-        probes.append(ProbeRecord(param, v.solved, v.evidence, report=v.report))
+        v = _probe_twice(make_inst(param), budget, param=param, residual_tol=residual_tol)
+        probes.append(v)
         if v.solved:
             break
         param /= shrink
@@ -272,7 +277,6 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             rep.min_eig = problem.stability_eigenvalue(make_inst(record.param), rep.solution)
         except EigenSolveError:
             pass  # min_eig stays None
-        record.min_eig = rep.min_eig
 
     def inst_at(t):
         return make_inst(sign * t)
@@ -293,7 +297,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
                 )
             continue
         if nxt.dt < 0:
-            probes.append(ProbeRecord(param=sign * nxt.t, solved=True, evidence=[], report=rep))
+            probes.append(ProbeRecord(sign * nxt.t, [], rep))
             accept(probes[-1])
             factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
             point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
@@ -317,9 +321,9 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             nxt_t, step = t - step, 2.0 * step
         else:
             nxt_t = t - GAP_FRACTION * (t - t_failed)
-        v = _probe_twice(inst_at(nxt_t), budget, warm_start=report.solution,
+        v = _probe_twice(inst_at(nxt_t), budget, param=sign * nxt_t, warm_start=report.solution,
                          residual_tol=residual_tol)
-        probes.append(ProbeRecord(sign * nxt_t, v.solved, v.evidence, report=v.report))
+        probes.append(v)
         if v.solved:
             t, report = nxt_t, v.report
             accept(probes[-1])
@@ -366,13 +370,7 @@ def find_alpha_star(
             raise SolverError(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
             )
-        return ThresholdReport(
-            param_name="alpha",
-            lo=-np.inf,
-            hi=probes[-1].param,
-            probes=probes,
-            unbounded=True,
-        )
+        return ThresholdReport(param_name="alpha", lo=-np.inf, hi=probes[-1].param, probes=probes)
 
     def make_inst(alpha: float) -> ProblemInstance:
         return ProblemInstance(domain, S, alpha, n)
@@ -445,7 +443,7 @@ def limit_family(
     An unbounded threshold has no solvable end to descend onto: walk an
     explicit schedule with walk_schedule instead.
     """
-    if threshold_report.unbounded or not np.isfinite(threshold_report.lo):
+    if threshold_report.unbounded:
         raise SolverError("unbounded threshold: walk an explicit alpha schedule")
     a_hi = threshold_report.hi
     a0 = 0.5 * a_hi

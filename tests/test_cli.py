@@ -265,6 +265,18 @@ def test_search_precondition_failure_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "thr").exists()
 
 
+def test_diagnose_cutoff_failure_writes_nothing(tmp_path, capsys):
+    # S's negative set is too thin on 8² for an automatic cutoff; the family
+    # solves, but the run is rejected before any output is started
+    code, cap = run_cli(
+        capsys, "diagnose", "--out", str(tmp_path / "diag"),
+        "field=sin1", "field_offset=-0.3", "sizes=8,8", "alphas=-0.5",
+    )
+    assert code == 1
+    assert "too thin for an automatic cutoff" in json.loads(cap.err.strip())["error"]
+    assert not (tmp_path / "diag").exists()
+
+
 def test_family_alphas_truncated_with_note(tmp_path, capsys):
     # α★ ≈ −3.18 on this field, so α = −5 fails and ends the family
     out = tmp_path / "fam"
@@ -288,7 +300,7 @@ def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch
     def first_runs_out(inst, budget=1.0, **kw):
         probes.append((inst.alpha, budget))
         if len(probes) == 1:
-            return threshold.SolvabilityVerdict("failed", evidence=["newton[zero]: max_iters"])
+            return threshold.ProbeRecord(inst.alpha, ["newton[zero]: max_iters"])
         return original(inst, budget, **kw)
 
     monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)

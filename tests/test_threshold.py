@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, problem, spectral, threshold
+from kwlab import ProblemInstance, ScalarField, SolveReport, problem, spectral, threshold
 from kwlab.errors import EigenSolveError, SolverError
 from kwlab.fields import named_field
 from kwlab.threshold import (
@@ -10,7 +10,7 @@ from kwlab.threshold import (
     find_alpha_star,
     limit_family,
     probe_solvable,
-    SolvabilityVerdict,
+    ProbeRecord,
     walk_schedule,
 )
 
@@ -41,10 +41,14 @@ class TestProbe:
         v = probe_solvable(inst)
         assert v.solved
 
-    def test_solved_verdict_without_report_rejected(self):
-        # an explicit check, so it also holds under python -O
+    def test_solved_verdict_without_report_rejected(self, t2_16):
+        # a record given an unconverged report is rejected by an explicit
+        # check, so it also holds under python -O
+        rep = SolveReport(solution=ScalarField.constant(t2_16, 0.0), converged=False,
+                          iterations=1, residual_history=[1.0, 0.5], method="newton",
+                          alpha=-1.0, failure_reason="max_iters")
         with pytest.raises(SolverError):
-            SolvabilityVerdict("solved", report=None)
+            ProbeRecord(-1.0, ["newton[zero]: max_iters"], rep)
 
     def test_failed_collects_evidence(self, t2_32):
         inst = ProblemInstance(t2_32, sine_field(t2_32, -0.5), -50.0, 1)
@@ -137,7 +141,7 @@ class TestRetry:
 
         def fake(inst, budget=1.0, **kw):
             calls.append(budget)
-            return SolvabilityVerdict("failed", evidence=list(evidence))
+            return ProbeRecord(inst.alpha, list(evidence))
 
         monkeypatch.setattr(threshold, "probe_solvable", fake)
         inst = ProblemInstance(t2_16, sine_field(t2_16, -0.5), -50.0, 1)
@@ -153,7 +157,7 @@ class TestRetry:
         def first_runs_out(inst, budget=1.0, **kw):
             calls.append((inst.alpha, budget))
             if len(calls) == 1:
-                return SolvabilityVerdict("failed", evidence=["newton[zero]: max_iters"])
+                return ProbeRecord(inst.alpha, ["newton[zero]: max_iters"])
             return original(inst, budget, **kw)
 
         monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
@@ -186,7 +190,7 @@ class TestAlphaStar:
 
         def fails_at_minus_100(inst, budget=1.0, **kw):
             if inst.alpha == -100.0:
-                return SolvabilityVerdict("failed", evidence=["newton[zero]: stagnation"])
+                return ProbeRecord(inst.alpha, ["newton[zero]: stagnation"])
             return original(inst, budget, **kw)
 
         monkeypatch.setattr(threshold, "probe_solvable", fails_at_minus_100)
@@ -254,6 +258,9 @@ class TestAlphaStar:
         assert_bracket_on_probes(a, 1e-3)
         assert (a.lo, a.hi) == (b.lo, b.hi)
         assert a.probes == b.probes
+        # equality skips the report, so compare what is read from it too
+        assert ([(p.solved, p.min_eig) for p in a.probes]
+                == [(p.solved, p.min_eig) for p in b.probes])
         # every family member solved its λ_min once, during the search
         assert all(r.min_eig is not None for _, r in a.family)
 
@@ -263,7 +270,8 @@ def unconverged_eig(plan, V, tol=1e-8, max_iters=None):
 
 
 class TestEigenFallback:
-    """Without λ_min the search steps a quarter of the gap and still closes."""
+    """The search still closes when every eigen-solve fails: no record
+    carries a λ_min, and the bracket rests on its probes."""
 
     def test_alpha_star(self, t2_16, monkeypatch):
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged_eig)
@@ -311,6 +319,8 @@ class TestDingLiu:
         rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
         assert calls.count(False) == 1
         assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
+        # every record is filed under λ, not under the instance's α = s₀
+        assert all(0.0 < p.param < -g0.min for p in rep.probes)
         assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
         assert_bracket_on_probes(rep, 1e-2)
 
