@@ -25,32 +25,6 @@ from .solvers import SolveReport, SolverOptions
 
 MODES = ("solve", "threshold", "dingliu", "family", "diagnose", "selftest")
 
-DEFAULTS = {
-    "d": "2",
-    "sizes": "",           # default filled from d: 64,64 or 16,16,16,16
-    "lengths": "",
-    "n": "",               # default d/2
-    "field": "",
-    "field_value": "",
-    "field_offset": "0",
-    "field_seed": "",
-    "field_p": "",
-    "field_shift_max_zero": "false",
-    "alpha": "",
-    "alphas": "",
-    "s0": "-1.0",
-    "tol": "",
-    "residual_tol": "1e-10",
-    "budget": "1.0",
-    "count": "8",
-    "start_alpha": "-0.01",
-    "solver": "newton",
-    "with_eigs": "false",
-    "inject": "none",      # testing hook for negative controls: none|diverge_down|diverge_up
-    "out": "",
-    "single_thread": "true",
-}
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -65,81 +39,104 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _number(kind, many=False):
+    def read(text: str):
+        try:
+            return [kind(x) for x in text.split(",") if x.strip()] if many else kind(text)
+        except ValueError:
+            raise ValueError(f"malformed number {text!r}") from None
+    return read
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _positive(text: str) -> float:
+    if not (value := _float(text)) > 0:
+        raise ValueError(f"must be positive, got {text!r}")
+    return value
+
+
+def _choice(*options: str, kind=str):
+    def read(text: str):
+        if text not in options:
+            raise ValueError(f"must be one of {'|'.join(options)}")
+        return kind(text)
+    return read
+
+
 TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _bool(s: str) -> bool:
-    return s.strip().lower() in TRUE_WORDS
+def _bool(text: str) -> bool:
+    return _choice(*TRUE_WORDS, *FALSE_WORDS, kind=lambda w: w in TRUE_WORDS)(text.strip().lower())
 
 
-def _int_list(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip()]
-
-
-def _float_list(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip()]
-
-
-# how each numeric key is read; a key whose default is empty may stay empty
-NUMERIC_KEYS = {
-    "sizes": _int_list, "lengths": _float_list, "alphas": _float_list,
-    "n": int, "field_seed": int, "count": int,
-    **{key: float for key in ("field_value", "field_offset", "field_p", "alpha", "s0",
-                              "tol", "residual_tol", "budget", "start_alpha")},
+# every config key: its default text and its reader, which returns the key's
+# value or raises ValueError saying what is wrong with the text. A key whose
+# default is empty may stay empty, and then reads as None.
+KEYS = {
+    "d": ("2", _choice("2", "4", kind=int)),
+    "sizes": ("", _number(int, many=True)),      # default from d: 64,64 or 16,16,16,16
+    "lengths": ("", _number(float, many=True)),  # default 1 per axis
+    "field": ("", str),
+    "field_value": ("", _float),
+    "field_offset": ("0", _float),
+    "field_seed": ("", _int),
+    "field_p": ("", _float),
+    "alpha": ("", _float),
+    "alphas": ("", _number(float, many=True)),
+    "s0": ("-1.0", _float),
+    "tol": ("", _positive),                      # default 1e-3, or 1e-2 for dingliu
+    "residual_tol": ("1e-10", _positive),
+    "count": ("8", _int),
+    "solver": ("newton", _choice("newton", "probe")),
+    "with_eigs": ("false", _bool),
+    "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
+    "out": ("", str),
+    "single_thread": ("true", _bool),            # accepted; the package is single-threaded
 }
-CHOICES = {"d": ("2", "4"), "solver": ("newton", "probe"),
-           "inject": ("none", "diverge_down", "diverge_up")}
 
 
-def validate(mode: str, cfg: dict[str, str]) -> list[str]:
-    problems, parsed = [], {}
-    for key, parse in NUMERIC_KEYS.items():
-        if cfg[key] or DEFAULTS[key]:
+def validate(mode: str, text: dict[str, str]) -> tuple[list[str], dict]:
+    """The problems of a config and its typed values: every key of KEYS read
+    once from its text by its reader (None for a key left empty)."""
+    problems, cfg = [], dict.fromkeys(KEYS)
+    for key, (default, read) in KEYS.items():
+        if text[key] or default:
             try:
-                parsed[key] = parse(cfg[key])
-            except ValueError:
-                problems.append(f"{key}: malformed number {cfg[key]!r}")
-    if mode != "selftest" and not cfg["field"]:
+                cfg[key] = read(text[key])
+            except ValueError as e:
+                problems.append(f"{key}: {e}")
+    if mode != "selftest" and not text["field"]:
         problems.append("field: required (const|cos1|sin1|two_mode|random_fourier)")
-    if mode == "solve" and not cfg["alpha"]:
+    if mode == "solve" and not text["alpha"]:
         problems.append("alpha: required for mode=solve")
-    if cfg["field"] == "const" and not cfg["field_value"]:
+    if text["field"] == "const" and not text["field_value"]:
         problems.append("field_value: required for field=const")
-    if cfg["field"] == "random_fourier":
-        if not cfg["field_seed"]:
+    if text["field"] == "random_fourier":
+        if not text["field_seed"]:
             problems.append("field_seed: required for field=random_fourier")
-        if not cfg["field_p"]:
+        if not text["field_p"]:
             problems.append("field_p: required for field=random_fourier")
-    for key, choices in CHOICES.items():
-        if cfg[key] not in choices:
-            problems.append(f"{key}: must be one of {'|'.join(choices)}")
-    for key in ("field_shift_max_zero", "with_eigs", "single_thread"):
-        if cfg[key].strip().lower() not in TRUE_WORDS + FALSE_WORDS:
-            problems.append(f"{key}: must be one of {'|'.join(TRUE_WORDS + FALSE_WORDS)}")
     try:
-        threshold.check_schedule(parsed.get("alphas", []))
+        threshold.check_schedule(cfg["alphas"] or [])
     except SolverError as e:
         problems.append(f"alphas: {e}")
-    return problems
+    return problems, cfg
 
 
 def build_domain(cfg):
-    d = int(cfg["d"])
-    sizes = _int_list(cfg["sizes"]) if cfg["sizes"] else [64] * 2 if d == 2 else [16] * 4
-    lengths = _float_list(cfg["lengths"]) if cfg["lengths"] else [1.0] * d
+    d = cfg["d"]
+    sizes = cfg["sizes"] if cfg["sizes"] is not None else [64] * 2 if d == 2 else [16] * 4
+    lengths = cfg["lengths"] if cfg["lengths"] is not None else [1.0] * d
     return make_torus(d, sizes, lengths)
 
 
 def build_field(cfg, domain) -> ScalarField:
-    return named_field(
-        domain,
-        cfg["field"],
-        value=float(cfg["field_value"]) if cfg["field_value"] else None,
-        offset=float(cfg["field_offset"]),
-        seed=int(cfg["field_seed"]) if cfg["field_seed"] else None,
-        decay_p=float(cfg["field_p"]) if cfg["field_p"] else None,
-        shift_max_zero=_bool(cfg["field_shift_max_zero"]),
-    )
+    return named_field(domain, cfg["field"], value=cfg["field_value"],
+                       offset=cfg["field_offset"], seed=cfg["field_seed"],
+                       decay_p=cfg["field_p"])
 
 
 def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
@@ -165,39 +162,39 @@ def _injected_family(domain, sign: float, count: int) -> list[SolveReport]:
     ]
 
 
-def start_outputs(mode: str, cfg: dict[str, str], outdir: Path, S=None) -> None:
+def start_outputs(mode: str, text: dict[str, str], outdir: Path, S=None) -> None:
     """Start the outputs after the mode's solve, search or walk: rejected input writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective_config.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in sorted({**cfg, "mode": mode}.items()))
+        "".join(f"{k}={v}\n" for k, v in sorted({**text, "mode": mode}.items()))
     )
     if S is not None:
         serialize.write_field(S, outdir / "S", label="S")
 
 
-def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
+def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, dict]:
+    """Run mode on validate's typed cfg; text, the config as given, is written out."""
     summary: dict = {"mode": mode}
 
     if mode == "selftest":
         summary["checks_failed"] = failures = _selftest()
-        start_outputs(mode, cfg, outdir)
+        start_outputs(mode, text, outdir)
         return (2 if failures else 0), summary
 
     domain = build_domain(cfg)
     S = build_field(cfg, domain)
-    n = int(cfg["n"]) if cfg["n"] else domain.d // 2
-    rtol = float(cfg["residual_tol"])
-    budget = float(cfg["budget"])
+    n = domain.d // 2
+    rtol = cfg["residual_tol"]
     summary["mean_S"] = integrate(S) / domain.volume
 
     if mode == "solve":
-        inst = ProblemInstance(domain, S, float(cfg["alpha"]), n)
+        inst = ProblemInstance(domain, S, cfg["alpha"], n)
         if cfg["solver"] == "probe":
-            record = threshold.probe_solvable(inst, budget, residual_tol=rtol)
+            record = threshold.probe_solvable(inst, residual_tol=rtol)
             rep = record.report
         else:
             rep = solvers.newton_solve(inst, SolverOptions(residual_tol=rtol))
-        start_outputs(mode, cfg, outdir, S)
+        start_outputs(mode, text, outdir, S)
         if rep is None:
             summary.update(converged=False, evidence=record.evidence)
             return 2, summary
@@ -210,12 +207,11 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
     # (param, report) and the instance make_inst(param) of each member
     thr = None
     injected = mode == "diagnose" and cfg["inject"] != "none"
-    tol = float(cfg["tol"]) if cfg["tol"] else 1e-2 if mode == "dingliu" else 1e-3
+    tol = cfg["tol"] or (1e-2 if mode == "dingliu" else 1e-3)
     if mode == "dingliu":
-        g0 = build_field({**cfg, "field_shift_max_zero": "true"}, domain)
-        s0 = float(cfg["s0"])
-        thr = threshold.ding_liu_lambda_star(g0, s0, domain, tol=tol, budget=budget,
-                                             residual_tol=rtol)
+        g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
+        s0 = cfg["s0"]
+        thr = threshold.ding_liu_lambda_star(g0, s0, domain, tol=tol, residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
 
         def make_inst(lam):
@@ -224,39 +220,34 @@ def run(mode: str, cfg: dict[str, str], outdir: Path) -> tuple[int, dict]:
         def make_inst(alpha):
             return ProblemInstance(domain, S, alpha, n)
 
-        if mode == "threshold" or not (injected or cfg["alphas"]):
-            thr = threshold.find_alpha_star(
-                S, n, domain, tol=tol, budget=budget,
-                start_alpha=float(cfg["start_alpha"]), residual_tol=rtol,
-            )
-    if thr is not None:
-        summary["threshold"] = _threshold_summary(thr)
+        if mode == "threshold" or not injected and cfg["alphas"] is None:
+            thr = threshold.find_alpha_star(S, n, domain, tol=tol, residual_tol=rtol)
 
     if mode in ("threshold", "dingliu"):
         family = thr.family
     else:
-        count = int(cfg["count"])
         if injected:
             sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
-            members = _injected_family(domain, sign, count)
-        elif cfg["alphas"]:
-            probes = threshold.walk_schedule(S, n, domain, _float_list(cfg["alphas"]),
-                                             budget, rtol)
+            members = _injected_family(domain, sign, cfg["count"])
+        elif cfg["alphas"] is not None:
+            probes = threshold.walk_schedule(S, n, domain, cfg["alphas"], residual_tol=rtol)
             members = [p.report for p in probes if p.solved]
         elif thr.unbounded:
             members = [r for _, r in thr.family]
         else:
-            members = threshold.limit_family(S, n, domain, thr, count, budget=budget,
-                                             residual_tol=rtol)
+            members = threshold.limit_family(S, n, domain, thr, cfg["count"], residual_tol=rtol)
         summary["family_size"] = len(members)
         family = [(rep.alpha, rep) for rep in members]
 
     if mode == "diagnose" and family:
         # the cutoff can reject S, so it is found before any output is written
         phi, K, _ = diagnostics.auto_cutoff_region(S)
-    start_outputs(mode, cfg, outdir, S)
-    with_eigs = _bool(cfg["with_eigs"]) or mode == "diagnose"
+    start_outputs(mode, text, outdir, S)
+    with_eigs = cfg["with_eigs"] or mode == "diagnose"
     rows = [diagnostics.member_row(make_inst(p), rep, p, with_eigs) for p, rep in family]
+    if thr is not None:
+        # after the rows: a row may solve the λ_min of a probe's report
+        summary["threshold"] = _threshold_summary(thr)
     (outdir / "family.csv").write_text(diagnostics.table_csv(diagnostics.MEMBER_COLUMNS, rows))
     for i, (_, member) in enumerate(family):
         serialize.write_report(member, outdir / f"member_{i:03d}")
@@ -346,34 +337,33 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", default=None)
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="override any config key")
-    args = parser.parse_args(argv)
+    args, unrecognized = parser.parse_known_args(argv)
 
     try:
-        cfg = dict(DEFAULTS)
-        if args.config:
-            cfg.update(parse_config_file(args.config))
+        if unrecognized:
+            raise KWLabError(f"unrecognized arguments: {' '.join(unrecognized)}")
+        raw = parse_config_file(args.config) if args.config else {}
         for item in args.overrides:
             if "=" not in item:
                 raise KWLabError(f"override must be KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
-            if key not in DEFAULTS:
-                raise KWLabError(f"unknown config key {key!r}")
-            cfg[key] = value
-        if args.tol is not None:
-            cfg["tol"] = args.tol
+            raw[key] = value
         if args.out:
-            cfg["out"] = args.out
+            raw["out"] = args.out
+        for key in raw:
+            if key not in KEYS:
+                raise KWLabError(f"unknown config key {key!r}")
+        text = {key: raw.get(key, default) for key, (default, _) in KEYS.items()}
 
-        violations = validate(args.mode, cfg)
-        if violations:
-            raise KWLabError("config validation failed: " + "; ".join(violations))
+        problems, cfg = validate(args.mode, text)
+        if problems:
+            raise KWLabError("config validation failed: " + "; ".join(problems))
 
         outdir = Path(cfg["out"] or f"kwlab_out_{args.mode}")
         try:
-            code, summary = run(args.mode, cfg, outdir)
+            code, summary = run(args.mode, cfg, text, outdir)
         except EigenSolveError as e:
             # an unconverged eigenvalue is a numerical outcome, not an operational error
             code, summary = 2, {"mode": args.mode, "error": str(e)}

@@ -23,6 +23,7 @@ from .solvers import SolveReport
 TREND_SLOPE_TOL = 0.01     # per member, after normalization by the column scale
 SUPPORT_EPS = 1e-12        # φ > this counts as support
 PLATEAU_TOL = 1e-9         # φ ≥ 1 − this counts as the plateau {φ = 1}
+CUTOFF_LEVEL = 0.05        # auto_cutoff_region's M₋ is {S < −CUTOFF_LEVEL·sup|S|}
 
 
 def trend_slope(values: list[float]) -> float:
@@ -82,11 +83,11 @@ def apriori_c0_bound(
     if not alpha_star < 0:
         raise DomainError("alpha_star must be negative")
     support = phi.values > SUPPORT_EPS
+    if not np.any(support):
+        raise DomainError("cutoff support is empty")
     if np.any(S.values[support] >= 0):
         raise DomainError("cutoff support leaks outside {S < 0}")
     max_S_supp = float(np.max(S.values[support]))
-    if max_S_supp >= 0:
-        raise DomainError("max of S on supp φ must be negative")
     if not np.all(phi.values[K.mask] >= 1.0 - PLATEAU_TOL):
         raise DomainError("K must lie inside the plateau {φ = 1}")
 
@@ -111,22 +112,22 @@ def apriori_c0_bound(
     )
 
 
-def auto_cutoff_region(S: ScalarField, eps0: float | None = None):
+def auto_cutoff_region(S: ScalarField):
     """Default (φ, K, M₋) for diagnostics on a given S.
 
-    M₋ is the sublevel set {S < −ε₀}; φ is a radial cutoff centered at the
-    minimizer of S with the largest outer radius whose ball stays inside
-    M₋; K is a ball inside the plateau of φ. When S < −ε₀ everywhere the
-    cutoff degenerates to φ ≡ 1 with K the whole torus.
+    M₋ is the sublevel set {S < −ε₀}, ε₀ = CUTOFF_LEVEL·sup|S|; φ is a
+    radial cutoff centered at the minimizer of S with the largest outer
+    radius whose ball stays inside M₋; K is a ball inside the plateau of φ.
+    When S < −ε₀ everywhere the cutoff degenerates to φ ≡ 1 with K the
+    whole torus.
     """
     from .domain import CutoffSpec, ball_mask, make_cutoff, sublevel_mask
 
     domain = S.domain
-    if eps0 is None:
-        eps0 = 0.05 * S.sup_norm
+    eps0 = CUTOFF_LEVEL * S.sup_norm
     m_minus = sublevel_mask(S, -eps0, label="M_minus")
     if m_minus.empty:
-        raise DomainError(f"{{S < -{eps0}}} is empty; pick a smaller eps0")
+        raise DomainError(f"{{S < -{eps0}}} is empty: S is nowhere below -{CUTOFF_LEVEL}·sup|S|")
     if not np.any(~m_minus.mask):
         phi = ScalarField.constant(domain, 1.0)
         K = RegionMask(domain, np.ones(domain.sizes, dtype=bool), "K")

@@ -27,6 +27,7 @@ ARMIJO = 1e-4               # sufficient-decrease constant of both line searches
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PGD_MAX_ITERS = 20000       # projected-gradient iterations of minimize_over_interval
 MONOTONE_MAX_ITERS = 50000  # fixed-point iterations of monotone_iterate
+ORDER_SLACK = 1e-9          # residual sign tolerance of an OrderInterval's endpoints
 
 
 @dataclass
@@ -68,16 +69,16 @@ class OrderInterval:
     lower: ScalarField
     upper: ScalarField
 
-    def validate(self, inst: ProblemInstance, slack: float = 1e-9):
+    def validate(self, inst: ProblemInstance):
         if np.any(self.lower.values > self.upper.values):
             raise SolverError("order interval inverted: lower > upper somewhere")
         r_lo = problem.residual(inst, self.lower)
-        if float(np.max(r_lo.values)) > slack:
+        if float(np.max(r_lo.values)) > ORDER_SLACK:
             raise SolverError(
                 f"lower endpoint is not a sub-solution (max residual {np.max(r_lo.values):.3g})"
             )
         r_hi = problem.residual(inst, self.upper)
-        if float(np.min(r_hi.values)) < -slack:
+        if float(np.min(r_hi.values)) < -ORDER_SLACK:
             raise SolverError(
                 f"upper endpoint is not a super-solution (min residual {np.min(r_hi.values):.3g})"
             )

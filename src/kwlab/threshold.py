@@ -21,6 +21,8 @@ from .solvers import SolveReport, SolverOptions
 # S ≤ 0 regime is solvable at every negative α)
 UNBOUNDED_PROBE_ALPHAS = (-1.0, -10.0, -100.0, -1000.0)
 
+START_ALPHA = -0.01  # find_alpha_star's first probe; divided by 4 until one solves
+
 # the continuation search (_fold_search): step control and closing rules.
 # Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
 FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
@@ -145,15 +147,15 @@ def probe_solvable(
     return ProbeRecord(param, evidence)
 
 
-def _probe_twice(inst, budget, **kw) -> ProbeRecord:
+def _probe_twice(inst, **kw) -> ProbeRecord:
     """The ProbeRecord of probe_solvable at 1x budget or, only when some
     engine ran out of iterations, at 4x; a failed retry's evidence starts
     with the first probe's. Stagnation, line-search failure and blow-up
     repeat identically at any budget, so they are not retried."""
-    v = probe_solvable(inst, budget, **kw)
+    v = probe_solvable(inst, **kw)
     if v.solved or not v.budget_exhausted:
         return v
-    v4 = probe_solvable(inst, 4.0 * budget, **kw)
+    v4 = probe_solvable(inst, 4.0, **kw)
     if v4.solved:
         return v4
     v4.evidence = v.evidence + v4.evidence
@@ -171,7 +173,6 @@ def walk_schedule(
     n: int,
     domain: TorusDomain,
     alphas: Sequence[float],
-    budget: float = 1.0,
     residual_tol: float = 1e-10,
 ) -> list[ProbeRecord]:
     """One ProbeRecord per α probed along a strictly decreasing α schedule;
@@ -188,7 +189,7 @@ def walk_schedule(
     probes: list[ProbeRecord] = []
     for a in alphas:
         last = probes[-1].report if probes else None
-        probes.append(_probe_twice(ProblemInstance(domain, S, a, n), budget,
+        probes.append(_probe_twice(ProblemInstance(domain, S, a, n),
                                    warm_start=last.solution if last else None,
                                    residual_tol=residual_tol))
         if not probes[-1].solved:
@@ -238,7 +239,7 @@ def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
     return float(x_land * (np.mean(a.du * du) + a.dt * dt))
 
 
-def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, residual_tol):
+def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol):
     """The threshold search behind find_alpha_star and ding_liu_lambda_star.
 
     Works in t = ±param (t = α, or t = −λ), where the solvable side is
@@ -257,13 +258,16 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
     the gap to the failed end. The bracket ends on a converged point and a
     failed probe, at most tol apart. probes lists the bootstrap probes, the
     stable points and the closing probes; the solved ones, t strictly
-    decreasing, each with its report and λ_min, are the family.
+    decreasing, each with its report and λ_min, are the family. A tol that
+    is not positive raises SolverError.
     """
+    if not tol > 0:
+        raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
     sign = 1.0 if param_name == "alpha" else -1.0
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
-        v = _probe_twice(make_inst(param), budget, param=param, residual_tol=residual_tol)
+        v = _probe_twice(make_inst(param), param=param, residual_tol=residual_tol)
         probes.append(v)
         if v.solved:
             break
@@ -321,7 +325,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, budget, resid
             nxt_t, step = t - step, 2.0 * step
         else:
             nxt_t = t - GAP_FRACTION * (t - t_failed)
-        v = _probe_twice(inst_at(nxt_t), budget, param=sign * nxt_t, warm_start=report.solution,
+        v = _probe_twice(inst_at(nxt_t), param=sign * nxt_t, warm_start=report.solution,
                          residual_tol=residual_tol)
         probes.append(v)
         if v.solved:
@@ -344,8 +348,6 @@ def find_alpha_star(
     n: int,
     domain: TorusDomain,
     tol: float = 1e-3,
-    budget: float = 1.0,
-    start_alpha: float = -0.01,
     residual_tol: float = 1e-10,
 ) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
@@ -354,7 +356,7 @@ def find_alpha_star(
     verifies that regime on the fixed ladder UNBOUNDED_PROBE_ALPHAS (a failed
     member raises SolverError with its evidence), and it is reported as
     unbounded with the ladder as its family.
-    Otherwise `_fold_search` finds a solvable α near 0⁻ (start_alpha,
+    Otherwise `_fold_search` finds a solvable α near 0⁻ (START_ALPHA,
     divided by 4 on failure) and follows the solution branch down to its
     fold at α★ by pseudo-arclength continuation, where the stability
     eigenvalue λ_min vanishes. lo is a failed probe just past the fold, hi
@@ -365,7 +367,7 @@ def find_alpha_star(
     if integrate(S) >= 0:
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
-        probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, budget, residual_tol)
+        probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, residual_tol)
         if not probes[-1].solved:
             raise SolverError(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
@@ -376,9 +378,7 @@ def find_alpha_star(
         return ProblemInstance(domain, S, alpha, n)
 
     # t = α: ∂F/∂t = 1
-    return _fold_search(
-        make_inst, lambda e: 1.0, "alpha", float(start_alpha), 4.0, tol, budget, residual_tol
-    )
+    return _fold_search(make_inst, lambda e: 1.0, "alpha", START_ALPHA, 4.0, tol, residual_tol)
 
 
 def ding_liu_instance(g0: ScalarField, s0: float, lam: float) -> ProblemInstance:
@@ -391,7 +391,6 @@ def ding_liu_lambda_star(
     s0: float,
     domain: TorusDomain,
     tol: float = 1e-2,
-    budget: float = 1.0,
     residual_tol: float = 1e-10,
 ) -> ThresholdReport:
     """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.
@@ -416,10 +415,8 @@ def ding_liu_lambda_star(
     lam_max = -g0.min
 
     # t = −λ: F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
-    rep = _fold_search(
-        lambda lam: ding_liu_instance(g0, s0, lam), lambda e: e, "lambda", 0.05 * lam_max, 2.0,
-        tol, budget, residual_tol,
-    )
+    rep = _fold_search(lambda lam: ding_liu_instance(g0, s0, lam), lambda e: e, "lambda",
+                       0.05 * lam_max, 2.0, tol, residual_tol)
     if not (0.0 < rep.lo and rep.hi < lam_max):
         raise SolverError(
             f"lambda bracket [{rep.lo}, {rep.hi}] does not lie strictly inside (0, {lam_max})"
@@ -433,7 +430,6 @@ def limit_family(
     domain: TorusDomain,
     threshold_report: ThresholdReport,
     count: int,
-    budget: float = 1.0,
     residual_tol: float = 1e-10,
 ) -> list[SolveReport]:
     """Converged solutions at count values of α descending geometrically
@@ -451,5 +447,5 @@ def limit_family(
     # sqrt(α − α★), so the faster schedule is what makes an 8-member
     # family visibly plateau in the diagnostics
     alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    probes = walk_schedule(S, n, domain, alphas, budget, residual_tol)
+    probes = walk_schedule(S, n, domain, alphas, residual_tol)
     return [p.report for p in probes if p.solved]

@@ -76,6 +76,52 @@ def test_malformed_number_exit_1(tmp_path, capsys, override):
     assert cap.out == ""
 
 
+def test_unknown_config_file_key_exit_1(tmp_path, capsys):
+    # a config file's keys are checked like overrides
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text("field = const\nfield_value = -1.0\nalpha = -2.0\nbudgett = 3\n")
+    code, cap = run_cli(
+        capsys, "solve", "--config", str(cfgfile), "--out", str(tmp_path / "run"), "sizes=16,16"
+    )
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == "unknown config key 'budgett'"
+    assert cap.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["n=1"], ["budget=1.0"], ["start_alpha=-0.01"], ["field_shift_max_zero=false"],
+    ["--tol", "1e-3"],
+], ids=["n", "budget", "start_alpha", "field_shift_max_zero", "--tol"])
+def test_removed_settings_rejected(tmp_path, capsys, args):
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(tmp_path / "thr"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", *args,
+    )
+    assert code == 1
+    assert args[0].partition("=")[0] in json.loads(cap.err.strip())["error"]
+    assert cap.out == ""
+    assert not (tmp_path / "thr").exists()
+
+
+@pytest.mark.parametrize("key", ["tol", "residual_tol"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("mode, field", [
+    ("threshold", ["field=sin1", "field_offset=-0.5"]),
+    ("dingliu", ["field=two_mode"]),
+], ids=["threshold", "dingliu"])
+def test_nonpositive_tol_rejected(tmp_path, capsys, mode, field, value, key):
+    code, cap = run_cli(
+        capsys, mode, "--out", str(tmp_path / "run"), *field, "sizes=16,16", f"{key}={value}",
+    )
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == (
+        f"config validation failed: {key}: must be positive, got '{value}'"
+    )
+    assert cap.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_and_override_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text(
@@ -185,6 +231,23 @@ def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
     rows = csv_floats(out / "family.csv")
     assert [row[-1] for row in rows] == solved
     assert [row[0] for row in rows] == [p["param"] for p in thr["probes"] if p["solved"]]
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("diagnose", []),
+    ("threshold", ["with_eigs=true"]),
+], ids=["diagnose", "threshold"])
+def test_summary_probes_carry_the_rows_lambda_min(tmp_path, capsys, mode, extra):
+    # S ≡ −1: the unbounded ladder, whose λ_min only the member rows solve
+    out = tmp_path / mode
+    code, cap = run_cli(
+        capsys, mode, "--out", str(out), "field=const", "field_value=-1", "sizes=16,16", *extra,
+    )
+    thr = json.loads((out / "summary.json").read_text())["threshold"]
+    assert thr["unbounded"]
+    rows = csv_floats(out / "family.csv")
+    assert len(rows) == len(thr["probes"]) == 4
+    assert [(p["param"], p["min_eig"]) for p in thr["probes"]] == [(r[0], r[-1]) for r in rows]
 
 
 def test_residual_tol_reaches_the_search(tmp_path, capsys, monkeypatch):

@@ -110,6 +110,13 @@ class TestAprioriBound:
         with pytest.raises(DomainError):
             apriori_c0_bound(ScalarField.constant(t2_32, -1.0), 0.0, phi, K, n=1)
 
+    def test_rejects_empty_cutoff_support(self, t2_32):
+        # φ ≡ 0 has no support on which to take the max of S
+        phi = ScalarField.constant(t2_32, 0.0)
+        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
+        with pytest.raises(DomainError, match="cutoff support is empty"):
+            apriori_c0_bound(ScalarField.constant(t2_32, -1.0), -2.0, phi, K, n=1)
+
 
 class TestAutoCutoff:
     def test_sign_changing(self, t2_64, sin_minus_half):

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import kwlab
+from kwlab import cli
 
 
 def test_no_assert_statements():
@@ -14,3 +15,14 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_config_key_is_read():
+    # a key whose typed value nothing reads is a setting that changes
+    # nothing; single_thread stays accepted for configs that pass it
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+    assert set(cli.KEYS) - read == {"single_thread"}

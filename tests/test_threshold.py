@@ -145,7 +145,7 @@ class TestRetry:
 
         monkeypatch.setattr(threshold, "probe_solvable", fake)
         inst = ProblemInstance(t2_16, sine_field(t2_16, -0.5), -50.0, 1)
-        v = _probe_twice(inst, 1.0)
+        v = _probe_twice(inst)
         assert calls == budgets
         assert not v.solved
         assert v.evidence == evidence * len(budgets)
@@ -239,8 +239,8 @@ class TestAlphaStar:
         closing = []
         original = threshold._probe_twice
 
-        def counted(inst, budget, **kw):
-            v = original(inst, budget, **kw)
+        def counted(inst, **kw):
+            v = original(inst, **kw)
             closing.append(v.solved)
             return v
 
@@ -287,6 +287,19 @@ class TestEigenFallback:
         assert 0.0 < rep.lo < rep.hi < -g0.min
         assert all(p.min_eig is None for p in rep.probes)
         assert_bracket_on_probes(rep, 1e-2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_search_rejects_nonpositive_tol(t2_16, monkeypatch, tol):
+    # a search with tol ≤ 0 could never close its bracket: it is refused
+    # before the first probe
+    calls = counting_probes(monkeypatch)
+    with pytest.raises(SolverError, match="tol > 0"):
+        find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=tol)
+    g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+    with pytest.raises(SolverError, match="tol > 0"):
+        ding_liu_lambda_star(g0, -1.0, t2_16, tol=tol)
+    assert calls == []
 
 
 class TestDingLiu:
