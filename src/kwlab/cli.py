@@ -54,6 +54,14 @@ _int, _float = _number(int), _number(float)
 def _positive(text: str) -> float:
     if not (value := _float(text)) > 0:
         raise ValueError(f"must be positive, got {text!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    if (value := _int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -89,7 +97,7 @@ KEYS = {
     "s0": ("-1.0", _float),
     "tol": ("", _positive),                      # default 1e-3, or 1e-2 for dingliu
     "residual_tol": ("1e-10", _positive),
-    "count": ("8", _int),
+    "count": ("8", _count),
     "solver": ("newton", _choice("newton", "probe")),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
@@ -327,8 +335,15 @@ def _selftest() -> list[str]:
     return failures
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown or missing mode) are operational errors: exit 1 with JSON."""
+
+    def error(self, message):
+        raise KWLabError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kwlab",
         description="Numerical laboratory for -Δu + α = S·exp(2u/n) on flat tori",
     )
@@ -339,9 +354,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="override any config key")
-    args, unrecognized = parser.parse_known_args(argv)
-
     try:
+        args, unrecognized = parser.parse_known_args(argv)
         if unrecognized:
             raise KWLabError(f"unrecognized arguments: {' '.join(unrecognized)}")
         raw = parse_config_file(args.config) if args.config else {}

@@ -64,11 +64,12 @@ def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:
     return np.exp(arg)
 
 
-def residual(inst: ProblemInstance, u: ScalarField) -> ScalarField:
-    """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0."""
-    plan = spectral.get_plan(inst.domain)
-    lap = spectral.laplacian(plan, u)
-    vals = -lap.values + inst.alpha - inst.S.values * conformal_factor(inst, u)
+def residual(inst: ProblemInstance, u: ScalarField, lap=None) -> ScalarField:
+    """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0. lap is the
+    grid of Δu when the caller already has it."""
+    if lap is None:
+        lap = spectral.laplacian(spectral.get_plan(inst.domain), u).values
+    vals = -lap + inst.alpha - inst.S.values * conformal_factor(inst, u)
     return ScalarField(inst.domain, vals)
 
 

@@ -86,9 +86,10 @@ class SchrodingerOperator:
     """The Schrödinger operator x ↦ −Δx + W·x on one plan's grid, with the
     Fourier-diagonal solve x ↦ (−Δ + c)⁻¹x of its constant-coefficient part.
 
-    W is a grid array or a scalar, c > 0. `apply` and `solve_diagonal` take
-    grids or flattened grids and keep the shape; `A` and `M` expose them as
-    scipy LinearOperators for the Krylov and eigen-solvers.
+    W is a grid array or a scalar, c > 0. `apply`, `solve_diagonal` and
+    `apply_preconditioned` take grids or flattened grids and keep the shape;
+    `A`, `M` and `MA` expose them as scipy LinearOperators for the eigen- and
+    Krylov solvers.
     """
 
     def __init__(self, plan: SpectralPlan, W, c: float):
@@ -107,6 +108,10 @@ class SchrodingerOperator:
     def M(self) -> LinearOperator:
         return LinearOperator(self.shape, matvec=self.solve_diagonal, dtype=float)
 
+    @property
+    def MA(self) -> LinearOperator:
+        return LinearOperator(self.shape, matvec=self.apply_preconditioned, dtype=float)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         plan, g = self.plan, x.reshape(self.plan.domain.sizes)
         return (plan.ifft(plan.ksq * plan.fft(g)) + self.W * g).reshape(x.shape)
@@ -114,6 +119,11 @@ class SchrodingerOperator:
     def solve_diagonal(self, x: np.ndarray) -> np.ndarray:
         plan, g = self.plan, x.reshape(self.plan.domain.sizes)
         return plan.ifft(plan.fft(g) / (plan.ksq + self.c)).reshape(x.shape)
+
+    def apply_preconditioned(self, x: np.ndarray) -> np.ndarray:
+        """x ↦ M·A·x = x + (−Δ + c)⁻¹((W − c)·x): one FFT pair; M·(A·x) costs two."""
+        g = x.reshape(self.plan.domain.sizes)
+        return x + self.solve_diagonal((self.W - self.c) * g).reshape(x.shape)
 
 
 def helmholtz_solve(plan: SpectralPlan, c: float, rhs: ScalarField) -> ScalarField:

@@ -122,6 +122,59 @@ def test_nonpositive_tol_rejected(tmp_path, capsys, mode, field, value, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["tol", "residual_tol"])
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_nonfinite_tol_rejected(tmp_path, capsys, value, key):
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(tmp_path / "run"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", f"{key}={value}",
+    )
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == (
+        f"config validation failed: {key}: must be finite, got '{value}'"
+    )
+    assert cap.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_count_below_one_rejected(tmp_path, capsys, monkeypatch, value):
+    def no_search(*args, **kw):
+        raise AssertionError("the search ran before the config was checked")
+
+    monkeypatch.setattr(threshold, "find_alpha_star", no_search)
+    code, cap = run_cli(
+        capsys, "family", "--out", str(tmp_path / "fam"),
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", f"count={value}",
+    )
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == (
+        f"config validation failed: count: must be at least 1, got '{value}'"
+    )
+    assert cap.out == ""
+    assert not (tmp_path / "fam").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bogus", "--out", "o"], "argument mode: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: mode"),
+], ids=["unknown", "missing"])
+def test_bad_mode_exits_1_with_json(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    code, cap = run_cli(capsys, *args)
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"].startswith(message)
+    assert cap.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: kwlab" in capsys.readouterr().out
+
+
 def test_config_file_and_override_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text(

@@ -3,6 +3,7 @@ import pytest
 
 from kwlab import ProblemInstance, ScalarField
 from kwlab.errors import SolverError
+from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
 from kwlab.solvers import (
     OrderInterval,
@@ -164,6 +165,16 @@ class TestNewton:
         h = rep.residual_history
         # the last full step at least squares the residual scale
         assert h[-1] <= max(1e-12, 10 * h[-2] ** 2) or h[-1] <= 1e-13
+
+    @pytest.mark.parametrize("field", ["manufactured", "sin1"])
+    def test_last_residual_is_a_fresh_one(self, t2_32, field):
+        # the line search carries Δu along its steps; the reported residual
+        # of a converged solve is recomputed from the solution itself
+        inst = (make_manufactured(t2_32, n=1, alpha=-1.0)[0] if field == "manufactured"
+                else ProblemInstance(t2_32, named_field(t2_32, "sin1", offset=-0.5), -2.0, 1))
+        rep = newton_solve(inst, SolverOptions(start="constant"))
+        assert rep.converged and rep.iterations > 0
+        assert rep.residual_history[-1] == residual(inst, rep.solution).sup_norm
 
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root

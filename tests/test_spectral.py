@@ -106,6 +106,41 @@ class TestHelmholtz:
             helmholtz_solve(get_plan(t2_32), 0.0, ScalarField.constant(t2_32, 1.0))
 
 
+class TestPreconditionedApply:
+    @staticmethod
+    def operator(domain, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-3.0, 1.0, domain.sizes)
+        return spectral.SchrodingerOperator(get_plan(domain), W, float(np.mean(np.abs(W)))), rng
+
+    @pytest.mark.parametrize("grid", ["t2_32", "t4_16"])
+    def test_equals_diagonal_solve_of_apply(self, grid, request):
+        domain = request.getfixturevalue(grid)
+        op, rng = self.operator(domain, seed=41)
+        x = rng.standard_normal(domain.npoints)
+        expected = op.solve_diagonal(op.apply(x))
+        assert np.max(np.abs(op.apply_preconditioned(x) - expected)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(expected))))
+        assert np.array_equal(op.MA.matvec(x), op.apply_preconditioned(x))
+
+    def test_one_fft_pair_per_call(self, t2_32, monkeypatch):
+        op, rng = self.operator(t2_32, seed=43)
+        calls = []
+
+        def counted(name):
+            original = getattr(spectral.SpectralPlan, name)
+
+            def wrapper(plan, values):
+                calls.append(name)
+                return original(plan, values)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(spectral.SpectralPlan, name, counted(name))
+        op.apply_preconditioned(rng.standard_normal(t2_32.npoints))
+        assert calls == ["fft", "ifft"]
+
+
 class TestMinEigenvalue:
     def test_constant_potential(self, t2_32):
         lam = min_eigenvalue(get_plan(t2_32), ScalarField.constant(t2_32, 2.5), 1e-9)

@@ -373,3 +373,15 @@ class TestLimitFamily:
         # last member sits within a quarter of the initial offset of the bracket
         assert alphas[-1] - rep.hi <= 0.25 * (alphas[0] - rep.hi)
         assert all(r.converged for r in fam)
+
+
+def test_lambda_star_is_where_alpha_star_crosses_s0(t2_16):
+    # the paper proves Ding-Liu's theorem through the Chen-Li type threshold:
+    # −Δu + s₀ = (g₀ + λ)e^{2u} is solvable iff s₀ > α★(g₀ + λ), so across a
+    # λ★ bracket α★(g₀ + λ) crosses s₀. Each search is checked by the other.
+    s0 = -1.0
+    g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+    lam = ding_liu_lambda_star(g0, s0, t2_16, tol=1e-2)
+    below, above = (find_alpha_star(ScalarField(t2_16, g0.values + x), 1, t2_16, tol=1e-3)
+                    for x in (lam.lo, lam.hi))
+    assert below.hi < s0 < above.lo
