@@ -1,6 +1,7 @@
 """Numerical laboratory for the Kazdan-Warner equation −Δu + α = S·e^{2u/n}
-on flat tori: spectral solvers, sub/super-solution machinery, critical
-thresholds, and executable a-priori estimates.
+on flat tori: a spectral Newton–Krylov solver, a pseudo-arclength
+continuation through folds, critical thresholds, and executable a-priori
+estimates.
 """
 
 from .domain import (
@@ -15,13 +16,12 @@ from .domain import (
     sublevel_mask,
 )
 from .problem import EnergyBreakdown, ProblemInstance
-from .solvers import OrderInterval, SolveReport, SolverOptions
+from .solvers import SolveReport, SolverOptions
 from .threshold import ProbeRecord, ThresholdReport
 
 __all__ = [
     "CutoffSpec",
     "EnergyBreakdown",
-    "OrderInterval",
     "ProbeRecord",
     "ProblemInstance",
     "RegionMask",

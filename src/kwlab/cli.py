@@ -42,9 +42,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def _number(kind, many=False):
     def read(text: str):
         try:
-            return [kind(x) for x in text.split(",") if x.strip()] if many else kind(text)
+            values = [kind(x) for x in text.split(",") if x.strip()] if many else [kind(text)]
         except ValueError:
             raise ValueError(f"malformed number {text!r}") from None
+        if kind is float and not np.all(np.isfinite(values)):
+            raise ValueError(f"must be finite, got {text!r}")
+        return values if many else values[0]
     return read
 
 
@@ -54,8 +57,6 @@ _int, _float = _number(int), _number(float)
 def _positive(text: str) -> float:
     if not (value := _float(text)) > 0:
         raise ValueError(f"must be positive, got {text!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
     return value
 
 

@@ -229,10 +229,6 @@ class FamilyDiagnostics:
     verdicts: dict[str, bool]
     A_observed: float
 
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
-
     def to_csv(self) -> str:
         return table_csv(FAMILY_COLUMNS, self.rows)
 

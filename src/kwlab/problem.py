@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .domain import ScalarField, TorusDomain, integrate
+from .domain import ScalarField, TorusDomain
 from .errors import BlowUpError, DomainError
 
 # e^{2u/n} is never evaluated past this exponent; hitting the cap is treated
@@ -37,11 +37,6 @@ class ProblemInstance:
             raise DomainError(f"alpha must be negative, got {self.alpha}")
         if self.S.domain != self.domain:
             raise DomainError("S lives on a different domain")
-
-    @property
-    def mean_S_negative(self) -> bool:
-        """Admissibility flag: ∫S < 0 is necessary for a finite-threshold path."""
-        return integrate(self.S) < 0
 
 
 @dataclass(frozen=True)

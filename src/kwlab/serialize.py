@@ -1,17 +1,14 @@
-"""File formats: field files (flat little-endian binary + JSON header),
-CSV slices, problem-instance and report JSON."""
+"""File formats: field files (flat little-endian binary + JSON header) and
+solve-report JSON."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .domain import ScalarField, make_torus
-from .errors import DomainError
-from .problem import ProblemInstance
 from .solvers import SolveReport
 
 
@@ -38,55 +35,6 @@ def read_field(base: str | Path) -> ScalarField:
     raw = base.with_suffix(".field").read_bytes()
     values = np.frombuffer(raw, dtype="<f8").reshape(domain.sizes)
     return ScalarField(domain, values.astype(float))
-
-
-def write_slice_csv(f: ScalarField, path: str | Path, axes=(0, 1), index=None):
-    """CSV export of a 2-D slice (the whole field when d = 2)."""
-    vals = f.values
-    if f.domain.d == 4:
-        index = index or (0, 0)
-        keep = [ax for ax in range(4) if ax not in axes]
-        slicer = [slice(None)] * 4
-        for ax, i in zip(keep, index):
-            slicer[ax] = i
-        vals = vals[tuple(slicer)]
-    elif axes != (0, 1):
-        raise DomainError("2-d fields slice only along (0, 1)")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        x0 = f.domain.axis_coords(axes[0])
-        x1 = f.domain.axis_coords(axes[1])
-        writer.writerow(["x0", "x1", "value"])
-        for i in range(vals.shape[0]):
-            for j in range(vals.shape[1]):
-                # repr of a python float round-trips exactly
-                writer.writerow([repr(float(x0[i])), repr(float(x1[j])),
-                                 repr(float(vals[i, j]))])
-    return path
-
-
-def write_instance(inst: ProblemInstance, base: str | Path, label: str = "S") -> Path:
-    base = Path(base)
-    field_path = write_field(inst.S, base.with_name(base.name + "_S"), label=label)
-    payload = {
-        "n": inst.n,
-        "alpha": inst.alpha,
-        "S": field_path.name,
-        "sizes": list(inst.domain.sizes),
-        "lengths": list(inst.domain.lengths),
-    }
-    out = base.with_suffix(".instance.json")
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
-def read_instance(path: str | Path) -> ProblemInstance:
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    S = read_field(path.with_name(Path(payload["S"]).stem))
-    return ProblemInstance(S.domain, S, float(payload["alpha"]), int(payload["n"]))
 
 
 def report_summary(rep: SolveReport) -> dict:

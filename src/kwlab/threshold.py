@@ -91,10 +91,6 @@ class ThresholdReport:
         return [(p.param, p.report) for p in self.probes if p.solved]
 
     @property
-    def solvable_end(self) -> str:
-        return "hi" if self.param_name == "alpha" else "lo"
-
-    @property
     def solved_report(self) -> SolveReport:
         """The converged report at the solvable end: the family's last."""
         return self.family[-1][1]

@@ -20,10 +20,10 @@ from kwlab import (
 from kwlab import diagnostics, problem, spectral, threshold
 from kwlab.cli import main as cli_main
 from kwlab.fields import named_field
-from kwlab.solvers import SolverOptions, make_interval, minimize_over_interval, \
-    monotone_iterate, newton_solve
+from kwlab.solvers import SolverOptions, newton_solve
 
 from oracles import dense_alpha_star, restrict, smooth_random_field
+from subsuper import make_interval, minimize_over_interval, monotone_iterate
 from test_solvers import make_manufactured_neg
 from test_threshold import sine_field
 
@@ -230,7 +230,7 @@ def test_10_limit_family_bounded(t2_64a, threshold64, family64):
     ok = len(family64) == 8 and all(r.converged for r in family64)
     diag = diagnostics.family_table(family64, K, S, n=1)
     gap = family64[-1].alpha - rep.hi
-    ok = ok and diag.all_pass
+    ok = ok and all(diag.verdicts.values())
     failing = [k for k, v in diag.verdicts.items() if not v]
     report_line(10, "limit-family-bounded", ok,
                 f"verdicts all pass, nearest member at α★+{gap:.2e} converged"

@@ -122,8 +122,9 @@ def test_nonpositive_tol_rejected(tmp_path, capsys, mode, field, value, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["tol", "residual_tol"])
-@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("key", ["tol", "residual_tol", "s0", "alpha", "alphas", "field_offset",
+                                 "field_value", "field_p", "lengths"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
 def test_nonfinite_tol_rejected(tmp_path, capsys, value, key):
     code, cap = run_cli(
         capsys, "threshold", "--out", str(tmp_path / "run"),

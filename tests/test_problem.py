@@ -31,11 +31,6 @@ def test_instance_validation(t2_32):
         ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -1.0, 2)
 
 
-def test_admissibility_flag(t2_32):
-    assert ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -1.0, 1).mean_S_negative
-    assert not ProblemInstance(t2_32, ScalarField.constant(t2_32, 1.0), -1.0, 1).mean_S_negative
-
-
 class TestResidual:
     def test_constant_solution_n1(self, t2_32):
         inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -2.0), -2.0, 1)

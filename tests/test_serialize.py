@@ -1,18 +1,9 @@
-import csv
 import json
 
 import numpy as np
 
 from kwlab import ProblemInstance, ScalarField, make_torus
-from kwlab.serialize import (
-    read_field,
-    read_instance,
-    report_summary,
-    write_field,
-    write_instance,
-    write_report,
-    write_slice_csv,
-)
+from kwlab.serialize import read_field, report_summary, write_field, write_report
 from kwlab.solvers import newton_solve
 
 from oracles import smooth_random_field
@@ -35,36 +26,6 @@ def test_field_header_contents(tmp_path):
                       "label": "S"}
     raw = (tmp_path / "g.field").read_bytes()
     assert len(raw) == 8 * dom.npoints
-
-
-def test_instance_roundtrip(tmp_path, t2_32):
-    S = smooth_random_field(t2_32, seed=5, amplitude=0.5)
-    inst = ProblemInstance(t2_32, S, -1.25, 1)
-    path = write_instance(inst, tmp_path / "case")
-    back = read_instance(path)
-    assert back.alpha == inst.alpha and back.n == inst.n
-    assert np.array_equal(back.S.values, inst.S.values)
-
-
-def test_slice_csv(tmp_path, t2_16):
-    f = smooth_random_field(t2_16, seed=9)
-    path = write_slice_csv(f, tmp_path / "slice.csv")
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x0", "x1", "value"]
-    assert len(rows) == 1 + t2_16.npoints
-    # repr round-trips exactly
-    i, j = 3, 7
-    row = rows[1 + i * 16 + j]
-    assert float(row[2]) == f.values[i, j]
-
-
-def test_slice_csv_4d(tmp_path, t4_16):
-    f = ScalarField.constant(t4_16, 2.0)
-    path = write_slice_csv(f, tmp_path / "slice4.csv", axes=(0, 1), index=(2, 3))
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 16 * 16
 
 
 def test_report_roundtrip(tmp_path, t2_32):

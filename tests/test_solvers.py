@@ -6,20 +6,22 @@ from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
 from kwlab.solvers import (
-    OrderInterval,
     SolveReport,
     SolverOptions,
     arclength_correct,
     branch_point,
+    newton_solve,
+)
+
+from oracles import dense_newton, smooth_random_field
+from subsuper import (
+    OrderInterval,
     build_sub_solution,
     build_super_solution,
     make_interval,
     minimize_over_interval,
     monotone_iterate,
-    newton_solve,
 )
-
-from oracles import dense_newton, smooth_random_field
 from test_problem import make_manufactured
 from kwlab import spectral
 

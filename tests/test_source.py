@@ -1,6 +1,7 @@
 """Rules the package's source keeps as a whole."""
 
 import ast
+import re
 from pathlib import Path
 
 import kwlab
@@ -26,3 +27,11 @@ def test_every_config_key_is_read():
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
             and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
     assert set(cli.KEYS) - read == {"single_thread"}
+
+
+def test_readme_names_every_config_key():
+    # the README's key list is written by hand; it must name every key of the
+    # one key table and no key the table has dropped
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"Keys: (.*?)\.\s", readme, re.DOTALL).group(1)
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(cli.KEYS)
