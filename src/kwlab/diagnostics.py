@@ -1,11 +1,12 @@
 """Executable a-priori estimates: the maximum-principle sup bound on compact
-subsets of {S < 0}, lower bounds, and uniform-boundedness surrogates for
-solution families approaching the critical threshold.
+subsets of {S < 0}, and one per-member table whose columns carry the lower
+bound, sup+inf and uniform-boundedness surrogates for solution families
+approaching the critical threshold.
 
-"Uniformly bounded" for a finite family is operationalized as: every value
-finite, and the last-quartile trend flat (normalized slope within 0.01 per
-member). A finite family cannot certify a limit; the trend test is the
-falsifiable surrogate.
+Each trend verdict reads one column of the table under one rule: every value
+finite, and the last-quartile slope (normalized, per member) within bounds.
+"Uniformly bounded" is the two-sided rule, |slope| ≤ 0.01. A finite family
+cannot certify a limit; the trend test is the falsifiable surrogate.
 """
 
 from __future__ import annotations
@@ -40,8 +41,14 @@ def trend_slope(values: list[float]) -> float:
     return slope / scale
 
 
-def is_flat(values: list[float], tol: float = TREND_SLOPE_TOL) -> bool:
-    return np.all(np.isfinite(values)) and abs(trend_slope(values)) <= tol
+def _trend_within(values: list[float], low: float, high: float) -> bool:
+    """The trend rule: every value finite and the last-quartile slope in [low, high]."""
+    return bool(np.all(np.isfinite(values)) and low <= trend_slope(values) <= high)
+
+
+def is_flat(values: list[float]) -> bool:
+    """The two-sided trend rule: |last-quartile slope| ≤ TREND_SLOPE_TOL."""
+    return _trend_within(values, -TREND_SLOPE_TOL, TREND_SLOPE_TOL)
 
 
 @dataclass
@@ -49,11 +56,9 @@ class AprioriBoundCertificate:
     """sup_K u ≤ bound_on_sup_u for every solution at any α in (α★, 0),
     computed purely from (S, α★, φ, K) via the maximum principle."""
 
-    cutoff: ScalarField
     K: RegionMask
     C1: float
     bound_on_sup_u: float
-    n: int
     margins: list[float] = field(default_factory=list)
 
     def margin(self, u: ScalarField) -> float:
@@ -103,13 +108,7 @@ def apriori_c0_bound(
     bound_exp = -(n / 2.0) * C / max_S_supp
     if not (np.isfinite(bound_exp) and bound_exp > 0):
         raise DomainError("certificate degenerate: nonpositive bound on e^{2u/n}")
-    return AprioriBoundCertificate(
-        cutoff=phi,
-        K=K,
-        C1=C,
-        bound_on_sup_u=(n / 2.0) * float(np.log(bound_exp)),
-        n=n,
-    )
+    return AprioriBoundCertificate(K=K, C1=C, bound_on_sup_u=(n / 2.0) * float(np.log(bound_exp)))
 
 
 def auto_cutoff_region(S: ScalarField):
@@ -144,43 +143,6 @@ def auto_cutoff_region(S: ScalarField):
     phi = make_cutoff(domain, CutoffSpec(center=center, r_inner=r_in, r_outer=r_out))
     K = ball_mask(domain, center, 0.9 * r_in, label="K")
     return phi, K, m_minus
-
-
-@dataclass
-class LowerBoundVerdict:
-    passed: bool
-    A_observed: float
-    inf_series: list[float]
-
-
-def check_lower_bound(family: list[SolveReport]) -> LowerBoundVerdict:
-    """Uniform lower bound surrogate: family infima finite and not diverging
-    downward (last-quartile slope above −tolerance)."""
-    if not family:
-        raise DomainError("empty family")
-    infs = [rep.solution.min for rep in family]
-    A_obs = -min(infs)
-    passed = bool(np.all(np.isfinite(infs)) and trend_slope(infs) >= -TREND_SLOPE_TOL)
-    return LowerBoundVerdict(passed=passed, A_observed=A_obs, inf_series=infs)
-
-
-@dataclass
-class SupInfTrack:
-    series: list[float]
-    passed: bool
-
-
-def sup_inf_track(family: list[SolveReport], K: RegionMask) -> SupInfTrack:
-    """sup_K u + inf_K u per member; passes when bounded above across the
-    family (flat or decreasing last-quartile trend)."""
-    if K.empty:
-        raise DomainError("empty K")
-    series = []
-    for rep in family:
-        on_K = rep.solution.values[K.mask]
-        series.append(float(np.max(on_K) + np.min(on_K)))
-    passed = bool(np.all(np.isfinite(series)) and trend_slope(series) <= TREND_SLOPE_TOL)
-    return SupInfTrack(series=series, passed=passed)
 
 
 MEMBER_COLUMNS = ("param", "sup_norm_u", "energy", "defect", "lambda_min")
@@ -239,30 +201,36 @@ def family_table(
     S: ScalarField,
     n: int,
 ) -> FamilyDiagnostics:
-    """Per-member diagnostics plus boundedness verdicts.
+    """Per-member diagnostics plus boundedness verdicts, each read off one column.
 
     Each row is the member's member_row (its λ_min solved unless the report
     carries one), with the parameter named alpha, extended by the sup of u
     on K, the global inf of u, the Dirichlet seminorm, ∫e^{2u/n} and
-    sup_K u + inf_K u. The verdicts include check_lower_bound's (lower_bound,
-    whose A_observed the table keeps) and sup_inf_track's (sup_inf);
-    stability holds when every member's λ_min ≥ −1e-6.
+    sup_K u + inf_K u. The trend verdicts apply the one trend rule to a
+    column: lower_bound to inf_M_u (slope ≥ −TREND_SLOPE_TOL, not diverging
+    downward), sup_inf to sup_plus_inf (slope ≤ TREND_SLOPE_TOL, bounded
+    above), and is_flat to sup_K_u, grad_l2 and int_exp. stability holds when
+    every member's λ_min ≥ −1e-6, identity when every defect ≤ 1e-8.
+    A_observed is −min of inf_M_u. An empty family or K raises DomainError.
     """
-    lower = check_lower_bound(family)   # raises on an empty family
-    supinf = sup_inf_track(family, K)   # raises on an empty K
+    if not family:
+        raise DomainError("empty family")
+    if K.empty:
+        raise DomainError("empty K")
     plan = spectral.get_plan(S.domain)
     rows = []
-    for rep, inf_u, sup_plus_inf in zip(family, lower.inf_series, supinf.series):
+    for rep in family:
         u = rep.solution
+        on_K = u.values[K.mask]
         inst = ProblemInstance(S.domain, S, rep.alpha, n)
         row = member_row(inst, rep, rep.alpha)
         row.update(
             alpha=row.pop("param"),
-            sup_K_u=float(np.max(u.values[K.mask])),
-            inf_M_u=inf_u,
+            sup_K_u=float(np.max(on_K)),
+            inf_M_u=u.min,
             grad_l2=float(np.sqrt(integrate(spectral.grad_norm_sq(plan, u)))),
             int_exp=integrate(ScalarField(S.domain, problem.conformal_factor(inst, u))),
-            sup_plus_inf=sup_plus_inf,
+            sup_plus_inf=float(np.max(on_K) + np.min(on_K)),
         )
         rows.append(row)
 
@@ -270,12 +238,12 @@ def family_table(
         return [row[name] for row in rows]
 
     verdicts = {
-        "lower_bound": lower.passed,
+        "lower_bound": _trend_within(col("inf_M_u"), -TREND_SLOPE_TOL, np.inf),
         "sup_K_bounded": is_flat(col("sup_K_u")),
         "w12_bounded": is_flat(col("grad_l2")),
         "exp_mass_bounded": is_flat(col("int_exp")),
         "stability": all(lam >= -1e-6 for lam in col("lambda_min")),
         "identity": all(row["defect"] <= 1e-8 for row in rows),
-        "sup_inf": supinf.passed,
+        "sup_inf": _trend_within(col("sup_plus_inf"), -np.inf, TREND_SLOPE_TOL),
     }
-    return FamilyDiagnostics(rows=rows, verdicts=verdicts, A_observed=lower.A_observed)
+    return FamilyDiagnostics(rows=rows, verdicts=verdicts, A_observed=-min(col("inf_M_u")))

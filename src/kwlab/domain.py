@@ -142,16 +142,8 @@ class RegionMask:
             raise DomainError("mask shape does not match grid")
 
     @property
-    def measure(self) -> float:
-        return float(np.count_nonzero(self.mask)) * self.domain.cell_weight
-
-    @property
     def empty(self) -> bool:
         return not bool(self.mask.any())
-
-    def contains(self, other: "RegionMask") -> bool:
-        """True when `other` is a subset of this mask."""
-        return bool(np.all(self.mask[other.mask]))
 
 
 def sublevel_mask(S: ScalarField, threshold: float, label: str = "") -> RegionMask:

@@ -1,7 +1,7 @@
 """One Kazdan-Warner instance −Δu + α = S·e^{2u/n} on a flat torus, with its
-residual F, energy functional, first/second variations, the linearization
-F′(u) with its smallest eigenvalue (stability), and the mean identity
-∫ S e^{2u/n} = α·Vol obtained by integrating the equation.
+residual F, energy functional and its gradient, the linearization F′(u)
+(half the second variation) with its smallest eigenvalue (stability), and
+the mean identity ∫ S e^{2u/n} = α·Vol obtained by integrating the equation.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def linearization(inst: ProblemInstance, u: ScalarField, e=None) -> spectral.Sch
     W = -(2.0 / inst.n) * inst.S.values * (conformal_factor(inst, u) if e is None else e)
     plan = spectral.get_plan(inst.domain)
     return spectral.SchrodingerOperator(plan, W, max(1.0, float(np.mean(np.abs(W)))))
-
-
-def hessian_apply(inst: ProblemInstance, u: ScalarField, phi: ScalarField) -> ScalarField:
-    """Second variation applied to φ: 2·F′(u)φ."""
-    if phi.domain != inst.domain:
-        raise DomainError("phi lives on a different domain")
-    return ScalarField(inst.domain, 2.0 * linearization(inst, u).apply(phi.values))
 
 
 def stability_potential(inst: ProblemInstance, u: ScalarField) -> ScalarField:

@@ -5,7 +5,7 @@
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
                         solutions in a parameter t through its fold (the
                         threshold search), with branch_point giving the
-                        tangent of a converged point.
+                        tangent of the walk's first point.
 """
 
 from __future__ import annotations
@@ -171,12 +171,14 @@ class BranchPoint:
 
 
 def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
-    """The instance at t, F(u, t), and solve(rhs): an inexact Krylov solve on
-    (v, s) ∈ R^{N+1} of the bordered Jacobian [[J, f_t], [duᵀ/N, dt]], J = F′(u),
-    f_t = ∂F/∂t, left-preconditioned by P = diag(M, 1), M = (−Δ + c)⁻¹. lgmres
-    runs on P·B: (v, s) ↦ (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair
-    per Krylov step, with M·f_t formed once here and rhs preconditioned once
-    per solve; its info refers to the preconditioned residual. Raises
+    """The instance at t, F(u, t), solve(rhs) and tangent(report). solve is an
+    inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered Jacobian
+    [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
+    P = diag(M, 1), M = (−Δ + c)⁻¹. lgmres runs on P·B: (v, s) ↦
+    (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair per Krylov step, with
+    M·f_t formed once here and rhs preconditioned once per solve; its info
+    refers to the preconditioned residual. tangent is the BranchPoint of a
+    converged report at (u, t), z = solve(0, 1) normalized. Raises
     BlowUpError, and DomainError for a t outside the instances' range."""
     inst = make_inst(t)
     e = problem.conformal_factor(inst, u)
@@ -198,20 +200,19 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
         z, _ = lgmres(A, Mrhs, rtol=1e-6, atol=0.0, inner_m=30, maxiter=4)
         return z
 
-    return inst, F, solve
+    def tangent(report):
+        z = solve(np.append(np.zeros(du.size), 1.0))
+        v, s = z[:-1], float(z[-1])
+        norm = float(np.sqrt(v @ v / v.size + s * s))
+        return BranchPoint(report, t, (v / norm).reshape(u.values.shape), s / norm)
+
+    return inst, F, solve, tangent
 
 
 def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
-    """The converged report at t with its branch tangent, oriented along
-    (du, dt): the bordered solve of _bordered gives z with
-    [[J, f_t], [duᵀ/N, dt]]·z = (0, 1)."""
-    _, _, solve = _bordered(make_inst, dF_dt, report.solution, t, du, dt)
-    rhs = np.zeros(report.solution.values.size + 1)
-    rhs[-1] = 1.0
-    z = solve(rhs)
-    v, s = z[:-1], float(z[-1])
-    norm = float(np.sqrt(v @ v / v.size + s * s))
-    return BranchPoint(report, t, (v / norm).reshape(report.solution.values.shape), s / norm)
+    """A walk's first point: the converged report at t with its branch tangent
+    z, [[J, f_t], [duᵀ/N, dt]]·z = (0, 1), oriented along (du, dt)."""
+    return _bordered(make_inst, dF_dt, report.solution, t, du, dt)[3](report)
 
 
 def arclength_correct(
@@ -229,10 +230,10 @@ def arclength_correct(
     arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is the
     bordered solve of _bordered, well posed through a fold where J is singular.
     Converged means ‖F‖_∞ ≤ residual_tol, the contract of newton_solve;
-    the new point then carries its tangent. A corrector that does not halve
-    ‖F‖_∞ every iteration, blows up, leaves the instances' parameter range
-    or runs out of max_iters fails, with the reason on the report and no
-    point; the caller shortens the step.
+    the new point then carries the tangent of its last bordered solve. A
+    corrector that does not halve ‖F‖_∞ every iteration, blows up, leaves the
+    instances' parameter range or runs out of max_iters fails, with the
+    reason on the report and no point; the caller shortens the step.
     """
     opts = opts or SolverOptions()
     shape = base.report.solution.values.shape
@@ -243,7 +244,7 @@ def arclength_correct(
     inst = make_inst(t0)
     for it in range(opts.max_iters + 1):
         try:
-            inst, F, solve = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
+            inst, F, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
         except BlowUpError as e:
             return _finish(inst, u, False, it, history, "arclength", f"blow_up: {e}"), None
         except DomainError as e:
@@ -254,7 +255,7 @@ def arclength_correct(
             return _finish(inst, u, False, it, history, "arclength", "blow_up: non-finite"), None
         if normF <= opts.residual_tol:
             rep = _finish(inst, u, True, it, history, "arclength")
-            return rep, branch_point(make_inst, dF_dt, rep, t, base.du, base.dt)
+            return rep, tangent(rep)
         if it == opts.max_iters:
             break
         if it >= 1 and normF > 0.5 * history[-2]:

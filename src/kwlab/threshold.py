@@ -70,8 +70,8 @@ class ProbeRecord:
 class ThresholdReport:
     """Bracketed critical value of the continuation parameter, resting on
     probes, the ProbeRecord of every tested point. The family, the
-    (param, report) of each solved record, ends at the solvable end
-    (solved_report); unbounded (lo = −∞) is the S ≤ 0 regime.
+    (param, report) of each solved record, ends at the solvable end;
+    unbounded (lo = −∞) is the S ≤ 0 regime.
 
     For param_name "alpha" the solvable end is hi (solvability persists as
     α increases toward 0); for "lambda" the solvable end is lo.
@@ -89,11 +89,6 @@ class ThresholdReport:
     @property
     def family(self) -> list[tuple[float, SolveReport]]:
         return [(p.param, p.report) for p in self.probes if p.solved]
-
-    @property
-    def solved_report(self) -> SolveReport:
-        """The converged report at the solvable end: the family's last."""
-        return self.family[-1][1]
 
     @property
     def width(self) -> float:

@@ -136,11 +136,11 @@ def test_04_variational_consistency(t2_32a):
         pairing = float(np.sum(g.values * phi.values)) * w
         fd = (problem.energy(inst, up).total - problem.energy(inst, um).total) / (2 * t)
         worst_g = max(worst_g, abs(fd - pairing) / max(1.0, abs(pairing)))
-        H = problem.hessian_apply(inst, u, phi)
+        H = 2 * problem.linearization(inst, u).apply(phi.values)
         gfd = (problem.energy_gradient(inst, up).values
                - problem.energy_gradient(inst, um).values) / (2 * t)
-        scale = max(1.0, float(np.max(np.abs(H.values))))
-        worst_h = max(worst_h, float(np.max(np.abs(gfd - H.values))) / scale)
+        scale = max(1.0, float(np.max(np.abs(H))))
+        worst_h = max(worst_h, float(np.max(np.abs(gfd - H))) / scale)
     ok = worst_g <= 1e-5 and worst_h <= 1e-5
     report_line(4, "variational-consistency", ok,
                 f"gradient rel err {worst_g:.2e}, hessian rel err {worst_h:.2e}")
@@ -243,8 +243,9 @@ def test_11_negative_controls(t2_32a, tmp_path, capsys):
     down = _injected_family(t2_32a, -1.0, 8)
     up = _injected_family(t2_32a, 1.0, 8)
     K = ball_mask(t2_32a, (0.5, 0.5), 0.2, label="K")
-    lower_fails = not diagnostics.check_lower_bound(down).passed
-    supinf_fails = not diagnostics.sup_inf_track(up, K).passed
+    S = ScalarField.constant(t2_32a, -1.0)   # the CLI's field=const field_value=-1.0
+    lower_fails = not diagnostics.family_table(down, K, S, n=1).verdicts["lower_bound"]
+    supinf_fails = not diagnostics.family_table(up, K, S, n=1).verdicts["sup_inf"]
     codes = []
     for inject in ("diverge_down", "diverge_up"):
         code = cli_main([

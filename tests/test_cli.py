@@ -6,6 +6,7 @@ import pytest
 
 from kwlab import spectral, threshold
 from kwlab.cli import main, parse_config_file
+from kwlab.diagnostics import TREND_SLOPE_TOL, trend_slope
 from kwlab.errors import EigenSolveError
 from kwlab.serialize import read_field
 
@@ -498,6 +499,39 @@ def test_diagnose_tables_agree_per_member(tmp_path, capsys):
         assert f_row["lambda_min"] == d_row["lambda_min"] != ""
     # A_observed comes from the table: −min of its inf_M_u column
     assert summary["A_observed"] == -min(float(row["inf_M_u"]) for row in diag)
+
+
+@pytest.mark.parametrize("keys", [
+    ["field=sin1", "field_offset=-0.5", "alphas=-1,-1.5,-2,-2.5"],
+    ["field=const", "field_value=-1.0", "inject=diverge_up", "count=6"],
+    ["field=const", "field_value=-1.0", "inject=diverge_down", "count=6"],
+], ids=["alphas", "diverge_up", "diverge_down"])
+def test_diagnose_verdicts_follow_from_the_csv(tmp_path, capsys, keys):
+    # every verdict is a rule on one diagnostics.csv column, so the CSV alone
+    # (its cells round-trip exactly) gives back verdicts.json
+    out = tmp_path / "diag"
+    code, cap = run_cli(capsys, "diagnose", "--out", str(out), "sizes=16,16", *keys)
+    with (out / "diagnostics.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    def col(name):
+        return [float(row[name]) for row in rows]
+
+    def trend(name, low, high):
+        return bool(np.all(np.isfinite(col(name))) and low <= trend_slope(col(name)) <= high)
+
+    tol = TREND_SLOPE_TOL
+    recomputed = {
+        "lower_bound": trend("inf_M_u", -tol, np.inf),
+        "sup_K_bounded": trend("sup_K_u", -tol, tol),
+        "w12_bounded": trend("grad_l2", -tol, tol),
+        "exp_mass_bounded": trend("int_exp", -tol, tol),
+        "stability": all(lam >= -1e-6 for lam in col("lambda_min")),
+        "identity": all(d <= 1e-8 for d in col("defect")),
+        "sup_inf": trend("sup_plus_inf", -np.inf, tol),
+    }
+    assert json.loads((out / "verdicts.json").read_text()) == recomputed
+    assert code == (0 if all(recomputed.values()) else 2)
 
 
 def test_determinism(tmp_path, capsys):

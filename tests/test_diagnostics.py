@@ -14,10 +14,8 @@ from kwlab.diagnostics import (
     FAMILY_COLUMNS,
     apriori_c0_bound,
     auto_cutoff_region,
-    check_lower_bound,
     family_table,
     is_flat,
-    sup_inf_track,
     trend_slope,
 )
 from kwlab.errors import DomainError, EigenSolveError
@@ -135,27 +133,31 @@ class TestAutoCutoff:
         S = ScalarField.constant(t2_32, -2.0)
         phi, K, m_minus = auto_cutoff_region(S)
         assert phi.min == 1.0
-        assert K.measure == pytest.approx(t2_32.volume)
+        assert np.count_nonzero(K.mask) * t2_32.cell_weight == pytest.approx(t2_32.volume)
 
 
 class TestNegativeControls:
+    # the lower_bound and sup_inf verdicts read the table's inf_M_u and
+    # sup_plus_inf columns
+    def table(self, domain, family):
+        K = ball_mask(domain, (0.5, 0.5), 0.2, label="K")
+        return family_table(family, K, ScalarField.constant(domain, -1.0), n=1)
+
     def test_downward_divergence_fails_lower_bound(self, t2_32):
         family = [fake_report(t2_32, -float(k), alpha=-1.0 - 0.1 * k) for k in range(8)]
-        verdict = check_lower_bound(family)
-        assert not verdict.passed
-        assert verdict.A_observed == 7.0
+        diag = self.table(t2_32, family)
+        assert not diag.verdicts["lower_bound"]
+        assert diag.A_observed == 7.0
 
     def test_upward_divergence_fails_sup_inf(self, t2_32):
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, float(k)) for k in range(8)]
-        track = sup_inf_track(family, K)
-        assert not track.passed
+        assert not self.table(t2_32, family).verdicts["sup_inf"]
 
     def test_bounded_family_passes_both(self, t2_32):
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, 1.0 - 4.0 ** (-k)) for k in range(8)]
-        assert check_lower_bound(family).passed
-        assert sup_inf_track(family, K).passed
+        verdicts = self.table(t2_32, family).verdicts
+        assert verdicts["lower_bound"]
+        assert verdicts["sup_inf"]
 
 
 class TestFamilyTable:
@@ -242,6 +244,11 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         with pytest.raises(DomainError):
             family_table([], K, ScalarField.constant(t2_32, -1.0), n=1)
+
+    def test_empty_K_rejected(self, t2_32):
+        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
+        with pytest.raises(DomainError, match="empty K"):
+            family_table([fake_report(t2_32, 0.0)], K, ScalarField.constant(t2_32, -1.0), n=1)
 
     def test_divergent_family_flagged(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)

@@ -110,7 +110,7 @@ class TestCutoff:
 class TestMasks:
     def test_full_and_empty(self, t2_32):
         full = sublevel_mask(ScalarField.constant(t2_32, -1.0), -0.5)
-        assert full.measure == pytest.approx(t2_32.volume)
+        assert np.count_nonzero(full.mask) * t2_32.cell_weight == pytest.approx(t2_32.volume)
         empty = sublevel_mask(ScalarField.constant(t2_32, 1.0), -0.5)
         assert empty.empty
 
@@ -122,15 +122,15 @@ class TestMasks:
                                              dom.sizes).copy())
         m = sublevel_mask(S, -0.1)
         frac = 1.0 - (np.pi - 2 * np.arcsin(0.4)) / (2 * np.pi)
-        assert abs(m.measure - frac) <= 2.0 / 256
+        assert abs(np.count_nonzero(m.mask) * dom.cell_weight - frac) <= 2.0 / 256
 
     def test_monotone_in_threshold(self, t2_32):
         S = smooth_random_field(t2_32, seed=5)
         inner = sublevel_mask(S, -0.2)
         outer = sublevel_mask(S, 0.1)
-        assert outer.contains(inner)
+        assert np.all(outer.mask[inner.mask])
 
     def test_ball_subset_of_sublevel(self, t2_64, sin_minus_half):
         m_minus = sublevel_mask(sin_minus_half, -0.1, label="M_minus")
         K = ball_mask(t2_64, (0.0, 0.75), 0.05, label="K")
-        assert m_minus.contains(K)
+        assert np.all(m_minus.mask[K.mask])

@@ -7,8 +7,8 @@ from kwlab.errors import BlowUpError, DomainError
 from kwlab.problem import (
     energy,
     energy_gradient,
-    hessian_apply,
     integral_identity_defect,
+    linearization,
     residual,
 )
 
@@ -113,18 +113,18 @@ class TestGradientAndHessian:
         # H φ = −(4/n)·S·e^{2u/n}·φ = 8·φ
         inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -2.0, 1)
         u = ScalarField.constant(t2_32, 0.5 * np.log(2.0))
-        out = hessian_apply(inst, u, ScalarField.constant(t2_32, 1.0))
-        assert np.max(np.abs(out.values - 8.0)) < 1e-12
+        out = 2 * linearization(inst, u).apply(ScalarField.constant(t2_32, 1.0).values)
+        assert np.max(np.abs(out - 8.0)) < 1e-12
 
     def test_hessian_symmetry(self, t2_32):
         inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=51, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=52)
         psi = smooth_random_field(t2_32, seed=53)
-        Hphi = hessian_apply(inst, u, phi)
-        Hpsi = hessian_apply(inst, u, psi)
-        a = integrate(ScalarField(t2_32, Hphi.values * psi.values))
-        b = integrate(ScalarField(t2_32, phi.values * Hpsi.values))
+        Hphi = 2 * linearization(inst, u).apply(phi.values)
+        Hpsi = 2 * linearization(inst, u).apply(psi.values)
+        a = integrate(ScalarField(t2_32, Hphi * psi.values))
+        b = integrate(ScalarField(t2_32, phi.values * Hpsi))
         assert a == pytest.approx(b, rel=1e-10)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-4])
@@ -132,12 +132,12 @@ class TestGradientAndHessian:
         inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=54, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=55)
-        H = hessian_apply(inst, u, phi)
+        H = 2 * linearization(inst, u).apply(phi.values)
         gp = energy_gradient(inst, ScalarField(t2_32, u.values + t * phi.values))
         gm = energy_gradient(inst, ScalarField(t2_32, u.values - t * phi.values))
         fd = (gp.values - gm.values) / (2 * t)
-        scale = max(1.0, np.max(np.abs(H.values)))
-        assert np.max(np.abs(fd - H.values)) <= scale * (50 * t**2 + 1e-9)
+        scale = max(1.0, np.max(np.abs(H)))
+        assert np.max(np.abs(fd - H)) <= scale * (50 * t**2 + 1e-9)
 
 
 class TestIntegralIdentity:

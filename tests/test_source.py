@@ -35,3 +35,43 @@ def test_readme_names_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     sentence = re.search(r"Keys: (.*?)\.\s", readme, re.DOTALL).group(1)
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(cli.KEYS)
+
+
+def _public_defs(tree):
+    """Public module functions, and public methods and properties of public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _names(tree):
+    """Every identifier a tree names: variables, attributes, and strings (a
+    name patched by its string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller():
+    # library surface only tests reach is code the program does not run;
+    # __init__.py only re-exports, so its imports and __all__ call nothing.
+    # read_field is the documented reader of the CLI's field files.
+    package = Path(kwlab.__file__).parent
+    bench = Path(__file__).parents[1] / "perfbench"
+    defs, named = {}, set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent == package:
+            defs.update(_public_defs(tree))
+        if path.name != "__init__.py":
+            named.update(_names(tree))
+    uncalled = {q for q, name in defs.items() if name not in named}
+    assert uncalled == {"read_field"}

@@ -78,8 +78,8 @@ def assert_bracket_on_probes(rep, tol):
     assert 0 < rep.width <= tol
     assert any(p.param == fail_end and not p.solved for p in rep.probes)
     record = next(p for p in rep.probes if p.param == solved_end)
-    assert record.solved and rep.solved_report.converged
-    assert rep.solved_report.min_eig == record.min_eig
+    assert record.solved and rep.family[-1][1].converged
+    assert rep.family[-1][1].min_eig == record.min_eig
 
 
 def assert_stable_family(rep):
@@ -101,8 +101,6 @@ class TestContinuation:
             rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
         assert len(rep.family) >= 3
         assert_stable_family(rep)
-        # the solved end is the last member, the corrector's last stable point
-        assert rep.family[-1][1] is rep.solved_report
 
     @pytest.mark.parametrize("search", ["alpha", "lambda", "ladder"])
     def test_family_is_the_solved_probes(self, t2_16, search):
@@ -182,7 +180,7 @@ class TestAlphaStar:
     def test_unbounded_solved_report_at_hi(self, t2_16):
         # the solved report sits at the solvable end of the ladder
         rep = find_alpha_star(sine_field(t2_16, -1.5), 1, t2_16)
-        assert rep.solved_report.alpha == rep.hi == -1000.0
+        assert rep.family[-1][1].alpha == rep.hi == -1000.0
 
     def test_unbounded_ladder_failure_keeps_evidence(self, t2_32, monkeypatch):
         original = threshold.probe_solvable
@@ -201,8 +199,8 @@ class TestAlphaStar:
         assert not rep.unbounded
         assert rep.width <= 1e-3
         assert rep.lo < rep.hi < 0
-        assert rep.solved_report.converged
-        assert rep.solved_report.alpha == rep.hi
+        assert rep.family[-1][1].converged
+        assert rep.family[-1][1].alpha == rep.hi
         # family walks down toward the threshold, warm-started
         alphas = [a for a, _ in rep.family]
         assert alphas == sorted(alphas, reverse=True)
@@ -321,7 +319,7 @@ class TestDingLiu:
         assert rep.param_name == "lambda"
         assert 0.0 < rep.lo < rep.hi < -g0.min
         assert rep.width <= 1e-2
-        assert rep.solved_report.converged
+        assert rep.family[-1][1].converged
         lams = [lam for lam, _ in rep.family]
         assert lams == sorted(lams)
 
