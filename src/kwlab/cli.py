@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, problem, serialize, solvers, spectral, threshold
+from .diagnostics import FAMILY_COLUMNS, MEMBER_COLUMNS, table_csv
 from .domain import ScalarField, integrate, make_torus
 from .errors import EigenSolveError, KWLabError, SolverError
 from .fields import named_field
@@ -128,6 +129,8 @@ def validate(mode: str, text: dict[str, str]) -> tuple[list[str], dict]:
             problems.append("field_seed: required for field=random_fourier")
         if not text["field_p"]:
             problems.append("field_p: required for field=random_fourier")
+    if mode != "diagnose" and cfg["inject"] not in (None, "none"):
+        problems.append("inject: a family is injected in mode=diagnose only")
     try:
         threshold.check_schedule(cfg["alphas"] or [])
     except SolverError as e:
@@ -162,11 +165,12 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
     }
 
 
-def _injected_family(domain, sign: float, count: int) -> list[SolveReport]:
-    """Synthetic divergent family u_k = sign·k (negative-control hook)."""
+def _injected_family(domain, sign: float, count: int) -> list[tuple[float, SolveReport]]:
+    """Synthetic divergent family u_k = sign·k at α = −1 − k (negative-control hook)."""
     return [
-        SolveReport(solution=ScalarField.constant(domain, sign * float(k)), converged=True,
-                    iterations=0, residual_history=[0.0], method="injected", alpha=-1.0 - k)
+        (-1.0 - k, SolveReport(solution=ScalarField.constant(domain, sign * float(k)),
+                               converged=True, iterations=0, residual_history=[0.0],
+                               method="injected", alpha=-1.0 - k))
         for k in range(count)
     ]
 
@@ -215,7 +219,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     # threshold, dingliu, family and diagnose: each mode yields a family of
     # (param, report) and the instance make_inst(param) of each member
     thr = None
-    injected = mode == "diagnose" and cfg["inject"] != "none"
+    injected = cfg["inject"] != "none"   # validate allows it in diagnose only
     tol = cfg["tol"] or (1e-2 if mode == "dingliu" else 1e-3)
     if mode == "dingliu":
         g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
@@ -237,27 +241,27 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     else:
         if injected:
             sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
-            members = _injected_family(domain, sign, cfg["count"])
+            family = _injected_family(domain, sign, cfg["count"])
         elif cfg["alphas"] is not None:
             probes = threshold.walk_schedule(S, n, domain, cfg["alphas"], residual_tol=rtol)
-            members = [p.report for p in probes if p.solved]
+            family = [(p.param, p.report) for p in probes if p.solved]
         elif thr.unbounded:
-            members = [r for _, r in thr.family]
+            family = thr.family
         else:
-            members = threshold.limit_family(S, n, domain, thr, cfg["count"], residual_tol=rtol)
-        summary["family_size"] = len(members)
-        family = [(rep.alpha, rep) for rep in members]
+            reps = threshold.limit_family(S, n, domain, thr, cfg["count"], residual_tol=rtol)
+            family = [(rep.alpha, rep) for rep in reps]
+        summary["family_size"] = len(family)
 
+    K = None
     if mode == "diagnose" and family:
         # the cutoff can reject S, so it is found before any output is written
         phi, K, _ = diagnostics.auto_cutoff_region(S)
     start_outputs(mode, text, outdir, S)
-    with_eigs = cfg["with_eigs"] or mode == "diagnose"
-    rows = [diagnostics.member_row(make_inst(p), rep, p, with_eigs) for p, rep in family]
+    table = diagnostics.family_table(family, make_inst, K, cfg["with_eigs"] or mode == "diagnose")
     if thr is not None:
-        # after the rows: a row may solve the λ_min of a probe's report
+        # after the table: a row may solve the λ_min of a probe's report
         summary["threshold"] = _threshold_summary(thr)
-    (outdir / "family.csv").write_text(diagnostics.table_csv(diagnostics.MEMBER_COLUMNS, rows))
+    (outdir / "family.csv").write_text(table_csv(MEMBER_COLUMNS, table.rows))
     for i, (_, member) in enumerate(family):
         serialize.write_report(member, outdir / f"member_{i:03d}")
 
@@ -266,12 +270,11 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     if not family:
         summary["error"] = "empty family"
         return 2, summary
-    table = diagnostics.family_table(members, K, S, n)
-    (outdir / "diagnostics.csv").write_text(table.to_csv())
-    verdicts = dict(table.verdicts)
+    (outdir / "diagnostics.csv").write_text(table_csv(FAMILY_COLUMNS, table.rows))
+    verdicts = table.verdicts
     if thr is not None and not thr.unbounded:
         cert = diagnostics.apriori_c0_bound(S, thr.lo, phi, K, n)
-        verdicts["apriori_sup_bound"] = cert.check_family(members)
+        verdicts["apriori_sup_bound"] = cert.check_family(family)
         summary["apriori_bound_on_sup_u"] = cert.bound_on_sup_u
     summary["verdicts"] = verdicts
     summary["A_observed"] = table.A_observed

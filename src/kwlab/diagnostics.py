@@ -12,11 +12,13 @@ cannot certify a limit; the trend test is the falsifiable surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import problem, spectral
-from .domain import RegionMask, ScalarField, integrate
+from .domain import (CutoffSpec, RegionMask, ScalarField, ball_mask, integrate, make_cutoff,
+                     sublevel_mask)
 from .errors import DomainError
 from .problem import ProblemInstance
 from .solvers import SolveReport
@@ -66,8 +68,8 @@ class AprioriBoundCertificate:
         sup_K = float(np.max(u.values[self.K.mask]))
         return self.bound_on_sup_u - sup_K
 
-    def check_family(self, family: list[SolveReport]) -> bool:
-        self.margins = [self.margin(rep.solution) for rep in family]
+    def check_family(self, family: list[tuple[float, SolveReport]]) -> bool:
+        self.margins = [self.margin(rep.solution) for _, rep in family]
         return all(m >= 0 for m in self.margins)
 
 
@@ -120,8 +122,6 @@ def auto_cutoff_region(S: ScalarField):
     When S < −ε₀ everywhere the cutoff degenerates to φ ≡ 1 with K the
     whole torus.
     """
-    from .domain import CutoffSpec, ball_mask, make_cutoff, sublevel_mask
-
     domain = S.domain
     eps0 = CUTOFF_LEVEL * S.sup_norm
     m_minus = sublevel_mask(S, -eps0, label="M_minus")
@@ -162,77 +162,67 @@ def table_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def member_row(
-    inst: ProblemInstance, rep: SolveReport, param: float, with_eig: bool = True
-) -> dict:
-    """A family member's row (MEMBER_COLUMNS): its parameter value, sup|u|,
-    energy (None without one), mean-identity defect and λ_min of the
-    stability operator.
-
-    λ_min is rep.min_eig when the report carries one. Otherwise, with_eig
-    solves it (problem.stability_eigenvalue) and stores it on the report, and
-    an EigenSolveError propagates; without with_eig it stays None.
-    """
-    u = rep.solution
-    if rep.min_eig is None and with_eig:
-        rep.min_eig = problem.stability_eigenvalue(inst, u)
-    return {
-        "param": param,
-        "sup_norm_u": u.sup_norm,
-        "energy": None if rep.energy is None else rep.energy.total,
-        "defect": problem.integral_identity_defect(inst, u).defect,
-        "lambda_min": rep.min_eig,
-    }
-
-
 @dataclass
 class FamilyDiagnostics:
     rows: list[dict]
     verdicts: dict[str, bool]
-    A_observed: float
-
-    def to_csv(self) -> str:
-        return table_csv(FAMILY_COLUMNS, self.rows)
+    A_observed: Optional[float]
 
 
 def family_table(
-    family: list[SolveReport],
-    K: RegionMask,
-    S: ScalarField,
-    n: int,
+    family: list[tuple[float, SolveReport]],
+    make_inst: Callable[[float], ProblemInstance],
+    K: Optional[RegionMask] = None,
+    with_eig: bool = True,
 ) -> FamilyDiagnostics:
-    """Per-member diagnostics plus boundedness verdicts, each read off one column.
+    """The per-member table of a family of (param, report), each member read
+    at its instance make_inst(param), plus the verdicts read off its columns.
 
-    Each row is the member's member_row (its λ_min solved unless the report
-    carries one), with the parameter named alpha, extended by the sup of u
-    on K, the global inf of u, the Dirichlet seminorm, ∫e^{2u/n} and
-    sup_K u + inf_K u. The trend verdicts apply the one trend rule to a
-    column: lower_bound to inf_M_u (slope ≥ −TREND_SLOPE_TOL, not diverging
-    downward), sup_inf to sup_plus_inf (slope ≤ TREND_SLOPE_TOL, bounded
-    above), and is_flat to sup_K_u, grad_l2 and int_exp. stability holds when
-    every member's λ_min ≥ −1e-6, identity when every defect ≤ 1e-8.
-    A_observed is −min of inf_M_u. An empty family or K raises DomainError.
+    Every row holds the MEMBER_COLUMNS, its instance's alpha, and λ_min:
+    rep.min_eig when the report carries one; otherwise, with with_eig,
+    solved (problem.stability_eigenvalue) and stored on the report, an
+    EigenSolveError propagating; without with_eig it stays None.
+
+    Without K the table has no verdicts and A_observed is None. With K each
+    row also holds the sup of u on K, the global inf of u, the Dirichlet
+    seminorm, ∫e^{2u/n} and sup_K u + inf_K u, and the trend verdicts apply
+    the one trend rule to a column: lower_bound to inf_M_u (slope ≥
+    −TREND_SLOPE_TOL, not diverging downward), sup_inf to sup_plus_inf
+    (slope ≤ TREND_SLOPE_TOL, bounded above), and is_flat to sup_K_u,
+    grad_l2 and int_exp. stability holds when every member's λ_min ≥ −1e-6
+    (so it needs with_eig), identity when every defect ≤ 1e-8. A_observed is
+    −min of inf_M_u. With K, an empty family or an empty K raises DomainError.
     """
-    if not family:
+    if K is not None and not family:
         raise DomainError("empty family")
-    if K.empty:
+    if K is not None and K.empty:
         raise DomainError("empty K")
-    plan = spectral.get_plan(S.domain)
     rows = []
-    for rep in family:
-        u = rep.solution
-        on_K = u.values[K.mask]
-        inst = ProblemInstance(S.domain, S, rep.alpha, n)
-        row = member_row(inst, rep, rep.alpha)
-        row.update(
-            alpha=row.pop("param"),
-            sup_K_u=float(np.max(on_K)),
-            inf_M_u=u.min,
-            grad_l2=float(np.sqrt(integrate(spectral.grad_norm_sq(plan, u)))),
-            int_exp=integrate(ScalarField(S.domain, problem.conformal_factor(inst, u))),
-            sup_plus_inf=float(np.max(on_K) + np.min(on_K)),
-        )
+    for param, rep in family:
+        inst, u = make_inst(param), rep.solution
+        if rep.min_eig is None and with_eig:
+            rep.min_eig = problem.stability_eigenvalue(inst, u)
+        row = {
+            "param": param,
+            "alpha": inst.alpha,
+            "sup_norm_u": u.sup_norm,
+            "energy": None if rep.energy is None else rep.energy.total,
+            "defect": problem.integral_identity_defect(inst, u).defect,
+            "lambda_min": rep.min_eig,
+        }
+        if K is not None:
+            on_K = u.values[K.mask]
+            gsq = spectral.grad_norm_sq(spectral.get_plan(inst.domain), u)
+            row.update(
+                sup_K_u=float(np.max(on_K)),
+                inf_M_u=u.min,
+                grad_l2=float(np.sqrt(integrate(gsq))),
+                int_exp=integrate(ScalarField(inst.domain, problem.conformal_factor(inst, u))),
+                sup_plus_inf=float(np.max(on_K) + np.min(on_K)),
+            )
         rows.append(row)
+    if K is None:
+        return FamilyDiagnostics(rows=rows, verdicts={}, A_observed=None)
 
     def col(name):
         return [row[name] for row in rows]
@@ -243,7 +233,7 @@ def family_table(
         "w12_bounded": is_flat(col("grad_l2")),
         "exp_mass_bounded": is_flat(col("int_exp")),
         "stability": all(lam >= -1e-6 for lam in col("lambda_min")),
-        "identity": all(row["defect"] <= 1e-8 for row in rows),
+        "identity": all(d <= 1e-8 for d in col("defect")),
         "sup_inf": _trend_within(col("sup_plus_inf"), -np.inf, TREND_SLOPE_TOL),
     }
     return FamilyDiagnostics(rows=rows, verdicts=verdicts, A_observed=-min(col("inf_M_u")))

@@ -216,7 +216,7 @@ def test_09_apriori_bound_two_cutoffs(t2_64a, threshold64, family64):
     details = []
     for phi, K, tag in ((phi_auto, K_auto, "auto"), (phi2, K2, "manual")):
         cert = diagnostics.apriori_c0_bound(S, rep.lo, phi, K, n=1)
-        holds = cert.check_family(family64)
+        holds = cert.check_family([(r.alpha, r) for r in family64])
         ok = ok and holds
         details.append(
             f"{tag}: bound {cert.bound_on_sup_u:.3f}, min margin {min(cert.margins):.3f}"
@@ -228,7 +228,8 @@ def test_10_limit_family_bounded(t2_64a, threshold64, family64):
     S, rep, _ = threshold64
     _, K, _ = diagnostics.auto_cutoff_region(S)
     ok = len(family64) == 8 and all(r.converged for r in family64)
-    diag = diagnostics.family_table(family64, K, S, n=1)
+    diag = diagnostics.family_table([(r.alpha, r) for r in family64],
+                                    lambda a: ProblemInstance(t2_64a, S, a, 1), K)
     gap = family64[-1].alpha - rep.hi
     ok = ok and all(diag.verdicts.values())
     failing = [k for k, v in diag.verdicts.items() if not v]
@@ -244,8 +245,12 @@ def test_11_negative_controls(t2_32a, tmp_path, capsys):
     up = _injected_family(t2_32a, 1.0, 8)
     K = ball_mask(t2_32a, (0.5, 0.5), 0.2, label="K")
     S = ScalarField.constant(t2_32a, -1.0)   # the CLI's field=const field_value=-1.0
-    lower_fails = not diagnostics.family_table(down, K, S, n=1).verdicts["lower_bound"]
-    supinf_fails = not diagnostics.family_table(up, K, S, n=1).verdicts["sup_inf"]
+
+    def make_inst(a):
+        return ProblemInstance(t2_32a, S, a, 1)
+
+    lower_fails = not diagnostics.family_table(down, make_inst, K).verdicts["lower_bound"]
+    supinf_fails = not diagnostics.family_table(up, make_inst, K).verdicts["sup_inf"]
     codes = []
     for inject in ("diverge_down", "diverge_up"):
         code = cli_main([

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kwlab import spectral, threshold
+from kwlab import problem, spectral, threshold
 from kwlab.cli import main, parse_config_file
 from kwlab.diagnostics import TREND_SLOPE_TOL, trend_slope
 from kwlab.errors import EigenSolveError
@@ -362,7 +362,8 @@ def test_unknown_solver_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("mode, bad, keys", [
     ("diagnose", "inject=bogus", ["field=const", "field_value=-1", "count=3"]),
     ("family", "with_eigs=ture", ["field=sin1", "field_offset=-0.5", "alphas=-1"]),
-], ids=["inject", "with_eigs"])
+    ("family", "inject=diverge_up", ["field=sin1", "field_offset=-0.5", "alphas=-1,-2"]),
+], ids=["inject", "with_eigs", "inject_outside_diagnose"])
 def test_unknown_enumerated_value_rejected(tmp_path, capsys, mode, bad, keys):
     code, cap = run_cli(capsys, mode, "--out", str(tmp_path / "run"), "sizes=16,16", bad, *keys)
     assert code == 1
@@ -477,7 +478,22 @@ def test_injected_family_csv_leaves_energy_empty(tmp_path, capsys):
     assert all(float(row["lambda_min"]) > 0 for row in rows)
 
 
-def test_diagnose_tables_agree_per_member(tmp_path, capsys):
+def test_diagnose_tables_agree_per_member(tmp_path, capsys, monkeypatch):
+    # one table: each member's defect and λ_min are computed once, and both
+    # CSV files read them
+    calls = {"defect": 0, "eig": 0}
+    defect, min_eigenvalue = problem.integral_identity_defect, spectral.min_eigenvalue
+
+    def counted_defect(inst, u):
+        calls["defect"] += 1
+        return defect(inst, u)
+
+    def counted_eig(plan, V, tol=1e-8, max_iters=None):
+        calls["eig"] += 1
+        return min_eigenvalue(plan, V, tol, max_iters)
+
+    monkeypatch.setattr(problem, "integral_identity_defect", counted_defect)
+    monkeypatch.setattr(spectral, "min_eigenvalue", counted_eig)
     out = tmp_path / "diag"
     code, cap = run_cli(
         capsys, "diagnose", "--out", str(out),
@@ -493,12 +509,32 @@ def test_diagnose_tables_agree_per_member(tmp_path, capsys):
             tables[name] = list(csv.DictReader(fh))
     family, diag = tables["family.csv"], tables["diagnostics.csv"]
     assert len(family) == len(diag) == summary["family_size"] == 4
+    assert calls["defect"] <= 4 and calls["eig"] <= 4
     for f_row, d_row in zip(family, diag):
         assert f_row["param"] == d_row["alpha"]
         assert f_row["defect"] == d_row["defect"]
         assert f_row["lambda_min"] == d_row["lambda_min"] != ""
     # A_observed comes from the table: −min of its inf_M_u column
     assert summary["A_observed"] == -min(float(row["inf_M_u"]) for row in diag)
+
+
+@pytest.mark.parametrize("mode", ["family", "diagnose"])
+def test_empty_family_exits_2_with_header_only_csv(tmp_path, capsys, mode):
+    # α = −5 lies past α★ ≈ −3.18 of sin1 − 0.5, so the walk solves no member
+    out = tmp_path / mode
+    code, cap = run_cli(
+        capsys, mode, "--out", str(out), "field=sin1", "field_offset=-0.5", "sizes=16,16",
+        "alphas=-5",
+    )
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 2 and summary["family_size"] == 0
+    assert (out / "family.csv").read_text() == "param,sup_norm_u,energy,defect,lambda_min\n"
+    assert not list(out.glob("member_*"))
+    if mode == "diagnose":
+        assert summary["error"] == "empty family"
+        assert not (out / "diagnostics.csv").exists()
+        assert not (out / "verdicts.json").exists()
 
 
 @pytest.mark.parametrize("keys", [

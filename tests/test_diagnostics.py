@@ -16,6 +16,7 @@ from kwlab.diagnostics import (
     auto_cutoff_region,
     family_table,
     is_flat,
+    table_csv,
     trend_slope,
 )
 from kwlab.errors import DomainError, EigenSolveError
@@ -33,6 +34,11 @@ def fake_report(domain, value, alpha=-1.0, method="monotone"):
         method=method,
         alpha=alpha,
     )
+
+
+def inst_at(domain, S):
+    """make_inst of a family on S with n = 1: its instance at α."""
+    return lambda a: ProblemInstance(domain, S, a, 1)
 
 
 class TestTrend:
@@ -86,7 +92,7 @@ class TestAprioriBound:
             rep = newton_solve(ProblemInstance(t2_32, S, a, 1))
             assert rep.converged
             family.append(rep)
-        assert cert.check_family(family)
+        assert cert.check_family([(r.alpha, r) for r in family])
         assert all(m >= 0 for m in cert.margins)
 
     def test_rejects_support_leak(self, t2_64, sin_minus_half):
@@ -141,7 +147,8 @@ class TestNegativeControls:
     # sup_plus_inf columns
     def table(self, domain, family):
         K = ball_mask(domain, (0.5, 0.5), 0.2, label="K")
-        return family_table(family, K, ScalarField.constant(domain, -1.0), n=1)
+        S = ScalarField.constant(domain, -1.0)
+        return family_table([(r.alpha, r) for r in family], inst_at(domain, S), K)
 
     def test_downward_divergence_fails_lower_bound(self, t2_32):
         family = [fake_report(t2_32, -float(k), alpha=-1.0 - 0.1 * k) for k in range(8)]
@@ -172,7 +179,7 @@ class TestFamilyTable:
             rep = newton_solve(ProblemInstance(t2_32, S, a, 1))
             assert rep.converged
             family.append(rep)
-        diag = family_table(family, K, S, n=1)
+        diag = family_table([(r.alpha, r) for r in family], inst_at(t2_32, S), K)
         assert all(diag.verdicts.values()), diag.verdicts
         for row, a in zip(diag.rows, alphas):
             u_exact = 0.5 * np.log(-a)
@@ -197,12 +204,12 @@ class TestFamilyTable:
                 warm = newton_solve(ProblemInstance(t2_32, S, a - 1.0, 1))
                 rep = monotone_iterate(inst, make_interval(inst, warm))
                 assert rep.converged and rep.method == "monotone"
-                family.append(rep)
+                family.append((a, rep))
             return family
 
-        assert family_table(monotone_family(), K, S, n=1).verdicts["stability"]
+        assert family_table(monotone_family(), inst_at(t2_32, S), K).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
-        assert not family_table(monotone_family(), K, S, n=1).verdicts["stability"]
+        assert not family_table(monotone_family(), inst_at(t2_32, S), K).verdicts["stability"]
 
     def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
         # every member is judged, whichever engine solved it
@@ -210,11 +217,11 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
 
         def newton_family():
-            return [newton_solve(ProblemInstance(t2_32, S, a, 1)) for a in (-1.0, -1.5, -1.75)]
+            return [(a, newton_solve(ProblemInstance(t2_32, S, a, 1))) for a in (-1.0, -1.5, -1.75)]
 
-        assert family_table(newton_family(), K, S, n=1).verdicts["stability"]
+        assert family_table(newton_family(), inst_at(t2_32, S), K).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
-        diag = family_table(newton_family(), K, S, n=1)
+        diag = family_table(newton_family(), inst_at(t2_32, S), K)
         assert [row["lambda_min"] for row in diag.rows] == [-0.5] * 3
         assert not diag.verdicts["stability"]
 
@@ -222,8 +229,8 @@ class TestFamilyTable:
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         rep = newton_solve(ProblemInstance(t2_32, S, -1.0, 1))
-        diag = family_table([rep], K, S, n=1)
-        lines = diag.to_csv().strip().splitlines()
+        diag = family_table([(rep.alpha, rep)], inst_at(t2_32, S), K)
+        lines = table_csv(FAMILY_COLUMNS, diag.rows).strip().splitlines()
         assert lines[0] == ",".join(FAMILY_COLUMNS)
         assert len(lines) == 2
 
@@ -237,25 +244,26 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         rep = newton_solve(ProblemInstance(t2_32, S, -1.0, 1))
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
-            family_table([rep], K, S, n=1)
+            family_table([(rep.alpha, rep)], inst_at(t2_32, S), K)
         assert rep.min_eig is None
 
     def test_empty_family_rejected(self, t2_32):
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         with pytest.raises(DomainError):
-            family_table([], K, ScalarField.constant(t2_32, -1.0), n=1)
+            family_table([], inst_at(t2_32, ScalarField.constant(t2_32, -1.0)), K)
 
     def test_empty_K_rejected(self, t2_32):
         K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
         with pytest.raises(DomainError, match="empty K"):
-            family_table([fake_report(t2_32, 0.0)], K, ScalarField.constant(t2_32, -1.0), n=1)
+            family_table([(-1.0, fake_report(t2_32, 0.0))],
+                         inst_at(t2_32, ScalarField.constant(t2_32, -1.0)), K)
 
     def test_divergent_family_flagged(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, float(k), alpha=-1.0 - k, method="newton")
                   for k in range(8)]
-        diag = family_table(family, K, S, n=1)
+        diag = family_table([(r.alpha, r) for r in family], inst_at(t2_32, S), K)
         assert not diag.verdicts["sup_K_bounded"]
         assert not diag.verdicts["exp_mass_bounded"]
         assert not all(diag.verdicts.values())
