@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,12 @@ def _positive(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    if (value := _int(text)) < 1:
-        raise ValueError(f"must be at least 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    def read(text: str) -> int:
+        if (value := _int(text)) < low:
+            raise ValueError(f"must be at least {low}, got {text!r}")
+        return value
+    return read
 
 
 def _choice(*options: str, kind=str):
@@ -92,14 +95,14 @@ KEYS = {
     "field": ("", str),
     "field_value": ("", _float),
     "field_offset": ("0", _float),
-    "field_seed": ("", _int),
+    "field_seed": ("", _at_least(0)),
     "field_p": ("", _float),
     "alpha": ("", _float),
     "alphas": ("", _number(float, many=True)),
     "s0": ("-1.0", _float),
     "tol": ("", _positive),                      # default 1e-3, or 1e-2 for dingliu
     "residual_tol": ("1e-10", _positive),
-    "count": ("8", _count),
+    "count": ("8", _at_least(1)),
     "solver": ("newton", _choice("newton", "probe")),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
@@ -196,12 +199,11 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
 
     domain = build_domain(cfg)
     S = build_field(cfg, domain)
-    n = domain.d // 2
     rtol = cfg["residual_tol"]
     summary["mean_S"] = integrate(S) / domain.volume
 
     if mode == "solve":
-        inst = ProblemInstance(domain, S, cfg["alpha"], n)
+        inst = ProblemInstance(S, cfg["alpha"])
         if cfg["solver"] == "probe":
             record = threshold.probe_solvable(inst, residual_tol=rtol)
             rep = record.report
@@ -223,18 +225,13 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     tol = cfg["tol"] or (1e-2 if mode == "dingliu" else 1e-3)
     if mode == "dingliu":
         g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
-        s0 = cfg["s0"]
-        thr = threshold.ding_liu_lambda_star(g0, s0, domain, tol=tol, residual_tol=rtol)
+        thr = threshold.ding_liu_lambda_star(g0, cfg["s0"], tol=tol, residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
-
-        def make_inst(lam):
-            return threshold.ding_liu_instance(g0, s0, lam)
+        make_inst = partial(threshold.ding_liu_instance, g0, cfg["s0"])
     else:
-        def make_inst(alpha):
-            return ProblemInstance(domain, S, alpha, n)
-
+        make_inst = partial(ProblemInstance, S)
         if mode == "threshold" or not injected and cfg["alphas"] is None:
-            thr = threshold.find_alpha_star(S, n, domain, tol=tol, residual_tol=rtol)
+            thr = threshold.find_alpha_star(S, tol=tol, residual_tol=rtol)
 
     if mode in ("threshold", "dingliu"):
         family = thr.family
@@ -243,12 +240,12 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
             sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
             family = _injected_family(domain, sign, cfg["count"])
         elif cfg["alphas"] is not None:
-            probes = threshold.walk_schedule(S, n, domain, cfg["alphas"], residual_tol=rtol)
+            probes = threshold.walk_schedule(S, cfg["alphas"], residual_tol=rtol)
             family = [(p.param, p.report) for p in probes if p.solved]
         elif thr.unbounded:
             family = thr.family
         else:
-            reps = threshold.limit_family(S, n, domain, thr, cfg["count"], residual_tol=rtol)
+            reps = threshold.limit_family(S, thr, cfg["count"], residual_tol=rtol)
             family = [(rep.alpha, rep) for rep in reps]
         summary["family_size"] = len(family)
 
@@ -273,7 +270,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     (outdir / "diagnostics.csv").write_text(table_csv(FAMILY_COLUMNS, table.rows))
     verdicts = table.verdicts
     if thr is not None and not thr.unbounded:
-        cert = diagnostics.apriori_c0_bound(S, thr.lo, phi, K, n)
+        cert = diagnostics.apriori_c0_bound(S, thr.lo, phi, K)
         verdicts["apriori_sup_bound"] = cert.check_family(family)
         summary["apriori_bound_on_sup_u"] = cert.bound_on_sup_u
     summary["verdicts"] = verdicts
@@ -294,36 +291,35 @@ def _selftest() -> list[str]:
             failures.append(f"{name}: {e}")
 
     dom = make_torus(2, [32, 32], [1.0, 1.0])
-    plan = spectral.get_plan(dom)
     x = dom.coords()
     sin1 = ScalarField(dom, np.broadcast_to(np.sin(2 * np.pi * x[0]), dom.sizes).copy())
 
     check("integrate_constant", lambda: abs(integrate(ScalarField.constant(dom, 3.0)) - 3.0) < 1e-12)
     check("laplacian_eigenfunction", lambda: (
-        np.max(np.abs(spectral.laplacian(plan, sin1).values + 4 * np.pi**2 * sin1.values)) < 1e-9
+        np.max(np.abs(spectral.laplacian(sin1).values + 4 * np.pi**2 * sin1.values)) < 1e-9
     ))
     check("helmholtz_roundtrip", lambda: (
         np.max(np.abs(spectral.helmholtz_solve(
-            plan, 2.0, ScalarField(dom, (4 * np.pi**2 + 2.0) * sin1.values)
+            2.0, ScalarField(dom, (4 * np.pi**2 + 2.0) * sin1.values)
         ).values - sin1.values)) < 1e-10
     ))
 
     def constant_solve():
-        inst = ProblemInstance(dom, ScalarField.constant(dom, -2.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
         rep = solvers.newton_solve(inst, SolverOptions(start="zero"))
         return rep.converged and rep.solution.sup_norm <= 1e-10
 
     check("constant_instance_solves_to_zero", constant_solve)
 
     def defect_zero():
-        inst = ProblemInstance(dom, ScalarField.constant(dom, -2.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
         u0 = ScalarField.constant(dom, 0.0)
         return problem.integral_identity_defect(inst, u0).defect == 0.0
 
     check("integral_identity_constant", defect_zero)
 
     def gradient_is_twice_residual():
-        inst = ProblemInstance(dom, sin1, -1.0, 1)
+        inst = ProblemInstance(sin1, -1.0)
         u = ScalarField(dom, 0.1 * np.cos(2 * np.pi * x[1]) * np.ones(dom.sizes))
         g = problem.energy_gradient(inst, u)
         r = problem.residual(inst, u)
@@ -333,7 +329,7 @@ def _selftest() -> list[str]:
 
     def eig_constant_potential():
         V = ScalarField.constant(dom, 3.5)
-        return abs(spectral.min_eigenvalue(plan, V, 1e-9) - 3.5) < 1e-8
+        return abs(spectral.min_eigenvalue(V, 1e-9) - 3.5) < 1e-8
 
     check("min_eigenvalue_constant_potential", eig_constant_potential)
     return failures

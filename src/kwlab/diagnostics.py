@@ -78,9 +78,8 @@ def apriori_c0_bound(
     alpha_star: float,
     phi: ScalarField,
     K: RegionMask,
-    n: int,
 ) -> AprioriBoundCertificate:
-    """Certified sup bound on K ⊆ {φ = 1} ⊆ supp φ ⊆ {S < 0}.
+    """Certified sup bound on K ⊆ {φ = 1} ⊆ supp φ ⊆ {S < 0}, n = d/2.
 
     C = max over M of (2|∇φ|² − 2φ·Δφ − (2/n)·α★·φ²), then
     sup_K e^{2u/n} ≤ −(n/2)·C / max_{supp φ} S.
@@ -98,9 +97,9 @@ def apriori_c0_bound(
     if not np.all(phi.values[K.mask] >= 1.0 - PLATEAU_TOL):
         raise DomainError("K must lie inside the plateau {φ = 1}")
 
-    plan = spectral.get_plan(S.domain)
-    gsq = spectral.grad_norm_sq(plan, phi)
-    lap = spectral.laplacian(plan, phi)
+    n = S.domain.d // 2
+    gsq = spectral.grad_norm_sq(phi)
+    lap = spectral.laplacian(phi)
     expr = (
         2.0 * gsq.values
         - 2.0 * phi.values * lap.values
@@ -212,7 +211,7 @@ def family_table(
         }
         if K is not None:
             on_K = u.values[K.mask]
-            gsq = spectral.grad_norm_sq(spectral.get_plan(inst.domain), u)
+            gsq = spectral.grad_norm_sq(u)
             row.update(
                 sup_K_u=float(np.max(on_K)),
                 inf_M_u=u.min,

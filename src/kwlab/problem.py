@@ -23,20 +23,25 @@ EIG_TOL = 1e-7  # the tol of every λ_min (stability_eigenvalue)
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    domain: TorusDomain
+    """The equation at α < 0 for the coefficient S, on S's grid T^d with
+    complex dimension n = d/2."""
+
     S: ScalarField
     alpha: float
-    n: int
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise DomainError(f"complex dimension n must be 1 or 2, got {self.n}")
-        if self.domain.d != 2 * self.n:
-            raise DomainError(f"grid dimension {self.domain.d} must equal 2n = {2 * self.n}")
+        if self.domain.d not in (2, 4):
+            raise DomainError(f"grid dimension must be 2 or 4, got {self.domain.d}")
         if not self.alpha < 0:
             raise DomainError(f"alpha must be negative, got {self.alpha}")
-        if self.S.domain != self.domain:
-            raise DomainError("S lives on a different domain")
+
+    @property
+    def domain(self) -> TorusDomain:
+        return self.S.domain
+
+    @property
+    def n(self) -> int:
+        return self.domain.d // 2
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,11 @@ class EnergyBreakdown:
 
 
 def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:
-    """e^{2u/n} with an overflow guard; the cap is blow-up signal upstream."""
+    """e^{2u/n} with an overflow guard; the cap is blow-up signal upstream.
+    Every function of a solution u reads u through here, so a u on another
+    grid than inst's raises DomainError."""
+    if u.domain != inst.domain:
+        raise DomainError("u lives on a different grid than the instance")
     arg = (2.0 / inst.n) * u.values
     amax = float(np.max(arg))
     if amax > EXP_ARG_CAP:
@@ -63,15 +72,14 @@ def residual(inst: ProblemInstance, u: ScalarField, lap=None) -> ScalarField:
     """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0. lap is the
     grid of Δu when the caller already has it."""
     if lap is None:
-        lap = spectral.laplacian(spectral.get_plan(inst.domain), u).values
+        lap = spectral.laplacian(u).values
     vals = -lap + inst.alpha - inst.S.values * conformal_factor(inst, u)
     return ScalarField(inst.domain, vals)
 
 
 def energy(inst: ProblemInstance, u: ScalarField) -> EnergyBreakdown:
     """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n})."""
-    plan = spectral.get_plan(inst.domain)
-    gsq = spectral.grad_norm_sq(plan, u)
+    gsq = spectral.grad_norm_sq(u)
     w = inst.domain.cell_weight
     dirichlet = float(np.sum(gsq.values)) * w
     linear = 2.0 * inst.alpha * float(np.sum(u.values)) * w
@@ -104,7 +112,7 @@ def stability_eigenvalue(inst: ProblemInstance, u: ScalarField) -> float:
     """λ_min of the stability operator F′(u), solved at EIG_TOL; an
     unconverged solve raises EigenSolveError."""
     V = stability_potential(inst, u)
-    return spectral.min_eigenvalue(spectral.get_plan(inst.domain), V, EIG_TOL)
+    return spectral.min_eigenvalue(V, EIG_TOL)
 
 
 class IdentityCheck(NamedTuple):

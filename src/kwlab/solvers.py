@@ -100,9 +100,8 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     (line search, blow-up) are reported as evidence, never raised.
     """
     opts = opts or SolverOptions()
-    plan = spectral.get_plan(inst.domain)
     u = start_field(inst, opts)
-    lap = spectral.laplacian(plan, u).values
+    lap = spectral.laplacian(u).values
     history: list[float] = []
 
     try:
@@ -116,7 +115,7 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     for it in range(opts.max_iters + 1):
         if normF <= opts.residual_tol and it:
             # Δu carries the round-off of its updates: confirm with a fresh one
-            lap = spectral.laplacian(plan, u).values
+            lap = spectral.laplacian(u).values
             F = problem.residual(inst, u, lap)
             normF = history[-1] = F.sup_norm
         if normF <= opts.residual_tol:
@@ -134,7 +133,7 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
         if not np.all(np.isfinite(d)):
             return _finish(inst, u, False, it, history, "newton", "linear_solve_diverged")
         d = d.reshape(inst.domain.sizes)
-        lap_d = spectral.laplacian(plan, ScalarField(inst.domain, d)).values
+        lap_d = spectral.laplacian(ScalarField(inst.domain, d)).values
 
         t = 1.0
         accepted = False

@@ -1,6 +1,7 @@
 """Fourier-spectral calculus on the torus: Δ, |∇·|², and the Schrödinger
 operator −Δ + W behind the Newton solves, the Helmholtz solves and the
-smallest eigenvalue of −Δ + V.
+smallest eigenvalue of −Δ + V. Each function of a field reads its grid,
+and the grid's cached SpectralPlan, from the field.
 
 Sign convention is the analyst's one: Δ e^{i⟨ξ,x⟩} = −|ξ|² e^{i⟨ξ,x⟩}.
 """
@@ -49,10 +50,6 @@ class SpectralPlan:
             kderiv.append(kd)
         self._kderiv = kderiv
 
-    def _check(self, u: ScalarField):
-        if u.domain != self.domain:
-            raise DomainError("field lives on a different domain than this plan")
-
     def fft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values)
 
@@ -65,21 +62,20 @@ def get_plan(domain: TorusDomain) -> SpectralPlan:
     return SpectralPlan(domain)
 
 
-def laplacian(plan: SpectralPlan, u: ScalarField) -> ScalarField:
-    plan._check(u)
-    return ScalarField(plan.domain, plan.ifft(-plan.ksq * plan.fft(u.values)))
+def laplacian(u: ScalarField) -> ScalarField:
+    plan = get_plan(u.domain)
+    return ScalarField(u.domain, plan.ifft(-plan.ksq * plan.fft(u.values)))
 
 
-def gradient_components(plan: SpectralPlan, u: ScalarField) -> list[np.ndarray]:
-    plan._check(u)
+def gradient_components(u: ScalarField) -> list[np.ndarray]:
+    plan = get_plan(u.domain)
     uhat = plan.fft(u.values)
     return [plan.ifft(1j * kd * uhat) for kd in plan._kderiv]
 
 
-def grad_norm_sq(plan: SpectralPlan, u: ScalarField) -> ScalarField:
+def grad_norm_sq(u: ScalarField) -> ScalarField:
     """Pointwise |∇u|² via spectral first derivatives."""
-    comps = gradient_components(plan, u)
-    return ScalarField(plan.domain, sum(g**2 for g in comps))
+    return ScalarField(u.domain, sum(g**2 for g in gradient_components(u)))
 
 
 class SchrodingerOperator:
@@ -126,14 +122,13 @@ class SchrodingerOperator:
         return x + self.solve_diagonal((self.W - self.c) * g).reshape(x.shape)
 
 
-def helmholtz_solve(plan: SpectralPlan, c: float, rhs: ScalarField) -> ScalarField:
+def helmholtz_solve(c: float, rhs: ScalarField) -> ScalarField:
     """Unique solution of (−Δ + c) u = rhs for c > 0 (diagonal in Fourier)."""
-    plan._check(rhs)
-    return ScalarField(plan.domain, SchrodingerOperator(plan, c, c).solve_diagonal(rhs.values))
+    op = SchrodingerOperator(get_plan(rhs.domain), c, c)
+    return ScalarField(rhs.domain, op.solve_diagonal(rhs.values))
 
 
 def min_eigenvalue(
-    plan: SpectralPlan,
     V: ScalarField,
     tol: float = 1e-8,
     max_iters: int | None = None,
@@ -149,18 +144,17 @@ def min_eigenvalue(
     operator that bounds |λ − λ_exact| by tol. Otherwise EigenSolveError
     carries the last Rayleigh quotient.
     """
-    plan._check(V)
     if not tol > 0:
         raise DomainError("tol must be positive")
     sigma = float(np.min(V.values)) - 1.0
     W = V.values - sigma  # ≥ 1 pointwise
-    op = SchrodingerOperator(plan, W, float(np.mean(W)))
+    op = SchrodingerOperator(get_plan(V.domain), W, float(np.mean(W)))
 
     rng = np.random.default_rng(0)
     x = np.ones(W.size) + 0.01 * rng.standard_normal(W.size)
     x /= np.linalg.norm(x)
     if max_iters is None:
-        max_iters = 10 * max(plan.domain.sizes)
+        max_iters = 10 * max(V.domain.sizes)
     with warnings.catch_warnings():
         # non-convergence is reported by the residual check below
         warnings.simplefilter("ignore", UserWarning)

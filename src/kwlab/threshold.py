@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import problem, solvers
-from .domain import ScalarField, TorusDomain, integrate
+from .domain import ScalarField, integrate
 from .errors import EigenSolveError, SolverError
 from .problem import ProblemInstance
 from .solvers import SolveReport, SolverOptions
@@ -161,8 +162,6 @@ def check_schedule(alphas: Sequence[float]) -> None:
 
 def walk_schedule(
     S: ScalarField,
-    n: int,
-    domain: TorusDomain,
     alphas: Sequence[float],
     residual_tol: float = 1e-10,
 ) -> list[ProbeRecord]:
@@ -180,7 +179,7 @@ def walk_schedule(
     probes: list[ProbeRecord] = []
     for a in alphas:
         last = probes[-1].report if probes else None
-        probes.append(_probe_twice(ProblemInstance(domain, S, a, n),
+        probes.append(_probe_twice(ProblemInstance(S, a),
                                    warm_start=last.solution if last else None,
                                    residual_tol=residual_tol))
         if not probes[-1].solved:
@@ -336,8 +335,6 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 
 def find_alpha_star(
     S: ScalarField,
-    n: int,
-    domain: TorusDomain,
     tol: float = 1e-3,
     residual_tol: float = 1e-10,
 ) -> ThresholdReport:
@@ -358,29 +355,26 @@ def find_alpha_star(
     if integrate(S) >= 0:
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
-        probes = walk_schedule(S, n, domain, UNBOUNDED_PROBE_ALPHAS, residual_tol)
+        probes = walk_schedule(S, UNBOUNDED_PROBE_ALPHAS, residual_tol)
         if not probes[-1].solved:
             raise SolverError(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
             )
         return ThresholdReport(param_name="alpha", lo=-np.inf, hi=probes[-1].param, probes=probes)
 
-    def make_inst(alpha: float) -> ProblemInstance:
-        return ProblemInstance(domain, S, alpha, n)
-
     # t = α: ∂F/∂t = 1
-    return _fold_search(make_inst, lambda e: 1.0, "alpha", START_ALPHA, 4.0, tol, residual_tol)
+    return _fold_search(partial(ProblemInstance, S), lambda e: 1.0, "alpha", START_ALPHA, 4.0,
+                        tol, residual_tol)
 
 
 def ding_liu_instance(g0: ScalarField, s0: float, lam: float) -> ProblemInstance:
     """The Ding-Liu instance −Δu + s₀ = (g₀ + λ)e^{2u} (n = 1) at λ."""
-    return ProblemInstance(g0.domain, ScalarField(g0.domain, g0.values + lam), s0, 1)
+    return ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0)
 
 
 def ding_liu_lambda_star(
     g0: ScalarField,
     s0: float,
-    domain: TorusDomain,
     tol: float = 1e-2,
     residual_tol: float = 1e-10,
 ) -> ThresholdReport:
@@ -395,8 +389,8 @@ def ding_liu_lambda_star(
     inside (0, −min g₀). The family is the stable branch, λ strictly
     increasing, each report with its λ_min. Every solve meets residual_tol.
     """
-    if domain.d != 2 or g0.domain != domain:
-        raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem, with g0 on domain")
+    if g0.domain.d != 2:
+        raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")
     if abs(g0.max) > 1e-8:
         raise SolverError(f"max g0 must be 0 (got {g0.max}); shift the field first")
     if g0.max - g0.min < 1e-12:
@@ -417,8 +411,6 @@ def ding_liu_lambda_star(
 
 def limit_family(
     S: ScalarField,
-    n: int,
-    domain: TorusDomain,
     threshold_report: ThresholdReport,
     count: int,
     residual_tol: float = 1e-10,
@@ -438,5 +430,5 @@ def limit_family(
     # sqrt(α − α★), so the faster schedule is what makes an 8-member
     # family visibly plateau in the diagnostics
     alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    probes = walk_schedule(S, n, domain, alphas, residual_tol)
+    probes = walk_schedule(S, alphas, residual_tol)
     return [p.report for p in probes if p.solved]

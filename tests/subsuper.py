@@ -123,7 +123,6 @@ def monotone_iterate(
     """
     opts = opts or SolverOptions()
     interval.validate(inst)
-    plan = spectral.get_plan(inst.domain)
     c = monotone_constant(inst, interval.upper)
 
     u = interval.upper.copy()
@@ -134,7 +133,7 @@ def monotone_iterate(
         history.append(normF)
         if normF <= opts.residual_tol:
             return _finish(inst, u, True, it, history, "monotone")
-        unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(plan, c, F).values)
+        unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(c, F).values)
         if float(np.max(unew.values - u.values)) > 1e-12:
             raise SolverError(
                 "monotone iterate increased: monotonicity constant too small or interval invalid"

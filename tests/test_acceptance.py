@@ -49,7 +49,7 @@ def threshold64(t2_64a):
     """Shared 64² threshold run for criteria 7, 9, 10 (timed for criterion 7)."""
     S = sine_field(t2_64a, -0.5)
     t0 = time.perf_counter()
-    rep = threshold.find_alpha_star(S, 1, t2_64a, tol=1e-3)
+    rep = threshold.find_alpha_star(S, tol=1e-3)
     elapsed = time.perf_counter() - t0
     return S, rep, elapsed
 
@@ -57,19 +57,19 @@ def threshold64(t2_64a):
 @pytest.fixture(scope="module")
 def family64(t2_64a, threshold64):
     S, rep, _ = threshold64
-    return threshold.limit_family(S, 1, t2_64a, rep, count=8)
+    return threshold.limit_family(S, rep, count=8)
 
 
 def test_01_exact_solution_recovery(t2_64a):
     t0 = time.perf_counter()
-    inst1 = ProblemInstance(t2_64a, ScalarField.constant(t2_64a, -1.0), -2.0, 1)
+    inst1 = ProblemInstance(ScalarField.constant(t2_64a, -1.0), -2.0)
     rep1 = newton_solve(inst1)
     err1 = np.max(np.abs(rep1.solution.values - 0.5 * np.log(2.0)))
     dt1 = time.perf_counter() - t0
 
     dom4 = make_torus(4, [16] * 4, [1.0] * 4)
     t0 = time.perf_counter()
-    inst2 = ProblemInstance(dom4, ScalarField.constant(dom4, -1.0), -np.e, 2)
+    inst2 = ProblemInstance(ScalarField.constant(dom4, -1.0), -np.e)
     rep2 = newton_solve(inst2)
     err2 = np.max(np.abs(rep2.solution.values - 1.0))
     dt2 = time.perf_counter() - t0
@@ -86,14 +86,13 @@ def test_02_manufactured_convergence(t2_64a, t2_32a):
     u64 = smooth_random_field(t2_64a, seed=31, amplitude=0.3)
     # band-limited: restriction to the coarse grid is exact sampling of u*
     u32 = ScalarField(t2_32a, restrict(u64.values))
-    plan64 = spectral.get_plan(t2_64a)
-    alpha = float(np.floor(np.min(spectral.laplacian(plan64, u64).values))) - 10.0
+    alpha = float(np.floor(np.min(spectral.laplacian(u64).values))) - 10.0
 
     def build(dom, u_star):
-        lap = spectral.laplacian(spectral.get_plan(dom), u_star)
+        lap = spectral.laplacian(u_star)
         S = ScalarField(dom, (-lap.values + alpha) * np.exp(-2.0 * u_star.values))
         assert S.max < 0
-        return ProblemInstance(dom, S, alpha, 1)
+        return ProblemInstance(S, alpha)
 
     rep64 = newton_solve(build(t2_64a, u64))
     rep32 = newton_solve(build(t2_32a, u32))
@@ -107,8 +106,8 @@ def test_02_manufactured_convergence(t2_64a, t2_32a):
 def test_03_integral_identity(t2_64a, family64):
     S = sine_field(t2_64a, -0.5)
     reports = list(family64)
-    insts = [ProblemInstance(t2_64a, S, r.alpha, 1) for r in reports]
-    inst_c = ProblemInstance(t2_64a, ScalarField.constant(t2_64a, -1.0), -2.0, 1)
+    insts = [ProblemInstance(S, r.alpha) for r in reports]
+    inst_c = ProblemInstance(ScalarField.constant(t2_64a, -1.0), -2.0)
     reports.append(newton_solve(inst_c))
     insts.append(inst_c)
     worst = 0.0
@@ -123,7 +122,7 @@ def test_03_integral_identity(t2_64a, family64):
 
 
 def test_04_variational_consistency(t2_32a):
-    inst, _ = make_manufactured_neg(t2_32a, n=1)
+    inst, _ = make_manufactured_neg(t2_32a)
     u = smooth_random_field(t2_32a, seed=101, amplitude=0.3)
     g = problem.energy_gradient(inst, u)
     w = t2_32a.cell_weight
@@ -147,17 +146,14 @@ def test_04_variational_consistency(t2_32a):
 
 
 def test_05_stability_of_ordered_solutions(t2_32a):
-    inst, _ = make_manufactured_neg(t2_32a, n=1)
-    warm = newton_solve(ProblemInstance(t2_32a, inst.S, 2 * inst.alpha, 1),
+    inst, _ = make_manufactured_neg(t2_32a)
+    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha),
                         SolverOptions(start="constant"))
     iv = make_interval(inst, warm)
-    plan = spectral.get_plan(t2_32a)
     lam_min = np.inf
     for rep in (monotone_iterate(inst, iv), minimize_over_interval(inst, iv)):
         assert rep.converged
-        lam = spectral.min_eigenvalue(
-            plan, problem.stability_potential(inst, rep.solution), 1e-8
-        )
+        lam = spectral.min_eigenvalue(problem.stability_potential(inst, rep.solution), 1e-8)
         lam_min = min(lam_min, lam)
     ok = lam_min >= -1e-6
     report_line(5, "stability-of-ordered-solutions", ok, f"min λ_min {lam_min:.3e}")
@@ -165,7 +161,7 @@ def test_05_stability_of_ordered_solutions(t2_32a):
 
 def test_06_nonpositive_S_always_solvable(t2_32a):
     S = sine_field(t2_32a, -1.5)  # S ≤ −0.5 < 0
-    rep = threshold.find_alpha_star(S, 1, t2_32a)
+    rep = threshold.find_alpha_star(S)
     alphas = [a for a, _ in rep.family]
     ok = (rep.unbounded and alphas == [-1.0, -10.0, -100.0, -1000.0]
           and all(r.converged for _, r in rep.family))
@@ -197,7 +193,7 @@ def test_08_lambda_star_containment(t2_32a):
     details = []
     ok = True
     for name, g0 in g0s.items():
-        rep = threshold.ding_liu_lambda_star(g0, -1.0, t2_32a, tol=1e-2)
+        rep = threshold.ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         inside = 0.0 < rep.lo < rep.hi < -g0.min
         ok = ok and inside
         details.append(f"{name}: [{rep.lo:.3f},{rep.hi:.3f}] ⊂ (0,{-g0.min:.3f})")
@@ -215,7 +211,7 @@ def test_09_apriori_bound_two_cutoffs(t2_64a, threshold64, family64):
     ok = True
     details = []
     for phi, K, tag in ((phi_auto, K_auto, "auto"), (phi2, K2, "manual")):
-        cert = diagnostics.apriori_c0_bound(S, rep.lo, phi, K, n=1)
+        cert = diagnostics.apriori_c0_bound(S, rep.lo, phi, K)
         holds = cert.check_family([(r.alpha, r) for r in family64])
         ok = ok and holds
         details.append(
@@ -229,7 +225,7 @@ def test_10_limit_family_bounded(t2_64a, threshold64, family64):
     _, K, _ = diagnostics.auto_cutoff_region(S)
     ok = len(family64) == 8 and all(r.converged for r in family64)
     diag = diagnostics.family_table([(r.alpha, r) for r in family64],
-                                    lambda a: ProblemInstance(t2_64a, S, a, 1), K)
+                                    lambda a: ProblemInstance(S, a), K)
     gap = family64[-1].alpha - rep.hi
     ok = ok and all(diag.verdicts.values())
     failing = [k for k, v in diag.verdicts.items() if not v]
@@ -247,7 +243,7 @@ def test_11_negative_controls(t2_32a, tmp_path, capsys):
     S = ScalarField.constant(t2_32a, -1.0)   # the CLI's field=const field_value=-1.0
 
     def make_inst(a):
-        return ProblemInstance(t2_32a, S, a, 1)
+        return ProblemInstance(S, a)
 
     lower_fails = not diagnostics.family_table(down, make_inst, K).verdicts["lower_bound"]
     supinf_fails = not diagnostics.family_table(up, make_inst, K).verdicts["sup_inf"]

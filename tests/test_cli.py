@@ -139,20 +139,21 @@ def test_nonfinite_tol_rejected(tmp_path, capsys, value, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_count_below_one_rejected(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize("keys, problem", [
+    (["field=sin1", "field_offset=-0.5", "count=0"], "count: must be at least 1, got '0'"),
+    (["field=sin1", "field_offset=-0.5", "count=-2"], "count: must be at least 1, got '-2'"),
+    (["field=random_fourier", "field_p=3", "field_seed=-1"],
+     "field_seed: must be at least 0, got '-1'"),
+], ids=["0", "-2", "field_seed=-1"])
+def test_count_below_one_rejected(tmp_path, capsys, monkeypatch, keys, problem):
+    # a count below 1, or a seed numpy cannot take, is a config error
     def no_search(*args, **kw):
         raise AssertionError("the search ran before the config was checked")
 
     monkeypatch.setattr(threshold, "find_alpha_star", no_search)
-    code, cap = run_cli(
-        capsys, "family", "--out", str(tmp_path / "fam"),
-        "field=sin1", "field_offset=-0.5", "sizes=16,16", f"count={value}",
-    )
+    code, cap = run_cli(capsys, "family", "--out", str(tmp_path / "fam"), "sizes=16,16", *keys)
     assert code == 1
-    assert json.loads(cap.err.strip())["error"] == (
-        f"config validation failed: count: must be at least 1, got '{value}'"
-    )
+    assert json.loads(cap.err.strip())["error"] == f"config validation failed: {problem}"
     assert cap.out == ""
     assert not (tmp_path / "fam").exists()
 
@@ -224,9 +225,9 @@ def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monke
     calls = []
     original = spectral.min_eigenvalue
 
-    def counted(plan, V, tol=1e-8, max_iters=None):
+    def counted(V, tol=1e-8, max_iters=None):
         calls.append(tol)
-        return original(plan, V, tol, max_iters)
+        return original(V, tol, max_iters)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", counted)
     out = tmp_path / "thr"
@@ -269,9 +270,9 @@ def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
     calls = []
     original = spectral.min_eigenvalue
 
-    def counted(plan, V, tol=1e-8, max_iters=None):
+    def counted(V, tol=1e-8, max_iters=None):
         calls.append(tol)
-        return original(plan, V, tol, max_iters)
+        return original(V, tol, max_iters)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", counted)
     out = tmp_path / "dl"
@@ -437,7 +438,7 @@ def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch
     ("diagnose", []),
 ], ids=["family", "diagnose"])
 def test_unconverged_eigenvalue_exits_2(tmp_path, capsys, monkeypatch, mode, extra):
-    def unconverged(plan, V, tol=1e-8, max_iters=None):
+    def unconverged(V, tol=1e-8, max_iters=None):
         raise EigenSolveError("forced non-convergence", -0.5)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
@@ -488,9 +489,9 @@ def test_diagnose_tables_agree_per_member(tmp_path, capsys, monkeypatch):
         calls["defect"] += 1
         return defect(inst, u)
 
-    def counted_eig(plan, V, tol=1e-8, max_iters=None):
+    def counted_eig(V, tol=1e-8, max_iters=None):
         calls["eig"] += 1
-        return min_eigenvalue(plan, V, tol, max_iters)
+        return min_eigenvalue(V, tol, max_iters)
 
     monkeypatch.setattr(problem, "integral_identity_defect", counted_defect)
     monkeypatch.setattr(spectral, "min_eigenvalue", counted_eig)

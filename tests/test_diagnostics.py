@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,9 @@ def fake_report(domain, value, alpha=-1.0, method="monotone"):
     )
 
 
-def inst_at(domain, S):
-    """make_inst of a family on S with n = 1: its instance at α."""
-    return lambda a: ProblemInstance(domain, S, a, 1)
+def inst_at(S):
+    """make_inst of a family on S: its instance at α."""
+    return partial(ProblemInstance, S)
 
 
 class TestTrend:
@@ -66,7 +68,7 @@ class TestAprioriBound:
         phi = ScalarField.constant(t2_32, 1.0)
         K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
         S = ScalarField.constant(t2_32, -1.0)
-        cert = apriori_c0_bound(S, -2.0, phi, K, n=1)
+        cert = apriori_c0_bound(S, -2.0, phi, K)
         assert cert.C1 == pytest.approx(4.0, abs=1e-12)
         assert cert.bound_on_sup_u == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
@@ -75,7 +77,7 @@ class TestAprioriBound:
         phi = ScalarField.constant(t4_16, 1.0)
         K = RegionMask(t4_16, np.ones(t4_16.sizes, dtype=bool), "K")
         S = ScalarField.constant(t4_16, -1.0)
-        cert = apriori_c0_bound(S, -2.0, phi, K, n=2)
+        cert = apriori_c0_bound(S, -2.0, phi, K)
         assert cert.C1 == pytest.approx(2.0, abs=1e-12)
         assert cert.bound_on_sup_u == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -86,10 +88,10 @@ class TestAprioriBound:
         S = ScalarField.constant(t2_32, -1.0)
         phi = ScalarField.constant(t2_32, 1.0)
         K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
-        cert = apriori_c0_bound(S, -4.0, phi, K, n=1)
+        cert = apriori_c0_bound(S, -4.0, phi, K)
         family = []
         for a in (-0.5, -1.0, -2.0, -3.9):
-            rep = newton_solve(ProblemInstance(t2_32, S, a, 1))
+            rep = newton_solve(ProblemInstance(S, a))
             assert rep.converged
             family.append(rep)
         assert cert.check_family([(r.alpha, r) for r in family])
@@ -101,27 +103,27 @@ class TestAprioriBound:
                                             r_outer=0.1))
         K = ball_mask(t2_64, (0.25, 0.5), 0.04, label="K")
         with pytest.raises(DomainError):
-            apriori_c0_bound(sin_minus_half, -2.0, phi, K, n=1)
+            apriori_c0_bound(sin_minus_half, -2.0, phi, K)
 
     def test_rejects_K_outside_plateau(self, t2_64, sin_minus_half):
         phi = make_cutoff(t2_64, CutoffSpec(center=(0.75, 0.5), r_inner=0.05,
                                             r_outer=0.1))
         K = ball_mask(t2_64, (0.75, 0.5), 0.08, label="K")  # pokes into the ramp
         with pytest.raises(DomainError):
-            apriori_c0_bound(sin_minus_half, -2.0, phi, K, n=1)
+            apriori_c0_bound(sin_minus_half, -2.0, phi, K)
 
     def test_rejects_nonnegative_alpha_star(self, t2_32):
         phi = ScalarField.constant(t2_32, 1.0)
         K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
         with pytest.raises(DomainError):
-            apriori_c0_bound(ScalarField.constant(t2_32, -1.0), 0.0, phi, K, n=1)
+            apriori_c0_bound(ScalarField.constant(t2_32, -1.0), 0.0, phi, K)
 
     def test_rejects_empty_cutoff_support(self, t2_32):
         # φ ≡ 0 has no support on which to take the max of S
         phi = ScalarField.constant(t2_32, 0.0)
         K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
         with pytest.raises(DomainError, match="cutoff support is empty"):
-            apriori_c0_bound(ScalarField.constant(t2_32, -1.0), -2.0, phi, K, n=1)
+            apriori_c0_bound(ScalarField.constant(t2_32, -1.0), -2.0, phi, K)
 
 
 class TestAutoCutoff:
@@ -132,7 +134,7 @@ class TestAutoCutoff:
         assert np.all(phi.values[K.mask] >= 1.0 - 1e-9)
         assert not K.empty
         # certificate construction succeeds on the automatic region
-        cert = apriori_c0_bound(sin_minus_half, -3.2, phi, K, n=1)
+        cert = apriori_c0_bound(sin_minus_half, -3.2, phi, K)
         assert np.isfinite(cert.bound_on_sup_u)
 
     def test_everywhere_negative_degenerates(self, t2_32):
@@ -148,7 +150,7 @@ class TestNegativeControls:
     def table(self, domain, family):
         K = ball_mask(domain, (0.5, 0.5), 0.2, label="K")
         S = ScalarField.constant(domain, -1.0)
-        return family_table([(r.alpha, r) for r in family], inst_at(domain, S), K)
+        return family_table([(r.alpha, r) for r in family], inst_at(S), K)
 
     def test_downward_divergence_fails_lower_bound(self, t2_32):
         family = [fake_report(t2_32, -float(k), alpha=-1.0 - 0.1 * k) for k in range(8)]
@@ -176,10 +178,10 @@ class TestFamilyTable:
         alphas = [-2.0 + 4.0 ** (-k) for k in range(1, 7)]
         family = []
         for a in alphas:
-            rep = newton_solve(ProblemInstance(t2_32, S, a, 1))
+            rep = newton_solve(ProblemInstance(S, a))
             assert rep.converged
             family.append(rep)
-        diag = family_table([(r.alpha, r) for r in family], inst_at(t2_32, S), K)
+        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
         assert all(diag.verdicts.values()), diag.verdicts
         for row, a in zip(diag.rows, alphas):
             u_exact = 0.5 * np.log(-a)
@@ -200,16 +202,16 @@ class TestFamilyTable:
         def monotone_family():
             family = []
             for a in (-1.0, -1.5, -1.75):
-                inst = ProblemInstance(t2_32, S, a, 1)
-                warm = newton_solve(ProblemInstance(t2_32, S, a - 1.0, 1))
+                inst = ProblemInstance(S, a)
+                warm = newton_solve(ProblemInstance(S, a - 1.0))
                 rep = monotone_iterate(inst, make_interval(inst, warm))
                 assert rep.converged and rep.method == "monotone"
                 family.append((a, rep))
             return family
 
-        assert family_table(monotone_family(), inst_at(t2_32, S), K).verdicts["stability"]
-        monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
-        assert not family_table(monotone_family(), inst_at(t2_32, S), K).verdicts["stability"]
+        assert family_table(monotone_family(), inst_at(S), K).verdicts["stability"]
+        monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
+        assert not family_table(monotone_family(), inst_at(S), K).verdicts["stability"]
 
     def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
         # every member is judged, whichever engine solved it
@@ -217,53 +219,53 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
 
         def newton_family():
-            return [(a, newton_solve(ProblemInstance(t2_32, S, a, 1))) for a in (-1.0, -1.5, -1.75)]
+            return [(a, newton_solve(ProblemInstance(S, a))) for a in (-1.0, -1.5, -1.75)]
 
-        assert family_table(newton_family(), inst_at(t2_32, S), K).verdicts["stability"]
-        monkeypatch.setattr(spectral, "min_eigenvalue", lambda plan, V, tol, max_iters=None: -0.5)
-        diag = family_table(newton_family(), inst_at(t2_32, S), K)
+        assert family_table(newton_family(), inst_at(S), K).verdicts["stability"]
+        monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
+        diag = family_table(newton_family(), inst_at(S), K)
         assert [row["lambda_min"] for row in diag.rows] == [-0.5] * 3
         assert not diag.verdicts["stability"]
 
     def test_csv_shape(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
-        rep = newton_solve(ProblemInstance(t2_32, S, -1.0, 1))
-        diag = family_table([(rep.alpha, rep)], inst_at(t2_32, S), K)
+        rep = newton_solve(ProblemInstance(S, -1.0))
+        diag = family_table([(rep.alpha, rep)], inst_at(S), K)
         lines = table_csv(FAMILY_COLUMNS, diag.rows).strip().splitlines()
         assert lines[0] == ",".join(FAMILY_COLUMNS)
         assert len(lines) == 2
 
     def test_unconverged_eigenvalue_raises(self, t2_32, monkeypatch):
         # the stability verdict never rests on an unconverged λ_min
-        def unconverged(plan, V, tol=1e-8, max_iters=None):
+        def unconverged(V, tol=1e-8, max_iters=None):
             raise EigenSolveError("forced non-convergence", -0.5)
 
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
-        rep = newton_solve(ProblemInstance(t2_32, S, -1.0, 1))
+        rep = newton_solve(ProblemInstance(S, -1.0))
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
-            family_table([(rep.alpha, rep)], inst_at(t2_32, S), K)
+            family_table([(rep.alpha, rep)], inst_at(S), K)
         assert rep.min_eig is None
 
     def test_empty_family_rejected(self, t2_32):
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         with pytest.raises(DomainError):
-            family_table([], inst_at(t2_32, ScalarField.constant(t2_32, -1.0)), K)
+            family_table([], inst_at(ScalarField.constant(t2_32, -1.0)), K)
 
     def test_empty_K_rejected(self, t2_32):
         K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
         with pytest.raises(DomainError, match="empty K"):
             family_table([(-1.0, fake_report(t2_32, 0.0))],
-                         inst_at(t2_32, ScalarField.constant(t2_32, -1.0)), K)
+                         inst_at(ScalarField.constant(t2_32, -1.0)), K)
 
     def test_divergent_family_flagged(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, float(k), alpha=-1.0 - k, method="newton")
                   for k in range(8)]
-        diag = family_table([(r.alpha, r) for r in family], inst_at(t2_32, S), K)
+        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
         assert not diag.verdicts["sup_K_bounded"]
         assert not diag.verdicts["exp_mass_bounded"]
         assert not all(diag.verdicts.values())

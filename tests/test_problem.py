@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, integrate
+from kwlab import ProblemInstance, ScalarField, SolverOptions, TorusDomain, integrate, make_torus
 from kwlab import spectral
 from kwlab.errors import BlowUpError, DomainError
 from kwlab.problem import (
@@ -10,44 +10,65 @@ from kwlab.problem import (
     integral_identity_defect,
     linearization,
     residual,
+    stability_eigenvalue,
 )
+from kwlab.solvers import newton_solve
 
 from oracles import smooth_random_field
 
 
-def make_manufactured(domain, n, alpha, seed=31, amplitude=0.4):
+def make_manufactured(domain, alpha, seed=31, amplitude=0.4):
     """S chosen so that a prescribed smooth u* solves the equation exactly."""
+    n = domain.d // 2
     u_star = smooth_random_field(domain, seed=seed, amplitude=amplitude)
-    plan = spectral.get_plan(domain)
-    lap = spectral.laplacian(plan, u_star)
+    lap = spectral.laplacian(u_star)
     S = ScalarField(domain, (-lap.values + alpha) * np.exp(-(2.0 / n) * u_star.values))
-    return ProblemInstance(domain, S, alpha, n), u_star
+    return ProblemInstance(S, alpha), u_star
 
 
 def test_instance_validation(t2_32):
     with pytest.raises(DomainError):
-        ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), 0.5, 1)
+        ProblemInstance(ScalarField.constant(t2_32, -1.0), 0.5)
+    # a directly built TorusDomain bypasses make_torus's dimension check
+    t3 = TorusDomain(d=3, sizes=(8, 8, 8), lengths=(1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
-        ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -1.0, 2)
+        ProblemInstance(ScalarField.constant(t3, -1.0), -1.0)
+
+
+@pytest.mark.parametrize("read", [
+    residual,
+    energy,
+    linearization,
+    integral_identity_defect,
+    stability_eigenvalue,
+    lambda inst, u: newton_solve(inst, SolverOptions(start=u)),
+], ids=["residual", "energy", "linearization", "integral_identity_defect",
+        "stability_eigenvalue", "newton_solve"])
+def test_solution_on_another_grid_is_rejected(t2_32, read):
+    # the same 32² sampling of a torus of side 2, not side 1
+    side2 = make_torus(2, [32, 32], [2.0, 2.0])
+    inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -1.0)
+    with pytest.raises(DomainError):
+        read(inst, ScalarField.constant(side2, 0.0))
 
 
 class TestResidual:
     def test_constant_solution_n1(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -2.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -2.0), -2.0)
         r = residual(inst, ScalarField.constant(t2_32, 0.0))
         assert r.sup_norm < 1e-14
 
     def test_constant_solution_n2(self, t4_16):
-        inst = ProblemInstance(t4_16, ScalarField.constant(t4_16, -1.0), -np.e, 2)
+        inst = ProblemInstance(ScalarField.constant(t4_16, -1.0), -np.e)
         r = residual(inst, ScalarField.constant(t4_16, 1.0))
         assert r.sup_norm < 1e-14
 
     def test_manufactured(self, t2_64):
-        inst, u_star = make_manufactured(t2_64, n=1, alpha=-1.0)
+        inst, u_star = make_manufactured(t2_64, alpha=-1.0)
         assert residual(inst, u_star).sup_norm <= 1e-10
 
     def test_overflow_guard_names_max_u(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -1.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -1.0)
         with pytest.raises(BlowUpError) as exc:
             residual(inst, ScalarField.constant(t2_32, 500.0))
         assert exc.value.max_u == 500.0
@@ -56,7 +77,7 @@ class TestResidual:
 class TestEnergy:
     def test_u_zero(self, t2_32, ):
         S = ScalarField.constant(t2_32, -2.0)
-        inst = ProblemInstance(t2_32, S, -1.0, 1)
+        inst = ProblemInstance(S, -1.0)
         e = energy(inst, ScalarField.constant(t2_32, 0.0))
         assert e.dirichlet == 0.0 and e.linear == 0.0
         assert e.total == pytest.approx(-1 * integrate(S), rel=1e-14)
@@ -64,20 +85,20 @@ class TestEnergy:
     def test_constant_closed_form(self, t2_32):
         S = ScalarField.constant(t2_32, -2.0)
         alpha, n, c = -1.5, 1, 0.3
-        inst = ProblemInstance(t2_32, S, alpha, n)
+        inst = ProblemInstance(S, alpha)
         e = energy(inst, ScalarField.constant(t2_32, c))
         expected = 2 * alpha * c * t2_32.volume - n * np.exp(2 * c / n) * integrate(S)
         assert e.total == pytest.approx(expected, rel=1e-13)
 
     def test_breakdown_sums(self, t2_64):
-        inst, _ = make_manufactured(t2_64, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_64, alpha=-1.0)
         u = smooth_random_field(t2_64, seed=41, amplitude=0.3)
         e = energy(inst, u)
         assert e.total == pytest.approx(e.dirichlet + e.linear + e.exponential, rel=1e-12)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-4])
     def test_gradient_matches_finite_differences(self, t2_32, t):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=43, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=44, amplitude=1.0)
         g = energy_gradient(inst, u)
@@ -90,20 +111,20 @@ class TestEnergy:
 
 class TestGradientAndHessian:
     def test_gradient_is_twice_residual(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=47, amplitude=0.4)
         g = energy_gradient(inst, u)
         r = residual(inst, u)
         assert np.max(np.abs(g.values - 2 * r.values)) <= 1e-14
 
     def test_gradient_zero_at_constant_solution(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -2.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -2.0), -2.0)
         g = energy_gradient(inst, ScalarField.constant(t2_32, 0.0))
         assert g.sup_norm < 1e-14
 
     def test_gradient_closed_form_at_zero(self, t2_32, sin_minus_half):
         dom = sin_minus_half.domain
-        inst = ProblemInstance(dom, sin_minus_half, -1.0, 1)
+        inst = ProblemInstance(sin_minus_half, -1.0)
         g = energy_gradient(inst, ScalarField.constant(dom, 0.0))
         expected = 2 * (-1.0 - sin_minus_half.values)
         assert np.max(np.abs(g.values - expected)) <= 1e-13
@@ -111,13 +132,13 @@ class TestGradientAndHessian:
     def test_hessian_constants(self, t2_32):
         # n=1, S≡−1, α=−2, constant solution e^{2u} = α/S = 2: on constants
         # H φ = −(4/n)·S·e^{2u/n}·φ = 8·φ
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
         u = ScalarField.constant(t2_32, 0.5 * np.log(2.0))
         out = 2 * linearization(inst, u).apply(ScalarField.constant(t2_32, 1.0).values)
         assert np.max(np.abs(out - 8.0)) < 1e-12
 
     def test_hessian_symmetry(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=51, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=52)
         psi = smooth_random_field(t2_32, seed=53)
@@ -129,7 +150,7 @@ class TestGradientAndHessian:
 
     @pytest.mark.parametrize("t", [1e-3, 1e-4])
     def test_hessian_matches_gradient_differences(self, t2_32, t):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=54, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=55)
         H = 2 * linearization(inst, u).apply(phi.values)
@@ -142,20 +163,20 @@ class TestGradientAndHessian:
 
 class TestIntegralIdentity:
     def test_constant_solution_exact(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -2.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -2.0), -2.0)
         check = integral_identity_defect(inst, ScalarField.constant(t2_32, 0.0))
         assert check.defect == 0.0
         assert check.mass_negative
 
     def test_manufactured_small_defect(self, t2_64):
-        inst, u_star = make_manufactured(t2_64, n=1, alpha=-1.0)
+        inst, u_star = make_manufactured(t2_64, alpha=-1.0)
         check = integral_identity_defect(inst, u_star)
         assert check.defect <= 1e-9
         assert check.mass_negative
 
 
 def test_energy_decreases_along_negative_gradient(t2_32):
-    inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+    inst, _ = make_manufactured(t2_32, alpha=-1.0)
     u = smooth_random_field(t2_32, seed=61, amplitude=0.4)
     g = energy_gradient(inst, u)
     assert g.sup_norm > 0

@@ -29,7 +29,7 @@ def test_field_header_contents(tmp_path):
 
 
 def test_report_roundtrip(tmp_path, t2_32):
-    inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -2.0, 1)
+    inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
     rep = newton_solve(inst)
     path = write_report(rep, tmp_path / "run")
     payload = json.loads(path.read_text())
@@ -42,7 +42,7 @@ def test_report_roundtrip(tmp_path, t2_32):
 
 
 def test_report_summary_keys(t2_32):
-    inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -2.0, 1)
+    inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
     rep = newton_solve(inst)
     summary = report_summary(rep)
     assert set(summary) == {

@@ -26,23 +26,24 @@ from test_problem import make_manufactured
 from kwlab import spectral
 
 
-def constant_instance(domain, S0=-1.0, alpha=-2.0, n=1):
-    return ProblemInstance(domain, ScalarField.constant(domain, S0), alpha, n)
+def constant_instance(domain, S0=-1.0, alpha=-2.0):
+    return ProblemInstance(ScalarField.constant(domain, S0), alpha)
 
 
-def make_manufactured_neg(domain, n=1, seed=31, amplitude=0.3):
+def make_manufactured_neg(domain, seed=31, amplitude=0.3):
     """Manufactured instance with S < 0 everywhere (unique solution).
 
     α is pushed below min Δu* so that S = (−Δu* + α)·e^{−2u*/n} stays
     strictly negative; with S < 0 the solution is unique and every engine
     must land on u*.
     """
+    n = domain.d // 2
     u_star = smooth_random_field(domain, seed=seed, amplitude=amplitude)
-    lap = spectral.laplacian(spectral.get_plan(domain), u_star)
+    lap = spectral.laplacian(u_star)
     alpha = float(np.min(lap.values)) - 10.0
     S = ScalarField(domain, (-lap.values + alpha) * np.exp(-(2.0 / n) * u_star.values))
     assert S.max < 0
-    return ProblemInstance(domain, S, alpha, n), u_star
+    return ProblemInstance(S, alpha), u_star
 
 
 def warm_report(inst_tilde):
@@ -61,12 +62,12 @@ class TestSubSolution:
         assert float(np.max(residual(inst, u_minus).values)) < 0
 
     def test_sign_changing(self, t2_64, sin_minus_half):
-        inst = ProblemInstance(t2_64, sin_minus_half, -1.0, 1)
+        inst = ProblemInstance(sin_minus_half, -1.0)
         u_minus = build_sub_solution(inst)
         assert float(np.max(residual(inst, u_minus).values)) < 0
 
     def test_rejects_nonnegative_S(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, 1.0), -1.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, 1.0), -1.0)
         with pytest.raises(SolverError):
             build_sub_solution(inst)
 
@@ -99,8 +100,8 @@ class TestSuperSolution:
 
 class TestInterval:
     def test_make_and_validate(self, t2_64, sin_minus_half):
-        warm = warm_report(ProblemInstance(t2_64, sin_minus_half, -2.0, 1))
-        inst = ProblemInstance(t2_64, sin_minus_half, -1.0, 1)
+        warm = warm_report(ProblemInstance(sin_minus_half, -2.0))
+        inst = ProblemInstance(sin_minus_half, -1.0)
         iv = make_interval(inst, warm)
         iv.validate(inst)
         assert np.all(iv.lower.values <= iv.upper.values)
@@ -139,7 +140,7 @@ class TestNewton:
         assert np.max(np.abs(rep.solution.values - 0.5 * np.log(2.0))) < 1e-10
 
     def test_manufactured_solution(self, t2_64):
-        inst, u_star = make_manufactured_neg(t2_64, n=1)
+        inst, u_star = make_manufactured_neg(t2_64)
         rep = newton_solve(inst)
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - u_star.values)) <= 1e-8
@@ -147,7 +148,7 @@ class TestNewton:
     def test_matches_dense_oracle(self, t2_16):
         # FD and spectral discretizations differ, so agreement is coarse;
         # S < 0 keeps the continuum solution unique.
-        inst, _ = make_manufactured_neg(t2_16, n=1, seed=71, amplitude=0.1)
+        inst, _ = make_manufactured_neg(t2_16, seed=71, amplitude=0.1)
         rep = newton_solve(inst)
         assert rep.converged
         ok, u_dense = dense_newton(inst.S.values, inst.alpha, inst.n, t2_16, tol=1e-10)
@@ -155,13 +156,13 @@ class TestNewton:
         assert np.max(np.abs(rep.solution.values - u_dense)) <= 1e-2
 
     def test_n2_constant(self, t4_16):
-        inst = ProblemInstance(t4_16, ScalarField.constant(t4_16, -1.0), -np.e, 2)
+        inst = ProblemInstance(ScalarField.constant(t4_16, -1.0), -np.e)
         rep = newton_solve(inst)
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 1.0)) < 1e-9
 
     def test_superlinear_tail(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0)
         rep = newton_solve(inst, SolverOptions(residual_tol=1e-12))
         assert rep.converged
         h = rep.residual_history
@@ -172,15 +173,15 @@ class TestNewton:
     def test_last_residual_is_a_fresh_one(self, t2_32, field):
         # the line search carries Δu along its steps; the reported residual
         # of a converged solve is recomputed from the solution itself
-        inst = (make_manufactured(t2_32, n=1, alpha=-1.0)[0] if field == "manufactured"
-                else ProblemInstance(t2_32, named_field(t2_32, "sin1", offset=-0.5), -2.0, 1))
+        inst = (make_manufactured(t2_32, alpha=-1.0)[0] if field == "manufactured"
+                else ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -2.0))
         rep = newton_solve(inst, SolverOptions(start="constant"))
         assert rep.converged and rep.iterations > 0
         assert rep.residual_history[-1] == residual(inst, rep.solution).sup_norm
 
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root
-        inst = ProblemInstance(t2_64, sin_minus_half, -50.0, 1)
+        inst = ProblemInstance(sin_minus_half, -50.0)
         rep = newton_solve(inst, SolverOptions(start="constant"))
         assert not rep.converged
         assert rep.failure_reason is not None
@@ -199,9 +200,9 @@ class TestMonotone:
         assert np.all(np.diff(h[1:]) <= 1e-12)
 
     def test_manufactured_bracket(self, t2_32):
-        inst, u_star = make_manufactured_neg(t2_32, n=1)
+        inst, u_star = make_manufactured_neg(t2_32)
         warm = newton_solve(
-            ProblemInstance(t2_32, inst.S, 2 * inst.alpha, 1),
+            ProblemInstance(inst.S, 2 * inst.alpha),
             SolverOptions(start="constant"),
         )
         assert warm.converged
@@ -233,9 +234,9 @@ class TestMinimize:
         assert np.max(np.abs(rep.solution.values - 0.5 * np.log(2.0))) < 1e-8
 
     def test_minimum_beats_random_interval_points(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0, amplitude=0.3)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
         warm = newton_solve(
-            ProblemInstance(t2_32, inst.S, -2.0, 1), SolverOptions(start="constant")
+            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
         )
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
@@ -249,9 +250,9 @@ class TestMinimize:
             assert I_min <= energy(inst, v).total + 1e-10
 
     def test_interior_minimizer_satisfies_equation(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0, amplitude=0.3)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
         warm = newton_solve(
-            ProblemInstance(t2_32, inst.S, -2.0, 1), SolverOptions(start="constant")
+            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
         )
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
@@ -263,9 +264,9 @@ class TestMinimize:
             assert residual(inst, rep.solution).sup_norm <= 1e-8
 
     def test_energy_not_above_endpoints(self, t2_32):
-        inst, _ = make_manufactured(t2_32, n=1, alpha=-1.0, amplitude=0.3)
+        inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
         warm = newton_solve(
-            ProblemInstance(t2_32, inst.S, -2.0, 1), SolverOptions(start="constant")
+            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
         )
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
@@ -275,9 +276,9 @@ class TestMinimize:
 
 
 def test_engines_agree(t2_32):
-    inst, _ = make_manufactured_neg(t2_32, n=1)
+    inst, _ = make_manufactured_neg(t2_32)
     warm = newton_solve(
-        ProblemInstance(t2_32, inst.S, 2 * inst.alpha, 1),
+        ProblemInstance(inst.S, 2 * inst.alpha),
         SolverOptions(start="constant"),
     )
     iv = make_interval(inst, warm)
@@ -320,7 +321,7 @@ class TestArclength:
         S = ScalarField(t2_16, np.broadcast_to(np.sin(2 * np.pi * x[0]) - 0.5, t2_16.sizes).copy())
 
         def inst_at(t):
-            return ProblemInstance(t2_16, S, t, 1)
+            return ProblemInstance(S, t)
 
         p = self.start(inst_at, -3.0)
         opts = SolverOptions(max_iters=10, residual_tol=1e-10)
@@ -335,9 +336,7 @@ class TestArclength:
         # past the fold the branch is unstable: the stability operator has
         # a negative eigenvalue there, and a positive one before it
         lam = [
-            spectral.min_eigenvalue(
-                spectral.get_plan(t2_16), stability_potential(inst_at(b.t), b.report.solution), 1e-8
-            )
+            spectral.min_eigenvalue(stability_potential(inst_at(b.t), b.report.solution), 1e-8)
             for b in (p, q)
         ]
         assert lam[0] > 0 > lam[1]

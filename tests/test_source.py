@@ -1,11 +1,12 @@
 """Rules the package's source keeps as a whole."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import kwlab
-from kwlab import cli
+from kwlab import ProblemInstance, cli
 
 
 def test_no_assert_statements():
@@ -38,14 +39,15 @@ def test_readme_names_every_config_key():
 
 
 def _public_defs(tree):
-    """Public module functions, and public methods and properties of public classes."""
+    """Public module functions, and public methods and properties of public
+    classes: each qualified name with its node."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item
 
 
 def _names(tree):
@@ -73,5 +75,23 @@ def test_every_public_name_has_a_caller():
             defs.update(_public_defs(tree))
         if path.name != "__init__.py":
             named.update(_names(tree))
-    uncalled = {q for q, name in defs.items() if name not in named}
+    uncalled = {q for q, node in defs.items() if node.name not in named}
     assert uncalled == {"read_field"}
+
+
+def test_no_function_takes_what_its_field_fixes():
+    # a field carries its grid, the grid its plan, and n = d/2: a function
+    # of a field or an instance that also takes a domain, plan or n takes a
+    # second copy that can disagree with the first
+    found = []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, fn in _public_defs(tree):
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            fielded = any(a.annotation is not None
+                          and re.search(r"\b(ScalarField|ProblemInstance)\b",
+                                        ast.unparse(a.annotation)) for a in args)
+            if fielded and {a.arg for a in args} & {"domain", "plan", "n"}:
+                found.append(f"{path.stem}.{name}")
+    assert found == []
+    assert [f.name for f in dataclasses.fields(ProblemInstance)] == ["S", "alpha"]

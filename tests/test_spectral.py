@@ -19,23 +19,21 @@ def test_plan_eigenvalue_table(t2_32):
 
 
 def test_laplacian_constant_is_zero(t2_32):
-    plan = get_plan(t2_32)
-    out = laplacian(plan, ScalarField.constant(t2_32, 4.2))
+    out = laplacian(ScalarField.constant(t2_32, 4.2))
     assert out.sup_norm < 1e-12
 
 
 def test_laplacian_eigenfunction(t2_64):
-    plan = get_plan(t2_64)
     x = t2_64.coords()
     u = ScalarField(t2_64, np.broadcast_to(np.sin(2 * np.pi * x[0]), t2_64.sizes).copy())
-    out = laplacian(plan, u)
+    out = laplacian(u)
     assert np.max(np.abs(out.values + 4 * np.pi**2 * u.values)) < 1e-10
 
 
 def test_laplacian_vs_finite_difference_oracle():
     dom = make_torus(2, [256, 256], [1.0, 1.0])
     u = smooth_random_field(dom, seed=3, modes=3)
-    spectral_lap = laplacian(get_plan(dom), u).values
+    spectral_lap = laplacian(u).values
     fd = fd_laplacian(dom, u.values)
     # FD error bound: h²/12 · sup|∂⁴u| per axis; crude but safe with modes ≤ 3
     h = dom.spacings[0]
@@ -43,67 +41,57 @@ def test_laplacian_vs_finite_difference_oracle():
     assert np.max(np.abs(spectral_lap - fd)) <= bound
 
 
-def test_laplacian_domain_mismatch(t2_32, t2_64):
-    with pytest.raises(DomainError):
-        laplacian(get_plan(t2_32), ScalarField.constant(t2_64, 0.0))
-
-
 def test_laplacian_preserves_mean_zero(t2_64):
     u = smooth_random_field(t2_64, seed=7)
-    out = laplacian(get_plan(t2_64), u)
+    out = laplacian(u)
     assert abs(integrate(out)) <= 1e-10 * max(1.0, u.sup_norm)
 
 
 class TestGradNormSq:
     def test_constant(self, t2_32):
-        out = grad_norm_sq(get_plan(t2_32), ScalarField.constant(t2_32, 1.0))
+        out = grad_norm_sq(ScalarField.constant(t2_32, 1.0))
         assert out.sup_norm < 1e-12
 
     def test_analytic(self, t2_64):
         x = t2_64.coords()
         u = ScalarField(t2_64, np.broadcast_to(np.sin(2 * np.pi * x[0]), t2_64.sizes).copy())
         expected = 4 * np.pi**2 * np.cos(2 * np.pi * np.broadcast_to(x[0], t2_64.sizes)) ** 2
-        assert np.max(np.abs(grad_norm_sq(get_plan(t2_64), u).values - expected)) < 1e-10
+        assert np.max(np.abs(grad_norm_sq(u).values - expected)) < 1e-10
 
     def test_parseval_identity(self, t2_64):
-        plan = get_plan(t2_64)
         u = smooth_random_field(t2_64, seed=9)
-        lhs = integrate(grad_norm_sq(plan, u))
-        ulap = laplacian(plan, u)
+        lhs = integrate(grad_norm_sq(u))
+        ulap = laplacian(u)
         rhs = -integrate(ScalarField(t2_64, u.values * ulap.values))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestHelmholtz:
     def test_constant_rhs(self, t2_32):
-        plan = get_plan(t2_32)
-        u = helmholtz_solve(plan, 3.0, ScalarField.constant(t2_32, 3.0))
+        u = helmholtz_solve(3.0, ScalarField.constant(t2_32, 3.0))
         assert np.max(np.abs(u.values - 1.0)) < 1e-12
 
     def test_single_mode(self, t2_64):
-        plan = get_plan(t2_64)
         x = t2_64.coords()
         s = np.broadcast_to(np.sin(2 * np.pi * x[0]), t2_64.sizes)
-        u = helmholtz_solve(plan, 2.0, ScalarField(t2_64, (4 * np.pi**2 + 2.0) * s))
+        u = helmholtz_solve(2.0, ScalarField(t2_64, (4 * np.pi**2 + 2.0) * s))
         assert np.max(np.abs(u.values - s)) < 1e-12
 
     def test_roundtrip_identity(self, t2_64):
-        plan = get_plan(t2_64)
         rhs = smooth_random_field(t2_64, seed=13)
-        u = helmholtz_solve(plan, 1.7, rhs)
-        back = ScalarField(t2_64, -laplacian(plan, u).values + 1.7 * u.values)
+        u = helmholtz_solve(1.7, rhs)
+        back = ScalarField(t2_64, -laplacian(u).values + 1.7 * u.values)
         assert np.max(np.abs(back.values - rhs.values)) <= 1e-12 * max(1.0, rhs.sup_norm)
 
     def test_recovers_band_limited_field(self, t2_64):
-        plan = get_plan(t2_64)
         u = smooth_random_field(t2_64, seed=17)
-        rhs = ScalarField(t2_64, -laplacian(plan, u).values + 4.0 * u.values)
-        rec = helmholtz_solve(plan, 4.0, rhs)
+        rhs = ScalarField(t2_64, -laplacian(u).values + 4.0 * u.values)
+        rec = helmholtz_solve(4.0, rhs)
         assert np.max(np.abs(rec.values - u.values)) <= 1e-11 * max(1.0, u.sup_norm)
 
     def test_rejects_nonpositive_c(self, t2_32):
         with pytest.raises(DomainError):
-            helmholtz_solve(get_plan(t2_32), 0.0, ScalarField.constant(t2_32, 1.0))
+            helmholtz_solve(0.0, ScalarField.constant(t2_32, 1.0))
 
 
 class TestPreconditionedApply:
@@ -143,11 +131,11 @@ class TestPreconditionedApply:
 
 class TestMinEigenvalue:
     def test_constant_potential(self, t2_32):
-        lam = min_eigenvalue(get_plan(t2_32), ScalarField.constant(t2_32, 2.5), 1e-9)
+        lam = min_eigenvalue(ScalarField.constant(t2_32, 2.5), 1e-9)
         assert lam == pytest.approx(2.5, abs=1e-8)
 
     def test_zero_potential(self, t2_32):
-        lam = min_eigenvalue(get_plan(t2_32), ScalarField.constant(t2_32, 0.0), 1e-9)
+        lam = min_eigenvalue(ScalarField.constant(t2_32, 0.0), 1e-9)
         assert lam == pytest.approx(0.0, abs=1e-8)
 
     def test_dense_oracle(self, t2_16):
@@ -157,16 +145,15 @@ class TestMinEigenvalue:
         # spectral counterpart built densely.
         x = t2_16.coords()
         V = ScalarField(t2_16, 10 * np.cos(2 * np.pi * np.broadcast_to(x[0], t2_16.sizes)))
-        plan = get_plan(t2_16)
         n = t2_16.npoints
         dense = np.zeros((n, n))
         eye = np.eye(n)
         for j in range(n):
             col = ScalarField(t2_16, eye[:, j].reshape(t2_16.sizes))
-            dense[:, j] = (-spectral.laplacian(plan, col).values
+            dense[:, j] = (-spectral.laplacian(col).values
                            + V.values * col.values).reshape(-1)
         expected = float(np.min(np.linalg.eigvalsh(0.5 * (dense + dense.T))))
-        lam = min_eigenvalue(plan, V, 1e-8)
+        lam = min_eigenvalue(V, 1e-8)
         assert lam == pytest.approx(expected, abs=1e-6)
 
     def test_dense_fd_oracle_close(self, t2_16):
@@ -176,20 +163,19 @@ class TestMinEigenvalue:
         V = ScalarField(t2_16, 10 * np.cos(2 * np.pi * np.broadcast_to(x[0], t2_16.sizes)))
         A = -dense_fd_laplacian(t2_16) + np.diag(V.values.reshape(-1))
         expected = float(np.min(np.linalg.eigvalsh(A)))
-        lam = min_eigenvalue(get_plan(t2_16), V, 1e-8)
+        lam = min_eigenvalue(V, 1e-8)
         assert lam == pytest.approx(expected, abs=0.05)
 
     def test_constant_shift_property(self, t2_32):
         V = smooth_random_field(t2_32, seed=21, amplitude=3.0)
-        plan = get_plan(t2_32)
-        lam = min_eigenvalue(plan, V, 1e-8)
-        shifted = min_eigenvalue(plan, ScalarField(t2_32, V.values + 1.25), 1e-8)
+        lam = min_eigenvalue(V, 1e-8)
+        shifted = min_eigenvalue(ScalarField(t2_32, V.values + 1.25), 1e-8)
         assert shifted == pytest.approx(lam + 1.25, abs=2e-8)
 
     def test_nonconvergence_carries_estimate(self, t2_32):
         V = smooth_random_field(t2_32, seed=23, amplitude=5.0)
         with pytest.raises(EigenSolveError) as exc:
-            min_eigenvalue(get_plan(t2_32), V, 1e-8, max_iters=1)
+            min_eigenvalue(V, 1e-8, max_iters=1)
         assert np.isfinite(exc.value.best_estimate)
 
     @pytest.mark.parametrize("tol, max_iters, ran", [
@@ -199,7 +185,7 @@ class TestMinEigenvalue:
     def test_nonconvergence_reports_iterations_run(self, t2_32, tol, max_iters, ran):
         V = smooth_random_field(t2_32, seed=23, amplitude=5.0)
         with pytest.raises(EigenSolveError) as exc:
-            min_eigenvalue(get_plan(t2_32), V, tol, max_iters=max_iters)
+            min_eigenvalue(V, tol, max_iters=max_iters)
         m = re.search(r"stopped after (\d+) of at most (\d+) iterations", str(exc.value))
         assert m, str(exc.value)
         k, cap = int(m.group(1)), int(m.group(2))

@@ -25,19 +25,19 @@ def sine_field(domain, offset):
 
 class TestProbe:
     def test_constant_negative_solved(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, -1.0), -2.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
         v = probe_solvable(inst)
         assert v.solved
         assert np.max(np.abs(v.report.solution.values - 0.5 * np.log(2.0))) < 1e-9
 
     def test_nonnegative_S_sign_obstruction(self, t2_32):
-        inst = ProblemInstance(t2_32, ScalarField.constant(t2_32, 1.0), -1.0, 1)
+        inst = ProblemInstance(ScalarField.constant(t2_32, 1.0), -1.0)
         v = probe_solvable(inst)
         assert not v.solved
         assert any("sign_obstruction" in e for e in v.evidence)
 
     def test_sign_changing_near_zero_alpha(self, t2_32):
-        inst = ProblemInstance(t2_32, sine_field(t2_32, -0.5), -1e-3, 1)
+        inst = ProblemInstance(sine_field(t2_32, -0.5), -1e-3)
         v = probe_solvable(inst)
         assert v.solved
 
@@ -51,7 +51,7 @@ class TestProbe:
             ProbeRecord(-1.0, ["newton[zero]: max_iters"], rep)
 
     def test_failed_collects_evidence(self, t2_32):
-        inst = ProblemInstance(t2_32, sine_field(t2_32, -0.5), -50.0, 1)
+        inst = ProblemInstance(sine_field(t2_32, -0.5), -50.0)
         v = probe_solvable(inst, budget=0.25)
         assert not v.solved
         assert len(v.evidence) >= 2  # several starts, each with a reason
@@ -95,10 +95,10 @@ class TestContinuation:
     @pytest.mark.parametrize("param", ["alpha", "lambda"])
     def test_family_is_the_stable_branch(self, t2_16, param):
         if param == "alpha":
-            rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+            rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
         else:
             g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
-            rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+            rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         assert len(rep.family) >= 3
         assert_stable_family(rep)
 
@@ -106,10 +106,10 @@ class TestContinuation:
     def test_family_is_the_solved_probes(self, t2_16, search):
         if search == "lambda":
             g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
-            rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+            rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         else:
-            rep = find_alpha_star(sine_field(t2_16, -0.5 if search == "alpha" else -1.5), 1,
-                                  t2_16, tol=1e-3)
+            rep = find_alpha_star(sine_field(t2_16, -0.5 if search == "alpha" else -1.5),
+                                  tol=1e-3)
         solved = [p for p in rep.probes if p.solved]
         assert len(rep.family) == len(solved) >= 3
         for (param, report), p in zip(rep.family, solved):
@@ -118,12 +118,12 @@ class TestContinuation:
 
     def test_corrector_reports_meet_residual_tol(self, t2_16):
         S = sine_field(t2_16, -0.5)
-        rep = find_alpha_star(S, 1, t2_16, tol=1e-3, residual_tol=1e-8)
+        rep = find_alpha_star(S, tol=1e-3, residual_tol=1e-8)
         walked = [(a, r) for a, r in rep.family if r.method == "arclength"]
         assert walked
         for a, r in walked:
             assert r.converged and r.residual_history[-1] <= 1e-8
-            inst = ProblemInstance(t2_16, S, a, 1)
+            inst = ProblemInstance(S, a)
             assert problem.residual(inst, r.solution).sup_norm <= 1e-8
 
 
@@ -142,7 +142,7 @@ class TestRetry:
             return ProbeRecord(inst.alpha, list(evidence))
 
         monkeypatch.setattr(threshold, "probe_solvable", fake)
-        inst = ProblemInstance(t2_16, sine_field(t2_16, -0.5), -50.0, 1)
+        inst = ProblemInstance(sine_field(t2_16, -0.5), -50.0)
         v = _probe_twice(inst)
         assert calls == budgets
         assert not v.solved
@@ -159,7 +159,7 @@ class TestRetry:
             return original(inst, budget, **kw)
 
         monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
-        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
         assert calls[:2] == [(-0.01, 1.0), (-0.01, 4.0)]
         assert rep.probes[0].param == -0.01 and rep.probes[0].solved
         assert rep.width <= 1e-3
@@ -168,10 +168,10 @@ class TestRetry:
 class TestAlphaStar:
     def test_requires_negative_mean(self, t2_32):
         with pytest.raises(SolverError):
-            find_alpha_star(sine_field(t2_32, 0.0), 1, t2_32)
+            find_alpha_star(sine_field(t2_32, 0.0))
 
     def test_unbounded_for_nonpositive_S(self, t2_32):
-        rep = find_alpha_star(sine_field(t2_32, -1.5), 1, t2_32)
+        rep = find_alpha_star(sine_field(t2_32, -1.5))
         assert rep.unbounded
         assert rep.lo == -np.inf
         assert len(rep.family) == 4
@@ -179,7 +179,7 @@ class TestAlphaStar:
 
     def test_unbounded_solved_report_at_hi(self, t2_16):
         # the solved report sits at the solvable end of the ladder
-        rep = find_alpha_star(sine_field(t2_16, -1.5), 1, t2_16)
+        rep = find_alpha_star(sine_field(t2_16, -1.5))
         assert rep.family[-1][1].alpha == rep.hi == -1000.0
 
     def test_unbounded_ladder_failure_keeps_evidence(self, t2_32, monkeypatch):
@@ -192,10 +192,10 @@ class TestAlphaStar:
 
         monkeypatch.setattr(threshold, "probe_solvable", fails_at_minus_100)
         with pytest.raises(SolverError, match=r"alpha=-100.0 failed: \['newton\[zero\]: stagnation'\]"):
-            find_alpha_star(sine_field(t2_32, -1.5), 1, t2_32)
+            find_alpha_star(sine_field(t2_32, -1.5))
 
     def test_bracket_sign_changing(self, t2_32):
-        rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
+        rep = find_alpha_star(sine_field(t2_32, -0.5), tol=1e-3)
         assert not rep.unbounded
         assert rep.width <= 1e-3
         assert rep.lo < rep.hi < 0
@@ -208,14 +208,14 @@ class TestAlphaStar:
 
     def test_matches_dense_oracle_coarse(self, t2_16):
         S = sine_field(t2_16, -0.5)
-        rep = find_alpha_star(S, 1, t2_16, tol=1e-3)
+        rep = find_alpha_star(S, tol=1e-3)
         lo, hi = dense_alpha_star(S.values, 1, t2_16, tol=1e-3)
         dense_est = 0.5 * (lo + hi)
         assert rep.estimate == pytest.approx(dense_est, rel=0.05)
 
     def test_few_failed_probes(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
-        rep = find_alpha_star(sine_field(t2_32, -0.5), 1, t2_32, tol=1e-3)
+        rep = find_alpha_star(sine_field(t2_32, -0.5), tol=1e-3)
         assert calls.count(False) == 1
         assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
@@ -224,7 +224,7 @@ class TestAlphaStar:
     def test_few_failed_probes_two_mode(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
         S = named_field(t2_32, "two_mode", offset=-0.5)
-        rep = find_alpha_star(S, 1, t2_32, tol=1e-3)
+        rep = find_alpha_star(S, tol=1e-3)
         assert calls.count(False) == 1
         assert abs(rep.lo - (-2.791003)) <= 1e-3 and abs(rep.hi - (-2.790053)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
@@ -242,7 +242,7 @@ class TestAlphaStar:
             return v
 
         monkeypatch.setattr(threshold, "_probe_twice", counted)
-        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
         assert closing[0] and False in closing
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
@@ -250,8 +250,8 @@ class TestAlphaStar:
 
     def test_bracket_rests_on_probes_and_repeats(self, t2_16):
         S = sine_field(t2_16, -0.5)
-        a = find_alpha_star(S, 1, t2_16, tol=1e-3)
-        b = find_alpha_star(S, 1, t2_16, tol=1e-3)
+        a = find_alpha_star(S, tol=1e-3)
+        b = find_alpha_star(S, tol=1e-3)
         assert_bracket_on_probes(a, 1e-3)
         assert (a.lo, a.hi) == (b.lo, b.hi)
         assert a.probes == b.probes
@@ -262,7 +262,7 @@ class TestAlphaStar:
         assert all(r.min_eig is not None for _, r in a.family)
 
 
-def unconverged_eig(plan, V, tol=1e-8, max_iters=None):
+def unconverged_eig(V, tol=1e-8, max_iters=None):
     raise EigenSolveError("forced non-convergence", -0.5)
 
 
@@ -272,7 +272,7 @@ class TestEigenFallback:
 
     def test_alpha_star(self, t2_16, monkeypatch):
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged_eig)
-        rep = find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=1e-3)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
         assert rep.lo < rep.hi < 0
         assert all(p.min_eig is None for p in rep.probes)
         assert_bracket_on_probes(rep, 1e-3)
@@ -280,7 +280,7 @@ class TestEigenFallback:
     def test_lambda_star(self, t2_16, monkeypatch):
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged_eig)
         g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
-        rep = ding_liu_lambda_star(g0, -1.0, t2_16, tol=1e-2)
+        rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         assert 0.0 < rep.lo < rep.hi < -g0.min
         assert all(p.min_eig is None for p in rep.probes)
         assert_bracket_on_probes(rep, 1e-2)
@@ -292,10 +292,10 @@ def test_search_rejects_nonpositive_tol(t2_16, monkeypatch, tol):
     # before the first probe
     calls = counting_probes(monkeypatch)
     with pytest.raises(SolverError, match="tol > 0"):
-        find_alpha_star(sine_field(t2_16, -0.5), 1, t2_16, tol=tol)
+        find_alpha_star(sine_field(t2_16, -0.5), tol=tol)
     g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
     with pytest.raises(SolverError, match="tol > 0"):
-        ding_liu_lambda_star(g0, -1.0, t2_16, tol=tol)
+        ding_liu_lambda_star(g0, -1.0, tol=tol)
     assert calls == []
 
 
@@ -303,11 +303,11 @@ class TestDingLiu:
     def test_input_validation(self, t2_32):
         g0 = sine_field(t2_32, -1.0)  # max = 0
         with pytest.raises(SolverError):
-            ding_liu_lambda_star(sine_field(t2_32, 0.0), -1.0, t2_32)  # max != 0
+            ding_liu_lambda_star(sine_field(t2_32, 0.0), -1.0)  # max != 0
         with pytest.raises(SolverError):
-            ding_liu_lambda_star(ScalarField.constant(t2_32, 0.0), -1.0, t2_32)
+            ding_liu_lambda_star(ScalarField.constant(t2_32, 0.0), -1.0)
         with pytest.raises(SolverError):
-            ding_liu_lambda_star(g0, 1.0, t2_32)
+            ding_liu_lambda_star(g0, 1.0)
 
     def test_bracket_containment(self, t2_32):
         x = t2_32.coords()
@@ -315,7 +315,7 @@ class TestDingLiu:
             t2_32,
             np.broadcast_to(np.cos(2 * np.pi * x[0]) - 1.0, t2_32.sizes).copy(),
         )
-        rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
+        rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         assert rep.param_name == "lambda"
         assert 0.0 < rep.lo < rep.hi < -g0.min
         assert rep.width <= 1e-2
@@ -326,7 +326,7 @@ class TestDingLiu:
     def test_few_failed_probes(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
         g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
-        rep = ding_liu_lambda_star(g0, -1.0, t2_32, tol=1e-2)
+        rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         assert calls.count(False) == 1
         assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
         # every record is filed under λ, not under the instance's α = s₀
@@ -338,9 +338,9 @@ class TestDingLiu:
 class TestWalkSchedule:
     def test_constant_closed_form(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
-        rep = find_alpha_star(S, 1, t2_32)
+        rep = find_alpha_star(S)
         assert rep.unbounded
-        fam = [p.report for p in walk_schedule(S, 1, t2_32, [-1.0, -2.0, -4.0])]
+        fam = [p.report for p in walk_schedule(S, [-1.0, -2.0, -4.0])]
         assert len(fam) == 3
         for r, a in zip(fam, [-1.0, -2.0, -4.0]):
             assert r.converged and r.alpha == a
@@ -349,20 +349,20 @@ class TestWalkSchedule:
     def test_rejects_nonmonotone_schedule(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         with pytest.raises(SolverError):
-            walk_schedule(S, 1, t2_32, [-1.0, -0.5, -2.0])
+            walk_schedule(S, [-1.0, -0.5, -2.0])
 
 
 class TestLimitFamily:
     def test_unbounded_requires_schedule(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
-        rep = find_alpha_star(S, 1, t2_32)
+        rep = find_alpha_star(S)
         with pytest.raises(SolverError):
-            limit_family(S, 1, t2_32, rep, count=3)
+            limit_family(S, rep, count=3)
 
     def test_default_schedule_approaches_bracket(self, t2_32):
         S = sine_field(t2_32, -0.5)
-        rep = find_alpha_star(S, 1, t2_32, tol=1e-3)
-        fam = limit_family(S, 1, t2_32, rep, count=6)
+        rep = find_alpha_star(S, tol=1e-3)
+        fam = limit_family(S, rep, count=6)
         assert len(fam) == 6
         alphas = [r.alpha for r in fam]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
@@ -378,7 +378,7 @@ def test_lambda_star_is_where_alpha_star_crosses_s0(t2_16):
     # λ★ bracket α★(g₀ + λ) crosses s₀. Each search is checked by the other.
     s0 = -1.0
     g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
-    lam = ding_liu_lambda_star(g0, s0, t2_16, tol=1e-2)
-    below, above = (find_alpha_star(ScalarField(t2_16, g0.values + x), 1, t2_16, tol=1e-3)
+    lam = ding_liu_lambda_star(g0, s0, tol=1e-2)
+    below, above = (find_alpha_star(ScalarField(t2_16, g0.values + x), tol=1e-3)
                     for x in (lam.lo, lam.hi))
     assert below.hi < s0 < above.lo
