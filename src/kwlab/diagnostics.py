@@ -199,6 +199,7 @@ def family_table(
     rows = []
     for param, rep in family:
         inst, u = make_inst(param), rep.solution
+        e = problem.conformal_factor(inst, u)
         if rep.min_eig is None and with_eig:
             rep.min_eig = problem.stability_eigenvalue(inst, u)
         row = {
@@ -206,7 +207,7 @@ def family_table(
             "alpha": inst.alpha,
             "sup_norm_u": u.sup_norm,
             "energy": None if rep.energy is None else rep.energy.total,
-            "defect": problem.integral_identity_defect(inst, u).defect,
+            "defect": problem.integral_identity_defect(inst, u, e).defect,
             "lambda_min": rep.min_eig,
         }
         if K is not None:
@@ -216,7 +217,7 @@ def family_table(
                 sup_K_u=float(np.max(on_K)),
                 inf_M_u=u.min,
                 grad_l2=float(np.sqrt(integrate(gsq))),
-                int_exp=integrate(ScalarField(inst.domain, problem.conformal_factor(inst, u))),
+                int_exp=integrate(ScalarField(inst.domain, e)),
                 sup_plus_inf=float(np.max(on_K) + np.min(on_K)),
             )
         rows.append(row)

@@ -121,13 +121,16 @@ class IdentityCheck(NamedTuple):
     mass_negative: bool
 
 
-def integral_identity_defect(inst: ProblemInstance, u: ScalarField) -> IdentityCheck:
+def integral_identity_defect(inst: ProblemInstance, u: ScalarField, e=None) -> IdentityCheck:
     """Relative defect of the mean identity ∫ S e^{2u/n} = α·Vol.
 
     Near zero iff u solves the equation in the mean; the sign flag records
-    the necessary condition ∫ S e^{2u/n} < 0.
+    the necessary condition ∫ S e^{2u/n} < 0. e is e^{2u/n} when the caller
+    already has it.
     """
-    mass = float(np.sum(inst.S.values * conformal_factor(inst, u))) * inst.domain.cell_weight
+    if e is None:
+        e = conformal_factor(inst, u)
+    mass = float(np.sum(inst.S.values * e)) * inst.domain.cell_weight
     target = inst.alpha * inst.domain.volume
     defect = abs(mass - target) / (abs(inst.alpha) * inst.domain.volume)
     return IdentityCheck(defect=defect, exp_mass=mass, mass_negative=mass < 0)

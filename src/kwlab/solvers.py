@@ -23,6 +23,8 @@ from .problem import EnergyBreakdown, ProblemInstance
 
 ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line search
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
+PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
+PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
 
 
 @dataclass
@@ -96,8 +98,13 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     Its info, and with it linear_solve_stagnation versus line_search_failure,
     refers to the preconditioned residual ‖M(J·d + F)‖. Backtracking on
     ‖F‖_∞ without an FFT: Δ(u + t·d) = Δu + t·Δd. A converged iterate is
-    confirmed by a fresh residual, which is the report's last. Failures
-    (line search, blow-up) are reported as evidence, never raised.
+    confirmed by a fresh residual, which is the report's last. An iterate
+    that has not converged stops with stagnation after three accepted steps
+    damped to t ≤ 2⁻²⁰, or on a residual plateau: the last PLATEAU_STEPS
+    accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO). Past a fold,
+    Newton from any start reaches such a plateau and would otherwise crawl
+    along it; a steady descent of a few percent a step is not stopped.
+    Failures (line search, blow-up) are reported as evidence, never raised.
     """
     opts = opts or SolverOptions()
     u = start_field(inst, opts)
@@ -120,6 +127,9 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
             normF = history[-1] = F.sup_norm
         if normF <= opts.residual_tol:
             return _finish(inst, u, True, it, history, "newton")
+        if weak_steps >= 3 or (len(history) > PLATEAU_STEPS
+                               and history[-1] > PLATEAU_RATIO * history[-1 - PLATEAU_STEPS]):
+            return _finish(inst, u, False, it, history, "newton", "stagnation")
         if it == opts.max_iters:
             return _finish(inst, u, False, it, history, "newton", "max_iters")
         J = problem.linearization(inst, u)
@@ -154,8 +164,6 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
             reason = "line_search_failure" if info == 0 else "linear_solve_stagnation"
             return _finish(inst, u, False, it + 1, history, "newton", reason)
         weak_steps = weak_steps + 1 if t <= 2.0**-20 else 0
-        if weak_steps >= 3:
-            return _finish(inst, u, False, it + 1, history, "newton", "stagnation")
 
 
 @dataclass

@@ -100,6 +100,13 @@ class ThresholdReport:
         return 0.5 * (self.lo + self.hi)
 
 
+def _sign_obstructed(S: ScalarField) -> bool:
+    """The Kazdan-Warner obstruction: no α < 0 is solvable when ∫S ≥ 0, since
+    dividing the equation by e^{2u/n} and integrating gives
+    ∫S = α∫e^{−2u/n} − (2/n)∫|∇u|² e^{−2u/n} < 0 for every solution u."""
+    return integrate(S) >= 0
+
+
 def probe_solvable(
     inst: ProblemInstance,
     budget: float = 1.0,
@@ -107,28 +114,34 @@ def probe_solvable(
     param: Optional[float] = None,
     warm_start: Optional[ScalarField] = None,
     residual_tol: float = 1e-10,
+    fold: Optional[list[str]] = None,
 ) -> ProbeRecord:
     """The ProbeRecord of a numerical solvability test of inst, filed under
     param (default inst.alpha; λ for a Ding-Liu instance).
 
-    Newton from the warm, constant and zero starts in turn; the first that
-    converges solves the probe and is the record's report. A failed record
-    means no start converged, not a proof of nonexistence: its evidence
-    names each start's failure reason (max_iters, stagnation, a line-search
-    or linear-solve failure, blow-up), and only max_iters is one a larger
-    budget can change.
+    An S with ∫S ≥ 0 fails at once with sign_obstruction evidence
+    (_sign_obstructed). Otherwise Newton runs from the warm, constant and
+    zero starts in turn; the first that converges solves the probe and is
+    the record's report. fold is the evidence of a fold certificate
+    (_fold_certificate) that the probe lies past a fold the warm start
+    comes from: then Newton runs from the warm start alone, and a failed
+    record's evidence starts with the certificate. A failed record means no
+    start converged, not a proof of nonexistence: its evidence names each
+    start's failure reason (max_iters, stagnation, a line-search or
+    linear-solve failure, blow-up), and only max_iters is one a larger
+    budget can change. A fold without a warm start raises SolverError.
     """
     param = inst.alpha if param is None else param
-    evidence: list[str] = []
-    if inst.S.min >= 0:
-        # ∫S e^{2u/n} > 0 can never equal α·Vol < 0
-        return ProbeRecord(param, ["sign_obstruction: S >= 0 everywhere"])
+    if _sign_obstructed(inst.S):
+        return ProbeRecord(param, ["sign_obstruction: integral of S >= 0"])
+    if fold is not None and warm_start is None:
+        raise SolverError("a probe resting on a fold certificate needs its warm start")
 
+    evidence = list(fold or [])
     iters = max(10, int(round(80 * budget)))
-    starts: list = []
-    if warm_start is not None:
-        starts.append(warm_start)
-    starts.extend(["constant", "zero"])
+    starts: list = [] if warm_start is None else [warm_start]
+    if fold is None:
+        starts.extend(["constant", "zero"])
     for start in starts:
         opts = SolverOptions(max_iters=iters, residual_tol=residual_tol, start=start)
         rep = solvers.newton_solve(inst, opts)
@@ -141,9 +154,10 @@ def probe_solvable(
 
 def _probe_twice(inst, **kw) -> ProbeRecord:
     """The ProbeRecord of probe_solvable at 1x budget or, only when some
-    engine ran out of iterations, at 4x; a failed retry's evidence starts
-    with the first probe's. Stagnation, line-search failure and blow-up
-    repeat identically at any budget, so they are not retried."""
+    engine ran out of iterations, at 4x, with the same keywords (fold among
+    them); a failed retry's evidence starts with the first probe's.
+    Stagnation, line-search failure and blow-up repeat identically at any
+    budget, so they are not retried."""
     v = probe_solvable(inst, **kw)
     if v.solved or not v.budget_exhausted:
         return v
@@ -229,6 +243,24 @@ def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
     return float(x_land * (np.mean(a.du * du) + a.dt * dt))
 
 
+def _fold_certificate(inst_at, param_name, sign, point, past) -> Optional[list[str]]:
+    """Keller's (1977) evidence that the branch folds between the last
+    stable point and past, the converged point beyond the fold, as evidence
+    lines: past's parameter, the tangent t-components (point.dt < 0 <
+    past.dt) and λ_min < 0 at past, its one eigen-solve. None when the
+    tangents do not turn, λ_min at past is not negative or its solve does
+    not converge."""
+    try:
+        lam = problem.stability_eigenvalue(inst_at(past.t), past.report.solution)
+    except EigenSolveError:
+        return None
+    if not (lam < 0 and point.dt < 0 < past.dt):
+        return None
+    return [f"fold: branch point past the fold at {param_name}={sign * past.t!r}",
+            f"fold: tangent dt={point.dt!r} at the last stable point, {past.dt!r} past the fold",
+            f"fold: lambda_min={lam!r} past the fold"]
+
+
 def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol):
     """The threshold search behind find_alpha_star and ding_liu_lambda_star.
 
@@ -242,14 +274,18 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
       * the fold is passed when the tangent's t-component turns positive;
       * from the last stable point, the step is then aimed by a Hermite
         estimate of t★ until that point lies within FOLD_MARGIN·tol of it.
-    One _probe_twice at t − 0.99·tol, warm from the last stable point,
-    closes the bracket. Only if that probe solves does the fallback run: a
-    march doubling its step until a probe fails, then steps of a quarter of
-    the gap to the failed end. The bracket ends on a converged point and a
-    failed probe, at most tol apart. probes lists the bootstrap probes, the
-    stable points and the closing probes; the solved ones, t strictly
-    decreasing, each with its report and λ_min, are the family. A tol that
-    is not positive raises SolverError.
+    One probe at t − 0.99·tol, warm from the last stable point, closes the
+    bracket. When _fold_certificate certifies the fold between the last
+    stable point and the converged point past it, that probe runs Newton
+    from the warm start alone and rests its failure on the certificate;
+    otherwise it is the full _probe_twice. Only if that probe solves does
+    the fallback run: a march of full _probe_twice probes doubling its step
+    until one fails, then steps of a quarter of the gap to the failed end.
+    The bracket ends on a converged point and a failed probe, at most tol
+    apart. probes lists the bootstrap probes, the stable points and the
+    closing probes; the solved ones, t strictly decreasing, each with its
+    report and λ_min, are the family. A tol that is not positive raises
+    SolverError.
     """
     if not tol > 0:
         raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
@@ -306,7 +342,9 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
             f"{param_name} continuation did not reach its fold in {MAX_SEARCH_PROBES} steps"
         )
 
-    # close: probe past the fold from the last stable point
+    # close: probe past the fold from the last stable point; only the first
+    # probe rests on the fold certificate
+    fold = _fold_certificate(inst_at, param_name, sign, point, past)
     t, report, t_failed, step = point.t, point.report, None, CLOSE_FRACTION * tol
     for _ in range(MAX_SEARCH_PROBES):
         if t_failed is not None and t - t_failed <= tol:
@@ -316,7 +354,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
         else:
             nxt_t = t - GAP_FRACTION * (t - t_failed)
         v = _probe_twice(inst_at(nxt_t), param=sign * nxt_t, warm_start=report.solution,
-                         residual_tol=residual_tol)
+                         residual_tol=residual_tol, fold=fold)
+        fold = None
         probes.append(v)
         if v.solved:
             t, report = nxt_t, v.report
@@ -352,7 +391,7 @@ def find_alpha_star(
     point; the solved ones are the family, the stable branch, α strictly
     decreasing, each report with its λ_min. Every solve meets residual_tol.
     """
-    if integrate(S) >= 0:
+    if _sign_obstructed(S):
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
         probes = walk_schedule(S, UNBOUNDED_PROBE_ALPHAS, residual_tol)

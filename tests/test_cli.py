@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kwlab import problem, spectral, threshold
+from kwlab import problem, solvers, spectral, threshold
 from kwlab.cli import main, parse_config_file
 from kwlab.diagnostics import TREND_SLOPE_TOL, trend_slope
 from kwlab.errors import EigenSolveError
@@ -238,7 +238,8 @@ def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monke
     assert code == 0
     thr = json.loads((out / "summary.json").read_text())["threshold"]
     assert "flags" not in thr
-    assert len(calls) == thr["family_size"]
+    # one per member, and the fold certificate's at the point past the fold
+    assert len(calls) == thr["family_size"] + 1
     # the probe record: every probe, with the λ_min the search steered by
     solved = [p for p in thr["probes"] if p["solved"]]
     assert len(solved) == thr["family_size"]
@@ -281,8 +282,9 @@ def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     thr = last_json_line(cap.out)["threshold"]
-    # with_eigs is false: the λ_min column is the search's, no eigen-solve added
-    assert len(calls) == thr["family_size"]
+    # with_eigs is false: the λ_min column is the search's, no eigen-solve
+    # added to the members' and the fold certificate's
+    assert len(calls) == thr["family_size"] + 1
     solved = [p["min_eig"] for p in thr["probes"] if p["solved"]]
     rows = csv_floats(out / "family.csv")
     assert [row[-1] for row in rows] == solved
@@ -371,6 +373,39 @@ def test_unknown_enumerated_value_rejected(tmp_path, capsys, mode, bad, keys):
     assert bad.partition("=")[0] in json.loads(cap.err.strip())["error"]
     assert cap.out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode, keys", [
+    ("solve", ["alpha=-1", "solver=probe"]),
+    ("family", ["alphas=-1,-2"]),
+    ("diagnose", ["alphas=-1,-2"]),
+])
+def test_zero_mean_field_exits_2_before_newton(tmp_path, capsys, monkeypatch, mode, keys):
+    # ∫S = 0 for sin1: every probe fails on the Kazdan-Warner obstruction
+    # before a Newton start
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a Newton start ran")
+
+    monkeypatch.setattr(solvers, "newton_solve", no_newton)
+    code, cap = run_cli(capsys, mode, "--out", str(tmp_path / "run"), "field=sin1",
+                        "sizes=16,16", *keys)
+    summary = last_json_line(cap.out)
+    assert code == summary["exit_code"] == 2
+    if mode == "solve":
+        assert summary["evidence"] == ["sign_obstruction: integral of S >= 0"]
+    else:
+        assert summary["family_size"] == 0
+
+
+def test_threshold_summary_carries_the_fold_certificate(tmp_path, capsys):
+    out = tmp_path / "thr"
+    code, _ = run_cli(capsys, "threshold", "--out", str(out), "field=sin1",
+                      "field_offset=-0.5", "sizes=16,16")
+    assert code == 0
+    thr = json.loads((out / "summary.json").read_text())["threshold"]
+    (failed,) = [p for p in thr["probes"] if not p["solved"]]
+    assert failed["param"] == thr["lo"]
+    assert [e.partition(":")[0] for e in failed["evidence"]] == ["fold"] * 3 + ["newton[warm]"]
 
 
 def test_search_precondition_failure_writes_nothing(tmp_path, capsys):
@@ -485,9 +520,9 @@ def test_diagnose_tables_agree_per_member(tmp_path, capsys, monkeypatch):
     calls = {"defect": 0, "eig": 0}
     defect, min_eigenvalue = problem.integral_identity_defect, spectral.min_eigenvalue
 
-    def counted_defect(inst, u):
+    def counted_defect(inst, u, e=None):
         calls["defect"] += 1
-        return defect(inst, u)
+        return defect(inst, u, e)
 
     def counted_eig(V, tol=1e-8, max_iters=None):
         calls["eig"] += 1

@@ -10,6 +10,7 @@ from kwlab import (
     ScalarField,
     ball_mask,
     make_cutoff,
+    problem,
     spectral,
 )
 from kwlab.diagnostics import (
@@ -248,6 +249,26 @@ class TestFamilyTable:
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
             family_table([(rep.alpha, rep)], inst_at(S), K)
         assert rep.min_eig is None
+
+    def test_one_conformal_factor_per_member(self, t2_32, monkeypatch):
+        # e^{2u/n} serves the defect and the int_exp column of a member
+        calls, original = [], problem.conformal_factor
+
+        def counted(inst, u):
+            calls.append(inst.alpha)
+            return original(inst, u)
+
+        monkeypatch.setattr(problem, "conformal_factor", counted)
+        S = ScalarField.constant(t2_32, -1.0)
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        family = [fake_report(t2_32, 0.5 * np.log(-a), alpha=a, method="newton")
+                  for a in (-1.0, -2.0)]
+        for r in family:
+            r.min_eig = 1.0  # no eigen-solve, whose operator reads e^{2u/n} too
+        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
+        assert calls == [-1.0, -2.0]
+        assert [row["defect"] for row in diag.rows] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert [row["int_exp"] for row in diag.rows] == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_empty_family_rejected(self, t2_32):
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")

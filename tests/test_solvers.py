@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField
+from kwlab import ProblemInstance, ScalarField, solvers
 from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
@@ -178,6 +178,38 @@ class TestNewton:
         rep = newton_solve(inst, SolverOptions(start="constant"))
         assert rep.converged and rep.iterations > 0
         assert rep.residual_history[-1] == residual(inst, rep.solution).sup_norm
+
+    def test_plateau_stops_a_warm_start_past_the_fold(self, t2_32, monkeypatch):
+        # α = −3.2 lies past the fold at α★ ≈ −3.178: Newton warm from −3.17
+        # settles on a residual plateau; without the plateau rule it crawls
+        # along it until three weak steps call stagnation
+        S = named_field(t2_32, "sin1", offset=-0.5)
+        warm = newton_solve(ProblemInstance(S, -3.17))
+        assert warm.converged
+        inst, opts = ProblemInstance(S, -3.2), SolverOptions(start=warm.solution)
+        rep = newton_solve(inst, opts)
+        h = rep.residual_history
+        assert rep.failure_reason == "stagnation" and rep.iterations == len(h) - 1
+        assert h[-1] > solvers.PLATEAU_RATIO * h[-1 - solvers.PLATEAU_STEPS]
+        monkeypatch.setattr(solvers, "PLATEAU_STEPS", 10**6)  # the rule never fires
+        crawl = newton_solve(inst, opts)
+        assert crawl.failure_reason == "stagnation"
+        assert crawl.residual_history[:len(h)] == h
+        assert 2 * rep.iterations <= crawl.iterations
+
+    def test_plateau_rule_keeps_a_slow_steady_descent(self, t2_32, monkeypatch):
+        # near the fold the zero start cuts ‖F‖_∞ by only 8–15% a step at
+        # first; it converges exactly as it does without the plateau rule
+        inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -3.1)
+        rep = newton_solve(inst)
+        h = rep.residual_history
+        assert rep.converged and rep.iterations == 9
+        assert 0.8 <= h[1] / h[0] < 0.95 and 0.8 <= h[2] / h[1] < 0.95
+        monkeypatch.setattr(solvers, "PLATEAU_STEPS", 10**6)  # the rule never fires
+        ref = newton_solve(inst)
+        assert ref.converged and ref.iterations == rep.iterations
+        assert ref.residual_history == h
+        assert np.array_equal(ref.solution.values, rep.solution.values)
 
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, SolveReport, problem, spectral, threshold
+from kwlab import ProblemInstance, ScalarField, SolveReport, problem, solvers, spectral, threshold
+from kwlab.cli import _threshold_summary
+from kwlab.domain import integrate
 from kwlab.errors import EigenSolveError, SolverError
 from kwlab.fields import named_field
 from kwlab.threshold import (
@@ -50,11 +54,39 @@ class TestProbe:
         with pytest.raises(SolverError):
             ProbeRecord(-1.0, ["newton[zero]: max_iters"], rep)
 
+    def test_zero_mean_S_sign_obstruction(self, t2_32, monkeypatch):
+        # ∫S = 0 exactly for sin1: the Kazdan-Warner obstruction fails the
+        # probe before any Newton start
+        S = named_field(t2_32, "sin1")
+        assert integrate(S) == 0.0
+        monkeypatch.setattr(solvers, "newton_solve", no_newton)
+        v = probe_solvable(ProblemInstance(S, -1.0))
+        assert not v.solved
+        assert v.evidence == ["sign_obstruction: integral of S >= 0"]
+
+    def test_fold_needs_a_warm_start(self, t2_16):
+        inst = ProblemInstance(sine_field(t2_16, -0.5), -1.0)
+        with pytest.raises(SolverError, match="warm start"):
+            probe_solvable(inst, fold=["fold: given"])
+
+    def test_fold_runs_the_warm_start_alone(self, t2_16):
+        S = sine_field(t2_16, -0.5)
+        warm = probe_solvable(ProblemInstance(S, -1.0)).report
+        v = probe_solvable(ProblemInstance(S, -50.0), warm_start=warm.solution,
+                           fold=["fold: given"])
+        assert not v.solved
+        assert v.evidence[0] == "fold: given"
+        assert [e.partition(":")[0] for e in v.evidence[1:]] == ["newton[warm]"]
+
     def test_failed_collects_evidence(self, t2_32):
         inst = ProblemInstance(sine_field(t2_32, -0.5), -50.0)
         v = probe_solvable(inst, budget=0.25)
         assert not v.solved
         assert len(v.evidence) >= 2  # several starts, each with a reason
+
+
+def no_newton(*args, **kwargs):
+    raise AssertionError("a Newton start ran")
 
 
 def counting_probes(monkeypatch):
@@ -80,6 +112,17 @@ def assert_bracket_on_probes(rep, tol):
     record = next(p for p in rep.probes if p.param == solved_end)
     assert record.solved and rep.family[-1][1].converged
     assert rep.family[-1][1].min_eig == record.min_eig
+
+
+def assert_certified_close(rep):
+    """The search's closing failed probe ran the warm start alone, resting
+    on the fold certificate: its evidence opens with the certificate, which
+    holds λ_min < 0 at the converged point past the fold."""
+    closing = [p for p in rep.probes if not p.solved][-1]
+    *certificate, last = closing.evidence
+    assert len(certificate) == 3 and all(e.startswith("fold: ") for e in certificate)
+    assert float(re.search(r"lambda_min=(\S+)", certificate[2]).group(1)) < 0
+    assert last.startswith("newton[warm]: ")
 
 
 def assert_stable_family(rep):
@@ -220,6 +263,7 @@ class TestAlphaStar:
         assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
+        assert_certified_close(rep)
 
     def test_few_failed_probes_two_mode(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
@@ -233,17 +277,21 @@ class TestAlphaStar:
         # stop the walk far above the fold, so that the probe at the last
         # stable point − 0.99·tol solves and the fallback closes the bracket
         monkeypatch.setattr(threshold, "FOLD_MARGIN", 20.0)
-        closing = []
+        closing, certified = [], []
         original = threshold._probe_twice
 
         def counted(inst, **kw):
             v = original(inst, **kw)
-            closing.append(v.solved)
+            (certified if kw.get("fold") else closing).append(v.solved)
             return v
 
         monkeypatch.setattr(threshold, "_probe_twice", counted)
         rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
-        assert closing[0] and False in closing
+        # the first closing probe rests on the certificate and solves: the
+        # fold evidence was wrong, so the march probes from every start
+        assert certified == [True] and False in closing
+        failed = [p for p in rep.probes if not p.solved]
+        assert all(len(p.evidence) == 3 for p in failed)
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
         assert_stable_family(rep)
@@ -284,6 +332,38 @@ class TestEigenFallback:
         assert 0.0 < rep.lo < rep.hi < -g0.min
         assert all(p.min_eig is None for p in rep.probes)
         assert_bracket_on_probes(rep, 1e-2)
+
+
+class TestFoldCertificate:
+    """Without a certificate, from λ_min ≥ 0 or an unconverged λ_min at the
+    point past the fold, the closing probe runs every start, and the
+    bracket does not move."""
+
+    @pytest.mark.parametrize("at_past", ["nonnegative", "unconverged"])
+    def test_fallback_runs_every_start(self, t2_16, monkeypatch, at_past):
+        S = sine_field(t2_16, -0.5)
+        certified = find_alpha_star(S, tol=1e-3)
+        assert_certified_close(certified)
+        original, unstable = problem.stability_eigenvalue, []
+
+        def at_past_fold(inst, u):
+            lam = original(inst, u)
+            if lam >= 0:
+                return lam
+            unstable.append(lam)  # the only unstable point is the one past the fold
+            if at_past == "unconverged":
+                raise EigenSolveError("forced non-convergence", lam)
+            return -lam
+
+        monkeypatch.setattr(problem, "stability_eigenvalue", at_past_fold)
+        calls = counting_probes(monkeypatch)
+        rep = find_alpha_star(S, tol=1e-3)
+        assert len(unstable) == 1 and calls.count(False) == 1
+        (failed,) = [p for p in rep.probes if not p.solved]
+        assert ([e.partition(":")[0] for e in failed.evidence]
+                == ["newton[warm]", "newton[constant]", "newton[zero]"])
+        assert (rep.lo, rep.hi) == (certified.lo, certified.hi)
+        assert rep.probes == certified.probes[:-1] + [failed]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
@@ -333,6 +413,20 @@ class TestDingLiu:
         assert all(0.0 < p.param < -g0.min for p in rep.probes)
         assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
         assert_bracket_on_probes(rep, 1e-2)
+        assert_certified_close(rep)
+
+    def test_obstructed_bootstrap_is_recorded(self, t2_16):
+        # g₀ = −(narrow bump): ∫(g₀ + λ) ≥ 0 at the first bootstrap λ, so
+        # that probe fails on the Kazdan-Warner obstruction; the summary's
+        # probes name it, and the certificate behind the closing probe
+        x = t2_16.coords()
+        bump = np.exp(-((x[0] - 0.5) ** 2 + (x[1] - 0.5) ** 2) / 0.01)
+        g0 = ScalarField(t2_16, -bump + np.min(bump))
+        rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
+        evidence = [p["evidence"] for p in _threshold_summary(rep)["probes"]]
+        assert evidence[0] == ["sign_obstruction: integral of S >= 0"]
+        assert evidence[-1][0].startswith("fold: ")
+        assert_certified_close(rep)
 
 
 class TestWalkSchedule:
