@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +106,7 @@ KEYS = {
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
     "out": ("", str),
-    "single_thread": ("true", _bool),            # accepted; the package is single-threaded
+    "single_thread": ("true", _bool),            # accepted; it pins no BLAS threads
 }
 
 
@@ -163,17 +162,21 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
         "estimate": None if rep.unbounded else rep.estimate,
         "unbounded": rep.unbounded,
         "family_size": len(rep.family),
-        "probes": [{"param": p.param, "solved": p.solved, "evidence": p.evidence,
-                    "min_eig": p.min_eig} for p in rep.probes],
+        "probes": _probes_summary(rep.probes),
     }
 
 
-def _injected_family(domain, sign: float, count: int) -> list[tuple[float, SolveReport]]:
+def _probes_summary(probes: list[threshold.ProbeRecord]) -> list[dict]:
+    return [{"param": p.param, "solved": p.solved, "evidence": p.evidence,
+             "min_eig": p.min_eig} for p in probes]
+
+
+def _injected_family(S: ScalarField, sign: float, count: int) -> list[tuple[float, SolveReport]]:
     """Synthetic divergent family u_k = sign·k at α = −1 − k (negative-control hook)."""
     return [
-        (-1.0 - k, SolveReport(solution=ScalarField.constant(domain, sign * float(k)),
+        (-1.0 - k, SolveReport(solution=ScalarField.constant(S.domain, sign * float(k)),
                                converged=True, iterations=0, residual_history=[0.0],
-                               method="injected", alpha=-1.0 - k))
+                               method="injected", inst=ProblemInstance(S, -1.0 - k)))
         for k in range(count)
     ]
 
@@ -219,34 +222,30 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
         return (0 if rep.converged else 2), summary
 
     # threshold, dingliu, family and diagnose: each mode yields a family of
-    # (param, report) and the instance make_inst(param) of each member
-    thr = None
+    # (param, report), each report carrying the instance it solved
+    thr = walk = None
     injected = cfg["inject"] != "none"   # validate allows it in diagnose only
     tol = cfg["tol"] or (1e-2 if mode == "dingliu" else 1e-3)
     if mode == "dingliu":
         g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
         thr = threshold.ding_liu_lambda_star(g0, cfg["s0"], tol=tol, residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
-        make_inst = partial(threshold.ding_liu_instance, g0, cfg["s0"])
-    else:
-        make_inst = partial(ProblemInstance, S)
-        if mode == "threshold" or not injected and cfg["alphas"] is None:
-            thr = threshold.find_alpha_star(S, tol=tol, residual_tol=rtol)
+    elif mode == "threshold" or not injected and cfg["alphas"] is None:
+        thr = threshold.find_alpha_star(S, tol=tol, residual_tol=rtol)
+    if mode in ("family", "diagnose") and not injected:
+        if cfg["alphas"] is not None:
+            walk = threshold.walk_schedule(S, cfg["alphas"], residual_tol=rtol)
+        elif not thr.unbounded:
+            walk = threshold.limit_family(S, thr, cfg["count"], residual_tol=rtol)
 
-    if mode in ("threshold", "dingliu"):
-        family = thr.family
+    if injected:
+        sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
+        family = _injected_family(S, sign, cfg["count"])
     else:
-        if injected:
-            sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
-            family = _injected_family(domain, sign, cfg["count"])
-        elif cfg["alphas"] is not None:
-            probes = threshold.walk_schedule(S, cfg["alphas"], residual_tol=rtol)
-            family = [(p.param, p.report) for p in probes if p.solved]
-        elif thr.unbounded:
-            family = thr.family
-        else:
-            reps = threshold.limit_family(S, thr, cfg["count"], residual_tol=rtol)
-            family = [(rep.alpha, rep) for rep in reps]
+        # the solved records of the walk if one ran, else of the search
+        family = [(p.param, p.report) for p in (thr.probes if walk is None else walk)
+                  if p.solved]
+    if mode in ("family", "diagnose"):
         summary["family_size"] = len(family)
 
     K = None
@@ -254,10 +253,12 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
         # the cutoff can reject S, so it is found before any output is written
         phi, K, _ = diagnostics.auto_cutoff_region(S)
     start_outputs(mode, text, outdir, S)
-    table = diagnostics.family_table(family, make_inst, K, cfg["with_eigs"] or mode == "diagnose")
+    table = diagnostics.family_table(family, K, cfg["with_eigs"])
+    # after the table: a row may solve the λ_min of a probe's report
     if thr is not None:
-        # after the table: a row may solve the λ_min of a probe's report
         summary["threshold"] = _threshold_summary(thr)
+    if walk is not None:
+        summary["walk"] = _probes_summary(walk)
     (outdir / "family.csv").write_text(table_csv(MEMBER_COLUMNS, table.rows))
     for i, (_, member) in enumerate(family):
         serialize.write_report(member, outdir / f"member_{i:03d}")

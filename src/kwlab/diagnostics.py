@@ -12,7 +12,7 @@ cannot certify a limit; the trend test is the falsifiable surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from . import problem, spectral
 from .domain import (CutoffSpec, RegionMask, ScalarField, ball_mask, integrate, make_cutoff,
                      sublevel_mask)
 from .errors import DomainError
-from .problem import ProblemInstance
 from .solvers import SolveReport
 
 TREND_SLOPE_TOL = 0.01     # per member, after normalization by the column scale
@@ -170,17 +169,16 @@ class FamilyDiagnostics:
 
 def family_table(
     family: list[tuple[float, SolveReport]],
-    make_inst: Callable[[float], ProblemInstance],
     K: Optional[RegionMask] = None,
     with_eig: bool = True,
 ) -> FamilyDiagnostics:
     """The per-member table of a family of (param, report), each member read
-    at its instance make_inst(param), plus the verdicts read off its columns.
+    at rep.inst, the instance it solved, plus the verdicts read off its columns.
 
     Every row holds the MEMBER_COLUMNS, its instance's alpha, and λ_min:
-    rep.min_eig when the report carries one; otherwise, with with_eig,
+    rep.min_eig when the report carries one; otherwise, with with_eig or K,
     solved (problem.stability_eigenvalue) and stored on the report, an
-    EigenSolveError propagating; without with_eig it stays None.
+    EigenSolveError propagating; without either it stays None.
 
     Without K the table has no verdicts and A_observed is None. With K each
     row also holds the sup of u on K, the global inf of u, the Dirichlet
@@ -188,9 +186,9 @@ def family_table(
     the one trend rule to a column: lower_bound to inf_M_u (slope ≥
     −TREND_SLOPE_TOL, not diverging downward), sup_inf to sup_plus_inf
     (slope ≤ TREND_SLOPE_TOL, bounded above), and is_flat to sup_K_u,
-    grad_l2 and int_exp. stability holds when every member's λ_min ≥ −1e-6
-    (so it needs with_eig), identity when every defect ≤ 1e-8. A_observed is
-    −min of inf_M_u. With K, an empty family or an empty K raises DomainError.
+    grad_l2 and int_exp. stability holds when every member's λ_min ≥ −1e-6,
+    identity when every defect ≤ 1e-8. A_observed is −min of inf_M_u. With
+    K, an empty family or an empty K raises DomainError.
     """
     if K is not None and not family:
         raise DomainError("empty family")
@@ -198,9 +196,9 @@ def family_table(
         raise DomainError("empty K")
     rows = []
     for param, rep in family:
-        inst, u = make_inst(param), rep.solution
+        inst, u = rep.inst, rep.solution
         e = problem.conformal_factor(inst, u)
-        if rep.min_eig is None and with_eig:
+        if rep.min_eig is None and (with_eig or K is not None):
             rep.min_eig = problem.stability_eigenvalue(inst, u)
         row = {
             "param": param,

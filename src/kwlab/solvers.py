@@ -47,7 +47,7 @@ class SolveReport:
     iterations: int
     residual_history: list[float]
     method: str
-    alpha: float
+    inst: ProblemInstance               # the instance solved
     energy: Optional[EnergyBreakdown] = None
     min_eig: Optional[float] = None
     failure_reason: Optional[str] = None
@@ -57,6 +57,10 @@ class SolveReport:
         # engine was run with; engines pass the history they verified.
         if self.converged and self.residual_history and not np.isfinite(self.residual_history[-1]):
             raise SolverError("converged report with a non-finite final residual")
+
+    @property
+    def alpha(self) -> float:
+        return self.inst.alpha
 
 
 def start_field(inst: ProblemInstance, opts: SolverOptions) -> ScalarField:
@@ -83,7 +87,7 @@ def _finish(inst, u, converged, iters, history, method, reason=None) -> SolveRep
         iterations=iters,
         residual_history=history,
         method=method,
-        alpha=inst.alpha,
+        inst=inst,
         energy=en,
         failure_reason=reason,
     )

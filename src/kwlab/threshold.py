@@ -184,10 +184,9 @@ def walk_schedule(
 
     Each α is probed by _probe_twice warm from the previous member, so it is
     retried at 4x budget only when a Newton start ran out of iterations. The
-    first failed α ends the walk: the family is truncated there, the gap is
-    noted in the last converged report's failure_reason, and the failed
-    probe's record, with its evidence, is the last of the probes. A schedule
-    that is not strictly decreasing raises SolverError.
+    first failed α ends the walk: the family is truncated there, and the
+    failed probe's record, with its evidence, is the last of the probes. A
+    schedule that is not strictly decreasing raises SolverError.
     """
     check_schedule(alphas)
     probes: list[ProbeRecord] = []
@@ -197,9 +196,6 @@ def walk_schedule(
                                    warm_start=last.solution if last else None,
                                    residual_tol=residual_tol))
         if not probes[-1].solved:
-            if last is not None:
-                last.failure_reason = (f"family truncated: alpha={a} failed, "
-                                       f"nearest converged alpha={last.alpha}")
             break
     return probes
 
@@ -243,7 +239,7 @@ def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
     return float(x_land * (np.mean(a.du * du) + a.dt * dt))
 
 
-def _fold_certificate(inst_at, param_name, sign, point, past) -> Optional[list[str]]:
+def _fold_certificate(param_name, sign, point, past) -> Optional[list[str]]:
     """Keller's (1977) evidence that the branch folds between the last
     stable point and past, the converged point beyond the fold, as evidence
     lines: past's parameter, the tangent t-components (point.dt < 0 <
@@ -251,7 +247,7 @@ def _fold_certificate(inst_at, param_name, sign, point, past) -> Optional[list[s
     tangents do not turn, λ_min at past is not negative or its solve does
     not converge."""
     try:
-        lam = problem.stability_eigenvalue(inst_at(past.t), past.report.solution)
+        lam = problem.stability_eigenvalue(past.report.inst, past.report.solution)
     except EigenSolveError:
         return None
     if not (lam < 0 and point.dt < 0 < past.dt):
@@ -304,7 +300,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     def accept(record):
         rep = record.report
         try:
-            rep.min_eig = problem.stability_eigenvalue(make_inst(record.param), rep.solution)
+            rep.min_eig = problem.stability_eigenvalue(rep.inst, rep.solution)
         except EigenSolveError:
             pass  # min_eig stays None
 
@@ -344,7 +340,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 
     # close: probe past the fold from the last stable point; only the first
     # probe rests on the fold certificate
-    fold = _fold_certificate(inst_at, param_name, sign, point, past)
+    fold = _fold_certificate(param_name, sign, point, past)
     t, report, t_failed, step = point.t, point.report, None, CLOSE_FRACTION * tol
     for _ in range(MAX_SEARCH_PROBES):
         if t_failed is not None and t - t_failed <= tol:
@@ -406,11 +402,6 @@ def find_alpha_star(
                         tol, residual_tol)
 
 
-def ding_liu_instance(g0: ScalarField, s0: float, lam: float) -> ProblemInstance:
-    """The Ding-Liu instance −Δu + s₀ = (g₀ + λ)e^{2u} (n = 1) at λ."""
-    return ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0)
-
-
 def ding_liu_lambda_star(
     g0: ScalarField,
     s0: float,
@@ -438,9 +429,10 @@ def ding_liu_lambda_star(
         raise SolverError("s0 must be negative")
     lam_max = -g0.min
 
-    # t = −λ: F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
-    rep = _fold_search(lambda lam: ding_liu_instance(g0, s0, lam), lambda e: e, "lambda",
-                       0.05 * lam_max, 2.0, tol, residual_tol)
+    # the instance at λ is −Δu + s₀ = (g₀ + λ)e^{2u}; in t = −λ,
+    # F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
+    rep = _fold_search(lambda lam: ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0),
+                       lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol, residual_tol)
     if not (0.0 < rep.lo and rep.hi < lam_max):
         raise SolverError(
             f"lambda bracket [{rep.lo}, {rep.hi}] does not lie strictly inside (0, {lam_max})"
@@ -453,10 +445,10 @@ def limit_family(
     threshold_report: ThresholdReport,
     count: int,
     residual_tol: float = 1e-10,
-) -> list[SolveReport]:
-    """Converged solutions at count values of α descending geometrically
-    onto the bracket's solvable end, the solved records of walk_schedule
-    (so a failed member truncates the family, the gap noted on its last report).
+) -> list[ProbeRecord]:
+    """The walk_schedule probes of count values of α descending geometrically
+    onto the bracket's solvable end: its solved records are the family, and
+    a failed member truncates it.
 
     An unbounded threshold has no solvable end to descend onto: walk an
     explicit schedule with walk_schedule instead.
@@ -469,5 +461,4 @@ def limit_family(
     # sqrt(α − α★), so the faster schedule is what makes an 8-member
     # family visibly plateau in the diagnostics
     alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    probes = walk_schedule(S, alphas, residual_tol)
-    return [p.report for p in probes if p.solved]
+    return walk_schedule(S, alphas, residual_tol)

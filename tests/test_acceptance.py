@@ -57,7 +57,7 @@ def threshold64(t2_64a):
 @pytest.fixture(scope="module")
 def family64(t2_64a, threshold64):
     S, rep, _ = threshold64
-    return threshold.limit_family(S, rep, count=8)
+    return [p.report for p in threshold.limit_family(S, rep, count=8) if p.solved]
 
 
 def test_01_exact_solution_recovery(t2_64a):
@@ -224,8 +224,7 @@ def test_10_limit_family_bounded(t2_64a, threshold64, family64):
     S, rep, _ = threshold64
     _, K, _ = diagnostics.auto_cutoff_region(S)
     ok = len(family64) == 8 and all(r.converged for r in family64)
-    diag = diagnostics.family_table([(r.alpha, r) for r in family64],
-                                    lambda a: ProblemInstance(S, a), K)
+    diag = diagnostics.family_table([(r.alpha, r) for r in family64], K)
     gap = family64[-1].alpha - rep.hi
     ok = ok and all(diag.verdicts.values())
     failing = [k for k, v in diag.verdicts.items() if not v]
@@ -237,16 +236,12 @@ def test_10_limit_family_bounded(t2_64a, threshold64, family64):
 def test_11_negative_controls(t2_32a, tmp_path, capsys):
     from kwlab.cli import _injected_family
 
-    down = _injected_family(t2_32a, -1.0, 8)
-    up = _injected_family(t2_32a, 1.0, 8)
-    K = ball_mask(t2_32a, (0.5, 0.5), 0.2, label="K")
     S = ScalarField.constant(t2_32a, -1.0)   # the CLI's field=const field_value=-1.0
-
-    def make_inst(a):
-        return ProblemInstance(S, a)
-
-    lower_fails = not diagnostics.family_table(down, make_inst, K).verdicts["lower_bound"]
-    supinf_fails = not diagnostics.family_table(up, make_inst, K).verdicts["sup_inf"]
+    down = _injected_family(S, -1.0, 8)
+    up = _injected_family(S, 1.0, 8)
+    K = ball_mask(t2_32a, (0.5, 0.5), 0.2, label="K")
+    lower_fails = not diagnostics.family_table(down, K).verdicts["lower_bound"]
+    supinf_fails = not diagnostics.family_table(up, K).verdicts["sup_inf"]
     codes = []
     for inject in ("diverge_down", "diverge_up"):
         code = cli_main([

@@ -395,6 +395,7 @@ def test_zero_mean_field_exits_2_before_newton(tmp_path, capsys, monkeypatch, mo
         assert summary["evidence"] == ["sign_obstruction: integral of S >= 0"]
     else:
         assert summary["family_size"] == 0
+        assert summary["walk"][0]["evidence"] == ["sign_obstruction: integral of S >= 0"]
 
 
 def test_threshold_summary_carries_the_fold_certificate(tmp_path, capsys):
@@ -440,12 +441,16 @@ def test_family_alphas_truncated_with_note(tmp_path, capsys):
         "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-2,-5",
     )
     assert code == 0
-    assert last_json_line(cap.out)["family_size"] == 2
+    summary = last_json_line(cap.out)
+    assert summary["family_size"] == 2
+    # the walk's records say where the family ends and why
+    walk = summary["walk"]
+    assert [p["param"] for p in walk] == [-1.0, -2.0, -5.0]
+    assert [p["solved"] for p in walk] == [True, True, False]
+    assert walk[-1]["evidence"] and all(e.startswith("newton[") for e in walk[-1]["evidence"])
     last = json.loads((out / "member_001.report.json").read_text())
     assert last["converged"]
-    assert last["failure_reason"] == (
-        "family truncated: alpha=-5.0 failed, nearest converged alpha=-2.0"
-    )
+    assert last["failure_reason"] is None
 
 
 def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch):

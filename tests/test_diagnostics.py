@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from kwlab.diagnostics import (
     trend_slope,
 )
 from kwlab.errors import DomainError, EigenSolveError
+from kwlab.fields import named_field
 from kwlab.solvers import SolveReport, newton_solve
 
 from subsuper import make_interval, monotone_iterate
@@ -35,13 +34,8 @@ def fake_report(domain, value, alpha=-1.0, method="monotone"):
         iterations=1,
         residual_history=[0.0],
         method=method,
-        alpha=alpha,
+        inst=ProblemInstance(ScalarField.constant(domain, -1.0), alpha),
     )
-
-
-def inst_at(S):
-    """make_inst of a family on S: its instance at α."""
-    return partial(ProblemInstance, S)
 
 
 class TestTrend:
@@ -150,8 +144,7 @@ class TestNegativeControls:
     # sup_plus_inf columns
     def table(self, domain, family):
         K = ball_mask(domain, (0.5, 0.5), 0.2, label="K")
-        S = ScalarField.constant(domain, -1.0)
-        return family_table([(r.alpha, r) for r in family], inst_at(S), K)
+        return family_table([(r.alpha, r) for r in family], K)
 
     def test_downward_divergence_fails_lower_bound(self, t2_32):
         family = [fake_report(t2_32, -float(k), alpha=-1.0 - 0.1 * k) for k in range(8)]
@@ -182,7 +175,7 @@ class TestFamilyTable:
             rep = newton_solve(ProblemInstance(S, a))
             assert rep.converged
             family.append(rep)
-        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
+        diag = family_table([(r.alpha, r) for r in family], K)
         assert all(diag.verdicts.values()), diag.verdicts
         for row, a in zip(diag.rows, alphas):
             u_exact = 0.5 * np.log(-a)
@@ -210,9 +203,9 @@ class TestFamilyTable:
                 family.append((a, rep))
             return family
 
-        assert family_table(monotone_family(), inst_at(S), K).verdicts["stability"]
+        assert family_table(monotone_family(), K).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
-        assert not family_table(monotone_family(), inst_at(S), K).verdicts["stability"]
+        assert not family_table(monotone_family(), K).verdicts["stability"]
 
     def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
         # every member is judged, whichever engine solved it
@@ -222,9 +215,9 @@ class TestFamilyTable:
         def newton_family():
             return [(a, newton_solve(ProblemInstance(S, a))) for a in (-1.0, -1.5, -1.75)]
 
-        assert family_table(newton_family(), inst_at(S), K).verdicts["stability"]
+        assert family_table(newton_family(), K).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
-        diag = family_table(newton_family(), inst_at(S), K)
+        diag = family_table(newton_family(), K)
         assert [row["lambda_min"] for row in diag.rows] == [-0.5] * 3
         assert not diag.verdicts["stability"]
 
@@ -232,7 +225,7 @@ class TestFamilyTable:
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         rep = newton_solve(ProblemInstance(S, -1.0))
-        diag = family_table([(rep.alpha, rep)], inst_at(S), K)
+        diag = family_table([(rep.alpha, rep)], K)
         lines = table_csv(FAMILY_COLUMNS, diag.rows).strip().splitlines()
         assert lines[0] == ",".join(FAMILY_COLUMNS)
         assert len(lines) == 2
@@ -247,7 +240,7 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         rep = newton_solve(ProblemInstance(S, -1.0))
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
-            family_table([(rep.alpha, rep)], inst_at(S), K)
+            family_table([(rep.alpha, rep)], K)
         assert rep.min_eig is None
 
     def test_one_conformal_factor_per_member(self, t2_32, monkeypatch):
@@ -259,13 +252,12 @@ class TestFamilyTable:
             return original(inst, u)
 
         monkeypatch.setattr(problem, "conformal_factor", counted)
-        S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, 0.5 * np.log(-a), alpha=a, method="newton")
                   for a in (-1.0, -2.0)]
         for r in family:
             r.min_eig = 1.0  # no eigen-solve, whose operator reads e^{2u/n} too
-        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
+        diag = family_table([(r.alpha, r) for r in family], K)
         assert calls == [-1.0, -2.0]
         assert [row["defect"] for row in diag.rows] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert [row["int_exp"] for row in diag.rows] == pytest.approx([1.0, 2.0], rel=1e-12)
@@ -273,20 +265,41 @@ class TestFamilyTable:
     def test_empty_family_rejected(self, t2_32):
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         with pytest.raises(DomainError):
-            family_table([], inst_at(ScalarField.constant(t2_32, -1.0)), K)
+            family_table([], K)
 
     def test_empty_K_rejected(self, t2_32):
         K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
         with pytest.raises(DomainError, match="empty K"):
-            family_table([(-1.0, fake_report(t2_32, 0.0))],
-                         inst_at(ScalarField.constant(t2_32, -1.0)), K)
+            family_table([(-1.0, fake_report(t2_32, 0.0))], K)
 
     def test_divergent_family_flagged(self, t2_32):
-        S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
         family = [fake_report(t2_32, float(k), alpha=-1.0 - k, method="newton")
                   for k in range(8)]
-        diag = family_table([(r.alpha, r) for r in family], inst_at(S), K)
+        diag = family_table([(r.alpha, r) for r in family], K)
         assert not diag.verdicts["sup_K_bounded"]
         assert not diag.verdicts["exp_mass_bounded"]
         assert not all(diag.verdicts.values())
+
+    def test_K_solves_every_missing_eigenvalue(self, t2_32):
+        # the stability verdict reads every λ_min, so a table with K solves
+        # the members' missing ones whatever with_eig says
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        family = [fake_report(t2_32, 0.5 * np.log(-a), alpha=a, method="newton")
+                  for a in (-1.0, -2.0)]
+        diag = family_table([(r.alpha, r) for r in family], K, with_eig=False)
+        # S ≡ −1 at u = ½·ln(−α): λ_min = −2α
+        assert [row["lambda_min"] for row in diag.rows] == pytest.approx([2.0, 4.0], abs=1e-6)
+        assert [r.min_eig for r in family] == [row["lambda_min"] for row in diag.rows]
+        assert diag.verdicts["stability"]
+
+    def test_members_on_two_grids(self, t2_16, t2_32):
+        # each member is read at the instance it solved, on its own grid
+        family = []
+        for dom in (t2_16, t2_32):
+            rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), -1.0))
+            assert rep.converged
+            family.append((rep.alpha, rep))
+        diag = family_table(family)
+        assert [row["alpha"] for row in diag.rows] == [-1.0, -1.0]
+        assert all(row["defect"] <= 1e-8 for row in diag.rows)

@@ -92,7 +92,7 @@ class TestSuperSolution:
         fake = SolveReport(
             solution=ScalarField.constant(t2_32, 0.0),
             converged=False, iterations=0, residual_history=[1.0],
-            method="newton", alpha=-3.0,
+            method="newton", inst=constant_instance(t2_32, alpha=-3.0),
         )
         with pytest.raises(SolverError):
             build_super_solution(inst, fake)

@@ -50,7 +50,8 @@ class TestProbe:
         # check, so it also holds under python -O
         rep = SolveReport(solution=ScalarField.constant(t2_16, 0.0), converged=False,
                           iterations=1, residual_history=[1.0, 0.5], method="newton",
-                          alpha=-1.0, failure_reason="max_iters")
+                          inst=ProblemInstance(ScalarField.constant(t2_16, -1.0), -1.0),
+                          failure_reason="max_iters")
         with pytest.raises(SolverError):
             ProbeRecord(-1.0, ["newton[zero]: max_iters"], rep)
 
@@ -456,7 +457,7 @@ class TestLimitFamily:
     def test_default_schedule_approaches_bracket(self, t2_32):
         S = sine_field(t2_32, -0.5)
         rep = find_alpha_star(S, tol=1e-3)
-        fam = limit_family(S, rep, count=6)
+        fam = [p.report for p in limit_family(S, rep, count=6) if p.solved]
         assert len(fam) == 6
         alphas = [r.alpha for r in fam]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
