@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import problem, spectral
 from .domain import ScalarField, mean
@@ -25,6 +24,8 @@ ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line sear
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
 PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
+RESTART = 30                # Krylov steps per GMRES cycle
+MAX_CYCLES = 4              # GMRES cycles before a solve gives up
 
 
 @dataclass
@@ -93,11 +94,68 @@ def _finish(inst, u, converged, iters, history, method, reason=None) -> SolveRep
     )
 
 
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(spectral.inner(x, x)))
+
+
+def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Restarted GMRES (Saad & Schultz 1986) for A·x = b, A given by apply.
+
+    Each cycle builds a Krylov basis of at most RESTART vectors by modified
+    Gram–Schmidt Arnoldi and solves the small least-squares problem with
+    Givens rotations, whose last entry is ‖b − A·x‖ with no extra apply. The
+    first cycle starts from x = 0 with r = b, so A is never applied to a zero
+    vector; a restart recomputes r = b − A·x. A happy breakdown, when the
+    basis spans an invariant subspace (H[j+1, j] = 0), ends the cycle at the
+    exact solution on that subspace. Returns (x, info): info is 0 once
+    ‖b − A·x‖ ≤ rtol·‖b‖, and 1 when MAX_CYCLES cycles end short of it or A
+    is singular on the basis.
+    """
+    x = np.zeros_like(b)
+    target = rtol * _norm(b)
+    r = b
+    for cycle in range(MAX_CYCLES):
+        if cycle:
+            r = b - apply(x)
+        beta = _norm(r)
+        if beta <= target:
+            return x, 0
+        V = np.empty((RESTART, b.size))
+        V[0] = r / beta
+        H = np.zeros((RESTART, RESTART))        # R of the rotated Hessenberg matrix
+        cs, sn = np.zeros(RESTART), np.zeros(RESTART)
+        g = np.zeros(RESTART + 1)
+        g[0] = beta
+        for j in range(RESTART):
+            w = apply(V[j])
+            for i in range(j + 1):
+                H[i, j] = spectral.inner(w, V[i])
+                w -= H[i, j] * V[i]
+            h = _norm(w)                        # H[j+1, j] before its rotation
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = np.hypot(H[j, j], h)
+            if rho == 0.0:                      # A is singular on the basis
+                return x, 1
+            cs[j], sn[j], H[j, j] = H[j, j] / rho, h / rho, rho
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # a happy breakdown, h = 0, gives sn[j] = 0 and so g[j + 1] = 0
+            if abs(g[j + 1]) <= target or j + 1 == RESTART:
+                break
+            V[j + 1] = w / h
+        k = j + 1
+        x = x + spectral.inner(V[:k].T, np.linalg.solve(H[:k, :k], g[:k]))
+        if abs(g[k]) <= target:
+            return x, 0
+    return x, 1
+
+
 def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
     Jacobian problem.linearization J = F′(u) = −Δ − (2/n) S e^{2u/n}; the
-    inner lgmres solves M·J·d = −M·F, left-preconditioned by the
+    inner _gmres solves M·J·d = −M·F, left-preconditioned by the
     constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step.
     Its info, and with it linear_solve_stagnation versus line_search_failure,
     refers to the preconditioned residual ‖M(J·d + F)‖. Backtracking on
@@ -140,10 +198,7 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
-        d, info = lgmres(
-            J.MA, J.solve_diagonal(-F.values).reshape(-1), rtol=1e-10, atol=0.0,
-            inner_m=30, maxiter=4,
-        )
+        d, info = _gmres(J.apply_preconditioned, J.solve_diagonal(-F.values).reshape(-1), 1e-10)
         if not np.all(np.isfinite(d)):
             return _finish(inst, u, False, it, history, "newton", "linear_solve_diverged")
         d = d.reshape(inst.domain.sizes)
@@ -185,7 +240,7 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
     """The instance at t, F(u, t), solve(rhs) and tangent(report). solve is an
     inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered Jacobian
     [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
-    P = diag(M, 1), M = (−Δ + c)⁻¹. lgmres runs on P·B: (v, s) ↦
+    P = diag(M, 1), M = (−Δ + c)⁻¹. _gmres runs on P·B: (v, s) ↦
     (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair per Krylov step, with
     M·f_t formed once here and rhs preconditioned once per solve; its info
     refers to the preconditioned residual. tangent is the BranchPoint of a
@@ -201,20 +256,19 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
     def apply(z):
         z = z.reshape(-1)
         v, s = z[:-1], z[-1]
-        return np.append(J.apply_preconditioned(v) + s * Mft, du @ v / v.size + dt * s)
+        return np.append(J.apply_preconditioned(v) + s * Mft,
+                         spectral.inner(du, v) / v.size + dt * s)
 
     def solve(rhs):
         # an inexact solve is enough: the corrector's residual test decides
         # convergence, and the tangent only steers the next step
-        A = LinearOperator((Mft.size + 1,) * 2, matvec=apply, dtype=float)
         Mrhs = np.append(J.solve_diagonal(rhs[:-1]), rhs[-1])
-        z, _ = lgmres(A, Mrhs, rtol=1e-6, atol=0.0, inner_m=30, maxiter=4)
-        return z
+        return _gmres(apply, Mrhs, 1e-6)[0]
 
     def tangent(report):
         z = solve(np.append(np.zeros(du.size), 1.0))
         v, s = z[:-1], float(z[-1])
-        norm = float(np.sqrt(v @ v / v.size + s * s))
+        norm = float(np.sqrt(spectral.inner(v, v) / v.size + s * s))
         return BranchPoint(report, t, (v / norm).reshape(u.values.shape), s / norm)
 
     return inst, F, solve, tangent

@@ -8,11 +8,9 @@ Sign convention is the analyst's one: Δ e^{i⟨ξ,x⟩} = −|ξ|² e^{i⟨ξ,x
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .domain import ScalarField, TorusDomain
 from .errors import DomainError, EigenSolveError
@@ -83,30 +81,14 @@ class SchrodingerOperator:
     Fourier-diagonal solve x ↦ (−Δ + c)⁻¹x of its constant-coefficient part.
 
     W is a grid array or a scalar, c > 0. `apply`, `solve_diagonal` and
-    `apply_preconditioned` take grids or flattened grids and keep the shape;
-    `A`, `M` and `MA` expose them as scipy LinearOperators for the eigen- and
-    Krylov solvers.
+    `apply_preconditioned` take grids or flattened grids and keep the shape,
+    so the Krylov and eigen-solvers call them on flat vectors.
     """
 
     def __init__(self, plan: SpectralPlan, W, c: float):
         if not c > 0:
             raise DomainError(f"Helmholtz constant must be positive, got {c}")
         self.plan, self.W, self.c = plan, W, c
-        self.shape = (plan.domain.npoints,) * 2
-
-    # built on access: a LinearOperator kept on self would close a reference
-    # cycle through its bound method and keep each W alive until a gc pass
-    @property
-    def A(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.apply, dtype=float)
-
-    @property
-    def M(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.solve_diagonal, dtype=float)
-
-    @property
-    def MA(self) -> LinearOperator:
-        return LinearOperator(self.shape, matvec=self.apply_preconditioned, dtype=float)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         plan, g = self.plan, x.reshape(self.plan.domain.sizes)
@@ -128,48 +110,96 @@ def helmholtz_solve(c: float, rhs: ScalarField) -> ScalarField:
     return ScalarField(rhs.domain, op.solve_diagonal(rhs.values))
 
 
+def inner(a, b):
+    """Σ a·b over the last axis, broadcast over the others. einsum sums in an
+    order that the shapes alone fix, where BLAS dot and gemv round differently
+    with their thread count: every long-vector reduction of the Krylov and
+    eigen-solvers goes through here, so their outputs do not depend on it."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _ritz(S: np.ndarray, AS: np.ndarray):
+    """Smallest Ritz pair (θ, c) of A on the span of the rows of S, AS = A·S:
+    the smallest eigenpair of Sᵀ·A·S·c = θ·Sᵀ·S·c with cᵀ·Sᵀ·S·c = 1, or None
+    when the Gram matrix Sᵀ·S is numerically singular."""
+    G = inner(S[:, None], S[None])
+    H = inner(S[:, None], AS[None])
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError:
+        return None
+    theta, Y = np.linalg.eigh(Linv @ (0.5 * (H + H.T)) @ Linv.T)
+    return float(theta[0]), Linv.T @ Y[:, 0]
+
+
 def min_eigenvalue(
     V: ScalarField,
     tol: float = 1e-8,
     max_iters: int | None = None,
 ) -> float:
-    """Smallest eigenvalue of −Δ + V by LOBPCG (Knyazev 2001).
+    """Smallest eigenvalue of −Δ + V by single-vector LOBPCG (Knyazev 2001).
 
     Runs on the shifted operator A = −Δ + V − σ with σ = min V − 1, which is
     symmetric positive definite (potential ≥ 1), preconditioned by the
-    constant-coefficient Helmholtz inverse (−Δ + mean(V − σ))⁻¹, from a
-    deterministic start vector, for at most max_iters iterations.
+    constant-coefficient Helmholtz inverse M = (−Δ + mean(V − σ))⁻¹, from a
+    deterministic start vector, for at most max_iters iterations. Each
+    iteration is one Rayleigh–Ritz step on span{x, M·r, p}: the Ritz vector
+    x, its preconditioned residual M·r made orthogonal to x, and the previous
+    step p. p is dropped when the 3×3 Gram matrix is singular; the iteration
+    stops when even {x, M·r} is.
     Accuracy: the value is returned only once the 2-norm eigenresidual
-    ‖Av − λv‖ ≤ tol, checked on the returned Ritz vector; for the symmetric
-    operator that bounds |λ − λ_exact| by tol. Otherwise EigenSolveError
-    carries the last Rayleigh quotient.
+    ‖Av − λv‖ ≤ tol, checked on the returned Ritz vector applied afresh; for
+    the symmetric operator that bounds |λ − λ_exact| by tol. Otherwise
+    EigenSolveError carries the last Rayleigh quotient.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     sigma = float(np.min(V.values)) - 1.0
     W = V.values - sigma  # ≥ 1 pointwise
     op = SchrodingerOperator(get_plan(V.domain), W, float(np.mean(W)))
-
-    rng = np.random.default_rng(0)
-    x = np.ones(W.size) + 0.01 * rng.standard_normal(W.size)
-    x /= np.linalg.norm(x)
     if max_iters is None:
         max_iters = 10 * max(V.domain.sizes)
-    with warnings.catch_warnings():
-        # non-convergence is reported by the residual check below
-        warnings.simplefilter("ignore", UserWarning)
-        _, X, history = lobpcg(
-            op.A, x[:, None], M=op.M, tol=tol, maxiter=max_iters, largest=False,
-            retResidualNormsHistory=True,
-        )
-    x = X[:, 0] / np.linalg.norm(X[:, 0])
+
+    rng = np.random.default_rng(0)
+    npoints = V.domain.npoints
+    x = np.ones(npoints) + 0.01 * rng.standard_normal(npoints)
+    x /= np.sqrt(inner(x, x))
     Ax = op.apply(x)
-    lam_shifted = float(x @ Ax)
-    resid = float(np.linalg.norm(Ax - lam_shifted * x))
-    if resid > tol:
-        # the history holds the start residual, one per iteration and two closing entries
+    lam = float(inner(x, Ax))
+    p = Ap = None
+    iters = 0
+    while iters < max_iters:
+        r = Ax - lam * x
+        if np.sqrt(inner(r, r)) <= tol:
+            break
+        w = op.solve_diagonal(r)
+        w -= inner(x, w) * x
+        w /= np.sqrt(inner(w, w))
+        S, AS = [x, w], [Ax, op.apply(w)]
+        if p is not None:
+            norm_p = np.sqrt(inner(p, p))
+            S.append(p / norm_p)
+            AS.append(Ap / norm_p)
+        S, AS = np.array(S), np.array(AS)
+        ritz = _ritz(S, AS)
+        if ritz is None and p is not None:
+            S, AS = S[:2], AS[:2]
+            ritz = _ritz(S, AS)
+        if ritz is None:
+            break
+        lam, c = ritz
+        p, Ap = inner(S[1:].T, c[1:]), inner(AS[1:].T, c[1:])
+        x, Ax = c[0] * x + p, c[0] * Ax + Ap
+        iters += 1
+
+    x /= np.sqrt(inner(x, x))
+    Ax = op.apply(x)
+    lam_shifted = float(inner(x, Ax))
+    r = Ax - lam_shifted * x
+    resid = float(np.sqrt(inner(r, r)))
+    if not resid <= tol:    # a NaN residual fails too
         raise EigenSolveError(
-            f"LOBPCG did not reach tol={tol}: it stopped after {len(history) - 3} of at most "
+            f"LOBPCG did not reach tol={tol}: it stopped after {iters} of at most "
             f"{max_iters} iterations (eigenresidual {resid:.3g})",
             lam_shifted + sigma,
         )

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kwlab import problem, solvers, spectral, threshold
+import kwlab
+from kwlab import make_torus, problem, solvers, spectral, threshold
 from kwlab.cli import main, parse_config_file
 from kwlab.diagnostics import TREND_SLOPE_TOL, trend_slope
 from kwlab.errors import EigenSolveError
+from kwlab.fields import named_field
 from kwlab.serialize import read_field
 
 
@@ -625,3 +631,23 @@ def test_determinism(tmp_path, capsys):
     assert abs(sa["sup_norm_u"] - sb["sup_norm_u"]) <= 1e-12
     assert abs(sa["energy"] - sb["energy"]) <= 1e-12
     assert np.max(np.abs(ua.values - ub.values)) <= 1e-12
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS dot and gemv round differently with their thread count; the
+    # kernels sum through einsum, so a 16⁴ member and its λ_min come out
+    # byte-identical under one and two BLAS threads
+    domain = make_torus(4, [16] * 4, [1.0] * 4)
+    f = named_field(domain, "random_fourier", seed=1, decay_p=3.0)
+    keys = ["d=4", "sizes=16,16,16,16", "field=random_fourier", "field_seed=1", "field_p=3",
+            f"field_offset={-0.5 * f.max!r}", "alphas=-1", "with_eigs=true"]
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(kwlab.__file__).parents[1]),
+               **{var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kwlab.cli", "family", "--out", str(tmp_path / threads), *keys],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("family.csv", "member_000_u.field"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, solvers
+from kwlab import ProblemInstance, ScalarField, make_torus, solvers
 from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
@@ -217,6 +217,78 @@ class TestNewton:
         rep = newton_solve(inst, SolverOptions(start="constant"))
         assert not rep.converged
         assert rep.failure_reason is not None
+
+
+class TestGmres:
+    """solvers._gmres against dense linear algebra on an 8² operator."""
+
+    @staticmethod
+    def system(seed=5):
+        domain = make_torus(2, [8, 8], [1.0, 1.0])
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-3.0, 1.0, domain.sizes)
+        op = spectral.SchrodingerOperator(spectral.get_plan(domain), W, float(np.mean(np.abs(W))))
+        dense = np.column_stack([op.apply_preconditioned(e) for e in np.eye(domain.npoints)])
+        return op, dense, rng.standard_normal(domain.npoints)
+
+    @staticmethod
+    def counted(apply, inputs):
+        def wrapper(v):
+            inputs.append(v.copy())
+            return apply(v)
+        return wrapper
+
+    def assert_solves(self, x, info, dense, b):
+        expected = np.linalg.solve(dense, b)
+        assert info == 0
+        assert np.linalg.norm(b - dense @ x) <= 1e-10 * np.linalg.norm(b)
+        # the operator's condition number is below 3, so x is 3e-10-accurate
+        assert np.max(np.abs(x - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    def test_matches_dense_solve(self):
+        op, dense, b = self.system()
+        inputs = []
+        x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
+        self.assert_solves(x, info, dense, b)
+        # one cycle from x = 0: the operator never sees a zero vector
+        assert len(inputs) <= solvers.RESTART
+        assert all(np.any(v) for v in inputs)
+
+    def test_restarts_reach_the_same_solution(self, monkeypatch):
+        op, dense, b = self.system()
+        monkeypatch.setattr(solvers, "RESTART", 3)
+        monkeypatch.setattr(solvers, "MAX_CYCLES", 50)
+        inputs = []
+        x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
+        self.assert_solves(x, info, dense, b)
+        assert len(inputs) > 2 * 3          # at least two restarts
+        assert all(np.any(v) for v in inputs)
+
+    def test_happy_breakdown(self, t2_16):
+        # with constant W a single Fourier mode spans an invariant subspace:
+        # one step solves, and nothing divides by the vanishing H[1, 0]
+        op = spectral.SchrodingerOperator(spectral.get_plan(t2_16), 2.0, 1.0)
+        x0 = np.broadcast_to(t2_16.coords()[0], t2_16.sizes).reshape(-1)
+        mode = np.cos(2 * np.pi * x0)
+        inputs = []
+        with np.errstate(all="raise"):
+            x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs),
+                                     op.solve_diagonal(mode), 1e-10)
+            # an exact breakdown: H[1, 0] is 0 in floating point too
+            e0 = np.eye(4)[0]
+            y, info_exact = solvers._gmres(lambda v: 3.0 * v, e0, 1e-10)
+        assert info == 0 and len(inputs) == 1
+        assert np.max(np.abs(x - mode / (4 * np.pi**2 + 2.0))) <= 1e-15
+        assert info_exact == 0 and np.array_equal(y, e0 / 3.0)
+
+    def test_cycle_cap_reports_nonzero_info(self, monkeypatch):
+        op, dense, b = self.system()
+        monkeypatch.setattr(solvers, "RESTART", 2)
+        monkeypatch.setattr(solvers, "MAX_CYCLES", 1)
+        inputs = []
+        x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
+        assert info != 0 and len(inputs) == 2
+        assert np.linalg.norm(b - dense @ x) > 1e-10 * np.linalg.norm(b)
 
 
 class TestMonotone:

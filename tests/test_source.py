@@ -2,7 +2,10 @@
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import kwlab
@@ -17,6 +20,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the Krylov and eigen kernels are the package's own: no run imports scipy
+    code = ("import sys, kwlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kwlab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_config_key_is_read():
