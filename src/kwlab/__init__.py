@@ -16,7 +16,7 @@ from .domain import (
     sublevel_mask,
 )
 from .problem import EnergyBreakdown, ProblemInstance
-from .solvers import SolveReport, SolverOptions
+from .solvers import SolveReport
 from .threshold import ProbeRecord, ThresholdReport
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "RegionMask",
     "ScalarField",
     "SolveReport",
-    "SolverOptions",
     "ThresholdReport",
     "TorusDomain",
     "ball_mask",

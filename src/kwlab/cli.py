@@ -22,7 +22,7 @@ from .domain import ScalarField, integrate, make_torus
 from .errors import EigenSolveError, KWLabError, SolverError
 from .fields import named_field
 from .problem import ProblemInstance
-from .solvers import SolveReport, SolverOptions
+from .solvers import SolveReport
 
 MODES = ("solve", "threshold", "dingliu", "family", "diagnose", "selftest")
 
@@ -100,13 +100,12 @@ KEYS = {
     "alphas": ("", _number(float, many=True)),
     "s0": ("-1.0", _float),
     "tol": ("", _positive),                      # default 1e-3, or 1e-2 for dingliu
-    "residual_tol": ("1e-10", _positive),
+    "residual_tol": (repr(solvers.RESIDUAL_TOL), _positive),
     "count": ("8", _at_least(1)),
     "solver": ("newton", _choice("newton", "probe")),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
     "out": ("", str),
-    "single_thread": ("true", _bool),            # accepted; it pins no BLAS threads
 }
 
 
@@ -211,7 +210,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
             record = threshold.probe_solvable(inst, residual_tol=rtol)
             rep = record.report
         else:
-            rep = solvers.newton_solve(inst, SolverOptions(residual_tol=rtol))
+            rep = solvers.newton_solve(inst, residual_tol=rtol)
         start_outputs(mode, text, outdir, S)
         if rep is None:
             summary.update(converged=False, evidence=record.evidence)
@@ -307,7 +306,7 @@ def _selftest() -> list[str]:
 
     def constant_solve():
         inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
-        rep = solvers.newton_solve(inst, SolverOptions(start="zero"))
+        rep = solvers.newton_solve(inst, "zero")
         return rep.converged and rep.solution.sup_norm <= 1e-10
 
     check("constant_instance_solves_to_zero", constant_solve)

@@ -21,24 +21,13 @@ from .errors import BlowUpError, DomainError, SolverError
 from .problem import EnergyBreakdown, ProblemInstance
 
 ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line search
+MAX_ITERS = 80              # a solve's iteration cap
+RESIDUAL_TOL = 1e-10        # a solve converges once ‖F(u)‖_∞ is at most this
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
 PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
 RESTART = 30                # Krylov steps per GMRES cycle
 MAX_CYCLES = 4              # GMRES cycles before a solve gives up
-
-
-@dataclass
-class SolverOptions:
-    max_iters: int = 80
-    residual_tol: float = 1e-10          # sup norm of F(u)
-    start: Union[str, ScalarField] = "zero"   # "zero" | "constant" | field
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise SolverError("max_iters must be >= 1")
-        if not self.residual_tol > 0:
-            raise SolverError("residual_tol must be positive")
 
 
 @dataclass
@@ -64,17 +53,26 @@ class SolveReport:
         return self.inst.alpha
 
 
-def start_field(inst: ProblemInstance, opts: SolverOptions) -> ScalarField:
-    if isinstance(opts.start, ScalarField):
-        return opts.start.copy()
-    if opts.start == "zero":
+def start_field(inst: ProblemInstance, start: Union[str, ScalarField]) -> ScalarField:
+    """A copy of a given field, u ≡ 0 for "zero", or for "constant" the solution
+    (n/2)·ln(α/mean S) of the averaged equation, which needs mean S < 0."""
+    if isinstance(start, ScalarField):
+        return start.copy()
+    if start == "zero":
         return ScalarField.constant(inst.domain, 0.0)
-    if opts.start == "constant":
+    if start == "constant":
         m = mean(inst.S)
-        if m < 0:
-            return ScalarField.constant(inst.domain, 0.5 * inst.n * np.log(inst.alpha / m))
-        return ScalarField.constant(inst.domain, 0.0)
-    raise SolverError(f"unknown start strategy {opts.start!r}")
+        if not m < 0:
+            raise SolverError(f"a constant start needs mean S < 0, got {m!r}")
+        return ScalarField.constant(inst.domain, 0.5 * inst.n * np.log(inst.alpha / m))
+    raise SolverError(f"unknown start strategy {start!r}")
+
+
+def _check_budget(max_iters: int, residual_tol: float) -> None:
+    if max_iters < 1:
+        raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
+    if not residual_tol > 0:
+        raise SolverError(f"residual_tol must be positive, got {residual_tol!r}")
 
 
 def _finish(inst, u, converged, iters, history, method, reason=None) -> SolveReport:
@@ -151,25 +149,29 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     return x, 1
 
 
-def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> SolveReport:
+def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero", *,
+                 max_iters: int = MAX_ITERS, residual_tol: float = RESIDUAL_TOL) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
-    Jacobian problem.linearization J = F′(u) = −Δ − (2/n) S e^{2u/n}; the
-    inner _gmres solves M·J·d = −M·F, left-preconditioned by the
-    constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step.
-    Its info, and with it linear_solve_stagnation versus line_search_failure,
-    refers to the preconditioned residual ‖M(J·d + F)‖. Backtracking on
-    ‖F‖_∞ without an FFT: Δ(u + t·d) = Δu + t·Δd. A converged iterate is
-    confirmed by a fresh residual, which is the report's last. An iterate
-    that has not converged stops with stagnation after three accepted steps
-    damped to t ≤ 2⁻²⁰, or on a residual plateau: the last PLATEAU_STEPS
-    accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO). Past a fold,
-    Newton from any start reaches such a plateau and would otherwise crawl
-    along it; a steady descent of a few percent a step is not stopped.
-    Failures (line search, blow-up) are reported as evidence, never raised.
+    From start (start_field), at most max_iters iterations; converged means
+    ‖F‖_∞ ≤ residual_tol. Jacobian problem.linearization
+    J = F′(u) = −Δ − (2/n) S e^{2u/n}; the inner _gmres solves
+    M·J·d = −M·F, left-preconditioned by the constant-coefficient Helmholtz
+    inverse M, one FFT pair per Krylov step. Its info, and with it
+    linear_solve_stagnation versus line_search_failure, refers to the
+    preconditioned residual ‖M(J·d + F)‖. Backtracking on ‖F‖_∞ without an
+    FFT: Δ(u + t·d) = Δu + t·Δd. A converged iterate is confirmed by a fresh
+    residual, which is the report's last. An iterate that has not converged
+    stops with stagnation on a residual plateau: the last PLATEAU_STEPS
+    accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO). A step damped
+    to t lowers ‖F‖_∞ by about t times itself, so a run of heavily damped
+    steps is such a plateau. Past a fold, Newton from any start reaches such
+    a plateau and would otherwise crawl along it; a steady descent of a few
+    percent a step is not stopped. Failures (line search, blow-up) are
+    reported as evidence, never raised.
     """
-    opts = opts or SolverOptions()
-    u = start_field(inst, opts)
+    _check_budget(max_iters, residual_tol)
+    u = start_field(inst, start)
     lap = spectral.laplacian(u).values
     history: list[float] = []
 
@@ -180,19 +182,18 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
     normF = F.sup_norm
     history.append(normF)
 
-    weak_steps = 0
-    for it in range(opts.max_iters + 1):
-        if normF <= opts.residual_tol and it:
+    for it in range(max_iters + 1):
+        if normF <= residual_tol and it:
             # Δu carries the round-off of its updates: confirm with a fresh one
             lap = spectral.laplacian(u).values
             F = problem.residual(inst, u, lap)
             normF = history[-1] = F.sup_norm
-        if normF <= opts.residual_tol:
+        if normF <= residual_tol:
             return _finish(inst, u, True, it, history, "newton")
-        if weak_steps >= 3 or (len(history) > PLATEAU_STEPS
-                               and history[-1] > PLATEAU_RATIO * history[-1 - PLATEAU_STEPS]):
+        if (len(history) > PLATEAU_STEPS
+                and history[-1] > PLATEAU_RATIO * history[-1 - PLATEAU_STEPS]):
             return _finish(inst, u, False, it, history, "newton", "stagnation")
-        if it == opts.max_iters:
+        if it == max_iters:
             return _finish(inst, u, False, it, history, "newton", "max_iters")
         J = problem.linearization(inst, u)
         # the Krylov budget is deliberately modest: near a fold the Jacobian
@@ -222,7 +223,6 @@ def newton_solve(inst: ProblemInstance, opts: SolverOptions | None = None) -> So
         if not accepted:
             reason = "line_search_failure" if info == 0 else "linear_solve_stagnation"
             return _finish(inst, u, False, it + 1, history, "newton", reason)
-        weak_steps = weak_steps + 1 if t <= 2.0**-20 else 0
 
 
 @dataclass
@@ -280,13 +280,9 @@ def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> Bra
     return _bordered(make_inst, dF_dt, report.solution, t, du, dt)[3](report)
 
 
-def arclength_correct(
-    make_inst,
-    dF_dt,
-    base: BranchPoint,
-    ds: float,
-    opts: SolverOptions | None = None,
-) -> tuple[SolveReport, Optional[BranchPoint]]:
+def arclength_correct(make_inst, dF_dt, base: BranchPoint, ds: float, *,
+                      max_iters: int = MAX_ITERS, residual_tol: float = RESIDUAL_TOL,
+                      ) -> tuple[SolveReport, Optional[BranchPoint]]:
     """One pseudo-arclength step (Keller 1977) along the branch F(u, t) = 0.
 
     make_inst maps t to its ProblemInstance and dF_dt maps the conformal
@@ -300,14 +296,14 @@ def arclength_correct(
     instances' parameter range or runs out of max_iters fails, with the
     reason on the report and no point; the caller shortens the step.
     """
-    opts = opts or SolverOptions()
+    _check_budget(max_iters, residual_tol)
     shape = base.report.solution.values.shape
     u0, t0 = base.report.solution.values, base.t
     u = ScalarField(base.report.solution.domain, u0 + ds * base.du)
     t = float(t0 + ds * base.dt)
     history: list[float] = []
     inst = make_inst(t0)
-    for it in range(opts.max_iters + 1):
+    for it in range(max_iters + 1):
         try:
             inst, F, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
         except BlowUpError as e:
@@ -318,10 +314,10 @@ def arclength_correct(
         history.append(normF)
         if not np.isfinite(normF):
             return _finish(inst, u, False, it, history, "arclength", "blow_up: non-finite"), None
-        if normF <= opts.residual_tol:
+        if normF <= residual_tol:
             rep = _finish(inst, u, True, it, history, "arclength")
             return rep, tangent(rep)
-        if it == opts.max_iters:
+        if it == max_iters:
             break
         if it >= 1 and normF > 0.5 * history[-2]:
             return _finish(inst, u, False, it, history, "arclength", "stagnation"), None
@@ -331,4 +327,4 @@ def arclength_correct(
             return _finish(inst, u, False, it, history, "arclength", "linear_solve_diverged"), None
         u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
         t += float(z[-1])
-    return _finish(inst, u, False, opts.max_iters, history, "arclength", "max_iters"), None
+    return _finish(inst, u, False, max_iters, history, "arclength", "max_iters"), None

@@ -134,7 +134,7 @@ def _ritz(S: np.ndarray, AS: np.ndarray):
 
 def min_eigenvalue(
     V: ScalarField,
-    tol: float = 1e-8,
+    tol: float,
     max_iters: int | None = None,
 ) -> float:
     """Smallest eigenvalue of −Δ + V by single-vector LOBPCG (Knyazev 2001).

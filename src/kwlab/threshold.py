@@ -16,7 +16,7 @@ from . import problem, solvers
 from .domain import ScalarField, integrate
 from .errors import EigenSolveError, SolverError
 from .problem import ProblemInstance
-from .solvers import SolveReport, SolverOptions
+from .solvers import MAX_ITERS, RESIDUAL_TOL, SolveReport
 
 # fixed probe points for the "threshold is unbounded" verification (the
 # S ≤ 0 regime is solvable at every negative α)
@@ -103,8 +103,13 @@ class ThresholdReport:
 def _sign_obstructed(S: ScalarField) -> bool:
     """The Kazdan-Warner obstruction: no α < 0 is solvable when ∫S ≥ 0, since
     dividing the equation by e^{2u/n} and integrating gives
-    ∫S = α∫e^{−2u/n} − (2/n)∫|∇u|² e^{−2u/n} < 0 for every solution u."""
-    return integrate(S) >= 0
+    ∫S = α∫e^{−2u/n} − (2/n)∫|∇u|² e^{−2u/n} < 0 for every solution u.
+    On the grid ∫S is a sum of npoints terms of weight w, exact only to the
+    recursive-summation bound npoints·ε·Σ|Sᵢ|·w: an ∫S above minus that
+    bound counts as ≥ 0."""
+    dom = S.domain
+    slack = dom.npoints * np.finfo(float).eps * float(np.sum(np.abs(S.values))) * dom.cell_weight
+    return integrate(S) >= -slack
 
 
 def probe_solvable(
@@ -113,7 +118,7 @@ def probe_solvable(
     *,
     param: Optional[float] = None,
     warm_start: Optional[ScalarField] = None,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
     fold: Optional[list[str]] = None,
 ) -> ProbeRecord:
     """The ProbeRecord of a numerical solvability test of inst, filed under
@@ -138,13 +143,12 @@ def probe_solvable(
         raise SolverError("a probe resting on a fold certificate needs its warm start")
 
     evidence = list(fold or [])
-    iters = max(10, int(round(80 * budget)))
+    iters = round(MAX_ITERS * budget)
     starts: list = [] if warm_start is None else [warm_start]
     if fold is None:
         starts.extend(["constant", "zero"])
     for start in starts:
-        opts = SolverOptions(max_iters=iters, residual_tol=residual_tol, start=start)
-        rep = solvers.newton_solve(inst, opts)
+        rep = solvers.newton_solve(inst, start, max_iters=iters, residual_tol=residual_tol)
         if rep.converged:
             return ProbeRecord(param, [], rep)
         tag = "warm" if isinstance(start, ScalarField) else start
@@ -177,7 +181,7 @@ def check_schedule(alphas: Sequence[float]) -> None:
 def walk_schedule(
     S: ScalarField,
     alphas: Sequence[float],
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> list[ProbeRecord]:
     """One ProbeRecord per α probed along a strictly decreasing α schedule;
     the solved records carry the converged solutions.
@@ -308,13 +312,13 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
         return make_inst(sign * t)
 
     accept(probes[-1])
-    opts = SolverOptions(max_iters=CORRECTOR_ITERS, residual_tol=residual_tol)
     zero = np.zeros(v.report.solution.values.shape)
     point = solvers.branch_point(inst_at, dF_dt, v.report, sign * param, zero, -1.0)
     past = None          # the nearest converged point past the fold
     ds, grow = FIRST_STEP, True
     for _ in range(MAX_SEARCH_PROBES):
-        rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds, opts)
+        rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds, max_iters=CORRECTOR_ITERS,
+                                             residual_tol=residual_tol)
         if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
             ds, grow = 0.5 * ds, False
             if ds < MIN_STEP:
@@ -371,7 +375,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 def find_alpha_star(
     S: ScalarField,
     tol: float = 1e-3,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
 
@@ -406,7 +410,7 @@ def ding_liu_lambda_star(
     g0: ScalarField,
     s0: float,
     tol: float = 1e-2,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> ThresholdReport:
     """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.
 
@@ -444,7 +448,7 @@ def limit_family(
     S: ScalarField,
     threshold_report: ThresholdReport,
     count: int,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> list[ProbeRecord]:
     """The walk_schedule probes of count values of α descending geometrically
     onto the bracket's solvable end: its solved records are the family, and

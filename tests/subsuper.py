@@ -23,7 +23,7 @@ from kwlab import problem, spectral
 from kwlab.domain import ScalarField
 from kwlab.errors import BlowUpError, SolverError
 from kwlab.problem import ProblemInstance
-from kwlab.solvers import ARMIJO, SolveReport, SolverOptions, _finish, newton_solve
+from kwlab.solvers import ARMIJO, RESIDUAL_TOL, SolveReport, _finish, newton_solve
 
 PGD_MAX_ITERS = 20000       # projected-gradient iterations of minimize_over_interval
 MONOTONE_MAX_ITERS = 50000  # fixed-point iterations of monotone_iterate
@@ -113,7 +113,7 @@ def monotone_constant(inst: ProblemInstance, upper: ScalarField) -> float:
 
 
 def monotone_iterate(
-    inst: ProblemInstance, interval: OrderInterval, opts: SolverOptions | None = None
+    inst: ProblemInstance, interval: OrderInterval, *, residual_tol: float = RESIDUAL_TOL
 ) -> SolveReport:
     """Fixed point u ← u − (−Δ + c)⁻¹F(u) = (−Δ + c)⁻¹(c·u − α + S e^{2u/n})
     from u₀ = u₊.
@@ -121,7 +121,6 @@ def monotone_iterate(
     With c at least the monotonicity constant the iterates decrease
     pointwise, stay inside [u₋, u₊], and converge to a solution.
     """
-    opts = opts or SolverOptions()
     interval.validate(inst)
     c = monotone_constant(inst, interval.upper)
 
@@ -131,7 +130,7 @@ def monotone_iterate(
         F = problem.residual(inst, u)
         normF = F.sup_norm
         history.append(normF)
-        if normF <= opts.residual_tol:
+        if normF <= residual_tol:
             return _finish(inst, u, True, it, history, "monotone")
         unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(c, F).values)
         if float(np.max(unew.values - u.values)) > 1e-12:
@@ -148,7 +147,7 @@ def monotone_iterate(
 
 
 def minimize_over_interval(
-    inst: ProblemInstance, interval: OrderInterval, opts: SolverOptions | None = None
+    inst: ProblemInstance, interval: OrderInterval, *, residual_tol: float = RESIDUAL_TOL
 ) -> SolveReport:
     """Projected gradient descent of I over X = {u₋ ≤ u ≤ u₊}.
 
@@ -157,7 +156,6 @@ def minimize_over_interval(
     Newton polish finishes the run (the Euler-Lagrange equation is then
     active); the polished point is accepted only if it stays in the box.
     """
-    opts = opts or SolverOptions()
     interval.validate(inst)
     lo, hi = interval.lower.values, interval.upper.values
     w = inst.domain.cell_weight
@@ -177,18 +175,15 @@ def minimize_over_interval(
         history.append(normF)
 
         interior = (np.min(u - lo) >= interior_margin) and (np.min(hi - u) >= interior_margin)
-        if interior and normF <= opts.residual_tol:
+        if interior and normF <= residual_tol:
             return _finish(inst, field_u, True, it, history, "minimize")
         pg = u - np.clip(u - g, lo, hi)
-        if not interior and float(np.max(np.abs(pg))) <= opts.residual_tol:
+        if not interior and float(np.max(np.abs(pg))) <= residual_tol:
             # minimizer pinned to the boundary of X: small projected gradient
             return _finish(inst, field_u, True, it, history, "minimize")
 
         if interior and it > 0 and it % 20 == 0:
-            polish_opts = SolverOptions(
-                max_iters=opts.max_iters, residual_tol=opts.residual_tol, start=field_u
-            )
-            rep = newton_solve(inst, polish_opts)
+            rep = newton_solve(inst, field_u, residual_tol=residual_tol)
             if rep.converged and (
                 float(np.max(rep.solution.values - hi)) <= 1e-9
                 and float(np.max(lo - rep.solution.values)) <= 1e-9
@@ -228,13 +223,13 @@ def minimize_over_interval(
         if not accepted:
             # no admissible decrease left at this resolution: report as-is
             field_u = ScalarField(inst.domain, u)
-            ok = problem.residual(inst, field_u).sup_norm <= opts.residual_tol
+            ok = problem.residual(inst, field_u).sup_norm <= residual_tol
             return _finish(
                 inst, field_u, ok, it, history, "minimize",
                 None if ok else "step_stagnation",
             )
 
     field_u = ScalarField(inst.domain, u)
-    ok = problem.residual(inst, field_u).sup_norm <= opts.residual_tol
+    ok = problem.residual(inst, field_u).sup_norm <= residual_tol
     return _finish(inst, field_u, ok, PGD_MAX_ITERS, history, "minimize",
                    None if ok else "max_iters")

@@ -20,7 +20,7 @@ from kwlab import (
 from kwlab import diagnostics, problem, spectral, threshold
 from kwlab.cli import main as cli_main
 from kwlab.fields import named_field
-from kwlab.solvers import SolverOptions, newton_solve
+from kwlab.solvers import newton_solve
 
 from oracles import dense_alpha_star, restrict, smooth_random_field
 from subsuper import make_interval, minimize_over_interval, monotone_iterate
@@ -147,8 +147,7 @@ def test_04_variational_consistency(t2_32a):
 
 def test_05_stability_of_ordered_solutions(t2_32a):
     inst, _ = make_manufactured_neg(t2_32a)
-    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha),
-                        SolverOptions(start="constant"))
+    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
     iv = make_interval(inst, warm)
     lam_min = np.inf
     for rep in (monotone_iterate(inst, iv), minimize_over_interval(inst, iv)):
@@ -259,8 +258,7 @@ def test_11_negative_controls(t2_32a, tmp_path, capsys):
 
 def test_12_determinism(tmp_path, capsys):
     args = ["field=random_fourier", "field_seed=7", "field_p=3",
-            "field_offset=-1.2", "alpha=-1.0", "sizes=64,64",
-            "single_thread=true"]
+            "field_offset=-1.2", "alpha=-1.0", "sizes=64,64"]
     summaries = []
     for name in ("a", "b"):
         code = cli_main(["solve", "--out", str(tmp_path / name), *args])

@@ -427,6 +427,20 @@ def test_search_precondition_failure_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "thr").exists()
 
 
+def test_round_off_mean_field_fails_the_search_precondition(tmp_path, capsys, monkeypatch):
+    # cos1's grid ∫S is −8e-17, round-off of its exact 0: the search rejects
+    # it before any probe, as it rejects sin1's exact 0.0
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a Newton start ran")
+
+    monkeypatch.setattr(solvers, "newton_solve", no_newton)
+    code, cap = run_cli(capsys, "threshold", "--out", str(tmp_path / "thr"),
+                        "field=cos1", "sizes=32,32")
+    assert code == 1
+    assert "integrate(S) < 0" in json.loads(cap.err.strip())["error"]
+    assert not (tmp_path / "thr").exists()
+
+
 def test_diagnose_cutoff_failure_writes_nothing(tmp_path, capsys):
     # S's negative set is too thin on 8² for an automatic cutoff; the family
     # solves, but the run is rejected before any output is started

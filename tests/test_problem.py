@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, SolverOptions, TorusDomain, integrate, make_torus
+from kwlab import ProblemInstance, ScalarField, TorusDomain, integrate, make_torus
 from kwlab import spectral
 from kwlab.errors import BlowUpError, DomainError
 from kwlab.problem import (
@@ -41,7 +41,7 @@ def test_instance_validation(t2_32):
     linearization,
     integral_identity_defect,
     stability_eigenvalue,
-    lambda inst, u: newton_solve(inst, SolverOptions(start=u)),
+    lambda inst, u: newton_solve(inst, u),
 ], ids=["residual", "energy", "linearization", "integral_identity_defect",
         "stability_eigenvalue", "newton_solve"])
 def test_solution_on_another_grid_is_rejected(t2_32, read):

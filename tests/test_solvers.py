@@ -7,7 +7,6 @@ from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
 from kwlab.solvers import (
     SolveReport,
-    SolverOptions,
     arclength_correct,
     branch_point,
     newton_solve,
@@ -48,7 +47,7 @@ def make_manufactured_neg(domain, seed=31, amplitude=0.3):
 
 def warm_report(inst_tilde):
     """Converged report at a more negative alpha, for super-solution building."""
-    rep = newton_solve(inst_tilde, SolverOptions(start="constant"))
+    rep = newton_solve(inst_tilde, "constant")
     assert rep.converged
     return rep
 
@@ -129,7 +128,7 @@ class TestInterval:
 class TestNewton:
     def test_zero_iterations_at_exact_solution(self, t2_32):
         inst = constant_instance(t2_32, S0=-2.0, alpha=-2.0)
-        rep = newton_solve(inst, SolverOptions(start=ScalarField.constant(t2_32, 0.0)))
+        rep = newton_solve(inst, ScalarField.constant(t2_32, 0.0))
         assert rep.converged and rep.iterations == 0
 
     def test_constant_instance(self, t2_32):
@@ -163,7 +162,7 @@ class TestNewton:
 
     def test_superlinear_tail(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0)
-        rep = newton_solve(inst, SolverOptions(residual_tol=1e-12))
+        rep = newton_solve(inst, residual_tol=1e-12)
         assert rep.converged
         h = rep.residual_history
         # the last full step at least squares the residual scale
@@ -175,25 +174,25 @@ class TestNewton:
         # of a converged solve is recomputed from the solution itself
         inst = (make_manufactured(t2_32, alpha=-1.0)[0] if field == "manufactured"
                 else ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -2.0))
-        rep = newton_solve(inst, SolverOptions(start="constant"))
+        rep = newton_solve(inst, "constant")
         assert rep.converged and rep.iterations > 0
         assert rep.residual_history[-1] == residual(inst, rep.solution).sup_norm
 
     def test_plateau_stops_a_warm_start_past_the_fold(self, t2_32, monkeypatch):
         # α = −3.2 lies past the fold at α★ ≈ −3.178: Newton warm from −3.17
         # settles on a residual plateau; without the plateau rule it crawls
-        # along it until three weak steps call stagnation
+        # along it until the line search fails
         S = named_field(t2_32, "sin1", offset=-0.5)
         warm = newton_solve(ProblemInstance(S, -3.17))
         assert warm.converged
-        inst, opts = ProblemInstance(S, -3.2), SolverOptions(start=warm.solution)
-        rep = newton_solve(inst, opts)
+        inst = ProblemInstance(S, -3.2)
+        rep = newton_solve(inst, warm.solution)
         h = rep.residual_history
         assert rep.failure_reason == "stagnation" and rep.iterations == len(h) - 1
         assert h[-1] > solvers.PLATEAU_RATIO * h[-1 - solvers.PLATEAU_STEPS]
         monkeypatch.setattr(solvers, "PLATEAU_STEPS", 10**6)  # the rule never fires
-        crawl = newton_solve(inst, opts)
-        assert crawl.failure_reason == "stagnation"
+        crawl = newton_solve(inst, warm.solution)
+        assert not crawl.converged
         assert crawl.residual_history[:len(h)] == h
         assert 2 * rep.iterations <= crawl.iterations
 
@@ -214,9 +213,22 @@ class TestNewton:
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root
         inst = ProblemInstance(sin_minus_half, -50.0)
-        rep = newton_solve(inst, SolverOptions(start="constant"))
+        rep = newton_solve(inst, "constant")
         assert not rep.converged
         assert rep.failure_reason is not None
+
+    @pytest.mark.parametrize("budget", [{"max_iters": 0}, {"residual_tol": 0.0}],
+                             ids=["max_iters", "residual_tol"])
+    def test_rejects_an_empty_budget(self, t2_16, budget):
+        with pytest.raises(SolverError):
+            newton_solve(constant_instance(t2_16), **budget)
+
+    @pytest.mark.parametrize("mean_S", [0.0, 1.0])
+    def test_constant_start_needs_negative_mean_S(self, t2_16, mean_S):
+        # mean S ≥ 0 has no constant solution of the averaged equation to start from
+        S = named_field(t2_16, "sin1", offset=mean_S)
+        with pytest.raises(SolverError, match="mean S < 0"):
+            newton_solve(ProblemInstance(S, -1.0), "constant")
 
 
 class TestGmres:
@@ -305,10 +317,7 @@ class TestMonotone:
 
     def test_manufactured_bracket(self, t2_32):
         inst, u_star = make_manufactured_neg(t2_32)
-        warm = newton_solve(
-            ProblemInstance(inst.S, 2 * inst.alpha),
-            SolverOptions(start="constant"),
-        )
+        warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
         assert warm.converged
         iv = make_interval(inst, warm)
         rep = monotone_iterate(inst, iv)
@@ -339,9 +348,7 @@ class TestMinimize:
 
     def test_minimum_beats_random_interval_points(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(
-            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
-        )
+        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         assert rep.converged
@@ -355,9 +362,7 @@ class TestMinimize:
 
     def test_interior_minimizer_satisfies_equation(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(
-            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
-        )
+        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         assert rep.converged
@@ -369,9 +374,7 @@ class TestMinimize:
 
     def test_energy_not_above_endpoints(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(
-            ProblemInstance(inst.S, -2.0), SolverOptions(start="constant")
-        )
+        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         I_min = energy(inst, rep.solution).total
@@ -381,10 +384,7 @@ class TestMinimize:
 
 def test_engines_agree(t2_32):
     inst, _ = make_manufactured_neg(t2_32)
-    warm = newton_solve(
-        ProblemInstance(inst.S, 2 * inst.alpha),
-        SolverOptions(start="constant"),
-    )
+    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
     iv = make_interval(inst, warm)
     u_newton = newton_solve(inst).solution
     u_mono = monotone_iterate(inst, iv).solution
@@ -398,7 +398,7 @@ class TestArclength:
 
     @staticmethod
     def start(inst_at, t):
-        rep = newton_solve(inst_at(t), SolverOptions(start="constant"))
+        rep = newton_solve(inst_at(t), "constant")
         assert rep.converged
         zero = np.zeros(rep.solution.values.shape)
         return branch_point(inst_at, lambda e: 1.0, rep, t, zero, -1.0)
@@ -420,6 +420,15 @@ class TestArclength:
             assert arc + p.dt * (q.t - p.t) == pytest.approx(ds, rel=1e-5)
             p = q
 
+    @pytest.mark.parametrize("budget", [{"max_iters": 0}, {"residual_tol": 0.0}],
+                             ids=["max_iters", "residual_tol"])
+    def test_rejects_an_empty_budget(self, t2_16, budget):
+        def inst_at(t):
+            return constant_instance(t2_16, -1.0, t)
+
+        with pytest.raises(SolverError):
+            arclength_correct(inst_at, lambda e: 1.0, self.start(inst_at, -0.5), 0.3, **budget)
+
     def test_steps_through_the_fold(self, t2_16):
         x = t2_16.coords()
         S = ScalarField(t2_16, np.broadcast_to(np.sin(2 * np.pi * x[0]) - 0.5, t2_16.sizes).copy())
@@ -428,9 +437,9 @@ class TestArclength:
             return ProblemInstance(S, t)
 
         p = self.start(inst_at, -3.0)
-        opts = SolverOptions(max_iters=10, residual_tol=1e-10)
         for _ in range(40):
-            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02, opts)
+            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02,
+                                       max_iters=10, residual_tol=1e-10)
             assert rep.converged and residual(inst_at(q.t), rep.solution).sup_norm <= 1e-10
             if q.dt > 0:
                 break

@@ -34,14 +34,13 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_every_config_key_is_read():
-    # a key whose typed value nothing reads is a setting that changes
-    # nothing; single_thread stays accepted for configs that pass it
+    # a key whose typed value nothing reads is a setting that changes nothing
     path = Path(cli.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {node.slice.value for node in ast.walk(tree)
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
             and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
-    assert set(cli.KEYS) - read == {"single_thread"}
+    assert set(cli.KEYS) - read == set()
 
 
 def test_readme_names_every_config_key():
@@ -50,6 +49,37 @@ def test_readme_names_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     sentence = re.search(r"Keys: (.*?)\.\s", readme, re.DOTALL).group(1)
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(cli.KEYS)
+
+
+def _defaults(tree):
+    """Every (name, default) a tree spells: a function's parameters with
+    their defaults, and a class body's annotated fields with their values."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            yield from ((arg.arg, d) for arg, d in
+                        zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            yield from ((arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.value:
+            yield node.target.id, node.value
+
+
+def test_no_solve_setting_has_a_literal_default():
+    # a solve's residual_tol and max_iters defaults are spelled once, as
+    # solvers.RESIDUAL_TOL and solvers.MAX_ITERS, and every signature reads them
+    found = []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        for name, default in _defaults(ast.parse(path.read_text(), filename=str(path))):
+            if name not in ("residual_tol", "max_iters"):
+                continue
+            try:
+                value = ast.literal_eval(default)
+            except ValueError:
+                continue
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                found.append(f"{path.stem}:{default.lineno} {name}={value!r}")
+    assert found == []
 
 
 def _public_defs(tree):

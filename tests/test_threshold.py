@@ -65,6 +65,19 @@ class TestProbe:
         assert not v.solved
         assert v.evidence == ["sign_obstruction: integral of S >= 0"]
 
+    @pytest.mark.parametrize("name, grid", [("cos1", "t2_32"), ("two_mode", "t2_32"),
+                                            ("cos1", "t4_16")])
+    def test_round_off_mean_S_sign_obstruction(self, name, grid, request, monkeypatch):
+        # the grid's ∫S of these zero-mean fields is round-off below 0, within
+        # the summation bound: obstructed like sin1's exact 0.0
+        S = named_field(request.getfixturevalue(grid), name)
+        assert -1e-15 < integrate(S) < 0
+        monkeypatch.setattr(solvers, "newton_solve", no_newton)
+        v = probe_solvable(ProblemInstance(S, -1.0))
+        assert v.evidence == ["sign_obstruction: integral of S >= 0"]
+        # a mean of −1e-9 lies far outside the bound
+        assert not threshold._sign_obstructed(named_field(S.domain, name, offset=-1e-9))
+
     def test_fold_needs_a_warm_start(self, t2_16):
         inst = ProblemInstance(sine_field(t2_16, -0.5), -1.0)
         with pytest.raises(SolverError, match="warm start"):
