@@ -5,7 +5,6 @@ estimates.
 """
 
 from .domain import (
-    CutoffSpec,
     RegionMask,
     ScalarField,
     TorusDomain,
@@ -20,7 +19,6 @@ from .solvers import SolveReport
 from .threshold import ProbeRecord, ThresholdReport
 
 __all__ = [
-    "CutoffSpec",
     "EnergyBreakdown",
     "ProbeRecord",
     "ProblemInstance",

@@ -99,7 +99,7 @@ KEYS = {
     "alpha": ("", _float),
     "alphas": ("", _number(float, many=True)),
     "s0": ("-1.0", _float),
-    "tol": ("", _positive),                      # default 1e-3, or 1e-2 for dingliu
+    "tol": ("", _positive),                      # default threshold.ALPHA_TOL or LAMBDA_TOL
     "residual_tol": (repr(solvers.RESIDUAL_TOL), _positive),
     "count": ("8", _at_least(1)),
     "solver": ("newton", _choice("newton", "probe")),
@@ -174,8 +174,8 @@ def _injected_family(S: ScalarField, sign: float, count: int) -> list[tuple[floa
     """Synthetic divergent family u_k = sign·k at α = −1 − k (negative-control hook)."""
     return [
         (-1.0 - k, SolveReport(solution=ScalarField.constant(S.domain, sign * float(k)),
-                               converged=True, iterations=0, residual_history=[0.0],
-                               method="injected", inst=ProblemInstance(S, -1.0 - k)))
+                               iterations=0, residual_history=[0.0], method="injected",
+                               inst=ProblemInstance(S, -1.0 - k)))
         for k in range(count)
     ]
 
@@ -191,7 +191,9 @@ def start_outputs(mode: str, text: dict[str, str], outdir: Path, S=None) -> None
 
 
 def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, dict]:
-    """Run mode on validate's typed cfg; text, the config as given, is written out."""
+    """Run mode on validate's typed cfg. text, the config as given, is written
+    out with the sizes and lengths of the grid built and, when a search ran,
+    its tol in place of their text."""
     summary: dict = {"mode": mode}
 
     if mode == "selftest":
@@ -200,6 +202,8 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
         return (2 if failures else 0), summary
 
     domain = build_domain(cfg)
+    text = {**text, "sizes": ",".join(map(str, domain.sizes)),
+            "lengths": ",".join(map(repr, domain.lengths))}
     S = build_field(cfg, domain)
     rtol = cfg["residual_tol"]
     summary["mean_S"] = integrate(S) / domain.volume
@@ -217,20 +221,22 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
             return 2, summary
         serialize.write_report(rep, outdir / "solve")
         summary.update(serialize.report_summary(rep))
-        summary["defect"] = problem.integral_identity_defect(inst, rep.solution).defect
+        summary["defect"] = problem.integral_identity_defect(inst, rep.solution)
         return (0 if rep.converged else 2), summary
 
     # threshold, dingliu, family and diagnose: each mode yields a family of
     # (param, report), each report carrying the instance it solved
     thr = walk = None
     injected = cfg["inject"] != "none"   # validate allows it in diagnose only
-    tol = cfg["tol"] or (1e-2 if mode == "dingliu" else 1e-3)
+    tol = cfg["tol"] or (threshold.LAMBDA_TOL if mode == "dingliu" else threshold.ALPHA_TOL)
     if mode == "dingliu":
         g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
         thr = threshold.ding_liu_lambda_star(g0, cfg["s0"], tol=tol, residual_tol=rtol)
         summary["lambda_range_upper"] = -g0.min
     elif mode == "threshold" or not injected and cfg["alphas"] is None:
         thr = threshold.find_alpha_star(S, tol=tol, residual_tol=rtol)
+    if thr is not None:
+        text = {**text, "tol": repr(tol)}
     if mode in ("family", "diagnose") and not injected:
         if cfg["alphas"] is not None:
             walk = threshold.walk_schedule(S, cfg["alphas"], residual_tol=rtol)
@@ -250,7 +256,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     K = None
     if mode == "diagnose" and family:
         # the cutoff can reject S, so it is found before any output is written
-        phi, K, _ = diagnostics.auto_cutoff_region(S)
+        phi, K = diagnostics.auto_cutoff_region(S)
     start_outputs(mode, text, outdir, S)
     table = diagnostics.family_table(family, K, cfg["with_eigs"])
     # after the table: a row may solve the λ_min of a probe's report
@@ -314,7 +320,7 @@ def _selftest() -> list[str]:
     def defect_zero():
         inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
         u0 = ScalarField.constant(dom, 0.0)
-        return problem.integral_identity_defect(inst, u0).defect == 0.0
+        return problem.integral_identity_defect(inst, u0) == 0.0
 
     check("integral_identity_constant", defect_zero)
 

@@ -3,22 +3,22 @@ subsets of {S < 0}, and one per-member table whose columns carry the lower
 bound, sup+inf and uniform-boundedness surrogates for solution families
 approaching the critical threshold.
 
-Each trend verdict reads one column of the table under one rule: every value
-finite, and the last-quartile slope (normalized, per member) within bounds.
+Each trend verdict reads one column of the table under one rule: at least
+two values, every value finite, and the last-quartile slope (normalized, per
+member) within bounds.
 "Uniformly bounded" is the two-sided rule, |slope| ≤ 0.01. A finite family
 cannot certify a limit; the trend test is the falsifiable surrogate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import problem, spectral
-from .domain import (CutoffSpec, RegionMask, ScalarField, ball_mask, integrate, make_cutoff,
-                     sublevel_mask)
+from .domain import RegionMask, ScalarField, ball_mask, integrate, make_cutoff, sublevel_mask
 from .errors import DomainError
 from .solvers import SolveReport
 
@@ -43,8 +43,10 @@ def trend_slope(values: list[float]) -> float:
 
 
 def _trend_within(values: list[float], low: float, high: float) -> bool:
-    """The trend rule: every value finite and the last-quartile slope in [low, high]."""
-    return bool(np.all(np.isfinite(values)) and low <= trend_slope(values) <= high)
+    """The trend rule: at least two values, every value finite and the
+    last-quartile slope in [low, high]. One value has no trend to judge."""
+    return bool(len(values) >= 2 and np.all(np.isfinite(values))
+                and low <= trend_slope(values) <= high)
 
 
 def is_flat(values: list[float]) -> bool:
@@ -58,9 +60,7 @@ class AprioriBoundCertificate:
     computed purely from (S, α★, φ, K) via the maximum principle."""
 
     K: RegionMask
-    C1: float
     bound_on_sup_u: float
-    margins: list[float] = field(default_factory=list)
 
     def margin(self, u: ScalarField) -> float:
         """bound − sup_K u; nonnegative when the certificate holds."""
@@ -68,8 +68,7 @@ class AprioriBoundCertificate:
         return self.bound_on_sup_u - sup_K
 
     def check_family(self, family: list[tuple[float, SolveReport]]) -> bool:
-        self.margins = [self.margin(rep.solution) for _, rep in family]
-        return all(m >= 0 for m in self.margins)
+        return all(self.margin(rep.solution) >= 0 for _, rep in family)
 
 
 def apriori_c0_bound(
@@ -108,13 +107,13 @@ def apriori_c0_bound(
     bound_exp = -(n / 2.0) * C / max_S_supp
     if not (np.isfinite(bound_exp) and bound_exp > 0):
         raise DomainError("certificate degenerate: nonpositive bound on e^{2u/n}")
-    return AprioriBoundCertificate(K=K, C1=C, bound_on_sup_u=(n / 2.0) * float(np.log(bound_exp)))
+    return AprioriBoundCertificate(K=K, bound_on_sup_u=(n / 2.0) * float(np.log(bound_exp)))
 
 
-def auto_cutoff_region(S: ScalarField):
-    """Default (φ, K, M₋) for diagnostics on a given S.
+def auto_cutoff_region(S: ScalarField) -> tuple[ScalarField, RegionMask]:
+    """Default (φ, K) for diagnostics on a given S.
 
-    M₋ is the sublevel set {S < −ε₀}, ε₀ = CUTOFF_LEVEL·sup|S|; φ is a
+    With M₋ the sublevel set {S < −ε₀}, ε₀ = CUTOFF_LEVEL·sup|S|, φ is a
     radial cutoff centered at the minimizer of S with the largest outer
     radius whose ball stays inside M₋; K is a ball inside the plateau of φ.
     When S < −ε₀ everywhere the cutoff degenerates to φ ≡ 1 with K the
@@ -122,13 +121,11 @@ def auto_cutoff_region(S: ScalarField):
     """
     domain = S.domain
     eps0 = CUTOFF_LEVEL * S.sup_norm
-    m_minus = sublevel_mask(S, -eps0, label="M_minus")
+    m_minus = sublevel_mask(S, -eps0)
     if m_minus.empty:
         raise DomainError(f"{{S < -{eps0}}} is empty: S is nowhere below -{CUTOFF_LEVEL}·sup|S|")
-    if not np.any(~m_minus.mask):
-        phi = ScalarField.constant(domain, 1.0)
-        K = RegionMask(domain, np.ones(domain.sizes, dtype=bool), "K")
-        return phi, K, m_minus
+    if np.all(m_minus.mask):
+        return ScalarField.constant(domain, 1.0), m_minus
 
     argmin = np.unravel_index(np.argmin(S.values), domain.sizes)
     center = tuple(domain.axis_coords(i)[argmin[i]] for i in range(domain.d))
@@ -138,9 +135,7 @@ def auto_cutoff_region(S: ScalarField):
     if r_out <= 2 * max(domain.spacings):
         raise DomainError("negative set of S too thin for an automatic cutoff")
     r_in = 0.5 * r_out
-    phi = make_cutoff(domain, CutoffSpec(center=center, r_inner=r_in, r_outer=r_out))
-    K = ball_mask(domain, center, 0.9 * r_in, label="K")
-    return phi, K, m_minus
+    return make_cutoff(domain, center, r_in, r_out), ball_mask(domain, center, 0.9 * r_in)
 
 
 MEMBER_COLUMNS = ("param", "sup_norm_u", "energy", "defect", "lambda_min")
@@ -188,7 +183,8 @@ def family_table(
     (slope ≤ TREND_SLOPE_TOL, bounded above), and is_flat to sup_K_u,
     grad_l2 and int_exp. stability holds when every member's λ_min ≥ −1e-6,
     identity when every defect ≤ 1e-8. A_observed is −min of inf_M_u. With
-    K, an empty family or an empty K raises DomainError.
+    K, an empty family, an empty K or a K on another grid than a member
+    raises DomainError.
     """
     if K is not None and not family:
         raise DomainError("empty family")
@@ -197,6 +193,8 @@ def family_table(
     rows = []
     for param, rep in family:
         inst, u = rep.inst, rep.solution
+        if K is not None and K.domain != inst.domain:
+            raise DomainError(f"K lies on another grid than the member at param {param!r}")
         e = problem.conformal_factor(inst, u)
         if rep.min_eig is None and (with_eig or K is not None):
             rep.min_eig = problem.stability_eigenvalue(inst, u)
@@ -205,7 +203,7 @@ def family_table(
             "alpha": inst.alpha,
             "sup_norm_u": u.sup_norm,
             "energy": None if rep.energy is None else rep.energy.total,
-            "defect": problem.integral_identity_defect(inst, u, e).defect,
+            "defect": problem.integral_identity_defect(inst, u, e),
             "lambda_min": rep.min_eig,
         }
         if K is not None:

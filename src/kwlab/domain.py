@@ -7,7 +7,7 @@ rule is spectrally accurate, so no fancier rule is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,7 @@ class RegionMask:
     """Boolean region on a grid (e.g. the negative set of S, or a compact K)."""
 
     domain: TorusDomain
-    mask: np.ndarray = field(hash=False)
-    label: str = ""
+    mask: np.ndarray
 
     def __post_init__(self):
         if self.mask.shape != self.domain.sizes:
@@ -146,40 +145,32 @@ class RegionMask:
         return not bool(self.mask.any())
 
 
-def sublevel_mask(S: ScalarField, threshold: float, label: str = "") -> RegionMask:
-    return RegionMask(S.domain, S.values < threshold, label)
+def sublevel_mask(S: ScalarField, threshold: float) -> RegionMask:
+    return RegionMask(S.domain, S.values < threshold)
 
 
-def ball_mask(domain: TorusDomain, center, radius: float, label: str = "") -> RegionMask:
-    return RegionMask(domain, domain.periodic_distance(tuple(center)) <= radius, label)
+def ball_mask(domain: TorusDomain, center, radius: float) -> RegionMask:
+    return RegionMask(domain, domain.periodic_distance(tuple(center)) <= radius)
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial bump: 1 inside r_inner, 0 outside r_outer, quintic in between."""
-
-    center: tuple[float, ...]
-    r_inner: float
-    r_outer: float
-
-
-def make_cutoff(domain: TorusDomain, spec: CutoffSpec) -> ScalarField:
-    """C² radial cutoff under the flat periodic distance.
+def make_cutoff(domain: TorusDomain, center, r_inner: float, r_outer: float) -> ScalarField:
+    """C² radial bump under the flat periodic distance: 1 inside r_inner,
+    0 outside r_outer, quintic in between.
 
     The quintic smoothstep has vanishing first and second derivatives at
     both ends of the transition band, so Δφ is continuous (needed by the
     maximum-principle sup bound, which evaluates Δφ).
     """
-    if not (0 < spec.r_inner < spec.r_outer):
+    if not (0 < r_inner < r_outer):
         raise DomainError("need 0 < r_inner < r_outer")
     half_min_period = 0.5 * min(domain.lengths)
-    if spec.r_outer > half_min_period:
+    if r_outer > half_min_period:
         raise DomainError(
-            f"r_outer = {spec.r_outer} exceeds half the shortest period "
+            f"r_outer = {r_outer} exceeds half the shortest period "
             f"{half_min_period}: cutoff would self-overlap through periodicity"
         )
-    r = domain.periodic_distance(spec.center)
+    r = domain.periodic_distance(center)
     # t = 1 at the inner radius, 0 at the outer radius
-    t = np.clip((spec.r_outer - r) / (spec.r_outer - spec.r_inner), 0.0, 1.0)
+    t = np.clip((r_outer - r) / (r_outer - r_inner), 0.0, 1.0)
     phi = t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
     return ScalarField(domain, phi)

@@ -7,7 +7,6 @@ the mean identity ∫ S e^{2u/n} = α·Vol obtained by integrating the equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,22 +114,12 @@ def stability_eigenvalue(inst: ProblemInstance, u: ScalarField) -> float:
     return spectral.min_eigenvalue(V, EIG_TOL)
 
 
-class IdentityCheck(NamedTuple):
-    defect: float      # |∫S e^{2u/n} − α·Vol| / (|α|·Vol)
-    exp_mass: float    # ∫S e^{2u/n}
-    mass_negative: bool
-
-
-def integral_identity_defect(inst: ProblemInstance, u: ScalarField, e=None) -> IdentityCheck:
-    """Relative defect of the mean identity ∫ S e^{2u/n} = α·Vol.
-
-    Near zero iff u solves the equation in the mean; the sign flag records
-    the necessary condition ∫ S e^{2u/n} < 0. e is e^{2u/n} when the caller
-    already has it.
+def integral_identity_defect(inst: ProblemInstance, u: ScalarField, e=None) -> float:
+    """Relative defect |∫S e^{2u/n} − α·Vol| / (|α|·Vol) of the mean identity
+    ∫ S e^{2u/n} = α·Vol: near zero iff u solves the equation in the mean.
+    e is e^{2u/n} when the caller already has it.
     """
     if e is None:
         e = conformal_factor(inst, u)
     mass = float(np.sum(inst.S.values * e)) * inst.domain.cell_weight
-    target = inst.alpha * inst.domain.volume
-    defect = abs(mass - target) / (abs(inst.alpha) * inst.domain.volume)
-    return IdentityCheck(defect=defect, exp_mass=mass, mass_negative=mass < 0)
+    return abs(mass - inst.alpha * inst.domain.volume) / (abs(inst.alpha) * inst.domain.volume)

@@ -32,8 +32,10 @@ MAX_CYCLES = 4              # GMRES cycles before a solve gives up
 
 @dataclass
 class SolveReport:
+    """What a solve of inst ended with; it converged when no failure_reason
+    is given."""
+
     solution: ScalarField
-    converged: bool
     iterations: int
     residual_history: list[float]
     method: str
@@ -47,6 +49,10 @@ class SolveReport:
         # engine was run with; engines pass the history they verified.
         if self.converged and self.residual_history and not np.isfinite(self.residual_history[-1]):
             raise SolverError("converged report with a non-finite final residual")
+
+    @property
+    def converged(self) -> bool:
+        return self.failure_reason is None
 
     @property
     def alpha(self) -> float:
@@ -75,14 +81,13 @@ def _check_budget(max_iters: int, residual_tol: float) -> None:
         raise SolverError(f"residual_tol must be positive, got {residual_tol!r}")
 
 
-def _finish(inst, u, converged, iters, history, method, reason=None) -> SolveReport:
+def _finish(inst, u, iters, history, method, reason=None) -> SolveReport:
     try:
         en = problem.energy(inst, u)
     except BlowUpError:
         en = None
     return SolveReport(
         solution=u,
-        converged=converged,
         iterations=iters,
         residual_history=history,
         method=method,
@@ -178,7 +183,7 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
     try:
         F = problem.residual(inst, u, lap)
     except BlowUpError as e:
-        return _finish(inst, u, False, 0, history, "newton", f"blow_up: {e}")
+        return _finish(inst, u, 0, history, "newton", f"blow_up: {e}")
     normF = F.sup_norm
     history.append(normF)
 
@@ -189,19 +194,19 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
             F = problem.residual(inst, u, lap)
             normF = history[-1] = F.sup_norm
         if normF <= residual_tol:
-            return _finish(inst, u, True, it, history, "newton")
+            return _finish(inst, u, it, history, "newton")
         if (len(history) > PLATEAU_STEPS
                 and history[-1] > PLATEAU_RATIO * history[-1 - PLATEAU_STEPS]):
-            return _finish(inst, u, False, it, history, "newton", "stagnation")
+            return _finish(inst, u, it, history, "newton", "stagnation")
         if it == max_iters:
-            return _finish(inst, u, False, it, history, "newton", "max_iters")
+            return _finish(inst, u, it, history, "newton", "max_iters")
         J = problem.linearization(inst, u)
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
         d, info = _gmres(J.apply_preconditioned, J.solve_diagonal(-F.values).reshape(-1), 1e-10)
         if not np.all(np.isfinite(d)):
-            return _finish(inst, u, False, it, history, "newton", "linear_solve_diverged")
+            return _finish(inst, u, it, history, "newton", "linear_solve_diverged")
         d = d.reshape(inst.domain.sizes)
         lap_d = spectral.laplacian(ScalarField(inst.domain, d)).values
 
@@ -222,7 +227,7 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
             t *= 0.5
         if not accepted:
             reason = "line_search_failure" if info == 0 else "linear_solve_stagnation"
-            return _finish(inst, u, False, it + 1, history, "newton", reason)
+            return _finish(inst, u, it + 1, history, "newton", reason)
 
 
 @dataclass
@@ -307,24 +312,24 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint, ds: float, *,
         try:
             inst, F, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
         except BlowUpError as e:
-            return _finish(inst, u, False, it, history, "arclength", f"blow_up: {e}"), None
+            return _finish(inst, u, it, history, "arclength", f"blow_up: {e}"), None
         except DomainError as e:
-            return _finish(inst, u, False, it, history, "arclength", f"out_of_range: {e}"), None
+            return _finish(inst, u, it, history, "arclength", f"out_of_range: {e}"), None
         normF = F.sup_norm
         history.append(normF)
         if not np.isfinite(normF):
-            return _finish(inst, u, False, it, history, "arclength", "blow_up: non-finite"), None
+            return _finish(inst, u, it, history, "arclength", "blow_up: non-finite"), None
         if normF <= residual_tol:
-            rep = _finish(inst, u, True, it, history, "arclength")
+            rep = _finish(inst, u, it, history, "arclength")
             return rep, tangent(rep)
         if it == max_iters:
             break
         if it >= 1 and normF > 0.5 * history[-2]:
-            return _finish(inst, u, False, it, history, "arclength", "stagnation"), None
+            return _finish(inst, u, it, history, "arclength", "stagnation"), None
         arc = np.mean(base.du * (u.values - u0)) + base.dt * (t - t0) - ds
         z = solve(-np.append(F.values.reshape(-1), arc))
         if not np.all(np.isfinite(z)):
-            return _finish(inst, u, False, it, history, "arclength", "linear_solve_diverged"), None
+            return _finish(inst, u, it, history, "arclength", "linear_solve_diverged"), None
         u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
         t += float(z[-1])
-    return _finish(inst, u, False, max_iters, history, "arclength", "max_iters"), None
+    return _finish(inst, u, max_iters, history, "arclength", "max_iters"), None

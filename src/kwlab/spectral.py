@@ -36,7 +36,6 @@ class SpectralPlan:
             shape = [1] * domain.d
             shape[i] = k.size
             freqs.append(k.reshape(shape))
-        self._freqs = freqs
         self.ksq = sum(k**2 for k in freqs)
         kderiv = []
         for i, (N, k) in enumerate(zip(domain.sizes, freqs)):

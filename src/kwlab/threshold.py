@@ -23,6 +23,8 @@ from .solvers import MAX_ITERS, RESIDUAL_TOL, SolveReport
 UNBOUNDED_PROBE_ALPHAS = (-1.0, -10.0, -100.0, -1000.0)
 
 START_ALPHA = -0.01  # find_alpha_star's first probe; divided by 4 until one solves
+ALPHA_TOL = 1e-3     # find_alpha_star's default bracket width
+LAMBDA_TOL = 1e-2    # ding_liu_lambda_star's default bracket width
 
 # the continuation search (_fold_search): step control and closing rules.
 # Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
@@ -374,7 +376,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 
 def find_alpha_star(
     S: ScalarField,
-    tol: float = 1e-3,
+    tol: float = ALPHA_TOL,
     residual_tol: float = RESIDUAL_TOL,
 ) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
@@ -409,7 +411,7 @@ def find_alpha_star(
 def ding_liu_lambda_star(
     g0: ScalarField,
     s0: float,
-    tol: float = 1e-2,
+    tol: float = LAMBDA_TOL,
     residual_tol: float = RESIDUAL_TOL,
 ) -> ThresholdReport:
     """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.

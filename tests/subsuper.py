@@ -131,7 +131,7 @@ def monotone_iterate(
         normF = F.sup_norm
         history.append(normF)
         if normF <= residual_tol:
-            return _finish(inst, u, True, it, history, "monotone")
+            return _finish(inst, u, it, history, "monotone")
         unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(c, F).values)
         if float(np.max(unew.values - u.values)) > 1e-12:
             raise SolverError(
@@ -143,7 +143,7 @@ def monotone_iterate(
         ):
             raise SolverError("monotone iterate escaped the order interval by more than 1e-9")
         u = unew
-    return _finish(inst, u, False, MONOTONE_MAX_ITERS, history, "monotone", "max_iters")
+    return _finish(inst, u, MONOTONE_MAX_ITERS, history, "monotone", "max_iters")
 
 
 def minimize_over_interval(
@@ -176,11 +176,11 @@ def minimize_over_interval(
 
         interior = (np.min(u - lo) >= interior_margin) and (np.min(hi - u) >= interior_margin)
         if interior and normF <= residual_tol:
-            return _finish(inst, field_u, True, it, history, "minimize")
+            return _finish(inst, field_u, it, history, "minimize")
         pg = u - np.clip(u - g, lo, hi)
         if not interior and float(np.max(np.abs(pg))) <= residual_tol:
             # minimizer pinned to the boundary of X: small projected gradient
-            return _finish(inst, field_u, True, it, history, "minimize")
+            return _finish(inst, field_u, it, history, "minimize")
 
         if interior and it > 0 and it % 20 == 0:
             rep = newton_solve(inst, field_u, residual_tol=residual_tol)
@@ -190,7 +190,7 @@ def minimize_over_interval(
             ):
                 history.extend(rep.residual_history)
                 return _finish(
-                    inst, rep.solution, True, it + rep.iterations, history, "minimize"
+                    inst, rep.solution, it + rep.iterations, history, "minimize"
                 )
 
         if prev_u is not None:
@@ -225,11 +225,11 @@ def minimize_over_interval(
             field_u = ScalarField(inst.domain, u)
             ok = problem.residual(inst, field_u).sup_norm <= residual_tol
             return _finish(
-                inst, field_u, ok, it, history, "minimize",
+                inst, field_u, it, history, "minimize",
                 None if ok else "step_stagnation",
             )
 
     field_u = ScalarField(inst.domain, u)
     ok = problem.residual(inst, field_u).sup_norm <= residual_tol
-    return _finish(inst, field_u, ok, PGD_MAX_ITERS, history, "minimize",
+    return _finish(inst, field_u, PGD_MAX_ITERS, history, "minimize",
                    None if ok else "max_iters")

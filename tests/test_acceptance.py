@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from kwlab import (
-    CutoffSpec,
     ProblemInstance,
     ScalarField,
     ball_mask,
@@ -114,9 +113,9 @@ def test_03_integral_identity(t2_64a, family64):
     all_negative = True
     for rep, inst in zip(reports, insts):
         assert rep.converged
-        check = problem.integral_identity_defect(inst, rep.solution)
-        worst = max(worst, check.defect)
-        all_negative = all_negative and check.mass_negative
+        worst = max(worst, problem.integral_identity_defect(inst, rep.solution))
+        mass = np.sum(inst.S.values * problem.conformal_factor(inst, rep.solution))
+        all_negative = all_negative and mass < 0
     ok = worst <= 1e-8 and all_negative
     report_line(3, "integral-identity", ok, f"worst relative defect {worst:.2e}")
 
@@ -201,27 +200,26 @@ def test_08_lambda_star_containment(t2_32a):
 
 def test_09_apriori_bound_two_cutoffs(t2_64a, threshold64, family64):
     S, rep, _ = threshold64
-    phi_auto, K_auto, _ = diagnostics.auto_cutoff_region(S)
+    phi_auto, K_auto = diagnostics.auto_cutoff_region(S)
     # second, hand-placed cutoff strictly inside {S < 0} (sin(2πx₀) < 0.5
     # away from x₀ ∈ (1/12, 5/12))
     center = (0.75, 0.3)
-    phi2 = make_cutoff(t2_64a, CutoffSpec(center=center, r_inner=0.08, r_outer=0.16))
-    K2 = ball_mask(t2_64a, center, 0.07, label="K2")
+    phi2 = make_cutoff(t2_64a, center, 0.08, 0.16)
+    K2 = ball_mask(t2_64a, center, 0.07)
     ok = True
     details = []
     for phi, K, tag in ((phi_auto, K_auto, "auto"), (phi2, K2, "manual")):
         cert = diagnostics.apriori_c0_bound(S, rep.lo, phi, K)
         holds = cert.check_family([(r.alpha, r) for r in family64])
         ok = ok and holds
-        details.append(
-            f"{tag}: bound {cert.bound_on_sup_u:.3f}, min margin {min(cert.margins):.3f}"
-        )
+        margin = min(cert.margin(r.solution) for r in family64)
+        details.append(f"{tag}: bound {cert.bound_on_sup_u:.3f}, min margin {margin:.3f}")
     report_line(9, "apriori-sup-bound", ok, "; ".join(details))
 
 
 def test_10_limit_family_bounded(t2_64a, threshold64, family64):
     S, rep, _ = threshold64
-    _, K, _ = diagnostics.auto_cutoff_region(S)
+    _, K = diagnostics.auto_cutoff_region(S)
     ok = len(family64) == 8 and all(r.converged for r in family64)
     diag = diagnostics.family_table([(r.alpha, r) for r in family64], K)
     gap = family64[-1].alpha - rep.hi
@@ -238,7 +236,7 @@ def test_11_negative_controls(t2_32a, tmp_path, capsys):
     S = ScalarField.constant(t2_32a, -1.0)   # the CLI's field=const field_value=-1.0
     down = _injected_family(S, -1.0, 8)
     up = _injected_family(S, 1.0, 8)
-    K = ball_mask(t2_32a, (0.5, 0.5), 0.2, label="K")
+    K = ball_mask(t2_32a, (0.5, 0.5), 0.2)
     lower_fails = not diagnostics.family_table(down, K).verdicts["lower_bound"]
     supinf_fails = not diagnostics.family_table(up, K).verdicts["sup_inf"]
     codes = []

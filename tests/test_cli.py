@@ -631,6 +631,50 @@ def test_diagnose_verdicts_follow_from_the_csv(tmp_path, capsys, keys):
     assert code == (0 if all(recomputed.values()) else 2)
 
 
+def test_default_diagnose_certifies_the_limit_family(tmp_path, capsys):
+    # without alphas, diagnose searches α★, walks limit_family onto the
+    # bracket's solvable end and certifies the a-priori sup bound on it
+    out = tmp_path / "diag"
+    code, cap = run_cli(capsys, "diagnose", "--out", str(out),
+                        "field=sin1", "field_offset=-0.5", "sizes=16,16", "count=8")
+    summary = last_json_line(cap.out)
+    assert code == summary["exit_code"] == 0
+    assert summary["family_size"] == 8
+    assert len(summary["walk"]) == 8 and all(p["solved"] for p in summary["walk"])
+    assert summary["verdicts"]["apriori_sup_bound"] is True
+    assert summary["apriori_bound_on_sup_u"] == pytest.approx(3.16951850134939, abs=1e-9)
+
+
+def test_one_member_has_no_trend(tmp_path, capsys):
+    # a trend verdict rests on at least two members; one member passes only
+    # the verdicts that judge each member alone
+    code, cap = run_cli(capsys, "diagnose", "--out", str(tmp_path / "diag"),
+                        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1")
+    assert code == 2
+    assert last_json_line(cap.out)["verdicts"] == {
+        "lower_bound": False, "sup_K_bounded": False, "w12_bounded": False,
+        "exp_mass_bounded": False, "sup_inf": False, "stability": True, "identity": True,
+    }
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["threshold", "field=sin1", "field_offset=-0.5", "sizes=16,16"],
+     ["lengths=1.0,1.0", "sizes=16,16", "tol=0.001"]),
+    (["dingliu", "field=two_mode", "sizes=16,16", "lengths=1,1"],
+     ["lengths=1.0,1.0", "sizes=16,16", "tol=0.01"]),
+    (["solve", "field=const", "field_value=-1.0", "alpha=-1"],
+     ["lengths=1.0,1.0", "sizes=64,64", "tol="]),
+], ids=["threshold", "dingliu", "solve"])
+def test_effective_config_records_what_ran(tmp_path, capsys, args, lines):
+    # the grid built and the search's tol, in each key's own syntax; a key
+    # the mode does not read keeps its text
+    out = tmp_path / args[0]
+    code, _ = run_cli(capsys, args[0], "--out", str(out), *args[1:])
+    assert code == 0
+    written = (out / "effective_config.txt").read_text().splitlines()
+    assert set(lines) <= set(written)
+
+
 def test_determinism(tmp_path, capsys):
     args = ["solve", "field=random_fourier", "field_seed=7", "field_p=3",
             "field_offset=-1.2", "alpha=-1.0", "sizes=32,32"]

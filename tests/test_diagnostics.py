@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kwlab import (
-    CutoffSpec,
     ProblemInstance,
     RegionMask,
     ScalarField,
@@ -30,7 +29,6 @@ from subsuper import make_interval, monotone_iterate
 def fake_report(domain, value, alpha=-1.0, method="monotone"):
     return SolveReport(
         solution=ScalarField.constant(domain, value),
-        converged=True,
         iterations=1,
         residual_history=[0.0],
         method=method,
@@ -61,19 +59,17 @@ class TestAprioriBound:
         # φ ≡ 1, S ≡ −1, α★ = −2, n = 1: C = −2·α★ = 4 and
         # e^{2u} ≤ −(1/2)·4/(−1) = 2, so sup u ≤ ½·ln 2
         phi = ScalarField.constant(t2_32, 1.0)
-        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
+        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool))
         S = ScalarField.constant(t2_32, -1.0)
         cert = apriori_c0_bound(S, -2.0, phi, K)
-        assert cert.C1 == pytest.approx(4.0, abs=1e-12)
         assert cert.bound_on_sup_u == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
     def test_n2_constant_algebra(self, t4_16):
         # n = 2: C = −α★·φ² = 2, e^{u} ≤ −C/(max S) = 2, sup u ≤ ln 2
         phi = ScalarField.constant(t4_16, 1.0)
-        K = RegionMask(t4_16, np.ones(t4_16.sizes, dtype=bool), "K")
+        K = RegionMask(t4_16, np.ones(t4_16.sizes, dtype=bool))
         S = ScalarField.constant(t4_16, -1.0)
         cert = apriori_c0_bound(S, -2.0, phi, K)
-        assert cert.C1 == pytest.approx(2.0, abs=1e-12)
         assert cert.bound_on_sup_u == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_bound_holds_for_actual_solutions(self, t2_32):
@@ -82,7 +78,7 @@ class TestAprioriBound:
         # with α ∈ (−4, 0)
         S = ScalarField.constant(t2_32, -1.0)
         phi = ScalarField.constant(t2_32, 1.0)
-        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
+        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool))
         cert = apriori_c0_bound(S, -4.0, phi, K)
         family = []
         for a in (-0.5, -1.0, -2.0, -3.9):
@@ -90,40 +86,38 @@ class TestAprioriBound:
             assert rep.converged
             family.append(rep)
         assert cert.check_family([(r.alpha, r) for r in family])
-        assert all(m >= 0 for m in cert.margins)
+        assert all(cert.margin(r.solution) >= 0 for r in family)
 
     def test_rejects_support_leak(self, t2_64, sin_minus_half):
         # cutoff centered where S > 0: support leaks outside {S < 0}
-        phi = make_cutoff(t2_64, CutoffSpec(center=(0.25, 0.5), r_inner=0.05,
-                                            r_outer=0.1))
-        K = ball_mask(t2_64, (0.25, 0.5), 0.04, label="K")
+        phi = make_cutoff(t2_64, (0.25, 0.5), 0.05, 0.1)
+        K = ball_mask(t2_64, (0.25, 0.5), 0.04)
         with pytest.raises(DomainError):
             apriori_c0_bound(sin_minus_half, -2.0, phi, K)
 
     def test_rejects_K_outside_plateau(self, t2_64, sin_minus_half):
-        phi = make_cutoff(t2_64, CutoffSpec(center=(0.75, 0.5), r_inner=0.05,
-                                            r_outer=0.1))
-        K = ball_mask(t2_64, (0.75, 0.5), 0.08, label="K")  # pokes into the ramp
+        phi = make_cutoff(t2_64, (0.75, 0.5), 0.05, 0.1)
+        K = ball_mask(t2_64, (0.75, 0.5), 0.08)  # pokes into the ramp
         with pytest.raises(DomainError):
             apriori_c0_bound(sin_minus_half, -2.0, phi, K)
 
     def test_rejects_nonnegative_alpha_star(self, t2_32):
         phi = ScalarField.constant(t2_32, 1.0)
-        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool), "K")
+        K = RegionMask(t2_32, np.ones(t2_32.sizes, dtype=bool))
         with pytest.raises(DomainError):
             apriori_c0_bound(ScalarField.constant(t2_32, -1.0), 0.0, phi, K)
 
     def test_rejects_empty_cutoff_support(self, t2_32):
         # φ ≡ 0 has no support on which to take the max of S
         phi = ScalarField.constant(t2_32, 0.0)
-        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
+        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool))
         with pytest.raises(DomainError, match="cutoff support is empty"):
             apriori_c0_bound(ScalarField.constant(t2_32, -1.0), -2.0, phi, K)
 
 
 class TestAutoCutoff:
     def test_sign_changing(self, t2_64, sin_minus_half):
-        phi, K, m_minus = auto_cutoff_region(sin_minus_half)
+        phi, K = auto_cutoff_region(sin_minus_half)
         support = phi.values > 1e-12
         assert np.all(sin_minus_half.values[support] < 0)
         assert np.all(phi.values[K.mask] >= 1.0 - 1e-9)
@@ -134,7 +128,7 @@ class TestAutoCutoff:
 
     def test_everywhere_negative_degenerates(self, t2_32):
         S = ScalarField.constant(t2_32, -2.0)
-        phi, K, m_minus = auto_cutoff_region(S)
+        phi, K = auto_cutoff_region(S)
         assert phi.min == 1.0
         assert np.count_nonzero(K.mask) * t2_32.cell_weight == pytest.approx(t2_32.volume)
 
@@ -143,7 +137,7 @@ class TestNegativeControls:
     # the lower_bound and sup_inf verdicts read the table's inf_M_u and
     # sup_plus_inf columns
     def table(self, domain, family):
-        K = ball_mask(domain, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(domain, (0.5, 0.5), 0.2)
         return family_table([(r.alpha, r) for r in family], K)
 
     def test_downward_divergence_fails_lower_bound(self, t2_32):
@@ -168,7 +162,7 @@ class TestFamilyTable:
         # S ≡ −1, u = ½·ln(−α): every column has a closed form; the α
         # schedule plateaus onto −2 so the boundedness verdicts apply
         S = ScalarField.constant(t2_32, -1.0)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         alphas = [-2.0 + 4.0 ** (-k) for k in range(1, 7)]
         family = []
         for a in alphas:
@@ -191,7 +185,7 @@ class TestFamilyTable:
     def test_stability_verdict_on_monotone_members(self, t2_32, monkeypatch):
         # the verdict judges the members of the order-preserving routes too
         S = ScalarField.constant(t2_32, -1.0)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
 
         def monotone_family():
             family = []
@@ -210,7 +204,7 @@ class TestFamilyTable:
     def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
         # every member is judged, whichever engine solved it
         S = ScalarField.constant(t2_32, -1.0)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
 
         def newton_family():
             return [(a, newton_solve(ProblemInstance(S, a))) for a in (-1.0, -1.5, -1.75)]
@@ -223,7 +217,7 @@ class TestFamilyTable:
 
     def test_csv_shape(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         rep = newton_solve(ProblemInstance(S, -1.0))
         diag = family_table([(rep.alpha, rep)], K)
         lines = table_csv(FAMILY_COLUMNS, diag.rows).strip().splitlines()
@@ -237,7 +231,7 @@ class TestFamilyTable:
 
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
         S = ScalarField.constant(t2_32, -1.0)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         rep = newton_solve(ProblemInstance(S, -1.0))
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
             family_table([(rep.alpha, rep)], K)
@@ -252,7 +246,7 @@ class TestFamilyTable:
             return original(inst, u)
 
         monkeypatch.setattr(problem, "conformal_factor", counted)
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         family = [fake_report(t2_32, 0.5 * np.log(-a), alpha=a, method="newton")
                   for a in (-1.0, -2.0)]
         for r in family:
@@ -263,17 +257,22 @@ class TestFamilyTable:
         assert [row["int_exp"] for row in diag.rows] == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_empty_family_rejected(self, t2_32):
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         with pytest.raises(DomainError):
             family_table([], K)
 
+    def test_K_on_another_grid_rejected(self, t2_16, t2_32):
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
+        with pytest.raises(DomainError, match="another grid"):
+            family_table([(-1.0, fake_report(t2_16, 0.0))], K)
+
     def test_empty_K_rejected(self, t2_32):
-        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool), "K")
+        K = RegionMask(t2_32, np.zeros(t2_32.sizes, dtype=bool))
         with pytest.raises(DomainError, match="empty K"):
             family_table([(-1.0, fake_report(t2_32, 0.0))], K)
 
     def test_divergent_family_flagged(self, t2_32):
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         family = [fake_report(t2_32, float(k), alpha=-1.0 - k, method="newton")
                   for k in range(8)]
         diag = family_table([(r.alpha, r) for r in family], K)
@@ -284,7 +283,7 @@ class TestFamilyTable:
     def test_K_solves_every_missing_eigenvalue(self, t2_32):
         # the stability verdict reads every λ_min, so a table with K solves
         # the members' missing ones whatever with_eig says
-        K = ball_mask(t2_32, (0.5, 0.5), 0.2, label="K")
+        K = ball_mask(t2_32, (0.5, 0.5), 0.2)
         family = [fake_report(t2_32, 0.5 * np.log(-a), alpha=a, method="newton")
                   for a in (-1.0, -2.0)]
         diag = family_table([(r.alpha, r) for r in family], K, with_eig=False)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kwlab import (
-    CutoffSpec,
     ScalarField,
     ball_mask,
     integrate,
@@ -71,8 +70,7 @@ def test_field_rejects_nonfinite(t2_32):
 
 class TestCutoff:
     def test_plateau_and_support(self, t2_64):
-        spec = CutoffSpec(center=(0.5, 0.5), r_inner=0.1, r_outer=0.2)
-        phi = make_cutoff(t2_64, spec)
+        phi = make_cutoff(t2_64, (0.5, 0.5), 0.1, 0.2)
         dist = t2_64.periodic_distance((0.5, 0.5))
         assert np.all(phi.values[dist <= 0.1] == 1.0)
         assert np.all(phi.values[dist >= 0.2] == 0.0)
@@ -82,25 +80,24 @@ class TestCutoff:
         assert phi.values[far] == 0.0
 
     def test_center_value(self, t2_64):
-        phi = make_cutoff(t2_64, CutoffSpec(center=(0.25, 0.75), r_inner=0.1, r_outer=0.2))
+        phi = make_cutoff(t2_64, (0.25, 0.75), 0.1, 0.2)
         dist = t2_64.periodic_distance((0.25, 0.75))
         assert phi.values[np.unravel_index(np.argmin(dist), t2_64.sizes)] == 1.0
 
     def test_radii_validation(self, t2_64):
         with pytest.raises(DomainError):
-            make_cutoff(t2_64, CutoffSpec(center=(0, 0), r_inner=0.2, r_outer=0.1))
+            make_cutoff(t2_64, (0, 0), 0.2, 0.1)
         with pytest.raises(DomainError):
-            make_cutoff(t2_64, CutoffSpec(center=(0, 0), r_inner=0.1, r_outer=0.6))
+            make_cutoff(t2_64, (0, 0), 0.1, 0.6)
 
     def test_laplacian_grid_converged(self):
         # |Δφ| finite and within 5% between N=64 and N=128
         from kwlab import spectral
 
-        spec = CutoffSpec(center=(0.5, 0.5), r_inner=0.15, r_outer=0.35)
         sups = []
         for N in (64, 128):
             dom = make_torus(2, [N, N], [1.0, 1.0])
-            phi = make_cutoff(dom, spec)
+            phi = make_cutoff(dom, (0.5, 0.5), 0.15, 0.35)
             lap = spectral.laplacian(phi)
             sups.append(lap.sup_norm)
         assert np.isfinite(sups).all()
@@ -131,6 +128,6 @@ class TestMasks:
         assert np.all(outer.mask[inner.mask])
 
     def test_ball_subset_of_sublevel(self, t2_64, sin_minus_half):
-        m_minus = sublevel_mask(sin_minus_half, -0.1, label="M_minus")
-        K = ball_mask(t2_64, (0.0, 0.75), 0.05, label="K")
+        m_minus = sublevel_mask(sin_minus_half, -0.1)
+        K = ball_mask(t2_64, (0.0, 0.75), 0.05)
         assert np.all(m_minus.mask[K.mask])

@@ -90,8 +90,8 @@ class TestSuperSolution:
         inst = constant_instance(t2_32, alpha=-2.0)
         fake = SolveReport(
             solution=ScalarField.constant(t2_32, 0.0),
-            converged=False, iterations=0, residual_history=[1.0],
-            method="newton", inst=constant_instance(t2_32, alpha=-3.0),
+            iterations=0, residual_history=[1.0], method="newton",
+            inst=constant_instance(t2_32, alpha=-3.0), failure_reason="max_iters",
         )
         with pytest.raises(SolverError):
             build_super_solution(inst, fake)

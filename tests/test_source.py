@@ -67,11 +67,12 @@ def _defaults(tree):
 
 def test_no_solve_setting_has_a_literal_default():
     # a solve's residual_tol and max_iters defaults are spelled once, as
-    # solvers.RESIDUAL_TOL and solvers.MAX_ITERS, and every signature reads them
+    # solvers.RESIDUAL_TOL and solvers.MAX_ITERS, and a search's tol as
+    # threshold.ALPHA_TOL or LAMBDA_TOL; every signature reads them
     found = []
     for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
         for name, default in _defaults(ast.parse(path.read_text(), filename=str(path))):
-            if name not in ("residual_tol", "max_iters"):
+            if name not in ("residual_tol", "max_iters", "tol"):
                 continue
             try:
                 value = ast.literal_eval(default)
@@ -121,6 +122,37 @@ def test_every_public_name_has_a_caller():
             named.update(_names(tree))
     uncalled = {q for q, node in defs.items() if node.name not in named}
     assert uncalled == {"read_field"}
+
+
+def _stored_fields(tree):
+    """(class, field) of every field a class stores: the annotated fields of
+    its body, a dataclass's or a NamedTuple's, and the attributes its
+    __init__ sets on self."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield cls.name, item.target.id
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                yield from ((cls.name, node.attr) for node in ast.walk(item)
+                            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def test_every_stored_field_is_read():
+    # a field the program never reads is a record of nothing: it is stored,
+    # copied and documented for no reader
+    package = Path(kwlab.__file__).parent
+    bench = Path(__file__).parents[1] / "perfbench"
+    stored, read = set(), set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent == package:
+            stored.update(_stored_fields(tree))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert {f"{cls}.{name}" for cls, name in stored if name not in read} == set()
 
 
 def test_no_function_takes_what_its_field_fixes():

@@ -48,8 +48,8 @@ class TestProbe:
     def test_solved_verdict_without_report_rejected(self, t2_16):
         # a record given an unconverged report is rejected by an explicit
         # check, so it also holds under python -O
-        rep = SolveReport(solution=ScalarField.constant(t2_16, 0.0), converged=False,
-                          iterations=1, residual_history=[1.0, 0.5], method="newton",
+        rep = SolveReport(solution=ScalarField.constant(t2_16, 0.0), iterations=1,
+                          residual_history=[1.0, 0.5], method="newton",
                           inst=ProblemInstance(ScalarField.constant(t2_16, -1.0), -1.0),
                           failure_reason="max_iters")
         with pytest.raises(SolverError):
