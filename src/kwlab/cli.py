@@ -1,10 +1,10 @@
 """Command-line front door: flat key=value configs, deterministic outputs.
 
-Subcommands: solve | threshold | dingliu | family | diagnose | selftest.
+Subcommands: solve | threshold | dingliu | family | diagnose.
 Every run writes summary.json, an effective-config dump, and its field/CSV
 artifacts under the output directory, and prints the summary as one JSON
 line on stdout. Exit codes: 0 success, 1 operational error, 2 verdict
-failure.
+failure or numerical outcome (NumericalFailure).
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, problem, serialize, solvers, spectral, threshold
+from . import diagnostics, problem, serialize, solvers, threshold
 from .diagnostics import FAMILY_COLUMNS, MEMBER_COLUMNS, table_csv
 from .domain import ScalarField, integrate, make_torus
-from .errors import EigenSolveError, KWLabError, SolverError
+from .errors import KWLabError, NumericalFailure, SolverError
 from .fields import named_field
 from .problem import ProblemInstance
 from .solvers import SolveReport
 
-MODES = ("solve", "threshold", "dingliu", "family", "diagnose", "selftest")
+MODES = ("solve", "threshold", "dingliu", "family", "diagnose")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -119,7 +119,7 @@ def validate(mode: str, text: dict[str, str]) -> tuple[list[str], dict]:
                 cfg[key] = read(text[key])
             except ValueError as e:
                 problems.append(f"{key}: {e}")
-    if mode != "selftest" and not text["field"]:
+    if not text["field"]:
         problems.append("field: required (const|cos1|sin1|two_mode|random_fourier)")
     if mode == "solve" and not text["alpha"]:
         problems.append("alpha: required for mode=solve")
@@ -195,12 +195,6 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     out with the sizes and lengths of the grid built and, when a search ran,
     its tol in place of their text."""
     summary: dict = {"mode": mode}
-
-    if mode == "selftest":
-        summary["checks_failed"] = failures = _selftest()
-        start_outputs(mode, text, outdir)
-        return (2 if failures else 0), summary
-
     domain = build_domain(cfg)
     text = {**text, "sizes": ",".join(map(str, domain.sizes)),
             "lengths": ",".join(map(repr, domain.lengths))}
@@ -285,62 +279,6 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     return (0 if all(verdicts.values()) else 2), summary
 
 
-def _selftest() -> list[str]:
-    """Fast invariant sweep over the core operations."""
-    failures = []
-
-    def check(name, fn):
-        try:
-            if not fn():
-                failures.append(name)
-        except Exception as e:  # noqa: BLE001 - selftest reports, never raises
-            failures.append(f"{name}: {e}")
-
-    dom = make_torus(2, [32, 32], [1.0, 1.0])
-    x = dom.coords()
-    sin1 = ScalarField(dom, np.broadcast_to(np.sin(2 * np.pi * x[0]), dom.sizes).copy())
-
-    check("integrate_constant", lambda: abs(integrate(ScalarField.constant(dom, 3.0)) - 3.0) < 1e-12)
-    check("laplacian_eigenfunction", lambda: (
-        np.max(np.abs(spectral.laplacian(sin1).values + 4 * np.pi**2 * sin1.values)) < 1e-9
-    ))
-    check("helmholtz_roundtrip", lambda: (
-        np.max(np.abs(spectral.helmholtz_solve(
-            2.0, ScalarField(dom, (4 * np.pi**2 + 2.0) * sin1.values)
-        ).values - sin1.values)) < 1e-10
-    ))
-
-    def constant_solve():
-        inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
-        rep = solvers.newton_solve(inst, "zero")
-        return rep.converged and rep.solution.sup_norm <= 1e-10
-
-    check("constant_instance_solves_to_zero", constant_solve)
-
-    def defect_zero():
-        inst = ProblemInstance(ScalarField.constant(dom, -2.0), -2.0)
-        u0 = ScalarField.constant(dom, 0.0)
-        return problem.integral_identity_defect(inst, u0) == 0.0
-
-    check("integral_identity_constant", defect_zero)
-
-    def gradient_is_twice_residual():
-        inst = ProblemInstance(sin1, -1.0)
-        u = ScalarField(dom, 0.1 * np.cos(2 * np.pi * x[1]) * np.ones(dom.sizes))
-        g = problem.energy_gradient(inst, u)
-        r = problem.residual(inst, u)
-        return np.max(np.abs(g.values - 2 * r.values)) <= 1e-14
-
-    check("gradient_equals_twice_residual", gradient_is_twice_residual)
-
-    def eig_constant_potential():
-        V = ScalarField.constant(dom, 3.5)
-        return abs(spectral.min_eigenvalue(V, 1e-9) - 3.5) < 1e-8
-
-    check("min_eigenvalue_constant_potential", eig_constant_potential)
-    return failures
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors (an unknown or missing mode) are operational errors: exit 1 with JSON."""
 
@@ -384,8 +322,11 @@ def main(argv=None) -> int:
         outdir = Path(cfg["out"] or f"kwlab_out_{args.mode}")
         try:
             code, summary = run(args.mode, cfg, text, outdir)
-        except EigenSolveError as e:
-            # an unconverged eigenvalue is a numerical outcome, not an operational error
+        except NumericalFailure as e:
+            # a search or eigen-solve that did not reach its answer is a
+            # numerical outcome, not an operational error; a search fails
+            # before the outputs are started
+            outdir.mkdir(parents=True, exist_ok=True)
             code, summary = 2, {"mode": args.mode, "error": str(e)}
         summary["exit_code"] = code
         line = json.dumps(summary, sort_keys=True)

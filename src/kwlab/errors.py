@@ -24,7 +24,12 @@ class BlowUpError(KWLabError):
         )
 
 
-class EigenSolveError(KWLabError):
+class NumericalFailure(KWLabError):
+    """A computation on valid input did not reach its answer: a numerical
+    outcome, which the CLI reports with exit code 2, not an operational error."""
+
+
+class EigenSolveError(NumericalFailure):
     """Smallest-eigenvalue iteration did not reach tolerance.
 
     best_estimate holds the last Rayleigh quotient.

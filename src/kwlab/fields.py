@@ -8,9 +8,7 @@ from .domain import ScalarField, TorusDomain
 from .errors import DomainError
 
 
-def random_fourier(
-    domain: TorusDomain, seed: int, decay_p: float, amplitude: float = 1.0
-) -> ScalarField:
+def random_fourier(domain: TorusDomain, seed: int, decay_p: float) -> ScalarField:
     """Seeded band-weighted random field, |c_k| ∝ (1 + |k|²)^(−p), sup-normalized.
 
     p ≤ 1 is rejected (insufficient smoothness for spectral work). Bitwise
@@ -36,7 +34,7 @@ def random_fourier(
     vals = np.fft.irfftn(what, s=domain.sizes, axes=range(domain.d))
     sup = np.max(np.abs(vals))
     if sup > 0:
-        vals = vals * (amplitude / sup)
+        vals = vals * (1.0 / sup)   # not vals / sup: that rounds differently
     return ScalarField(domain, vals)
 
 

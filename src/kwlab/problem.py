@@ -1,7 +1,8 @@
 """One Kazdan-Warner instance −Δu + α = S·e^{2u/n} on a flat torus, with its
-residual F, energy functional and its gradient, the linearization F′(u)
-(half the second variation) with its smallest eigenvalue (stability), and
-the mean identity ∫ S e^{2u/n} = α·Vol obtained by integrating the equation.
+residual F (half the L² gradient of the energy functional), the energy,
+the linearization F′(u) (half the second variation) with its smallest
+eigenvalue (stability), and the mean identity ∫ S e^{2u/n} = α·Vol
+obtained by integrating the equation.
 """
 
 from __future__ import annotations
@@ -84,12 +85,6 @@ def energy(inst: ProblemInstance, u: ScalarField) -> EnergyBreakdown:
     linear = 2.0 * inst.alpha * float(np.sum(u.values)) * w
     exponential = -inst.n * float(np.sum(inst.S.values * conformal_factor(inst, u))) * w
     return EnergyBreakdown(dirichlet=dirichlet, linear=linear, exponential=exponential)
-
-
-def energy_gradient(inst: ProblemInstance, u: ScalarField) -> ScalarField:
-    """L² gradient of I at u. Identically 2·residual (same code path)."""
-    r = residual(inst, u)
-    return ScalarField(inst.domain, 2.0 * r.values)
 
 
 def linearization(inst: ProblemInstance, u: ScalarField, e=None) -> spectral.SchrodingerOperator:

@@ -1,7 +1,9 @@
 """Solution engines for −Δu + α = S·e^{2u/n}.
 
   * newton_solve      — damped Newton with Krylov inner solves, the solve of
-                        one instance from a zero, constant or given start,
+                        one instance from a zero (its default), constant or
+                        given start; a probe tries a warm start, then the
+                        constant one,
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
                         solutions in a parameter t through its fold (the
                         threshold search), with branch_point giving the

@@ -103,12 +103,6 @@ class SchrodingerOperator:
         return x + self.solve_diagonal((self.W - self.c) * g).reshape(x.shape)
 
 
-def helmholtz_solve(c: float, rhs: ScalarField) -> ScalarField:
-    """Unique solution of (−Δ + c) u = rhs for c > 0 (diagonal in Fourier)."""
-    op = SchrodingerOperator(get_plan(rhs.domain), c, c)
-    return ScalarField(rhs.domain, op.solve_diagonal(rhs.values))
-
-
 def inner(a, b):
     """Σ a·b over the last axis, broadcast over the others. einsum sums in an
     order that the shapes alone fix, where BLAS dot and gemv round differently

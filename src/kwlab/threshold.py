@@ -14,7 +14,7 @@ import numpy as np
 
 from . import problem, solvers
 from .domain import ScalarField, integrate
-from .errors import EigenSolveError, SolverError
+from .errors import EigenSolveError, NumericalFailure, SolverError
 from .problem import ProblemInstance
 from .solvers import MAX_ITERS, RESIDUAL_TOL, SolveReport
 
@@ -127,9 +127,11 @@ def probe_solvable(
     param (default inst.alpha; λ for a Ding-Liu instance).
 
     An S with ∫S ≥ 0 fails at once with sign_obstruction evidence
-    (_sign_obstructed). Otherwise Newton runs from the warm, constant and
-    zero starts in turn; the first that converges solves the probe and is
-    the record's report. fold is the evidence of a fold certificate
+    (_sign_obstructed). Otherwise Newton runs from the warm start, when
+    given, and then from the constant one; the first that converges solves
+    the probe and is the record's report. The constant start rescues a warm
+    start from far up the branch (two_mode − ½ on 16², warm from α = −0.01,
+    stagnates at α = −2). fold is the evidence of a fold certificate
     (_fold_certificate) that the probe lies past a fold the warm start
     comes from: then Newton runs from the warm start alone, and a failed
     record's evidence starts with the certificate. A failed record means no
@@ -148,7 +150,7 @@ def probe_solvable(
     iters = round(MAX_ITERS * budget)
     starts: list = [] if warm_start is None else [warm_start]
     if fold is None:
-        starts.extend(["constant", "zero"])
+        starts.append("constant")
     for start in starts:
         rep = solvers.newton_solve(inst, start, max_iters=iters, residual_tol=residual_tol)
         if rep.converged:
@@ -268,9 +270,10 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 
     Works in t = ±param (t = α, or t = −λ), where the solvable side is
     larger t and t < 0 throughout; dF_dt maps e^{2u/n} to the exact ∂F/∂t.
-    Bootstrap: _probe_twice at param = start, divided by shrink until a probe
-    solves. From there a pseudo-arclength walk (solvers.arclength_correct)
-    follows the stable branch down to its fold at t★ without a failed solve:
+    Bootstrap: _probe_twice, from the constant start, at param = start,
+    divided by shrink until a probe solves. From there a pseudo-arclength
+    walk (solvers.arclength_correct) follows the stable branch down to its
+    fold at t★ without a failed solve:
       * tangent predictor; the step grows or shrinks toward TARGET_ITERS
         corrector iterations and halves when the corrector fails;
       * the fold is passed when the tangent's t-component turns positive;
@@ -280,14 +283,16 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     bracket. When _fold_certificate certifies the fold between the last
     stable point and the converged point past it, that probe runs Newton
     from the warm start alone and rests its failure on the certificate;
-    otherwise it is the full _probe_twice. Only if that probe solves does
-    the fallback run: a march of full _probe_twice probes doubling its step
-    until one fails, then steps of a quarter of the gap to the failed end.
+    otherwise it is the full _probe_twice, warm then constant. Only if that
+    probe solves does the fallback run: a march of full _probe_twice probes
+    doubling its step until one fails, then steps of a quarter of the gap to
+    the failed end.
     The bracket ends on a converged point and a failed probe, at most tol
     apart. probes lists the bootstrap probes, the stable points and the
     closing probes; the solved ones, t strictly decreasing, each with its
     report and λ_min, are the family. A tol that is not positive raises
-    SolverError.
+    SolverError; a search that finds no solvable start, stalls, or neither
+    reaches its fold nor closes its bracket raises NumericalFailure.
     """
     if not tol > 0:
         raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
@@ -301,7 +306,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
             break
         param /= shrink
     else:
-        raise SolverError(f"no solvable {param_name} found from {start} toward 0")
+        raise NumericalFailure(f"no solvable {param_name} found from {start} toward 0")
 
     def accept(record):
         rep = record.report
@@ -324,7 +329,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
         if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
             ds, grow = 0.5 * ds, False
             if ds < MIN_STEP:
-                raise SolverError(
+                raise NumericalFailure(
                     f"{param_name} continuation stalled at {sign * point.t}: {rep.failure_reason}"
                 )
             continue
@@ -340,7 +345,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
             if ds is None:
                 break
     else:
-        raise SolverError(
+        raise NumericalFailure(
             f"{param_name} continuation did not reach its fold in {MAX_SEARCH_PROBES} steps"
         )
 
@@ -365,7 +370,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
         else:
             t_failed = nxt_t
     else:
-        raise SolverError(
+        raise NumericalFailure(
             f"{param_name} search did not close its bracket in {MAX_SEARCH_PROBES} probes "
             f"(solvable end {sign * t})"
         )
@@ -383,7 +388,7 @@ def find_alpha_star(
 
     Requires ∫S < 0. For S ≤ 0 (≢ 0) the threshold is −∞; walk_schedule
     verifies that regime on the fixed ladder UNBOUNDED_PROBE_ALPHAS (a failed
-    member raises SolverError with its evidence), and it is reported as
+    member raises NumericalFailure with its evidence), and it is reported as
     unbounded with the ladder as its family.
     Otherwise `_fold_search` finds a solvable α near 0⁻ (START_ALPHA,
     divided by 4 on failure) and follows the solution branch down to its
@@ -398,7 +403,7 @@ def find_alpha_star(
     if S.max <= 0:
         probes = walk_schedule(S, UNBOUNDED_PROBE_ALPHAS, residual_tol)
         if not probes[-1].solved:
-            raise SolverError(
+            raise NumericalFailure(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
             )
         return ThresholdReport(param_name="alpha", lo=-np.inf, hi=probes[-1].param, probes=probes)
@@ -421,8 +426,8 @@ def ding_liu_lambda_star(
     `_fold_search` finds a solvable λ near 0⁺ (0.05·(−min g₀), halved on
     failure) and follows the branch up to its fold at λ★ by pseudo-arclength
     continuation in t = −λ. lo is a converged point, hi a failed probe just
-    past the fold, hi − lo ≤ tol, and the bracket is checked to lie strictly
-    inside (0, −min g₀). The family is the stable branch, λ strictly
+    past the fold, hi − lo ≤ tol, and a bracket that does not lie strictly
+    inside (0, −min g₀) raises NumericalFailure. The family is the stable branch, λ strictly
     increasing, each report with its λ_min. Every solve meets residual_tol.
     """
     if g0.domain.d != 2:
@@ -440,7 +445,7 @@ def ding_liu_lambda_star(
     rep = _fold_search(lambda lam: ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0),
                        lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol, residual_tol)
     if not (0.0 < rep.lo and rep.hi < lam_max):
-        raise SolverError(
+        raise NumericalFailure(
             f"lambda bracket [{rep.lo}, {rep.hi}] does not lie strictly inside (0, {lam_max})"
         )
     return rep

@@ -132,7 +132,8 @@ def monotone_iterate(
         history.append(normF)
         if normF <= residual_tol:
             return _finish(inst, u, it, history, "monotone")
-        unew = ScalarField(inst.domain, u.values - spectral.helmholtz_solve(c, F).values)
+        helmholtz = spectral.SchrodingerOperator(spectral.get_plan(inst.domain), c, c)
+        unew = ScalarField(inst.domain, u.values - helmholtz.solve_diagonal(F.values))
         if float(np.max(unew.values - u.values)) > 1e-12:
             raise SolverError(
                 "monotone iterate increased: monotonicity constant too small or interval invalid"
@@ -161,7 +162,7 @@ def minimize_over_interval(
     w = inst.domain.cell_weight
 
     u = 0.5 * (lo + hi)
-    g = problem.energy_gradient(inst, ScalarField(inst.domain, u)).values
+    g = 2 * problem.residual(inst, ScalarField(inst.domain, u)).values
     I_u = problem.energy(inst, ScalarField(inst.domain, u)).total
     t = 1.0 / (1.0 + float(np.max(np.abs(g))))
     history: list[float] = []
@@ -216,7 +217,7 @@ def minimize_over_interval(
                 prev_u, prev_g = u, g
                 u = v
                 I_u = I_v
-                g = problem.energy_gradient(inst, ScalarField(inst.domain, u)).values
+                g = 2 * problem.residual(inst, ScalarField(inst.domain, u)).values
                 accepted = True
                 break
             tt *= 0.5

@@ -166,8 +166,9 @@ def test_count_below_one_rejected(tmp_path, capsys, monkeypatch, keys, problem):
 
 @pytest.mark.parametrize("args, message", [
     (["bogus", "--out", "o"], "argument mode: invalid choice: 'bogus'"),
+    (["selftest", "--out", "o"], "argument mode: invalid choice: 'selftest'"),
     ([], "the following arguments are required: mode"),
-], ids=["unknown", "missing"])
+], ids=["unknown", "selftest", "missing"])
 def test_bad_mode_exits_1_with_json(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     code, cap = run_cli(capsys, *args)
@@ -202,12 +203,6 @@ def test_config_file_and_override_precedence(tmp_path, capsys):
     assert code == 0
     summary = last_json_line(cap.out)
     assert summary["alpha"] == -4.0  # override beats the file
-
-
-def test_selftest(tmp_path, capsys):
-    code, cap = run_cli(capsys, "selftest", "--out", str(tmp_path / "st"))
-    assert code == 0
-    assert last_json_line(cap.out)["checks_failed"] == []
 
 
 def test_threshold_mode(tmp_path, capsys):
@@ -480,7 +475,7 @@ def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch
     def first_runs_out(inst, budget=1.0, **kw):
         probes.append((inst.alpha, budget))
         if len(probes) == 1:
-            return threshold.ProbeRecord(inst.alpha, ["newton[zero]: max_iters"])
+            return threshold.ProbeRecord(inst.alpha, ["newton[constant]: max_iters"])
         return original(inst, budget, **kw)
 
     monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
@@ -491,6 +486,47 @@ def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch
     assert code == 0
     assert last_json_line(cap.out)["family_size"] == 2
     assert probes == [(-1.0, 1.0), (-1.0, 4.0), (-2.0, 1.0)]
+
+
+def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch):
+    # warm from α = −0.01, Newton stagnates at α = −2 on two_mode − ½; the
+    # constant start that follows the warm one solves it
+    starts = []
+    original = solvers.newton_solve
+
+    def recorded(inst, start="zero", **kw):
+        rep = original(inst, start, **kw)
+        starts.append((inst.alpha, "warm" if isinstance(start, kwlab.ScalarField) else start,
+                       rep.failure_reason))
+        return rep
+
+    monkeypatch.setattr(solvers, "newton_solve", recorded)
+    out = tmp_path / "fam"
+    code, cap = run_cli(
+        capsys, "family", "--out", str(out),
+        "field=two_mode", "field_offset=-0.5", "sizes=16,16", "alphas=-0.01,-2",
+    )
+    assert code == 0
+    walk = last_json_line(cap.out)["walk"]
+    assert [(p["param"], p["solved"]) for p in walk] == [(-0.01, True), (-2.0, True)]
+    assert starts[1:] == [(-2.0, "warm", "stagnation"), (-2.0, "constant", None)]
+
+
+def test_search_that_finds_no_solvable_start_exits_2(tmp_path, capsys, monkeypatch):
+    # a search that never solves is a numerical outcome: exit 2, and the
+    # summary is written although no other output was started
+    def never_solves(inst, budget=1.0, *, param=None, **kw):
+        return threshold.ProbeRecord(param, ["newton[constant]: stagnation"])
+
+    monkeypatch.setattr(threshold, "probe_solvable", never_solves)
+    out = tmp_path / "thr"
+    code, cap = run_cli(capsys, "threshold", "--out", str(out),
+                        "field=sin1", "field_offset=-0.5", "sizes=16,16")
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == last_json_line(cap.out)
+    assert summary["exit_code"] == 2
+    assert summary["error"].startswith("no solvable alpha found from -0.01 toward 0")
 
 
 @pytest.mark.parametrize("mode, extra", [

@@ -49,8 +49,8 @@ class TestRandomFourier:
         assert not np.array_equal(a.values, b.values)
 
     def test_sup_normalized_and_mean_zero(self, t2_64):
-        f = random_fourier(t2_64, seed=7, decay_p=3.0, amplitude=2.5)
-        assert f.sup_norm == pytest.approx(2.5, abs=1e-12)
+        f = random_fourier(t2_64, seed=7, decay_p=3.0)
+        assert f.sup_norm == pytest.approx(1.0, abs=1e-12)
         assert abs(float(np.mean(f.values))) < 1e-12
 
     def test_rejects_slow_decay(self, t2_32):

@@ -7,7 +7,6 @@ from kwlab.errors import BlowUpError, DomainError
 from kwlab.problem import (
     energy,
     conformal_factor,
-    energy_gradient,
     integral_identity_defect,
     linearization,
     residual,
@@ -102,8 +101,8 @@ class TestEnergy:
         inst, _ = make_manufactured(t2_32, alpha=-1.0)
         u = smooth_random_field(t2_32, seed=43, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=44, amplitude=1.0)
-        g = energy_gradient(inst, u)
-        pairing = integrate(ScalarField(t2_32, g.values * phi.values))
+        g = 2 * residual(inst, u).values   # the L² gradient of the energy
+        pairing = integrate(ScalarField(t2_32, g * phi.values))
         up = ScalarField(t2_32, u.values + t * phi.values)
         um = ScalarField(t2_32, u.values - t * phi.values)
         fd = (energy(inst, up).total - energy(inst, um).total) / (2 * t)
@@ -111,24 +110,17 @@ class TestEnergy:
 
 
 class TestGradientAndHessian:
-    def test_gradient_is_twice_residual(self, t2_32):
-        inst, _ = make_manufactured(t2_32, alpha=-1.0)
-        u = smooth_random_field(t2_32, seed=47, amplitude=0.4)
-        g = energy_gradient(inst, u)
-        r = residual(inst, u)
-        assert np.max(np.abs(g.values - 2 * r.values)) <= 1e-14
-
     def test_gradient_zero_at_constant_solution(self, t2_32):
         inst = ProblemInstance(ScalarField.constant(t2_32, -2.0), -2.0)
-        g = energy_gradient(inst, ScalarField.constant(t2_32, 0.0))
-        assert g.sup_norm < 1e-14
+        g = 2 * residual(inst, ScalarField.constant(t2_32, 0.0)).values
+        assert np.max(np.abs(g)) < 1e-14
 
     def test_gradient_closed_form_at_zero(self, t2_32, sin_minus_half):
         dom = sin_minus_half.domain
         inst = ProblemInstance(sin_minus_half, -1.0)
-        g = energy_gradient(inst, ScalarField.constant(dom, 0.0))
+        g = 2 * residual(inst, ScalarField.constant(dom, 0.0)).values
         expected = 2 * (-1.0 - sin_minus_half.values)
-        assert np.max(np.abs(g.values - expected)) <= 1e-13
+        assert np.max(np.abs(g - expected)) <= 1e-13
 
     def test_hessian_constants(self, t2_32):
         # n=1, S≡−1, α=−2, constant solution e^{2u} = α/S = 2: on constants
@@ -155,9 +147,9 @@ class TestGradientAndHessian:
         u = smooth_random_field(t2_32, seed=54, amplitude=0.3)
         phi = smooth_random_field(t2_32, seed=55)
         H = 2 * linearization(inst, u).apply(phi.values)
-        gp = energy_gradient(inst, ScalarField(t2_32, u.values + t * phi.values))
-        gm = energy_gradient(inst, ScalarField(t2_32, u.values - t * phi.values))
-        fd = (gp.values - gm.values) / (2 * t)
+        gp = 2 * residual(inst, ScalarField(t2_32, u.values + t * phi.values)).values
+        gm = 2 * residual(inst, ScalarField(t2_32, u.values - t * phi.values)).values
+        fd = (gp - gm) / (2 * t)
         scale = max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(fd - H)) <= scale * (50 * t**2 + 1e-9)
 
@@ -183,8 +175,8 @@ class TestIntegralIdentity:
 def test_energy_decreases_along_negative_gradient(t2_32):
     inst, _ = make_manufactured(t2_32, alpha=-1.0)
     u = smooth_random_field(t2_32, seed=61, amplitude=0.4)
-    g = energy_gradient(inst, u)
-    assert g.sup_norm > 0
-    t = 1e-4 / g.sup_norm
-    stepped = ScalarField(t2_32, u.values - t * g.values)
+    g = 2 * residual(inst, u).values
+    assert np.max(np.abs(g)) > 0
+    t = 1e-4 / np.max(np.abs(g))
+    stepped = ScalarField(t2_32, u.values - t * g)
     assert energy(inst, stepped).total < energy(inst, u).total

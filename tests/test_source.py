@@ -51,6 +51,14 @@ def test_readme_names_every_config_key():
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(cli.KEYS)
 
 
+def test_readme_names_every_mode():
+    # the README's mode list is written by hand; it must name exactly the
+    # modes the CLI accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"Modes: (.*?)\.\s", readme, re.DOTALL).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == list(cli.MODES)
+
+
 def _defaults(tree):
     """Every (name, default) a tree spells: a function's parameters with
     their defaults, and a class body's annotated fields with their values."""

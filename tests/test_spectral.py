@@ -6,7 +6,8 @@ import pytest
 from kwlab import ScalarField, integrate, make_torus
 from kwlab import spectral
 from kwlab.errors import DomainError, EigenSolveError
-from kwlab.spectral import get_plan, grad_norm_sq, helmholtz_solve, laplacian, min_eigenvalue
+from kwlab.spectral import (SchrodingerOperator, get_plan, grad_norm_sq, laplacian,
+                            min_eigenvalue)
 
 from oracles import dense_fd_laplacian, fd_laplacian, smooth_random_field
 
@@ -67,31 +68,35 @@ class TestGradNormSq:
 
 
 class TestHelmholtz:
+    # (−Δ + c)⁻¹ is the operator's solve_diagonal with W = c
     def test_constant_rhs(self, t2_32):
-        u = helmholtz_solve(3.0, ScalarField.constant(t2_32, 3.0))
-        assert np.max(np.abs(u.values - 1.0)) < 1e-12
+        u = SchrodingerOperator(get_plan(t2_32), 3.0, 3.0).solve_diagonal(
+            ScalarField.constant(t2_32, 3.0).values)
+        assert np.max(np.abs(u - 1.0)) < 1e-12
 
     def test_single_mode(self, t2_64):
         x = t2_64.coords()
         s = np.broadcast_to(np.sin(2 * np.pi * x[0]), t2_64.sizes)
-        u = helmholtz_solve(2.0, ScalarField(t2_64, (4 * np.pi**2 + 2.0) * s))
-        assert np.max(np.abs(u.values - s)) < 1e-12
+        u = SchrodingerOperator(get_plan(t2_64), 2.0, 2.0).solve_diagonal(
+            (4 * np.pi**2 + 2.0) * s)
+        assert np.max(np.abs(u - s)) < 1e-12
 
     def test_roundtrip_identity(self, t2_64):
         rhs = smooth_random_field(t2_64, seed=13)
-        u = helmholtz_solve(1.7, rhs)
+        u = ScalarField(t2_64, SchrodingerOperator(get_plan(t2_64), 1.7, 1.7).solve_diagonal(
+            rhs.values))
         back = ScalarField(t2_64, -laplacian(u).values + 1.7 * u.values)
         assert np.max(np.abs(back.values - rhs.values)) <= 1e-12 * max(1.0, rhs.sup_norm)
 
     def test_recovers_band_limited_field(self, t2_64):
         u = smooth_random_field(t2_64, seed=17)
         rhs = ScalarField(t2_64, -laplacian(u).values + 4.0 * u.values)
-        rec = helmholtz_solve(4.0, rhs)
-        assert np.max(np.abs(rec.values - u.values)) <= 1e-11 * max(1.0, u.sup_norm)
+        rec = SchrodingerOperator(get_plan(t2_64), 4.0, 4.0).solve_diagonal(rhs.values)
+        assert np.max(np.abs(rec - u.values)) <= 1e-11 * max(1.0, u.sup_norm)
 
     def test_rejects_nonpositive_c(self, t2_32):
         with pytest.raises(DomainError):
-            helmholtz_solve(0.0, ScalarField.constant(t2_32, 1.0))
+            SchrodingerOperator(get_plan(t2_32), 0.0, 0.0)
 
 
 class TestPreconditionedApply:

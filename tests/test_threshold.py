@@ -6,7 +6,7 @@ import pytest
 from kwlab import ProblemInstance, ScalarField, SolveReport, problem, solvers, spectral, threshold
 from kwlab.cli import _threshold_summary
 from kwlab.domain import integrate
-from kwlab.errors import EigenSolveError, SolverError
+from kwlab.errors import EigenSolveError, NumericalFailure, SolverError
 from kwlab.fields import named_field
 from kwlab.threshold import (
     _probe_twice,
@@ -53,7 +53,7 @@ class TestProbe:
                           inst=ProblemInstance(ScalarField.constant(t2_16, -1.0), -1.0),
                           failure_reason="max_iters")
         with pytest.raises(SolverError):
-            ProbeRecord(-1.0, ["newton[zero]: max_iters"], rep)
+            ProbeRecord(-1.0, ["newton[constant]: max_iters"], rep)
 
     def test_zero_mean_S_sign_obstruction(self, t2_32, monkeypatch):
         # ∫S = 0 exactly for sin1: the Kazdan-Warner obstruction fails the
@@ -93,10 +93,12 @@ class TestProbe:
         assert [e.partition(":")[0] for e in v.evidence[1:]] == ["newton[warm]"]
 
     def test_failed_collects_evidence(self, t2_32):
-        inst = ProblemInstance(sine_field(t2_32, -0.5), -50.0)
-        v = probe_solvable(inst, budget=0.25)
+        S = sine_field(t2_32, -0.5)
+        warm = probe_solvable(ProblemInstance(S, -1.0)).report
+        v = probe_solvable(ProblemInstance(S, -50.0), budget=0.25, warm_start=warm.solution)
         assert not v.solved
-        assert len(v.evidence) >= 2  # several starts, each with a reason
+        # every start, in order, each with its reason
+        assert [e.partition(":")[0] for e in v.evidence] == ["newton[warm]", "newton[constant]"]
 
 
 def no_newton(*args, **kwargs):
@@ -186,10 +188,10 @@ class TestContinuation:
 
 class TestRetry:
     @pytest.mark.parametrize("evidence, budgets", [
-        (["newton[warm]: stagnation", "newton[constant]: linear_solve_stagnation",
-          "newton[zero]: blow_up: overflow"], [1.0]),
-        (["newton[warm]: stagnation", "newton[zero]: max_iters"], [1.0, 4.0]),
-        (["newton[zero]: line_search_failure", "monotone: max_iters"], [1.0, 4.0]),
+        (["newton[warm]: stagnation", "newton[constant]: linear_solve_stagnation"], [1.0]),
+        (["newton[warm]: stagnation", "newton[constant]: max_iters"], [1.0, 4.0]),
+        (["newton[constant]: line_search_failure", "monotone: max_iters"], [1.0, 4.0]),
+        (["newton[constant]: blow_up: overflow"], [1.0]),
     ])
     def test_only_budget_exhaustion_is_retried(self, t2_16, monkeypatch, evidence, budgets):
         calls = []
@@ -212,7 +214,7 @@ class TestRetry:
         def first_runs_out(inst, budget=1.0, **kw):
             calls.append((inst.alpha, budget))
             if len(calls) == 1:
-                return ProbeRecord(inst.alpha, ["newton[zero]: max_iters"])
+                return ProbeRecord(inst.alpha, ["newton[constant]: max_iters"])
             return original(inst, budget, **kw)
 
         monkeypatch.setattr(threshold, "probe_solvable", first_runs_out)
@@ -244,11 +246,12 @@ class TestAlphaStar:
 
         def fails_at_minus_100(inst, budget=1.0, **kw):
             if inst.alpha == -100.0:
-                return ProbeRecord(inst.alpha, ["newton[zero]: stagnation"])
+                return ProbeRecord(inst.alpha, ["newton[constant]: stagnation"])
             return original(inst, budget, **kw)
 
         monkeypatch.setattr(threshold, "probe_solvable", fails_at_minus_100)
-        with pytest.raises(SolverError, match=r"alpha=-100.0 failed: \['newton\[zero\]: stagnation'\]"):
+        with pytest.raises(NumericalFailure,
+                           match=r"alpha=-100.0 failed: \['newton\[constant\]: stagnation'\]"):
             find_alpha_star(sine_field(t2_32, -1.5))
 
     def test_bracket_sign_changing(self, t2_32):
@@ -305,7 +308,8 @@ class TestAlphaStar:
         # fold evidence was wrong, so the march probes from every start
         assert certified == [True] and False in closing
         failed = [p for p in rep.probes if not p.solved]
-        assert all(len(p.evidence) == 3 for p in failed)
+        assert all([e.partition(":")[0] for e in p.evidence] == ["newton[warm]", "newton[constant]"]
+                   for p in failed)
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
         assert_stable_family(rep)
@@ -375,7 +379,7 @@ class TestFoldCertificate:
         assert len(unstable) == 1 and calls.count(False) == 1
         (failed,) = [p for p in rep.probes if not p.solved]
         assert ([e.partition(":")[0] for e in failed.evidence]
-                == ["newton[warm]", "newton[constant]", "newton[zero]"])
+                == ["newton[warm]", "newton[constant]"])
         assert (rep.lo, rep.hi) == (certified.lo, certified.hi)
         assert rep.probes == certified.probes[:-1] + [failed]
 
