@@ -14,12 +14,11 @@ from .domain import (
     make_torus,
     sublevel_mask,
 )
-from .problem import EnergyBreakdown, ProblemInstance
+from .problem import ProblemInstance
 from .solvers import SolveReport
 from .threshold import ProbeRecord, ThresholdReport
 
 __all__ = [
-    "EnergyBreakdown",
     "ProbeRecord",
     "ProblemInstance",
     "RegionMask",

@@ -102,7 +102,6 @@ KEYS = {
     "tol": ("", _positive),                      # default threshold.ALPHA_TOL or LAMBDA_TOL
     "residual_tol": (repr(solvers.RESIDUAL_TOL), _positive),
     "count": ("8", _at_least(1)),
-    "solver": ("newton", _choice("newton", "probe")),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
     "out": ("", str),
@@ -180,14 +179,13 @@ def _injected_family(S: ScalarField, sign: float, count: int) -> list[tuple[floa
     ]
 
 
-def start_outputs(mode: str, text: dict[str, str], outdir: Path, S=None) -> None:
+def start_outputs(mode: str, text: dict[str, str], outdir: Path, S: ScalarField) -> None:
     """Start the outputs after the mode's solve, search or walk: rejected input writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective_config.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in sorted({**text, "mode": mode}.items()))
     )
-    if S is not None:
-        serialize.write_field(S, outdir / "S", label="S")
+    serialize.write_field(S, outdir / "S", label="S")
 
 
 def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, dict]:
@@ -204,19 +202,16 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
 
     if mode == "solve":
         inst = ProblemInstance(S, cfg["alpha"])
-        if cfg["solver"] == "probe":
-            record = threshold.probe_solvable(inst, residual_tol=rtol)
-            rep = record.report
-        else:
-            rep = solvers.newton_solve(inst, residual_tol=rtol)
+        record = threshold.probe_solvable(inst, residual_tol=rtol)
         start_outputs(mode, text, outdir, S)
-        if rep is None:
+        if not record.solved:
             summary.update(converged=False, evidence=record.evidence)
             return 2, summary
+        rep = record.report
         serialize.write_report(rep, outdir / "solve")
         summary.update(serialize.report_summary(rep))
         summary["defect"] = problem.integral_identity_defect(inst, rep.solution)
-        return (0 if rep.converged else 2), summary
+        return 0, summary
 
     # threshold, dingliu, family and diagnose: each mode yields a family of
     # (param, report), each report carrying the instance it solved
@@ -299,9 +294,7 @@ def main(argv=None) -> int:
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="override any config key")
     try:
-        args, unrecognized = parser.parse_known_args(argv)
-        if unrecognized:
-            raise KWLabError(f"unrecognized arguments: {' '.join(unrecognized)}")
+        args = parser.parse_args(argv)
         raw = parse_config_file(args.config) if args.config else {}
         for item in args.overrides:
             if "=" not in item:

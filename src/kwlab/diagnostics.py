@@ -202,7 +202,7 @@ def family_table(
             "param": param,
             "alpha": inst.alpha,
             "sup_norm_u": u.sup_norm,
-            "energy": None if rep.energy is None else rep.energy.total,
+            "energy": rep.energy,
             "defect": problem.integral_identity_defect(inst, u, e),
             "lambda_min": rep.min_eig,
         }

@@ -44,17 +44,6 @@ class ProblemInstance:
         return self.domain.d // 2
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    dirichlet: float      # ∫ |∇u|²
-    linear: float         # ∫ 2αu
-    exponential: float    # −∫ n S e^{2u/n}
-
-    @property
-    def total(self) -> float:
-        return self.dirichlet + self.linear + self.exponential
-
-
 def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:
     """e^{2u/n} with an overflow guard; the cap is blow-up signal upstream.
     Every function of a solution u reads u through here, so a u on another
@@ -77,14 +66,14 @@ def residual(inst: ProblemInstance, u: ScalarField, lap=None) -> ScalarField:
     return ScalarField(inst.domain, vals)
 
 
-def energy(inst: ProblemInstance, u: ScalarField) -> EnergyBreakdown:
-    """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n})."""
+def energy(inst: ProblemInstance, u: ScalarField) -> float:
+    """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n}), its three terms summed in that order."""
     gsq = spectral.grad_norm_sq(u)
     w = inst.domain.cell_weight
     dirichlet = float(np.sum(gsq.values)) * w
     linear = 2.0 * inst.alpha * float(np.sum(u.values)) * w
     exponential = -inst.n * float(np.sum(inst.S.values * conformal_factor(inst, u))) * w
-    return EnergyBreakdown(dirichlet=dirichlet, linear=linear, exponential=exponential)
+    return dirichlet + linear + exponential
 
 
 def linearization(inst: ProblemInstance, u: ScalarField, e=None) -> spectral.SchrodingerOperator:

@@ -45,7 +45,7 @@ def report_summary(rep: SolveReport) -> dict:
         "iterations": rep.iterations,
         "final_residual": rep.residual_history[-1] if rep.residual_history else None,
         "sup_norm_u": rep.solution.sup_norm,
-        "energy": rep.energy.total if rep.energy is not None else None,
+        "energy": rep.energy,
         "min_eig": rep.min_eig,
         "failure_reason": rep.failure_reason,
     }

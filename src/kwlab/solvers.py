@@ -20,7 +20,7 @@ import numpy as np
 from . import problem, spectral
 from .domain import ScalarField, mean
 from .errors import BlowUpError, DomainError, SolverError
-from .problem import EnergyBreakdown, ProblemInstance
+from .problem import ProblemInstance
 
 ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line search
 MAX_ITERS = 80              # a solve's iteration cap
@@ -42,7 +42,7 @@ class SolveReport:
     residual_history: list[float]
     method: str
     inst: ProblemInstance               # the instance solved
-    energy: Optional[EnergyBreakdown] = None
+    energy: Optional[float] = None      # I(u) of a converged solve
     min_eig: Optional[float] = None
     failure_reason: Optional[str] = None
 
@@ -84,17 +84,16 @@ def _check_budget(max_iters: int, residual_tol: float) -> None:
 
 
 def _finish(inst, u, iters, history, method, reason=None) -> SolveReport:
-    try:
-        en = problem.energy(inst, u)
-    except BlowUpError:
-        en = None
+    """The report of a solve. Only a converged one carries the energy: its
+    last residual evaluated e^{2u/n} under the overflow cap, so I(u) cannot
+    raise BlowUpError."""
     return SolveReport(
         solution=u,
         iterations=iters,
         residual_history=history,
         method=method,
         inst=inst,
-        energy=en,
+        energy=problem.energy(inst, u) if reason is None else None,
         failure_reason=reason,
     )
 

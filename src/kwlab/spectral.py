@@ -1,7 +1,7 @@
 """Fourier-spectral calculus on the torus: Δ, |∇·|², and the Schrödinger
-operator −Δ + W behind the Newton solves, the Helmholtz solves and the
-smallest eigenvalue of −Δ + V. Each function of a field reads its grid,
-and the grid's cached SpectralPlan, from the field.
+operator −Δ + W behind the Newton solves and the smallest eigenvalue of
+−Δ + V. Each function of a field reads its grid, and the grid's cached
+SpectralPlan, from the field.
 
 Sign convention is the analyst's one: Δ e^{i⟨ξ,x⟩} = −|ξ|² e^{i⟨ξ,x⟩}.
 """

@@ -163,7 +163,7 @@ def minimize_over_interval(
 
     u = 0.5 * (lo + hi)
     g = 2 * problem.residual(inst, ScalarField(inst.domain, u)).values
-    I_u = problem.energy(inst, ScalarField(inst.domain, u)).total
+    I_u = problem.energy(inst, ScalarField(inst.domain, u))
     t = 1.0 / (1.0 + float(np.max(np.abs(g))))
     history: list[float] = []
     prev_u = prev_g = None
@@ -209,7 +209,7 @@ def minimize_over_interval(
             step = v - u
             slope = float(np.sum(g * step)) * w
             try:
-                I_v = problem.energy(inst, ScalarField(inst.domain, v)).total
+                I_v = problem.energy(inst, ScalarField(inst.domain, v))
             except BlowUpError:
                 tt *= 0.5
                 continue

@@ -49,11 +49,36 @@ def test_solve_unsolvable_exits_2(tmp_path, capsys):
     code, cap = run_cli(
         capsys, "solve", "--out", str(tmp_path / "run"),
         "field=const", "field_value=1.0", "alpha=-1.0", "sizes=32,32",
-        "solver=probe",
     )
     assert code == 2
     summary = last_json_line(cap.out)
     assert summary["converged"] is False
+
+
+def test_solve_runs_only_the_constant_start(tmp_path, capsys, monkeypatch):
+    starts = []
+    newton = solvers.newton_solve
+
+    def recorded(inst, start="zero", **kw):
+        starts.append(start)
+        return newton(inst, start, **kw)
+
+    monkeypatch.setattr(solvers, "newton_solve", recorded)
+    code, cap = run_cli(capsys, "solve", "--out", str(tmp_path / "run"),
+                        "field=sin1", "field_offset=-0.5", "sizes=32,32", "alpha=-1")
+    assert code == 0 and last_json_line(cap.out)["converged"] is True
+    assert starts == ["constant"]
+
+
+def test_failed_solve_writes_evidence_not_a_report(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, cap = run_cli(capsys, "solve", "--out", str(out), "field=sin1",
+                        "field_offset=-0.5", "sizes=32,32", "alpha=-50")
+    summary = last_json_line(cap.out)
+    assert code == summary["exit_code"] == 2
+    assert summary["converged"] is False
+    assert summary["evidence"] == ["newton[constant]: line_search_failure"]
+    assert not (out / "solve.report.json").exists()
 
 
 def test_missing_keys_exit_1(tmp_path, capsys):
@@ -98,8 +123,8 @@ def test_unknown_config_file_key_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["n=1"], ["budget=1.0"], ["start_alpha=-0.01"], ["field_shift_max_zero=false"],
-    ["--tol", "1e-3"],
-], ids=["n", "budget", "start_alpha", "field_shift_max_zero", "--tol"])
+    ["solver=newton"], ["--tol", "1e-3"],
+], ids=["n", "budget", "start_alpha", "field_shift_max_zero", "solver", "--tol"])
 def test_removed_settings_rejected(tmp_path, capsys, args):
     code, cap = run_cli(
         capsys, "threshold", "--out", str(tmp_path / "thr"),
@@ -353,16 +378,6 @@ def test_family_rejects_nondecreasing_alphas(tmp_path, capsys):
     assert not (tmp_path / "fam").exists()
 
 
-def test_unknown_solver_rejected(tmp_path, capsys):
-    code, cap = run_cli(
-        capsys, "solve", "--out", str(tmp_path / "solve"),
-        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alpha=-1", "solver=bogus",
-    )
-    assert code == 1
-    assert "solver" in json.loads(cap.err.strip())["error"]
-    assert not (tmp_path / "solve").exists()
-
-
 @pytest.mark.parametrize("mode, bad, keys", [
     ("diagnose", "inject=bogus", ["field=const", "field_value=-1", "count=3"]),
     ("family", "with_eigs=ture", ["field=sin1", "field_offset=-0.5", "alphas=-1"]),
@@ -377,7 +392,7 @@ def test_unknown_enumerated_value_rejected(tmp_path, capsys, mode, bad, keys):
 
 
 @pytest.mark.parametrize("mode, keys", [
-    ("solve", ["alpha=-1", "solver=probe"]),
+    ("solve", ["alpha=-1"]),
     ("family", ["alphas=-1,-2"]),
     ("diagnose", ["alphas=-1,-2"]),
 ])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, make_torus, solvers
+from kwlab import ProblemInstance, ScalarField, make_torus, problem, solvers
 from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
@@ -217,6 +217,22 @@ class TestNewton:
         assert not rep.converged
         assert rep.failure_reason is not None
 
+    def test_only_a_converged_solve_computes_its_energy(self, t2_32, monkeypatch):
+        calls = []
+
+        def counted(inst, u):
+            calls.append(inst.alpha)
+            return energy(inst, u)
+
+        monkeypatch.setattr(problem, "energy", counted)
+        S = named_field(t2_32, "sin1", offset=-0.5)
+        failed = newton_solve(ProblemInstance(S, -50.0), "constant")
+        assert not failed.converged and failed.energy is None
+        assert calls == []
+        solved = newton_solve(ProblemInstance(S, -1.0), "constant")
+        assert solved.converged and calls == [-1.0]
+        assert solved.energy == energy(solved.inst, solved.solution)
+
     @pytest.mark.parametrize("budget", [{"max_iters": 0}, {"residual_tol": 0.0}],
                              ids=["max_iters", "residual_tol"])
     def test_rejects_an_empty_budget(self, t2_16, budget):
@@ -352,13 +368,13 @@ class TestMinimize:
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         assert rep.converged
-        I_min = energy(inst, rep.solution).total
+        I_min = energy(inst, rep.solution)
         rng = np.random.default_rng(5)
         lo, hi = iv.lower.values, iv.upper.values
         for _ in range(100):
             theta = rng.uniform(size=t2_32.sizes)
             v = ScalarField(t2_32, lo + theta * (hi - lo))
-            assert I_min <= energy(inst, v).total + 1e-10
+            assert I_min <= energy(inst, v) + 1e-10
 
     def test_interior_minimizer_satisfies_equation(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
@@ -377,9 +393,9 @@ class TestMinimize:
         warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
-        I_min = energy(inst, rep.solution).total
-        assert I_min <= energy(inst, iv.lower).total + 1e-10
-        assert I_min <= energy(inst, iv.upper).total + 1e-10
+        I_min = energy(inst, rep.solution)
+        assert I_min <= energy(inst, iv.lower) + 1e-10
+        assert I_min <= energy(inst, iv.upper) + 1e-10
 
 
 def test_engines_agree(t2_32):
