@@ -173,7 +173,9 @@ def family_table(
     Every row holds the MEMBER_COLUMNS, its instance's alpha, and λ_min:
     rep.min_eig when the report carries one; otherwise, with with_eig or K,
     solved (problem.stability_eigenvalue) and stored on the report, an
-    EigenSolveError propagating; without either it stays None.
+    EigenSolveError propagating; without either it stays None. A solve
+    starts from the Ritz vector of the previous solved row when that member
+    lies on the same grid, and from the seeded start otherwise.
 
     Without K the table has no verdicts and A_observed is None. With K each
     row also holds the sup of u on K, the global inf of u, the Dirichlet
@@ -191,13 +193,16 @@ def family_table(
     if K is not None and K.empty:
         raise DomainError("empty K")
     rows = []
+    ground = None   # (grid, Ritz vector) of the last λ_min solved here
     for param, rep in family:
         inst, u = rep.inst, rep.solution
         if K is not None and K.domain != inst.domain:
             raise DomainError(f"K lies on another grid than the member at param {param!r}")
         e = problem.conformal_factor(inst, u)
         if rep.min_eig is None and (with_eig or K is not None):
-            rep.min_eig = problem.stability_eigenvalue(inst, u)
+            start = ground[1] if ground and ground[0] == inst.domain else None
+            rep.min_eig, x = problem.stability_eigenvalue(inst, u, start)
+            ground = inst.domain, x
         row = {
             "param": param,
             "alpha": inst.alpha,

@@ -57,12 +57,14 @@ def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:
     return np.exp(arg)
 
 
-def residual(inst: ProblemInstance, u: ScalarField, lap=None) -> ScalarField:
+def residual(inst: ProblemInstance, u: ScalarField, lap=None, e=None) -> ScalarField:
     """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0. lap is the
-    grid of Δu when the caller already has it."""
+    grid of Δu and e is e^{2u/n} when the caller already has them."""
     if lap is None:
         lap = spectral.laplacian(u).values
-    vals = -lap + inst.alpha - inst.S.values * conformal_factor(inst, u)
+    if e is None:
+        e = conformal_factor(inst, u)
+    vals = -lap + inst.alpha - inst.S.values * e
     return ScalarField(inst.domain, vals)
 
 
@@ -91,11 +93,14 @@ def stability_potential(inst: ProblemInstance, u: ScalarField) -> ScalarField:
     return ScalarField(inst.domain, linearization(inst, u).W)
 
 
-def stability_eigenvalue(inst: ProblemInstance, u: ScalarField) -> float:
-    """λ_min of the stability operator F′(u), solved at EIG_TOL; an
-    unconverged solve raises EigenSolveError."""
+def stability_eigenvalue(inst: ProblemInstance, u: ScalarField,
+                         start=None) -> tuple[float, np.ndarray]:
+    """(λ_min, x) of the stability operator F′(u), solved at EIG_TOL from
+    start (spectral.min_eigenvalue), with x its unit Ritz vector: the start
+    of the next solve along a family on the same grid. An unconverged solve
+    raises EigenSolveError. Every λ_min of the program is solved here."""
     V = stability_potential(inst, u)
-    return spectral.min_eigenvalue(V, EIG_TOL)
+    return spectral.min_eigenvalue(V, EIG_TOL, start=start)
 
 
 def integral_identity_defect(inst: ProblemInstance, u: ScalarField, e=None) -> float:

@@ -181,10 +181,13 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
     lap = spectral.laplacian(u).values
     history: list[float] = []
 
+    # e = e^{2u/n} of the iterate serves its residual and its Jacobian; the
+    # line search sets it to each trial's, so it is the accepted iterate's
     try:
-        F = problem.residual(inst, u, lap)
-    except BlowUpError as e:
-        return _finish(inst, u, 0, history, "newton", f"blow_up: {e}")
+        e = problem.conformal_factor(inst, u)
+    except BlowUpError as err:
+        return _finish(inst, u, 0, history, "newton", f"blow_up: {err}")
+    F = problem.residual(inst, u, lap, e)
     normF = F.sup_norm
     history.append(normF)
 
@@ -192,7 +195,7 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
         if normF <= residual_tol and it:
             # Δu carries the round-off of its updates: confirm with a fresh one
             lap = spectral.laplacian(u).values
-            F = problem.residual(inst, u, lap)
+            F = problem.residual(inst, u, lap, e)
             normF = history[-1] = F.sup_norm
         if normF <= residual_tol:
             return _finish(inst, u, it, history, "newton")
@@ -201,7 +204,8 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
             return _finish(inst, u, it, history, "newton", "stagnation")
         if it == max_iters:
             return _finish(inst, u, it, history, "newton", "max_iters")
-        J = problem.linearization(inst, u)
+        J = problem.linearization(inst, u, e)
+        del e   # not held through the Krylov basis, a solve's memory peak
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
@@ -216,10 +220,11 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
         while t >= MIN_DAMPING:
             trial, lap_t = ScalarField(inst.domain, u.values + t * d), lap + t * lap_d
             try:
-                Ft = problem.residual(inst, trial, lap_t)
+                e = problem.conformal_factor(inst, trial)
             except BlowUpError:
                 t *= 0.5
                 continue
+            Ft = problem.residual(inst, trial, lap_t, e)
             if Ft.sup_norm <= (1.0 - ARMIJO * t) * normF:
                 u, F, normF, lap = trial, Ft, Ft.sup_norm, lap_t
                 history.append(normF)
@@ -254,7 +259,7 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
     BlowUpError, and DomainError for a t outside the instances' range."""
     inst = make_inst(t)
     e = problem.conformal_factor(inst, u)
-    F = problem.residual(inst, u)
+    F = problem.residual(inst, u, e=e)
     J = problem.linearization(inst, u, e)
     Mft = J.solve_diagonal(np.broadcast_to(dF_dt(e), e.shape)).reshape(-1)
     du = du.reshape(-1)

@@ -129,34 +129,50 @@ def min_eigenvalue(
     V: ScalarField,
     tol: float,
     max_iters: int | None = None,
-) -> float:
-    """Smallest eigenvalue of −Δ + V by single-vector LOBPCG (Knyazev 2001).
+    start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair (λ, x) of −Δ + V by single-vector LOBPCG (Knyazev
+    2001): x is the unit Ritz vector, flat over V's grid, whose eigenresidual
+    met tol.
 
     Runs on the shifted operator A = −Δ + V − σ with σ = min V − 1, which is
     symmetric positive definite (potential ≥ 1), preconditioned by the
-    constant-coefficient Helmholtz inverse M = (−Δ + mean(V − σ))⁻¹, from a
-    deterministic start vector, for at most max_iters iterations. Each
+    constant-coefficient Helmholtz inverse M = (−Δ + mean(V − σ))⁻¹, for at
+    most max_iters iterations, from start: the Ritz vector of a nearby
+    potential's solve, whose ground state is nearly this one's, or by
+    default a fixed seeded vector. A start that is not a finite vector of
+    V's npoints entries with a nonzero norm raises DomainError. Each
     iteration is one Rayleigh–Ritz step on span{x, M·r, p}: the Ritz vector
     x, its preconditioned residual M·r made orthogonal to x, and the previous
     step p. p is dropped when the 3×3 Gram matrix is singular; the iteration
     stops when even {x, M·r} is.
     Accuracy: the value is returned only once the 2-norm eigenresidual
     ‖Av − λv‖ ≤ tol, checked on the returned Ritz vector applied afresh; for
-    the symmetric operator that bounds |λ − λ_exact| by tol. Otherwise
-    EigenSolveError carries the last Rayleigh quotient.
+    the symmetric operator that bounds |λ − λ_exact| by tol, whatever the
+    start. Otherwise EigenSolveError carries the last Rayleigh quotient.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
+    npoints = V.domain.npoints
+    if start is None:
+        rng = np.random.default_rng(0)
+        x = np.ones(npoints) + 0.01 * rng.standard_normal(npoints)
+    else:
+        x = np.array(start, dtype=float)
+        if x.shape != (npoints,):
+            raise DomainError(f"start vector must have {npoints} entries, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("start vector must be finite")
+    norm = np.sqrt(inner(x, x))
+    if not 0 < norm < np.inf:
+        raise DomainError(f"start vector must have a positive finite norm, got {norm}")
+    x /= norm
     sigma = float(np.min(V.values)) - 1.0
     W = V.values - sigma  # ≥ 1 pointwise
     op = SchrodingerOperator(get_plan(V.domain), W, float(np.mean(W)))
     if max_iters is None:
         max_iters = 10 * max(V.domain.sizes)
 
-    rng = np.random.default_rng(0)
-    npoints = V.domain.npoints
-    x = np.ones(npoints) + 0.01 * rng.standard_normal(npoints)
-    x /= np.sqrt(inner(x, x))
     Ax = op.apply(x)
     lam = float(inner(x, Ax))
     p = Ap = None
@@ -196,4 +212,4 @@ def min_eigenvalue(
             f"{max_iters} iterations (eigenresidual {resid:.3g})",
             lam_shifted + sigma,
         )
-    return lam_shifted + sigma
+    return lam_shifted + sigma, x

@@ -247,18 +247,13 @@ def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
     return float(x_land * (np.mean(a.du * du) + a.dt * dt))
 
 
-def _fold_certificate(param_name, sign, point, past) -> Optional[list[str]]:
+def _fold_certificate(param_name, sign, point, past, lam) -> Optional[list[str]]:
     """Keller's (1977) evidence that the branch folds between the last
     stable point and past, the converged point beyond the fold, as evidence
     lines: past's parameter, the tangent t-components (point.dt < 0 <
-    past.dt) and λ_min < 0 at past, its one eigen-solve. None when the
-    tangents do not turn, λ_min at past is not negative or its solve does
-    not converge."""
-    try:
-        lam = problem.stability_eigenvalue(past.report.inst, past.report.solution)
-    except EigenSolveError:
-        return None
-    if not (lam < 0 and point.dt < 0 < past.dt):
+    past.dt) and lam, λ_min at past, < 0. None when the tangents do not
+    turn or lam is not negative (None: its solve did not converge)."""
+    if lam is None or not (lam < 0 and point.dt < 0 < past.dt):
         return None
     return [f"fold: branch point past the fold at {param_name}={sign * past.t!r}",
             f"fold: tangent dt={point.dt!r} at the last stable point, {past.dt!r} past the fold",
@@ -290,7 +285,9 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     The bracket ends on a converged point and a failed probe, at most tol
     apart. probes lists the bootstrap probes, the stable points and the
     closing probes; the solved ones, t strictly decreasing, each with its
-    report and λ_min, are the family. A tol that is not positive raises
+    report and λ_min, are the family. Each λ_min, the fold certificate's
+    too, starts from the Ritz vector of the last one that converged; the
+    first from the seeded start. A tol that is not positive raises
     SolverError; a search that finds no solvable start, stalls, or neither
     reaches its fold nor closes its bracket raises NumericalFailure.
     """
@@ -308,12 +305,19 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     else:
         raise NumericalFailure(f"no solvable {param_name} found from {start} toward 0")
 
-    def accept(record):
-        rep = record.report
+    ground = None   # the Ritz vector of the last converged λ_min
+
+    def min_eig(rep):
+        """λ_min at rep, started from ground, or None when unconverged."""
+        nonlocal ground
         try:
-            rep.min_eig = problem.stability_eigenvalue(rep.inst, rep.solution)
+            lam, ground = problem.stability_eigenvalue(rep.inst, rep.solution, ground)
         except EigenSolveError:
-            pass  # min_eig stays None
+            return None
+        return lam
+
+    def accept(record):
+        record.report.min_eig = min_eig(record.report)
 
     def inst_at(t):
         return make_inst(sign * t)
@@ -351,7 +355,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
 
     # close: probe past the fold from the last stable point; only the first
     # probe rests on the fold certificate
-    fold = _fold_certificate(param_name, sign, point, past)
+    fold = _fold_certificate(param_name, sign, point, past, min_eig(past.report))
     t, report, t_failed, step = point.t, point.report, None, CLOSE_FRACTION * tol
     for _ in range(MAX_SEARCH_PROBES):
         if t_failed is not None and t - t_failed <= tol:

@@ -151,7 +151,7 @@ def test_05_stability_of_ordered_solutions(t2_32a):
     lam_min = np.inf
     for rep in (monotone_iterate(inst, iv), minimize_over_interval(inst, iv)):
         assert rep.converged
-        lam = spectral.min_eigenvalue(problem.stability_potential(inst, rep.solution), 1e-8)
+        lam, _ = spectral.min_eigenvalue(problem.stability_potential(inst, rep.solution), 1e-8)
         lam_min = min(lam_min, lam)
     ok = lam_min >= -1e-6
     report_line(5, "stability-of-ordered-solutions", ok, f"min λ_min {lam_min:.3e}")

@@ -251,9 +251,9 @@ def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monke
     calls = []
     original = spectral.min_eigenvalue
 
-    def counted(V, tol=1e-8, max_iters=None):
+    def counted(V, tol=1e-8, max_iters=None, start=None):
         calls.append(tol)
-        return original(V, tol, max_iters)
+        return original(V, tol, max_iters, start)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", counted)
     out = tmp_path / "thr"
@@ -297,9 +297,9 @@ def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
     calls = []
     original = spectral.min_eigenvalue
 
-    def counted(V, tol=1e-8, max_iters=None):
+    def counted(V, tol=1e-8, max_iters=None, start=None):
         calls.append(tol)
-        return original(V, tol, max_iters)
+        return original(V, tol, max_iters, start)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", counted)
     out = tmp_path / "dl"
@@ -549,7 +549,7 @@ def test_search_that_finds_no_solvable_start_exits_2(tmp_path, capsys, monkeypat
     ("diagnose", []),
 ], ids=["family", "diagnose"])
 def test_unconverged_eigenvalue_exits_2(tmp_path, capsys, monkeypatch, mode, extra):
-    def unconverged(V, tol=1e-8, max_iters=None):
+    def unconverged(V, tol=1e-8, max_iters=None, start=None):
         raise EigenSolveError("forced non-convergence", -0.5)
 
     monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
@@ -600,9 +600,9 @@ def test_diagnose_tables_agree_per_member(tmp_path, capsys, monkeypatch):
         calls["defect"] += 1
         return defect(inst, u, e)
 
-    def counted_eig(V, tol=1e-8, max_iters=None):
+    def counted_eig(V, tol=1e-8, max_iters=None, start=None):
         calls["eig"] += 1
-        return min_eigenvalue(V, tol, max_iters)
+        return min_eigenvalue(V, tol, max_iters, start)
 
     monkeypatch.setattr(problem, "integral_identity_defect", counted_defect)
     monkeypatch.setattr(spectral, "min_eigenvalue", counted_eig)

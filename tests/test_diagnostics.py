@@ -23,6 +23,9 @@ from kwlab.errors import DomainError, EigenSolveError
 from kwlab.fields import named_field
 from kwlab.solvers import SolveReport, newton_solve
 
+from kwlab.threshold import walk_schedule
+
+from eigrecord import assert_threaded, record_eig_calls
 from subsuper import make_interval, monotone_iterate
 
 
@@ -198,7 +201,8 @@ class TestFamilyTable:
             return family
 
         assert family_table(monotone_family(), K).verdicts["stability"]
-        monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
+        monkeypatch.setattr(spectral, "min_eigenvalue",
+                            lambda V, tol, max_iters=None, start=None: (-0.5, None))
         assert not family_table(monotone_family(), K).verdicts["stability"]
 
     def test_stability_verdict_on_newton_members(self, t2_32, monkeypatch):
@@ -210,7 +214,8 @@ class TestFamilyTable:
             return [(a, newton_solve(ProblemInstance(S, a))) for a in (-1.0, -1.5, -1.75)]
 
         assert family_table(newton_family(), K).verdicts["stability"]
-        monkeypatch.setattr(spectral, "min_eigenvalue", lambda V, tol, max_iters=None: -0.5)
+        monkeypatch.setattr(spectral, "min_eigenvalue",
+                            lambda V, tol, max_iters=None, start=None: (-0.5, None))
         diag = family_table(newton_family(), K)
         assert [row["lambda_min"] for row in diag.rows] == [-0.5] * 3
         assert not diag.verdicts["stability"]
@@ -226,7 +231,7 @@ class TestFamilyTable:
 
     def test_unconverged_eigenvalue_raises(self, t2_32, monkeypatch):
         # the stability verdict never rests on an unconverged λ_min
-        def unconverged(V, tol=1e-8, max_iters=None):
+        def unconverged(V, tol=1e-8, max_iters=None, start=None):
             raise EigenSolveError("forced non-convergence", -0.5)
 
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
@@ -302,3 +307,28 @@ class TestFamilyTable:
         diag = family_table(family)
         assert [row["alpha"] for row in diag.rows] == [-1.0, -1.0]
         assert all(row["defect"] <= 1e-8 for row in diag.rows)
+
+    def test_each_solve_starts_from_the_previous_row(self, t2_32, monkeypatch):
+        # a diagnose table: every member's λ_min is solved in the table
+        S = named_field(t2_32, "sin1", offset=-0.5)
+        family = [(p.param, p.report) for p in walk_schedule(S, [-1.0, -1.5, -2.0, -2.5])]
+        cold = [problem.stability_eigenvalue(r.inst, r.solution)[0] for _, r in family]
+        calls = record_eig_calls(monkeypatch)
+        diag = family_table(family, ball_mask(t2_32, (0.5, 0.5), 0.2))
+        assert len(calls) == 4
+        assert_threaded(calls)
+        assert [row["lambda_min"] for row in diag.rows] == pytest.approx(cold, abs=1e-9)
+
+    def test_no_start_crosses_grids(self, t2_16, t2_32, monkeypatch):
+        # each grid's first member solves from the seeded start
+        family = []
+        for dom in (t2_16, t2_32):
+            for a in (-1.0, -1.5):
+                rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), a))
+                assert rep.converged
+                family.append((a, rep))
+        calls = record_eig_calls(monkeypatch)
+        diag = family_table(family)
+        assert [c["start"] is None for c in calls] == [True, False, True, False]
+        assert calls[1]["start"] is calls[0]["x"] and calls[3]["start"] is calls[2]["x"]
+        assert all(row["lambda_min"] is not None for row in diag.rows)

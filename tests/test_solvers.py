@@ -52,6 +52,18 @@ def warm_report(inst_tilde):
     return rep
 
 
+def count_conformal_factors(monkeypatch):
+    """Wrap problem.conformal_factor; returns the list of the α of each call."""
+    calls, original = [], problem.conformal_factor
+
+    def counted(inst, u):
+        calls.append(inst.alpha)
+        return original(inst, u)
+
+    monkeypatch.setattr(problem, "conformal_factor", counted)
+    return calls
+
+
 class TestSubSolution:
     def test_worked_constant(self, t2_32):
         # n=1, S ≡ −2, α = −2: u₋ = ½·ln(1) − 1 = −1
@@ -216,6 +228,15 @@ class TestNewton:
         rep = newton_solve(inst, "constant")
         assert not rep.converged
         assert rep.failure_reason is not None
+
+    def test_one_conformal_factor_per_iteration(self, t2_32, monkeypatch):
+        # e^{2u/n} of an iterate serves its residual and its Jacobian: one
+        # at the start, one at the accepted full step
+        inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -1.0)
+        calls = count_conformal_factors(monkeypatch)
+        rep = newton_solve(inst, "constant", max_iters=1)
+        assert rep.failure_reason == "max_iters" and rep.iterations == 1
+        assert calls == [-1.0, -1.0]
 
     def test_only_a_converged_solve_computes_its_energy(self, t2_32, monkeypatch):
         calls = []
@@ -445,6 +466,19 @@ class TestArclength:
         with pytest.raises(SolverError):
             arclength_correct(inst_at, lambda e: 1.0, self.start(inst_at, -0.5), 0.3, **budget)
 
+    def test_one_conformal_factor_per_iteration(self, t2_16, monkeypatch):
+        # one bordered system per corrector iteration, one e^{2u/n} each
+        S = named_field(t2_16, "sin1", offset=-0.5)
+
+        def inst_at(t):
+            return ProblemInstance(S, t)
+
+        p = self.start(inst_at, -3.0)
+        calls = count_conformal_factors(monkeypatch)
+        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02, max_iters=1)
+        assert rep.failure_reason == "max_iters" and q is None
+        assert len(calls) == 2
+
     def test_steps_through_the_fold(self, t2_16):
         x = t2_16.coords()
         S = ScalarField(t2_16, np.broadcast_to(np.sin(2 * np.pi * x[0]) - 0.5, t2_16.sizes).copy())
@@ -465,7 +499,7 @@ class TestArclength:
         # past the fold the branch is unstable: the stability operator has
         # a negative eigenvalue there, and a positive one before it
         lam = [
-            spectral.min_eigenvalue(stability_potential(inst_at(b.t), b.report.solution), 1e-8)
+            spectral.min_eigenvalue(stability_potential(inst_at(b.t), b.report.solution), 1e-8)[0]
             for b in (p, q)
         ]
         assert lam[0] > 0 > lam[1]

@@ -179,3 +179,28 @@ def test_no_function_takes_what_its_field_fixes():
                 found.append(f"{path.stem}.{name}")
     assert found == []
     assert [f.name for f in dataclasses.fields(ProblemInstance)] == ["S", "alpha"]
+
+
+
+def _references(node, name, fn=None):
+    """(enclosing function, node) of every Name, attribute and import of name."""
+    if isinstance(node, ast.FunctionDef):
+        fn = node.name
+    if (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name):
+        yield fn, node
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, name, fn)
+
+
+def test_every_eigen_solve_goes_through_stability_eigenvalue():
+    # one path to λ_min: the benchmark's tracer counts the solves at the
+    # attribute spectral.min_eigenvalue, and the callers of
+    # problem.stability_eigenvalue thread each solve's start vector
+    found = []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.stem, fn, ast.unparse(node))
+                  for fn, node in _references(tree, "min_eigenvalue")]
+    assert found == [("problem", "stability_eigenvalue", "spectral.min_eigenvalue")]

@@ -99,6 +99,23 @@ class TestHelmholtz:
             SchrodingerOperator(get_plan(t2_32), 0.0, 0.0)
 
 
+def count_ffts(monkeypatch):
+    """Wrap SpectralPlan.fft and ifft; returns the list of their calls by name."""
+    calls = []
+
+    def counted(name):
+        original = getattr(spectral.SpectralPlan, name)
+
+        def wrapper(plan, values):
+            calls.append(name)
+            return original(plan, values)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(spectral.SpectralPlan, name, counted(name))
+    return calls
+
+
 class TestPreconditionedApply:
     @staticmethod
     def operator(domain, seed):
@@ -117,29 +134,18 @@ class TestPreconditionedApply:
 
     def test_one_fft_pair_per_call(self, t2_32, monkeypatch):
         op, rng = self.operator(t2_32, seed=43)
-        calls = []
-
-        def counted(name):
-            original = getattr(spectral.SpectralPlan, name)
-
-            def wrapper(plan, values):
-                calls.append(name)
-                return original(plan, values)
-            return wrapper
-
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(spectral.SpectralPlan, name, counted(name))
+        calls = count_ffts(monkeypatch)
         op.apply_preconditioned(rng.standard_normal(t2_32.npoints))
         assert calls == ["fft", "ifft"]
 
 
 class TestMinEigenvalue:
     def test_constant_potential(self, t2_32):
-        lam = min_eigenvalue(ScalarField.constant(t2_32, 2.5), 1e-9)
+        lam, _ = min_eigenvalue(ScalarField.constant(t2_32, 2.5), 1e-9)
         assert lam == pytest.approx(2.5, abs=1e-8)
 
     def test_zero_potential(self, t2_32):
-        lam = min_eigenvalue(ScalarField.constant(t2_32, 0.0), 1e-9)
+        lam, _ = min_eigenvalue(ScalarField.constant(t2_32, 0.0), 1e-9)
         assert lam == pytest.approx(0.0, abs=1e-8)
 
     def test_dense_oracle(self, t2_16):
@@ -157,7 +163,7 @@ class TestMinEigenvalue:
             dense[:, j] = (-spectral.laplacian(col).values
                            + V.values * col.values).reshape(-1)
         expected = float(np.min(np.linalg.eigvalsh(0.5 * (dense + dense.T))))
-        lam = min_eigenvalue(V, 1e-8)
+        lam, _ = min_eigenvalue(V, 1e-8)
         assert lam == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -170,7 +176,7 @@ class TestMinEigenvalue:
             -laplacian(ScalarField(domain, e.reshape(domain.sizes))).values.reshape(-1)
             for e in eye]) + np.diag(V.values.reshape(-1))
         expected = float(np.linalg.eigh(0.5 * (dense + dense.T))[0][0])
-        assert min_eigenvalue(V, 1e-9) == pytest.approx(expected, abs=1e-9)
+        assert min_eigenvalue(V, 1e-9)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_dense_fd_oracle_close(self, t2_16):
         # sanity against the independent FD oracle (discretizations differ,
@@ -179,13 +185,13 @@ class TestMinEigenvalue:
         V = ScalarField(t2_16, 10 * np.cos(2 * np.pi * np.broadcast_to(x[0], t2_16.sizes)))
         A = -dense_fd_laplacian(t2_16) + np.diag(V.values.reshape(-1))
         expected = float(np.min(np.linalg.eigvalsh(A)))
-        lam = min_eigenvalue(V, 1e-8)
+        lam, _ = min_eigenvalue(V, 1e-8)
         assert lam == pytest.approx(expected, abs=0.05)
 
     def test_constant_shift_property(self, t2_32):
         V = smooth_random_field(t2_32, seed=21, amplitude=3.0)
-        lam = min_eigenvalue(V, 1e-8)
-        shifted = min_eigenvalue(ScalarField(t2_32, V.values + 1.25), 1e-8)
+        lam, _ = min_eigenvalue(V, 1e-8)
+        shifted, _ = min_eigenvalue(ScalarField(t2_32, V.values + 1.25), 1e-8)
         assert shifted == pytest.approx(lam + 1.25, abs=2e-8)
 
     def test_nonconvergence_carries_estimate(self, t2_32):
@@ -210,3 +216,40 @@ class TestMinEigenvalue:
             assert k == ran
         else:
             assert 0 < k < cap // 10
+
+
+class TestMinEigenvalueStart:
+    """A solve started from a nearby potential's Ritz vector returns the
+    cold solve's eigenvalue in fewer iterations; each costs 2·iterations + 2
+    FFT pairs."""
+
+    def test_exact_start_runs_no_iteration(self, t2_32, monkeypatch):
+        V = ScalarField.constant(t2_32, 2.5)
+        cold, _ = min_eigenvalue(V, 1e-9)
+        calls = count_ffts(monkeypatch)
+        lam, x = min_eigenvalue(V, 1e-9, start=np.ones(t2_32.npoints))
+        assert calls == ["fft", "ifft"] * 2
+        assert lam == pytest.approx(cold, abs=1e-9)
+        assert np.allclose(x, 1.0 / np.sqrt(t2_32.npoints), rtol=0, atol=1e-12)
+
+    def test_nearby_start_agrees_in_fewer_ffts(self, t2_32, monkeypatch):
+        V = smooth_random_field(t2_32, seed=21, amplitude=3.0)
+        near = ScalarField(t2_32, V.values + 0.05 * smooth_random_field(t2_32, seed=22).values)
+        _, x = min_eigenvalue(V, 1e-8)
+        calls = count_ffts(monkeypatch)
+        cold, _ = min_eigenvalue(near, 1e-8)
+        cold_pairs = len(calls) // 2
+        calls.clear()
+        warm, _ = min_eigenvalue(near, 1e-8, start=x)
+        assert warm == pytest.approx(cold, abs=1e-9)
+        assert len(calls) // 2 < cold_pairs
+
+    @pytest.mark.parametrize("bad", ["length", "nonfinite", "zero"])
+    def test_bad_start_raises_before_any_fft(self, t2_32, monkeypatch, bad):
+        start = {"length": np.ones(t2_32.npoints - 1),
+                 "nonfinite": np.where(np.arange(t2_32.npoints) == 7, np.nan, 1.0),
+                 "zero": np.zeros(t2_32.npoints)}[bad]
+        calls = count_ffts(monkeypatch)
+        with pytest.raises(DomainError, match="start vector"):
+            min_eigenvalue(ScalarField.constant(t2_32, 1.0), 1e-8, start=start)
+        assert calls == []

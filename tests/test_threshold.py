@@ -18,6 +18,7 @@ from kwlab.threshold import (
     walk_schedule,
 )
 
+from eigrecord import assert_threaded, record_eig_calls
 from oracles import dense_alpha_star
 
 
@@ -328,7 +329,7 @@ class TestAlphaStar:
         assert all(r.min_eig is not None for _, r in a.family)
 
 
-def unconverged_eig(V, tol=1e-8, max_iters=None):
+def unconverged_eig(V, tol=1e-8, max_iters=None, start=None):
     raise EigenSolveError("forced non-convergence", -0.5)
 
 
@@ -364,14 +365,14 @@ class TestFoldCertificate:
         assert_certified_close(certified)
         original, unstable = problem.stability_eigenvalue, []
 
-        def at_past_fold(inst, u):
-            lam = original(inst, u)
+        def at_past_fold(inst, u, start=None):
+            lam, x = original(inst, u, start)
             if lam >= 0:
-                return lam
+                return lam, x
             unstable.append(lam)  # the only unstable point is the one past the fold
             if at_past == "unconverged":
                 raise EigenSolveError("forced non-convergence", lam)
-            return -lam
+            return -lam, x
 
         monkeypatch.setattr(problem, "stability_eigenvalue", at_past_fold)
         calls = counting_probes(monkeypatch)
@@ -382,6 +383,33 @@ class TestFoldCertificate:
                 == ["newton[warm]", "newton[constant]"])
         assert (rep.lo, rep.hi) == (certified.lo, certified.hi)
         assert rep.probes == certified.probes[:-1] + [failed]
+
+
+class TestEigenStarts:
+    """Each λ_min of a search starts from the Ritz vector of the last one
+    that converged, the first from the seeded start."""
+
+    def test_walk_threads_the_ritz_vector(self, t2_16, monkeypatch):
+        calls = record_eig_calls(monkeypatch)
+        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        assert_certified_close(rep)
+        # one solve per member, in order, then the fold certificate's
+        *members, certificate = calls
+        assert [c["lam"] for c in members] == [r.min_eig for _, r in rep.family]
+        assert_threaded(calls)
+        # the certificate, past the fold, starts from the last stable point's vector
+        last = rep.family[-1][1]
+        V = problem.stability_potential(last.inst, last.solution)
+        assert np.array_equal(members[-1]["V"].values, V.values)
+        assert certificate["start"] is members[-1]["x"]
+        assert certificate["lam"] < 0 < members[-1]["lam"]
+
+    def test_unconverged_solve_passes_nothing_on(self, t2_16, monkeypatch):
+        calls = record_eig_calls(monkeypatch, fail_at={2})
+        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        assert calls[2]["x"] is None and calls[3]["start"] is calls[1]["x"]
+        assert_threaded(calls)
+        assert [r.min_eig is None for _, r in rep.family[:4]] == [False, False, True, False]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
