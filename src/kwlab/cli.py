@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, problem, serialize, solvers, threshold
+from . import diagnostics, problem, serialize, threshold
 from .diagnostics import FAMILY_COLUMNS, MEMBER_COLUMNS, table_csv
 from .domain import ScalarField, integrate, make_torus
 from .errors import KWLabError, NumericalFailure, SolverError
@@ -100,7 +100,6 @@ KEYS = {
     "alphas": ("", _number(float, many=True)),
     "s0": ("-1.0", _float),
     "tol": ("", _positive),                      # default threshold.ALPHA_TOL or LAMBDA_TOL
-    "residual_tol": (repr(solvers.RESIDUAL_TOL), _positive),
     "count": ("8", _at_least(1)),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
@@ -197,12 +196,11 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     text = {**text, "sizes": ",".join(map(str, domain.sizes)),
             "lengths": ",".join(map(repr, domain.lengths))}
     S = build_field(cfg, domain)
-    rtol = cfg["residual_tol"]
     summary["mean_S"] = integrate(S) / domain.volume
 
     if mode == "solve":
         inst = ProblemInstance(S, cfg["alpha"])
-        record = threshold.probe_solvable(inst, residual_tol=rtol)
+        record = threshold.probe_solvable(inst)
         start_outputs(mode, text, outdir, S)
         if not record.solved:
             summary.update(converged=False, evidence=record.evidence)
@@ -220,17 +218,17 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     tol = cfg["tol"] or (threshold.LAMBDA_TOL if mode == "dingliu" else threshold.ALPHA_TOL)
     if mode == "dingliu":
         g0 = ScalarField(domain, S.values - S.max)   # the shift Ding-Liu requires
-        thr = threshold.ding_liu_lambda_star(g0, cfg["s0"], tol=tol, residual_tol=rtol)
+        thr = threshold.ding_liu_lambda_star(g0, cfg["s0"], tol=tol)
         summary["lambda_range_upper"] = -g0.min
     elif mode == "threshold" or not injected and cfg["alphas"] is None:
-        thr = threshold.find_alpha_star(S, tol=tol, residual_tol=rtol)
+        thr = threshold.find_alpha_star(S, tol=tol)
     if thr is not None:
         text = {**text, "tol": repr(tol)}
     if mode in ("family", "diagnose") and not injected:
         if cfg["alphas"] is not None:
-            walk = threshold.walk_schedule(S, cfg["alphas"], residual_tol=rtol)
+            walk = threshold.walk_schedule(S, cfg["alphas"])
         elif not thr.unbounded:
-            walk = threshold.limit_family(S, thr, cfg["count"], residual_tol=rtol)
+            walk = threshold.limit_family(S, thr, cfg["count"])
 
     if injected:
         sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0

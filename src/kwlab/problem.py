@@ -68,13 +68,16 @@ def residual(inst: ProblemInstance, u: ScalarField, lap=None, e=None) -> ScalarF
     return ScalarField(inst.domain, vals)
 
 
-def energy(inst: ProblemInstance, u: ScalarField) -> float:
-    """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n}), its three terms summed in that order."""
+def energy(inst: ProblemInstance, u: ScalarField, e=None) -> float:
+    """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n}), its three terms summed in that
+    order. e is e^{2u/n} when the caller already has it."""
+    if e is None:
+        e = conformal_factor(inst, u)
     gsq = spectral.grad_norm_sq(u)
     w = inst.domain.cell_weight
     dirichlet = float(np.sum(gsq.values)) * w
     linear = 2.0 * inst.alpha * float(np.sum(u.values)) * w
-    exponential = -inst.n * float(np.sum(inst.S.values * conformal_factor(inst, u))) * w
+    exponential = -inst.n * float(np.sum(inst.S.values * e)) * w
     return dirichlet + linear + exponential
 
 

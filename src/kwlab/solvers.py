@@ -25,6 +25,7 @@ from .problem import ProblemInstance
 ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line search
 MAX_ITERS = 80              # a solve's iteration cap
 RESIDUAL_TOL = 1e-10        # a solve converges once ‖F(u)‖_∞ is at most this
+CORRECTOR_ITERS = 10        # a corrector that has not converged by then has failed
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
 PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
@@ -76,24 +77,16 @@ def start_field(inst: ProblemInstance, start: Union[str, ScalarField]) -> Scalar
     raise SolverError(f"unknown start strategy {start!r}")
 
 
-def _check_budget(max_iters: int, residual_tol: float) -> None:
-    if max_iters < 1:
-        raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
-    if not residual_tol > 0:
-        raise SolverError(f"residual_tol must be positive, got {residual_tol!r}")
-
-
-def _finish(inst, u, iters, history, method, reason=None) -> SolveReport:
-    """The report of a solve. Only a converged one carries the energy: its
-    last residual evaluated e^{2u/n} under the overflow cap, so I(u) cannot
-    raise BlowUpError."""
+def _finish(inst, u, iters, history, method, reason=None, e=None) -> SolveReport:
+    """The report of a solve. Only a converged one carries the energy, from
+    e, the e^{2u/n} its last residual evaluated under the overflow cap."""
     return SolveReport(
         solution=u,
         iterations=iters,
         residual_history=history,
         method=method,
         inst=inst,
-        energy=problem.energy(inst, u) if reason is None else None,
+        energy=problem.energy(inst, u, e) if reason is None else None,
         failure_reason=reason,
     )
 
@@ -156,17 +149,18 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
 
 
 def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero", *,
-                 max_iters: int = MAX_ITERS, residual_tol: float = RESIDUAL_TOL) -> SolveReport:
+                 max_iters: int = MAX_ITERS) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
-    From start (start_field), at most max_iters iterations; converged means
-    ‖F‖_∞ ≤ residual_tol. Jacobian problem.linearization
-    J = F′(u) = −Δ − (2/n) S e^{2u/n}; the inner _gmres solves
-    M·J·d = −M·F, left-preconditioned by the constant-coefficient Helmholtz
-    inverse M, one FFT pair per Krylov step. Its info, and with it
-    linear_solve_stagnation versus line_search_failure, refers to the
-    preconditioned residual ‖M(J·d + F)‖. Backtracking on ‖F‖_∞ without an
-    FFT: Δ(u + t·d) = Δu + t·Δd. A converged iterate is confirmed by a fresh
+    From start (start_field), at most max_iters iterations (fewer than 1
+    raises SolverError); converged means ‖F‖_∞ ≤ RESIDUAL_TOL. Jacobian
+    problem.linearization J = F′(u) = −Δ − (2/n) S e^{2u/n}; the inner
+    _gmres solves M·J·d = −M·F, left-preconditioned by the
+    constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step.
+    Its info, and with it linear_solve_stagnation versus
+    line_search_failure, refers to the preconditioned residual
+    ‖M(J·d + F)‖. Backtracking on ‖F‖_∞ without an FFT:
+    Δ(u + t·d) = Δu + t·Δd. A converged iterate is confirmed by a fresh
     residual, which is the report's last. An iterate that has not converged
     stops with stagnation on a residual plateau: the last PLATEAU_STEPS
     accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO). A step damped
@@ -176,7 +170,8 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
     percent a step is not stopped. Failures (line search, blow-up) are
     reported as evidence, never raised.
     """
-    _check_budget(max_iters, residual_tol)
+    if max_iters < 1:
+        raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
     u = start_field(inst, start)
     lap = spectral.laplacian(u).values
     history: list[float] = []
@@ -192,13 +187,13 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero",
     history.append(normF)
 
     for it in range(max_iters + 1):
-        if normF <= residual_tol and it:
+        if normF <= RESIDUAL_TOL and it:
             # Δu carries the round-off of its updates: confirm with a fresh one
             lap = spectral.laplacian(u).values
             F = problem.residual(inst, u, lap, e)
             normF = history[-1] = F.sup_norm
-        if normF <= residual_tol:
-            return _finish(inst, u, it, history, "newton")
+        if normF <= RESIDUAL_TOL:
+            return _finish(inst, u, it, history, "newton", e=e)
         if (len(history) > PLATEAU_STEPS
                 and history[-1] > PLATEAU_RATIO * history[-1 - PLATEAU_STEPS]):
             return _finish(inst, u, it, history, "newton", "stagnation")
@@ -248,9 +243,9 @@ class BranchPoint:
 
 
 def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
-    """The instance at t, F(u, t), solve(rhs) and tangent(report). solve is an
-    inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered Jacobian
-    [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
+    """The instance at t, F(u, t), e^{2u/n}, solve(rhs) and tangent(report).
+    solve is an inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered
+    Jacobian [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
     P = diag(M, 1), M = (−Δ + c)⁻¹. _gmres runs on P·B: (v, s) ↦
     (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair per Krylov step, with
     M·f_t formed once here and rhs preconditioned once per solve; its info
@@ -282,18 +277,17 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
         norm = float(np.sqrt(spectral.inner(v, v) / v.size + s * s))
         return BranchPoint(report, t, (v / norm).reshape(u.values.shape), s / norm)
 
-    return inst, F, solve, tangent
+    return inst, F, e, solve, tangent
 
 
 def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
     """A walk's first point: the converged report at t with its branch tangent
     z, [[J, f_t], [duᵀ/N, dt]]·z = (0, 1), oriented along (du, dt)."""
-    return _bordered(make_inst, dF_dt, report.solution, t, du, dt)[3](report)
+    return _bordered(make_inst, dF_dt, report.solution, t, du, dt)[4](report)
 
 
-def arclength_correct(make_inst, dF_dt, base: BranchPoint, ds: float, *,
-                      max_iters: int = MAX_ITERS, residual_tol: float = RESIDUAL_TOL,
-                      ) -> tuple[SolveReport, Optional[BranchPoint]]:
+def arclength_correct(make_inst, dF_dt, base: BranchPoint,
+                      ds: float) -> tuple[SolveReport, Optional[BranchPoint]]:
     """One pseudo-arclength step (Keller 1977) along the branch F(u, t) = 0.
 
     make_inst maps t to its ProblemInstance and dF_dt maps the conformal
@@ -301,34 +295,34 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint, ds: float, *,
     base + ds·(du, dt), Newton on (u, t) solves F = 0 together with the
     arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is the
     bordered solve of _bordered, well posed through a fold where J is singular.
-    Converged means ‖F‖_∞ ≤ residual_tol, the contract of newton_solve;
+    Converged means ‖F‖_∞ ≤ RESIDUAL_TOL, the contract of newton_solve;
     the new point then carries the tangent of its last bordered solve. A
     corrector that does not halve ‖F‖_∞ every iteration, blows up, leaves the
-    instances' parameter range or runs out of max_iters fails, with the
-    reason on the report and no point; the caller shortens the step.
+    instances' parameter range or runs out of its CORRECTOR_ITERS iterations
+    fails, with the reason on the report and no point; the caller shortens
+    the step.
     """
-    _check_budget(max_iters, residual_tol)
     shape = base.report.solution.values.shape
     u0, t0 = base.report.solution.values, base.t
     u = ScalarField(base.report.solution.domain, u0 + ds * base.du)
     t = float(t0 + ds * base.dt)
     history: list[float] = []
     inst = make_inst(t0)
-    for it in range(max_iters + 1):
+    for it in range(CORRECTOR_ITERS + 1):
         try:
-            inst, F, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
-        except BlowUpError as e:
-            return _finish(inst, u, it, history, "arclength", f"blow_up: {e}"), None
-        except DomainError as e:
-            return _finish(inst, u, it, history, "arclength", f"out_of_range: {e}"), None
+            inst, F, e, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
+        except BlowUpError as err:
+            return _finish(inst, u, it, history, "arclength", f"blow_up: {err}"), None
+        except DomainError as err:
+            return _finish(inst, u, it, history, "arclength", f"out_of_range: {err}"), None
         normF = F.sup_norm
         history.append(normF)
         if not np.isfinite(normF):
             return _finish(inst, u, it, history, "arclength", "blow_up: non-finite"), None
-        if normF <= residual_tol:
-            rep = _finish(inst, u, it, history, "arclength")
+        if normF <= RESIDUAL_TOL:
+            rep = _finish(inst, u, it, history, "arclength", e=e)
             return rep, tangent(rep)
-        if it == max_iters:
+        if it == CORRECTOR_ITERS:
             break
         if it >= 1 and normF > 0.5 * history[-2]:
             return _finish(inst, u, it, history, "arclength", "stagnation"), None
@@ -338,4 +332,4 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint, ds: float, *,
             return _finish(inst, u, it, history, "arclength", "linear_solve_diverged"), None
         u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
         t += float(z[-1])
-    return _finish(inst, u, max_iters, history, "arclength", "max_iters"), None
+    return _finish(inst, u, CORRECTOR_ITERS, history, "arclength", "max_iters"), None

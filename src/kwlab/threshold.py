@@ -16,7 +16,7 @@ from . import problem, solvers
 from .domain import ScalarField, integrate
 from .errors import EigenSolveError, NumericalFailure, SolverError
 from .problem import ProblemInstance
-from .solvers import MAX_ITERS, RESIDUAL_TOL, SolveReport
+from .solvers import MAX_ITERS, SolveReport
 
 # fixed probe points for the "threshold is unbounded" verification (the
 # S ≤ 0 regime is solvable at every negative α)
@@ -30,7 +30,6 @@ LAMBDA_TOL = 1e-2    # ding_liu_lambda_star's default bracket width
 # Arclength is measured in ‖(v, s)‖² = mean(v²) + s².
 FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
 TARGET_ITERS = 3         # corrector iterations the step size is steered to
-CORRECTOR_ITERS = 10     # a corrector that has not converged by then has failed
 MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
 FOLD_MARGIN = 0.25       # the last stable point lies within this many tol of the fold estimate
 CLOSE_FRACTION = 0.99    # the closing probe sits this many tol past the solved end
@@ -120,7 +119,6 @@ def probe_solvable(
     *,
     param: Optional[float] = None,
     warm_start: Optional[ScalarField] = None,
-    residual_tol: float = RESIDUAL_TOL,
     fold: Optional[list[str]] = None,
 ) -> ProbeRecord:
     """The ProbeRecord of a numerical solvability test of inst, filed under
@@ -152,7 +150,7 @@ def probe_solvable(
     if fold is None:
         starts.append("constant")
     for start in starts:
-        rep = solvers.newton_solve(inst, start, max_iters=iters, residual_tol=residual_tol)
+        rep = solvers.newton_solve(inst, start, max_iters=iters)
         if rep.converged:
             return ProbeRecord(param, [], rep)
         tag = "warm" if isinstance(start, ScalarField) else start
@@ -182,11 +180,7 @@ def check_schedule(alphas: Sequence[float]) -> None:
         raise SolverError(f"alpha schedule must be strictly decreasing, got {alphas}")
 
 
-def walk_schedule(
-    S: ScalarField,
-    alphas: Sequence[float],
-    residual_tol: float = RESIDUAL_TOL,
-) -> list[ProbeRecord]:
+def walk_schedule(S: ScalarField, alphas: Sequence[float]) -> list[ProbeRecord]:
     """One ProbeRecord per α probed along a strictly decreasing α schedule;
     the solved records carry the converged solutions.
 
@@ -201,8 +195,7 @@ def walk_schedule(
     for a in alphas:
         last = probes[-1].report if probes else None
         probes.append(_probe_twice(ProblemInstance(S, a),
-                                   warm_start=last.solution if last else None,
-                                   residual_tol=residual_tol))
+                                   warm_start=last.solution if last else None))
         if not probes[-1].solved:
             break
     return probes
@@ -260,7 +253,7 @@ def _fold_certificate(param_name, sign, point, past, lam) -> Optional[list[str]]
             f"fold: lambda_min={lam!r} past the fold"]
 
 
-def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol):
+def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     """The threshold search behind find_alpha_star and ding_liu_lambda_star.
 
     Works in t = ±param (t = α, or t = −λ), where the solvable side is
@@ -297,7 +290,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     probes: list[ProbeRecord] = []
     param = start
     for _ in range(12):
-        v = _probe_twice(make_inst(param), param=param, residual_tol=residual_tol)
+        v = _probe_twice(make_inst(param), param=param)
         probes.append(v)
         if v.solved:
             break
@@ -328,8 +321,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     past = None          # the nearest converged point past the fold
     ds, grow = FIRST_STEP, True
     for _ in range(MAX_SEARCH_PROBES):
-        rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds, max_iters=CORRECTOR_ITERS,
-                                             residual_tol=residual_tol)
+        rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds)
         if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
             ds, grow = 0.5 * ds, False
             if ds < MIN_STEP:
@@ -364,8 +356,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
             nxt_t, step = t - step, 2.0 * step
         else:
             nxt_t = t - GAP_FRACTION * (t - t_failed)
-        v = _probe_twice(inst_at(nxt_t), param=sign * nxt_t, warm_start=report.solution,
-                         residual_tol=residual_tol, fold=fold)
+        v = _probe_twice(inst_at(nxt_t), param=sign * nxt_t, warm_start=report.solution, fold=fold)
         fold = None
         probes.append(v)
         if v.solved:
@@ -383,11 +374,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol, residual_tol)
     return ThresholdReport(param_name=param_name, lo=lo, hi=hi, probes=probes)
 
 
-def find_alpha_star(
-    S: ScalarField,
-    tol: float = ALPHA_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> ThresholdReport:
+def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
     """Bracket the critical α below which −Δu + α = S e^{2u/n} stops being solvable.
 
     Requires ∫S < 0. For S ≤ 0 (≢ 0) the threshold is −∞; walk_schedule
@@ -400,12 +387,13 @@ def find_alpha_star(
     eigenvalue λ_min vanishes. lo is a failed probe just past the fold, hi
     a converged point, hi − lo ≤ tol. probes lists every probe and stable
     point; the solved ones are the family, the stable branch, α strictly
-    decreasing, each report with its λ_min. Every solve meets residual_tol.
+    decreasing, each report with its λ_min. Every solve converges at
+    solvers.RESIDUAL_TOL.
     """
     if _sign_obstructed(S):
         raise SolverError("find_alpha_star requires integrate(S) < 0")
     if S.max <= 0:
-        probes = walk_schedule(S, UNBOUNDED_PROBE_ALPHAS, residual_tol)
+        probes = walk_schedule(S, UNBOUNDED_PROBE_ALPHAS)
         if not probes[-1].solved:
             raise NumericalFailure(
                 f"S <= 0 but probe at alpha={probes[-1].param} failed: {probes[-1].evidence}"
@@ -414,15 +402,10 @@ def find_alpha_star(
 
     # t = α: ∂F/∂t = 1
     return _fold_search(partial(ProblemInstance, S), lambda e: 1.0, "alpha", START_ALPHA, 4.0,
-                        tol, residual_tol)
+                        tol)
 
 
-def ding_liu_lambda_star(
-    g0: ScalarField,
-    s0: float,
-    tol: float = LAMBDA_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> ThresholdReport:
+def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) -> ThresholdReport:
     """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.
 
     Requires max g₀ = 0 (callers shift), g₀ nonconstant, s₀ < 0. Solvable
@@ -432,7 +415,8 @@ def ding_liu_lambda_star(
     continuation in t = −λ. lo is a converged point, hi a failed probe just
     past the fold, hi − lo ≤ tol, and a bracket that does not lie strictly
     inside (0, −min g₀) raises NumericalFailure. The family is the stable branch, λ strictly
-    increasing, each report with its λ_min. Every solve meets residual_tol.
+    increasing, each report with its λ_min. Every solve converges at
+    solvers.RESIDUAL_TOL.
     """
     if g0.domain.d != 2:
         raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")
@@ -447,7 +431,7 @@ def ding_liu_lambda_star(
     # the instance at λ is −Δu + s₀ = (g₀ + λ)e^{2u}; in t = −λ,
     # F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
     rep = _fold_search(lambda lam: ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0),
-                       lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol, residual_tol)
+                       lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol)
     if not (0.0 < rep.lo and rep.hi < lam_max):
         raise NumericalFailure(
             f"lambda bracket [{rep.lo}, {rep.hi}] does not lie strictly inside (0, {lam_max})"
@@ -455,12 +439,8 @@ def ding_liu_lambda_star(
     return rep
 
 
-def limit_family(
-    S: ScalarField,
-    threshold_report: ThresholdReport,
-    count: int,
-    residual_tol: float = RESIDUAL_TOL,
-) -> list[ProbeRecord]:
+def limit_family(S: ScalarField, threshold_report: ThresholdReport,
+                 count: int) -> list[ProbeRecord]:
     """The walk_schedule probes of count values of α descending geometrically
     onto the bracket's solvable end: its solved records are the family, and
     a failed member truncates it.
@@ -476,4 +456,4 @@ def limit_family(
     # sqrt(α − α★), so the faster schedule is what makes an 8-member
     # family visibly plateau in the diagnostics
     alphas = [a_hi + (a0 - a_hi) * 4.0 ** (-k) for k in range(1, count + 1)]
-    return walk_schedule(S, alphas, residual_tol)
+    return walk_schedule(S, alphas)

@@ -184,7 +184,7 @@ def minimize_over_interval(
             return _finish(inst, field_u, it, history, "minimize")
 
         if interior and it > 0 and it % 20 == 0:
-            rep = newton_solve(inst, field_u, residual_tol=residual_tol)
+            rep = newton_solve(inst, field_u)
             if rep.converged and (
                 float(np.max(rep.solution.values - hi)) <= 1e-9
                 and float(np.max(lo - rep.solution.values)) <= 1e-9

@@ -89,11 +89,17 @@ def test_missing_keys_exit_1(tmp_path, capsys):
 
 
 def test_unknown_override_exit_1(tmp_path, capsys):
-    code, cap = run_cli(
-        capsys, "solve", "--out", str(tmp_path / "run"),
-        "field=const", "field_value=-1.0", "alpha=-1.0", "bogus_key=3",
-    )
-    assert code == 1
+    # residual_tol is no key: every solve converges at solvers.RESIDUAL_TOL
+    for override in ("bogus_key=3", "residual_tol=1e-8"):
+        code, cap = run_cli(
+            capsys, "solve", "--out", str(tmp_path / "run"),
+            "field=const", "field_value=-1.0", "alpha=-1.0", override,
+        )
+        assert code == 1
+        key = override.partition("=")[0]
+        assert json.loads(cap.err.strip())["error"] == f"unknown config key {key!r}"
+        assert cap.out == ""
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("override", ["tol=abc", "count=x", "sizes=a,b"])
@@ -136,7 +142,7 @@ def test_removed_settings_rejected(tmp_path, capsys, args):
     assert not (tmp_path / "thr").exists()
 
 
-@pytest.mark.parametrize("key", ["tol", "residual_tol"])
+@pytest.mark.parametrize("key", ["tol"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("mode, field", [
     ("threshold", ["field=sin1", "field_offset=-0.5"]),
@@ -154,8 +160,8 @@ def test_nonpositive_tol_rejected(tmp_path, capsys, mode, field, value, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["tol", "residual_tol", "s0", "alpha", "alphas", "field_offset",
-                                 "field_value", "field_p", "lengths"])
+@pytest.mark.parametrize("key", ["tol", "s0", "alpha", "alphas", "field_offset", "field_value",
+                                 "field_p", "lengths"])
 @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
 def test_nonfinite_tol_rejected(tmp_path, capsys, value, key):
     code, cap = run_cli(
@@ -332,27 +338,6 @@ def test_summary_probes_carry_the_rows_lambda_min(tmp_path, capsys, mode, extra)
     rows = csv_floats(out / "family.csv")
     assert len(rows) == len(thr["probes"]) == 4
     assert [(p["param"], p["min_eig"]) for p in thr["probes"]] == [(r[0], r[-1]) for r in rows]
-
-
-def test_residual_tol_reaches_the_search(tmp_path, capsys, monkeypatch):
-    seen = []
-    original = threshold.probe_solvable
-
-    def recorded(inst, budget=1.0, **kw):
-        seen.append(kw.get("residual_tol"))
-        return original(inst, budget, **kw)
-
-    monkeypatch.setattr(threshold, "probe_solvable", recorded)
-    out = tmp_path / "thr"
-    code, cap = run_cli(
-        capsys, "threshold", "--out", str(out),
-        "field=sin1", "field_offset=-0.5", "sizes=16,16", "tol=5e-3", "residual_tol=1e-8",
-    )
-    assert code == 0
-    assert seen and all(tol == 1e-8 for tol in seen)
-    assert all(len(row) == 5 for row in csv_floats(out / "family.csv"))
-    for path in out.glob("member_*.report.json"):
-        assert json.loads(path.read_text())["final_residual"] <= 1e-8
 
 
 def test_family_mode_explicit_alphas(tmp_path, capsys):

@@ -172,9 +172,10 @@ class TestNewton:
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 1.0)) < 1e-9
 
-    def test_superlinear_tail(self, t2_32):
+    def test_superlinear_tail(self, t2_32, monkeypatch):
         inst, _ = make_manufactured(t2_32, alpha=-1.0)
-        rep = newton_solve(inst, residual_tol=1e-12)
+        monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-12)
+        rep = newton_solve(inst)
         assert rep.converged
         h = rep.residual_history
         # the last full step at least squares the residual scale
@@ -241,9 +242,9 @@ class TestNewton:
     def test_only_a_converged_solve_computes_its_energy(self, t2_32, monkeypatch):
         calls = []
 
-        def counted(inst, u):
+        def counted(inst, u, e=None):
             calls.append(inst.alpha)
-            return energy(inst, u)
+            return energy(inst, u, e)
 
         monkeypatch.setattr(problem, "energy", counted)
         S = named_field(t2_32, "sin1", offset=-0.5)
@@ -254,8 +255,17 @@ class TestNewton:
         assert solved.converged and calls == [-1.0]
         assert solved.energy == energy(solved.inst, solved.solution)
 
-    @pytest.mark.parametrize("budget", [{"max_iters": 0}, {"residual_tol": 0.0}],
-                             ids=["max_iters", "residual_tol"])
+    def test_a_converged_solve_reuses_its_last_conformal_factor(self, t2_32, monkeypatch):
+        # every line search here takes its full step, so each accepted
+        # iterate evaluates e^{2u/n} once; the energy reads the last of them
+        inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -1.0)
+        calls = count_conformal_factors(monkeypatch)
+        rep = newton_solve(inst, "constant")
+        assert rep.converged and rep.iterations == len(rep.residual_history) - 1
+        assert len(calls) == len(rep.residual_history)
+        assert rep.energy == energy(inst, rep.solution)
+
+    @pytest.mark.parametrize("budget", [{"max_iters": 0}], ids=["max_iters"])
     def test_rejects_an_empty_budget(self, t2_16, budget):
         with pytest.raises(SolverError):
             newton_solve(constant_instance(t2_16), **budget)
@@ -457,15 +467,6 @@ class TestArclength:
             assert arc + p.dt * (q.t - p.t) == pytest.approx(ds, rel=1e-5)
             p = q
 
-    @pytest.mark.parametrize("budget", [{"max_iters": 0}, {"residual_tol": 0.0}],
-                             ids=["max_iters", "residual_tol"])
-    def test_rejects_an_empty_budget(self, t2_16, budget):
-        def inst_at(t):
-            return constant_instance(t2_16, -1.0, t)
-
-        with pytest.raises(SolverError):
-            arclength_correct(inst_at, lambda e: 1.0, self.start(inst_at, -0.5), 0.3, **budget)
-
     def test_one_conformal_factor_per_iteration(self, t2_16, monkeypatch):
         # one bordered system per corrector iteration, one e^{2u/n} each
         S = named_field(t2_16, "sin1", offset=-0.5)
@@ -475,7 +476,8 @@ class TestArclength:
 
         p = self.start(inst_at, -3.0)
         calls = count_conformal_factors(monkeypatch)
-        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02, max_iters=1)
+        monkeypatch.setattr(solvers, "CORRECTOR_ITERS", 1)
+        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02)
         assert rep.failure_reason == "max_iters" and q is None
         assert len(calls) == 2
 
@@ -488,8 +490,7 @@ class TestArclength:
 
         p = self.start(inst_at, -3.0)
         for _ in range(40):
-            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02,
-                                       max_iters=10, residual_tol=1e-10)
+            rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02)
             assert rep.converged and residual(inst_at(q.t), rep.solution).sup_norm <= 1e-10
             if q.dt > 0:
                 break

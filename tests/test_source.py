@@ -74,13 +74,13 @@ def _defaults(tree):
 
 
 def test_no_solve_setting_has_a_literal_default():
-    # a solve's residual_tol and max_iters defaults are spelled once, as
-    # solvers.RESIDUAL_TOL and solvers.MAX_ITERS, and a search's tol as
-    # threshold.ALPHA_TOL or LAMBDA_TOL; every signature reads them
+    # a solve's max_iters default is spelled once, as solvers.MAX_ITERS, and
+    # a search's tol as threshold.ALPHA_TOL or LAMBDA_TOL; every signature
+    # reads them
     found = []
     for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
         for name, default in _defaults(ast.parse(path.read_text(), filename=str(path))):
-            if name not in ("residual_tol", "max_iters", "tol"):
+            if name not in ("max_iters", "tol"):
                 continue
             try:
                 value = ast.literal_eval(default)
@@ -88,6 +88,21 @@ def test_no_solve_setting_has_a_literal_default():
                 continue
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 found.append(f"{path.stem}:{default.lineno} {name}={value!r}")
+    assert found == []
+
+
+def test_the_convergence_tolerance_is_read_in_solvers_only():
+    # every solve converges at solvers.RESIDUAL_TOL, which no caller passes
+    # down: no function takes a residual_tol, and no other module reads it
+    found = []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.arg) and node.arg == "residual_tol":
+                found.append(f"{path.stem}:{node.lineno} parameter residual_tol")
+            if path.stem != "solvers" and "RESIDUAL_TOL" in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)):
+                found.append(f"{path.stem}:{node.lineno} reads RESIDUAL_TOL")
     assert found == []
 
 

@@ -178,13 +178,13 @@ class TestContinuation:
 
     def test_corrector_reports_meet_residual_tol(self, t2_16):
         S = sine_field(t2_16, -0.5)
-        rep = find_alpha_star(S, tol=1e-3, residual_tol=1e-8)
+        rep = find_alpha_star(S, tol=1e-3)
         walked = [(a, r) for a, r in rep.family if r.method == "arclength"]
         assert walked
         for a, r in walked:
-            assert r.converged and r.residual_history[-1] <= 1e-8
+            assert r.converged and r.residual_history[-1] <= solvers.RESIDUAL_TOL
             inst = ProblemInstance(S, a)
-            assert problem.residual(inst, r.solution).sup_norm <= 1e-8
+            assert problem.residual(inst, r.solution).sup_norm <= solvers.RESIDUAL_TOL
 
 
 class TestRetry:
