@@ -1,10 +1,11 @@
 """Command-line front door: flat key=value configs, deterministic outputs.
 
-Subcommands: solve | threshold | dingliu | family | diagnose.
-Every run writes summary.json, an effective-config dump, and its field/CSV
-artifacts under the output directory, and prints the summary as one JSON
-line on stdout. Exit codes: 0 success, 1 operational error, 2 verdict
-failure or numerical outcome (NumericalFailure).
+Subcommands: solve | threshold | dingliu | family | diagnose. Every run
+writes summary.json, effective_config.txt (every key of KEYS, which
+`--config` reads back to replay the run; `--out DIR` is no key) and its
+field/CSV artifacts under the output directory, and prints the summary as
+one JSON line on stdout. Exit codes: 0 success, 1 operational error, 2
+verdict failure or numerical outcome (NumericalFailure).
 """
 
 from __future__ import annotations
@@ -25,19 +26,6 @@ from .problem import ProblemInstance
 from .solvers import SolveReport
 
 MODES = ("solve", "threshold", "dingliu", "family", "diagnose")
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise KWLabError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def _number(kind, many=False):
@@ -103,8 +91,24 @@ KEYS = {
     "count": ("8", _at_least(1)),
     "with_eigs": ("false", _bool),
     "inject": ("none", _choice("none", "diverge_down", "diverge_up")),  # negative controls
-    "out": ("", str),
 }
+
+
+def read_pairs(lines, source: str) -> dict[str, str]:
+    """The key=value text of config lines or overrides, named source in its
+    errors: blank and # lines are skipped, and every key is one of KEYS."""
+    pairs = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise KWLabError(f"{source}:{lineno}: expected key=value, got {line!r}")
+        if (key := key.strip()) not in KEYS:
+            raise KWLabError(f"unknown config key {key!r}")
+        pairs[key] = value.strip()
+    return pairs
 
 
 def validate(mode: str, text: dict[str, str]) -> tuple[list[str], dict]:
@@ -178,12 +182,11 @@ def _injected_family(S: ScalarField, sign: float, count: int) -> list[tuple[floa
     ]
 
 
-def start_outputs(mode: str, text: dict[str, str], outdir: Path, S: ScalarField) -> None:
+def start_outputs(text: dict[str, str], outdir: Path, S: ScalarField) -> None:
     """Start the outputs after the mode's solve, search or walk: rejected input writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective_config.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in sorted({**text, "mode": mode}.items()))
-    )
+        "".join(f"{k}={v}\n" for k, v in sorted(text.items())))
     serialize.write_field(S, outdir / "S", label="S")
 
 
@@ -201,7 +204,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     if mode == "solve":
         inst = ProblemInstance(S, cfg["alpha"])
         record = threshold.probe_solvable(inst)
-        start_outputs(mode, text, outdir, S)
+        start_outputs(text, outdir, S)
         if not record.solved:
             summary.update(converged=False, evidence=record.evidence)
             return 2, summary
@@ -244,7 +247,7 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
     if mode == "diagnose" and family:
         # the cutoff can reject S, so it is found before any output is written
         phi, K = diagnostics.auto_cutoff_region(S)
-    start_outputs(mode, text, outdir, S)
+    start_outputs(text, outdir, S)
     table = diagnostics.family_table(family, K, cfg["with_eigs"])
     # after the table: a row may solve the λ_min of a probe's report
     if thr is not None:
@@ -293,24 +296,16 @@ def main(argv=None) -> int:
                        help="override any config key")
     try:
         args = parser.parse_args(argv)
-        raw = parse_config_file(args.config) if args.config else {}
-        for item in args.overrides:
-            if "=" not in item:
-                raise KWLabError(f"override must be KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
-            raw[key] = value
-        if args.out:
-            raw["out"] = args.out
-        for key in raw:
-            if key not in KEYS:
-                raise KWLabError(f"unknown config key {key!r}")
-        text = {key: raw.get(key, default) for key, (default, _) in KEYS.items()}
+        text = {key: default for key, (default, _) in KEYS.items()}
+        if args.config:
+            text.update(read_pairs(Path(args.config).read_text().splitlines(), args.config))
+        text.update(read_pairs(args.overrides, "override"))
 
         problems, cfg = validate(args.mode, text)
         if problems:
             raise KWLabError("config validation failed: " + "; ".join(problems))
 
-        outdir = Path(cfg["out"] or f"kwlab_out_{args.mode}")
+        outdir = Path(args.out or f"kwlab_out_{args.mode}")
         try:
             code, summary = run(args.mode, cfg, text, outdir)
         except NumericalFailure as e:

@@ -149,7 +149,8 @@ def min_eigenvalue(
     Accuracy: the value is returned only once the 2-norm eigenresidual
     ‖Av − λv‖ ≤ tol, checked on the returned Ritz vector applied afresh; for
     the symmetric operator that bounds |λ − λ_exact| by tol, whatever the
-    start. Otherwise EigenSolveError carries the last Rayleigh quotient.
+    start. Otherwise EigenSolveError carries the last Rayleigh quotient, or
+    min V when σ rounds to min V, raised before any FFT.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -168,7 +169,9 @@ def min_eigenvalue(
         raise DomainError(f"start vector must have a positive finite norm, got {norm}")
     x /= norm
     sigma = float(np.min(V.values)) - 1.0
-    W = V.values - sigma  # ≥ 1 pointwise
+    W = V.values - sigma  # ≥ 1 pointwise, unless σ rounds to min V
+    if not np.min(W) > 0:
+        raise EigenSolveError("potential too large to shift: min V − 1 rounds to min V", sigma)
     op = SchrodingerOperator(get_plan(V.domain), W, float(np.mean(W)))
     if max_iters is None:
         max_iters = 10 * max(V.domain.sizes)

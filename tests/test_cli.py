@@ -10,7 +10,7 @@ import pytest
 
 import kwlab
 from kwlab import make_torus, problem, solvers, spectral, threshold
-from kwlab.cli import main, parse_config_file
+from kwlab.cli import KEYS, main, read_pairs
 from kwlab.diagnostics import TREND_SLOPE_TOL, trend_slope
 from kwlab.errors import EigenSolveError
 from kwlab.fields import named_field
@@ -25,6 +25,12 @@ def run_cli(capsys, *args):
 
 def last_json_line(text):
     return json.loads(text.strip().splitlines()[-1])
+
+
+def read_tree(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_solve_constant(tmp_path, capsys):
@@ -89,8 +95,9 @@ def test_missing_keys_exit_1(tmp_path, capsys):
 
 
 def test_unknown_override_exit_1(tmp_path, capsys):
-    # residual_tol is no key: every solve converges at solvers.RESIDUAL_TOL
-    for override in ("bogus_key=3", "residual_tol=1e-8"):
+    # residual_tol is no key: every solve converges at solvers.RESIDUAL_TOL;
+    # nor is out: --out alone names the output directory
+    for override in ("bogus_key=3", "residual_tol=1e-8", f"out={tmp_path / 'elsewhere'}"):
         code, cap = run_cli(
             capsys, "solve", "--out", str(tmp_path / "run"),
             "field=const", "field_value=-1.0", "alpha=-1.0", override,
@@ -99,7 +106,7 @@ def test_unknown_override_exit_1(tmp_path, capsys):
         key = override.partition("=")[0]
         assert json.loads(cap.err.strip())["error"] == f"unknown config key {key!r}"
         assert cap.out == ""
-        assert not (tmp_path / "run").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("override", ["tol=abc", "count=x", "sizes=a,b"])
@@ -114,17 +121,48 @@ def test_malformed_number_exit_1(tmp_path, capsys, override):
     assert cap.out == ""
 
 
-def test_unknown_config_file_key_exit_1(tmp_path, capsys):
+def test_unknown_config_file_key_exit_1(tmp_path, capsys, monkeypatch):
     # a config file's keys are checked like overrides
+    monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "case.cfg"
-    cfgfile.write_text("field = const\nfield_value = -1.0\nalpha = -2.0\nbudgett = 3\n")
-    code, cap = run_cli(
-        capsys, "solve", "--config", str(cfgfile), "--out", str(tmp_path / "run"), "sizes=16,16"
-    )
+    for key, line in (("budgett", "budgett = 3"), ("out", "out = elsewhere")):
+        cfgfile.write_text(f"field = const\nfield_value = -1.0\nalpha = -2.0\n{line}\n")
+        code, cap = run_cli(
+            capsys, "solve", "--config", str(cfgfile), "--out", str(tmp_path / "run"), "sizes=16,16"
+        )
+        assert code == 1
+        assert json.loads(cap.err.strip())["error"] == f"unknown config key {key!r}"
+        assert cap.out == ""
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("where", ["override", "config"])
+def test_line_without_equals_exit_1(tmp_path, capsys, monkeypatch, where):
+    # the one key=value reader names the override or the file line it rejects
+    monkeypatch.chdir(tmp_path)
+    if where == "config":
+        Path("case.cfg").write_text("# a comment\nfield=const\n\nfield_value -1.0\n")
+        args, bad = ["--config", "case.cfg"], "case.cfg:4: expected key=value, got "
+    else:
+        args, bad = ["field=const", "field_value -1.0"], "override:3: expected key=value, got "
+    code, cap = run_cli(capsys, "solve", "--out", "run", "alpha=-2.0", *args)
     assert code == 1
-    assert json.loads(cap.err.strip())["error"] == "unknown config key 'budgett'"
+    assert json.loads(cap.err.strip())["error"] == bad + "'field_value -1.0'"
     assert cap.out == ""
-    assert not (tmp_path / "run").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["case.cfg"] if where == "config" else [])
+
+
+@pytest.mark.parametrize("keys, problem", [
+    (["field=const"], "field_value: required for field=const"),
+    (["field=random_fourier", "field_p=3"], "field_seed: required for field=random_fourier"),
+    (["field=random_fourier", "field_seed=1"], "field_p: required for field=random_fourier"),
+], ids=["field_value", "field_seed", "field_p"])
+def test_field_parameters_required(tmp_path, capsys, keys, problem):
+    code, cap = run_cli(capsys, "threshold", "--out", str(tmp_path / "thr"), "sizes=16,16", *keys)
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == f"config validation failed: {problem}"
+    assert cap.out == ""
+    assert not (tmp_path / "thr").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -225,7 +263,7 @@ def test_config_file_and_override_precedence(tmp_path, capsys):
         "alpha = -2.0\n"
         "sizes = 32,32\n"
     )
-    parsed = parse_config_file(cfgfile)
+    parsed = read_pairs(cfgfile.read_text().splitlines(), str(cfgfile))
     assert parsed["field"] == "const" and parsed["alpha"] == "-2.0"
     out = tmp_path / "run"
     code, cap = run_cli(
@@ -291,6 +329,32 @@ def test_dingliu_mode(tmp_path, capsys):
     thr = last_json_line(cap.out)["threshold"]
     assert thr["param"] == "lambda"
     assert 0.0 < thr["lo"] < thr["hi"] < 2.0
+
+
+def test_dingliu_on_a_4d_grid_exits_1(tmp_path, capsys):
+    # Ding-Liu's problem is the n = 1 one: the search rejects T⁴ before any output
+    code, cap = run_cli(capsys, "dingliu", "--out", str(tmp_path / "dl"),
+                        "d=4", "sizes=8,8,8,8", "field=two_mode")
+    assert code == 1
+    assert "n=1 (d=2)" in json.loads(cap.err.strip())["error"]
+    assert cap.out == ""
+    assert not (tmp_path / "dl").exists()
+
+
+def test_dingliu_bracket_outside_its_range_exits_2(tmp_path, capsys, monkeypatch):
+    # a λ bracket outside (0, −min g₀) is a numerical outcome
+    def bracket_below_zero(*args):
+        return threshold.ThresholdReport("lambda", -0.1, 0.05, [])
+
+    monkeypatch.setattr(threshold, "_fold_search", bracket_below_zero)
+    out = tmp_path / "dl"
+    code, cap = run_cli(capsys, "dingliu", "--out", str(out), "field=two_mode", "sizes=16,16")
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == last_json_line(cap.out)
+    assert summary["exit_code"] == 2
+    assert summary["error"].startswith("lambda bracket [-0.1, 0.05] does not lie strictly inside")
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
 def csv_floats(path):
@@ -560,6 +624,20 @@ def test_diagnose_negative_control_exits_2(tmp_path, capsys):
     assert not all(verdicts.values())
 
 
+@pytest.mark.parametrize("count", [20, 202])
+def test_negative_control_past_the_eigen_solver_range_exits_2(tmp_path, capsys, count):
+    # member u ≡ 19 has V = 2e³⁸: its shift min V − 1 rounds to min V, and
+    # its λ_min is a numerical outcome, so the run keeps its summary
+    out = tmp_path / "neg"
+    code, cap = run_cli(capsys, "diagnose", "--out", str(out), "field=const",
+                        "field_value=-1.0", "sizes=16,16", "inject=diverge_up", f"count={count}")
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == last_json_line(cap.out)
+    assert "too large to shift" in summary["error"]
+    assert cap.err == ""
+
+
 def test_injected_family_csv_leaves_energy_empty(tmp_path, capsys):
     # injected members carry no energy: an empty cell, not the text ''
     out = tmp_path / "neg"
@@ -711,6 +789,27 @@ def test_effective_config_records_what_ran(tmp_path, capsys, args, lines):
     assert set(lines) <= set(written)
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "field=const", "field_value=-1.0", "alpha=-2.0"],
+    ["threshold", "field=sin1", "field_offset=-0.5"],
+    ["dingliu", "field=two_mode"],
+    ["family", "field=sin1", "field_offset=-0.5", "alphas=-1,-1.5,-2", "with_eigs=true"],
+    ["diagnose", "field=sin1", "field_offset=-0.5"],
+    ["diagnose", "field=const", "field_value=-1.0", "inject=diverge_up", "count=6"],
+], ids=["solve", "threshold", "dingliu", "family", "diagnose", "diagnose-inject"])
+def test_effective_config_replays_its_run(tmp_path, capsys, args):
+    # effective_config.txt holds every key and nothing else: fed back as
+    # the config, it reproduces its run's directory byte for byte
+    a, b = tmp_path / "a", tmp_path / "b"
+    code, _ = run_cli(capsys, args[0], "--out", str(a), "sizes=16,16", *args[1:])
+    lines = (a / "effective_config.txt").read_text().splitlines()
+    assert [line.partition("=")[0] for line in lines] == sorted(KEYS)
+    replayed, cap = run_cli(capsys, args[0], "--config", str(a / "effective_config.txt"),
+                            "--out", str(b))
+    assert replayed == code, cap.err
+    assert read_tree(b) == read_tree(a)
+
+
 def test_determinism(tmp_path, capsys):
     args = ["solve", "field=random_fourier", "field_seed=7", "field_p=3",
             "field_offset=-1.2", "alpha=-1.0", "sizes=32,32"]
@@ -729,8 +828,8 @@ def test_determinism(tmp_path, capsys):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # BLAS dot and gemv round differently with their thread count; the
-    # kernels sum through einsum, so a 16⁴ member and its λ_min come out
-    # byte-identical under one and two BLAS threads
+    # kernels sum through einsum, so every file of a 16⁴ member's run, its
+    # λ_min included, comes out byte-identical under one and two BLAS threads
     domain = make_torus(4, [16] * 4, [1.0] * 4)
     f = named_field(domain, "random_fourier", seed=1, decay_p=3.0)
     keys = ["d=4", "sizes=16,16,16,16", "field=random_fourier", "field_seed=1", "field_p=3",
@@ -743,5 +842,6 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             [sys.executable, "-m", "kwlab.cli", "family", "--out", str(tmp_path / threads), *keys],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-    for name in ("family.csv", "member_000_u.field"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    one, two = read_tree(tmp_path / "1"), read_tree(tmp_path / "2")
+    assert "member_000_u.field" in one
+    assert one == two

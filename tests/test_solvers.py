@@ -265,6 +265,12 @@ class TestNewton:
         assert len(calls) == len(rep.residual_history)
         assert rep.energy == energy(inst, rep.solution)
 
+    def test_start_past_the_overflow_cap_is_a_blow_up(self, t2_16):
+        # 2u/n = 600 exceeds problem.EXP_ARG_CAP before the first residual
+        rep = newton_solve(constant_instance(t2_16), ScalarField.constant(t2_16, 300.0))
+        assert not rep.converged and rep.failure_reason.startswith("blow_up: ")
+        assert rep.iterations == 0 and rep.residual_history == []
+
     @pytest.mark.parametrize("budget", [{"max_iters": 0}], ids=["max_iters"])
     def test_rejects_an_empty_budget(self, t2_16, budget):
         with pytest.raises(SolverError):
@@ -466,6 +472,19 @@ class TestArclength:
             arc = np.mean(p.du * (rep.solution.values - p.report.solution.values))
             assert arc + p.dt * (q.t - p.t) == pytest.approx(ds, rel=1e-5)
             p = q
+
+    @pytest.mark.parametrize("ds, reason", [(-1.0, "out_of_range: "), (1e3, "blow_up: ")])
+    def test_predictor_off_the_branch_fails(self, t2_16, ds, reason):
+        # S ≡ −1 at α = −0.5: the tangent is (du, dt) ∝ (1, −1), so ds = −1
+        # predicts α > 0, where no instance exists, and ds = 1e3 predicts
+        # u ≈ 700, past problem.EXP_ARG_CAP
+        def inst_at(t):
+            return constant_instance(t2_16, -1.0, t)
+
+        p = self.start(inst_at, -0.5)
+        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, ds)
+        assert q is None and not rep.converged
+        assert rep.failure_reason.startswith(reason) and rep.iterations == 0
 
     def test_one_conformal_factor_per_iteration(self, t2_16, monkeypatch):
         # one bordered system per corrector iteration, one e^{2u/n} each

@@ -43,6 +43,21 @@ def test_every_config_key_is_read():
     assert set(cli.KEYS) - read == set()
 
 
+def test_no_config_key_shares_a_name_with_an_option():
+    # each setting has one spelling: --out and --config, and the mode, are
+    # read by the parser and never as config keys
+    path = Path(cli.__file__)
+    options = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "add_argument" and isinstance(node.args[0], ast.Constant):
+                options.add(node.args[0].value.lstrip("-"))
+            options |= {kw.value.value for kw in node.keywords
+                        if kw.arg == "dest" and isinstance(kw.value, ast.Constant)}
+    assert {"out", "config", "mode"} <= options
+    assert set(cli.KEYS) & options == set()
+
+
 def test_readme_names_every_config_key():
     # the README's key list is written by hand; it must name every key of the
     # one key table and no key the table has dropped

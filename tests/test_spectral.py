@@ -200,6 +200,15 @@ class TestMinEigenvalue:
             min_eigenvalue(V, 1e-8, max_iters=1)
         assert np.isfinite(exc.value.best_estimate)
 
+    def test_unshiftable_potential_raises_before_any_fft(self, t2_16, monkeypatch):
+        # at V ≡ 1e17 the shift σ = min V − 1 rounds to min V, so V − σ is 0:
+        # a numerical outcome, not a rejected Helmholtz constant
+        calls = count_ffts(monkeypatch)
+        with pytest.raises(EigenSolveError, match="too large to shift") as exc:
+            min_eigenvalue(ScalarField.constant(t2_16, 1e17), 1e-8)
+        assert exc.value.best_estimate == 1e17
+        assert calls == []
+
     @pytest.mark.parametrize("tol, max_iters, ran", [
         (1e-8, 3, 3),        # stopped by the iteration cap
         (1e-13, None, None),  # below the round-off floor: stops long before the cap

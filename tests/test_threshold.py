@@ -435,6 +435,11 @@ class TestDingLiu:
         with pytest.raises(SolverError):
             ding_liu_lambda_star(g0, 1.0)
 
+    def test_rejects_a_4d_grid(self, t4_16):
+        g0 = named_field(t4_16, "two_mode", shift_max_zero=True)
+        with pytest.raises(SolverError, match=r"n=1 \(d=2\)"):
+            ding_liu_lambda_star(g0, -1.0)
+
     def test_bracket_containment(self, t2_32):
         x = t2_32.coords()
         g0 = ScalarField(
