@@ -160,7 +160,7 @@ def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
         "lo": rep.lo,
         "hi": rep.hi,
         "width": None if rep.unbounded else rep.width,
-        "estimate": None if rep.unbounded else rep.estimate,
+        "estimate": rep.estimate,
         "unbounded": rep.unbounded,
         "family_size": len(rep.family),
         "probes": _probes_summary(rep.probes),
@@ -298,7 +298,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         text = {key: default for key, (default, _) in KEYS.items()}
         if args.config:
-            text.update(read_pairs(Path(args.config).read_text().splitlines(), args.config))
+            try:
+                text.update(read_pairs(Path(args.config).read_text().splitlines(), args.config))
+            except (OSError, UnicodeDecodeError) as e:
+                raise KWLabError(f"cannot read config {args.config!r}: {e}") from None
         text.update(read_pairs(args.overrides, "override"))
 
         problems, cfg = validate(args.mode, text)

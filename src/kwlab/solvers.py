@@ -1,13 +1,14 @@
 """Solution engines for −Δu + α = S·e^{2u/n}.
 
   * newton_solve      — damped Newton with Krylov inner solves, the solve of
-                        one instance from a zero (its default), constant or
-                        given start; a probe tries a warm start, then the
-                        constant one,
+                        one instance from the constant or a given start; a
+                        probe tries a warm start, then the constant one,
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
-                        solutions in a parameter t through its fold (the
+                        solutions in a parameter t toward its fold (the
                         threshold search), with branch_point giving the
-                        tangent of the walk's first point.
+                        tangent of the walk's first point,
+  * fold_solve        — Newton on the Moore–Spence extended system, which
+                        solves for the fold itself.
 """
 
 from __future__ import annotations
@@ -63,12 +64,10 @@ class SolveReport:
 
 
 def start_field(inst: ProblemInstance, start: Union[str, ScalarField]) -> ScalarField:
-    """A copy of a given field, u ≡ 0 for "zero", or for "constant" the solution
+    """A copy of a given field, or for "constant" the solution
     (n/2)·ln(α/mean S) of the averaged equation, which needs mean S < 0."""
     if isinstance(start, ScalarField):
         return start.copy()
-    if start == "zero":
-        return ScalarField.constant(inst.domain, 0.0)
     if start == "constant":
         m = mean(inst.S)
         if not m < 0:
@@ -148,7 +147,7 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     return x, 1
 
 
-def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField] = "zero", *,
+def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField], *,
                  max_iters: int = MAX_ITERS) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
@@ -333,3 +332,55 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint,
         u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
         t += float(z[-1])
     return _finish(inst, u, CORRECTOR_ITERS, history, "arclength", "max_iters"), None
+
+
+def fold_solve(make_inst, dF_dt, u: ScalarField, t: float,
+               phi0: np.ndarray) -> tuple[SolveReport, Optional[BranchPoint]]:
+    """Newton on the extended system of Moore & Spence (1980) in (u, φ, t),
+    F(u, t) = 0, F_u(u, t)·φ = 0 and mean(φ₀·φ) = 1, whose root is a fold of
+    the branch, from (u, φ₀, t), φ₀ scaled to mean(φ₀²) = 1. make_inst and
+    dF_dt are arclength_correct's; F is affine in e = e^{2u/n}, so with
+    W = −(2/n)·S·e, F_uu[φ, v] = (2/n)·W·φ·v and ∂_t(W) = (2/n)·(dF_dt(e) −
+    dF_dt(0)). Each step runs _gmres on the 2N+1 system, preconditioned by
+    diag(M, M, 1), two FFT pairs per Krylov step. Converged means
+    ‖(F, F_u·φ)‖_∞ ≤ RESIDUAL_TOL: the fold is the BranchPoint at t★ with unit
+    tangent (φ, 0), mean(φ²) = 1. Otherwise it fails as arclength_correct
+    does, though its first step may raise the residual.
+    """
+    shape, N = u.values.shape, u.values.size
+    phi = phi0 = phi0.reshape(-1) * (np.sqrt(N) / _norm(phi0.reshape(-1)))
+    history, inst = [], make_inst(t)
+    for it in range(CORRECTOR_ITERS + 1):
+        try:
+            inst = make_inst(t)
+            e = problem.conformal_factor(inst, u)
+        except BlowUpError as err:
+            return _finish(inst, u, it, history, "fold", f"blow_up: {err}"), None
+        except DomainError as err:
+            return _finish(inst, u, it, history, "fold", f"out_of_range: {err}"), None
+        J = problem.linearization(inst, u, e)
+        F, Jphi = problem.residual(inst, u, e=e).values.reshape(-1), J.apply(phi)
+        history.append(float(np.max(np.abs(np.concatenate([F, Jphi])))))
+        if not np.isfinite(history[-1]):
+            return _finish(inst, u, it, history, "fold", "blow_up: non-finite"), None
+        if history[-1] <= RESIDUAL_TOL:
+            rep = _finish(inst, u, it, history, "fold", e=e)
+            return rep, BranchPoint(rep, t, (np.sqrt(N) / _norm(phi) * phi).reshape(shape), 0.0)
+        if it == CORRECTOR_ITERS:
+            return _finish(inst, u, it, history, "fold", "max_iters"), None
+        if it >= 2 and history[-1] > 0.5 * history[-2]:
+            return _finish(inst, u, it, history, "fold", "stagnation"), None
+        ft = np.broadcast_to(dF_dt(e), shape).reshape(-1)
+        Wc, Fuu_phi = J.W.reshape(-1) - J.c, (2.0 / inst.n) * J.W.reshape(-1) * phi
+        Wt_phi = (2.0 / inst.n) * (ft - dF_dt(0.0)) * phi
+
+        def apply(z):
+            v, w, s = z[:N], z[N:-1], z[-1]
+            return np.concatenate([v + J.solve_diagonal(Wc * v + s * ft),
+                                   w + J.solve_diagonal(Wc * w + Fuu_phi * v + s * Wt_phi),
+                                   [spectral.inner(phi0, w) / N]])
+
+        z = _gmres(apply, -np.concatenate([J.solve_diagonal(F), J.solve_diagonal(Jphi),
+                                           [spectral.inner(phi0, phi) / N - 1.0]]), 1e-10)[0]
+        u = ScalarField(u.domain, u.values + z[:N].reshape(shape))
+        phi, t = phi + z[N:-1], t + float(z[-1])

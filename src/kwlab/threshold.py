@@ -31,19 +31,18 @@ LAMBDA_TOL = 1e-2    # ding_liu_lambda_star's default bracket width
 FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
 TARGET_ITERS = 3         # corrector iterations the step size is steered to
 MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
-FOLD_MARGIN = 0.25       # the last stable point lies within this many tol of the fold estimate
-CLOSE_FRACTION = 0.99    # the closing probe sits this many tol past the solved end
-GAP_FRACTION = 0.25      # fallback: at most this share of the gap to the failed end
-MAX_SEARCH_PROBES = 200  # cap on corrector steps and on closing probes
+CLOSE_FRACTION = 0.25    # the closing points sit at most this many tol either side of the fold
+MAX_SEARCH_PROBES = 200  # cap on corrector steps
 
 
 @dataclass
 class ProbeRecord:
     """One point a threshold search or schedule walk tested: what
-    probe_solvable returns, or a stable point of a continuation walk (no
-    evidence). report is the converged report of a solved record, None when
-    it failed; solved and min_eig (its λ_min, None unless solved) are read
-    from it. A report that did not converge raises SolverError."""
+    probe_solvable returns, a stable point of a continuation walk (no
+    evidence), or one of the two Newton solves that close a search. report
+    is the converged report of a solved record, None when it failed; solved
+    and min_eig (its λ_min, None unless solved) are read from it. A report
+    that did not converge raises SolverError."""
 
     param: float
     evidence: list[str]
@@ -73,7 +72,8 @@ class ThresholdReport:
     """Bracketed critical value of the continuation parameter, resting on
     probes, the ProbeRecord of every tested point. The family, the
     (param, report) of each solved record, ends at the solvable end;
-    unbounded (lo = −∞) is the S ≤ 0 regime.
+    unbounded (lo = −∞) is the S ≤ 0 regime. estimate is the fold the
+    search solved, inside the bracket; None for the S ≤ 0 regime.
 
     For param_name "alpha" the solvable end is hi (solvability persists as
     α increases toward 0); for "lambda" the solvable end is lo.
@@ -83,6 +83,7 @@ class ThresholdReport:
     lo: float
     hi: float
     probes: list[ProbeRecord]
+    estimate: Optional[float] = None
 
     @property
     def unbounded(self) -> bool:
@@ -95,10 +96,6 @@ class ThresholdReport:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def estimate(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 def _sign_obstructed(S: ScalarField) -> bool:
@@ -119,7 +116,6 @@ def probe_solvable(
     *,
     param: Optional[float] = None,
     warm_start: Optional[ScalarField] = None,
-    fold: Optional[list[str]] = None,
 ) -> ProbeRecord:
     """The ProbeRecord of a numerical solvability test of inst, filed under
     param (default inst.alpha; λ for a Ding-Liu instance).
@@ -129,27 +125,18 @@ def probe_solvable(
     given, and then from the constant one; the first that converges solves
     the probe and is the record's report. The constant start rescues a warm
     start from far up the branch (two_mode − ½ on 16², warm from α = −0.01,
-    stagnates at α = −2). fold is the evidence of a fold certificate
-    (_fold_certificate) that the probe lies past a fold the warm start
-    comes from: then Newton runs from the warm start alone, and a failed
-    record's evidence starts with the certificate. A failed record means no
-    start converged, not a proof of nonexistence: its evidence names each
-    start's failure reason (max_iters, stagnation, a line-search or
-    linear-solve failure, blow-up), and only max_iters is one a larger
-    budget can change. A fold without a warm start raises SolverError.
+    stagnates at α = −2). A failed record means no start converged, not a
+    proof of nonexistence: its evidence names each start's failure reason
+    (max_iters, stagnation, a line-search or linear-solve failure,
+    blow-up), and only max_iters is one a larger budget can change.
     """
     param = inst.alpha if param is None else param
     if _sign_obstructed(inst.S):
         return ProbeRecord(param, ["sign_obstruction: integral of S >= 0"])
-    if fold is not None and warm_start is None:
-        raise SolverError("a probe resting on a fold certificate needs its warm start")
 
-    evidence = list(fold or [])
+    evidence = []
     iters = round(MAX_ITERS * budget)
-    starts: list = [] if warm_start is None else [warm_start]
-    if fold is None:
-        starts.append("constant")
-    for start in starts:
+    for start in ([] if warm_start is None else [warm_start]) + ["constant"]:
         rep = solvers.newton_solve(inst, start, max_iters=iters)
         if rep.converged:
             return ProbeRecord(param, [], rep)
@@ -160,10 +147,10 @@ def probe_solvable(
 
 def _probe_twice(inst, **kw) -> ProbeRecord:
     """The ProbeRecord of probe_solvable at 1x budget or, only when some
-    engine ran out of iterations, at 4x, with the same keywords (fold among
-    them); a failed retry's evidence starts with the first probe's.
-    Stagnation, line-search failure and blow-up repeat identically at any
-    budget, so they are not retried."""
+    engine ran out of iterations, at 4x, with the same keywords; a failed
+    retry's evidence starts with the first probe's. Stagnation, line-search
+    failure and blow-up repeat identically at any budget, so they are not
+    retried."""
     v = probe_solvable(inst, **kw)
     if v.solved or not v.budget_exhausted:
         return v
@@ -201,58 +188,6 @@ def walk_schedule(S: ScalarField, alphas: Sequence[float]) -> list[ProbeRecord]:
     return probes
 
 
-def _bisect(f, a: float, b: float) -> float:
-    """A root of f in [a, b], where f changes sign, to double precision.
-    (scipy.optimize would add about 17 MB and 0.2 s to every import.)"""
-    positive = f(a) > 0
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if (f(mid) > 0) == positive:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _fold_step(a: solvers.BranchPoint, b: solvers.BranchPoint, margin: float):
-    """The step from a stable point a (dt < 0) toward the fold, given a point
-    b past it (dt > 0), or None when a already lies within margin of the fold.
-
-    The fold estimate t★ is the minimum of the cubic Hermite interpolant of
-    t along the chord from a to b, with the tangent slopes at both ends; the
-    step lands where the interpolant is t★ + margin/2.
-    """
-    du = b.report.solution.values - a.report.solution.values
-    dt = b.t - a.t
-    h = float(np.sqrt(np.mean(du * du) + dt * dt))
-    m0, m1 = h * a.dt, h * b.dt
-    c2, c3 = 3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt
-
-    def p(x):
-        return a.t + x * (m0 + x * (c2 + x * c3))
-
-    x_star = _bisect(lambda x: m0 + x * (2.0 * c2 + 3.0 * x * c3), 0.0, 1.0)
-    t_star = p(x_star)
-    if a.t - t_star <= margin:
-        return None
-    x_land = _bisect(lambda x: p(x) - t_star - 0.5 * margin, 0.0, x_star)
-    # a step is a projection on a's tangent, taken as linear along the chord
-    return float(x_land * (np.mean(a.du * du) + a.dt * dt))
-
-
-def _fold_certificate(param_name, sign, point, past, lam) -> Optional[list[str]]:
-    """Keller's (1977) evidence that the branch folds between the last
-    stable point and past, the converged point beyond the fold, as evidence
-    lines: past's parameter, the tangent t-components (point.dt < 0 <
-    past.dt) and lam, λ_min at past, < 0. None when the tangents do not
-    turn or lam is not negative (None: its solve did not converge)."""
-    if lam is None or not (lam < 0 and point.dt < 0 < past.dt):
-        return None
-    return [f"fold: branch point past the fold at {param_name}={sign * past.t!r}",
-            f"fold: tangent dt={point.dt!r} at the last stable point, {past.dt!r} past the fold",
-            f"fold: lambda_min={lam!r} past the fold"]
-
-
 def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     """The threshold search behind find_alpha_star and ding_liu_lambda_star.
 
@@ -260,29 +195,26 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     larger t and t < 0 throughout; dF_dt maps e^{2u/n} to the exact ∂F/∂t.
     Bootstrap: _probe_twice, from the constant start, at param = start,
     divided by shrink until a probe solves. From there a pseudo-arclength
-    walk (solvers.arclength_correct) follows the stable branch down to its
-    fold at t★ without a failed solve:
-      * tangent predictor; the step grows or shrinks toward TARGET_ITERS
-        corrector iterations and halves when the corrector fails;
-      * the fold is passed when the tangent's t-component turns positive;
-      * from the last stable point, the step is then aimed by a Hermite
-        estimate of t★ until that point lies within FOLD_MARGIN·tol of it.
-    One probe at t − 0.99·tol, warm from the last stable point, closes the
-    bracket. When _fold_certificate certifies the fold between the last
-    stable point and the converged point past it, that probe runs Newton
-    from the warm start alone and rests its failure on the certificate;
-    otherwise it is the full _probe_twice, warm then constant. Only if that
-    probe solves does the fallback run: a march of full _probe_twice probes
-    doubling its step until one fails, then steps of a quarter of the gap to
-    the failed end.
-    The bracket ends on a converged point and a failed probe, at most tol
-    apart. probes lists the bootstrap probes, the stable points and the
-    closing probes; the solved ones, t strictly decreasing, each with its
-    report and λ_min, are the family. Each λ_min, the fold certificate's
-    too, starts from the Ritz vector of the last one that converged; the
-    first from the seeded start. A tol that is not positive raises
-    SolverError; a search that finds no solvable start, stalls, or neither
-    reaches its fold nor closes its bracket raises NumericalFailure.
+    walk (solvers.arclength_correct) follows the stable branch toward its
+    fold, its step steered toward TARGET_ITERS corrector iterations and
+    halved when the corrector fails. It hands over to solvers.fold_solve,
+    from the stable point's solution and the last converged Ritz vector (its
+    tangent when none converged), at the first stable point where λ_min²
+    has at least halved since the previous one (so its secant reaches 0
+    within one more step), and at the last stable point once the tangent's
+    t-component turns positive. A fold solve that fails or lands at or above
+    the handover t lets the walk go on; past the fold it raises
+    NumericalFailure. Closing, by the saddle-node normal form: with
+    mean(φ²) = 1, a = mean((2/n)·W·φ³), b = mean(φ·∂F/∂t) and
+    δ = min(CLOSE_FRACTION·tol, (t_handover − t★)/2), Newton at t★ + δ from
+    u★ + sign(a)·√(−2bδ/a)·φ is the solvable end, its λ_min started from φ;
+    Newton at t★ − δ, warm from it alone, must fail (else NumericalFailure),
+    and its record's evidence is the fold (t★, the extended residual, a, b)
+    and that failure. The bracket is [t★ − δ, t★ + δ], its estimate t★; the
+    solved probes, t strictly decreasing, each with its λ_min, are the
+    family. A tol that is not positive raises SolverError; a search that
+    finds no solvable start, stalls or does not reach its fold raises
+    NumericalFailure.
     """
     if not tol > 0:
         raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
@@ -300,78 +232,81 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
 
     ground = None   # the Ritz vector of the last converged λ_min
 
-    def min_eig(rep):
-        """λ_min at rep, started from ground, or None when unconverged."""
+    def accept(record) -> Optional[float]:
+        """Solve record's λ_min, started from ground; None when unconverged."""
         nonlocal ground
         try:
-            lam, ground = problem.stability_eigenvalue(rep.inst, rep.solution, ground)
+            lam, ground = problem.stability_eigenvalue(record.report.inst,
+                                                       record.report.solution, ground)
         except EigenSolveError:
-            return None
+            lam = None
+        record.report.min_eig = lam
         return lam
-
-    def accept(record):
-        record.report.min_eig = min_eig(record.report)
 
     def inst_at(t):
         return make_inst(sign * t)
 
-    accept(probes[-1])
+    def close(point):
+        """(the ThresholdReport closed across the fold solved from point,
+        None), or (None, why it failed)."""
+        nonlocal ground
+        fold_rep, fold = solvers.fold_solve(inst_at, dF_dt, point.report.solution, point.t,
+                                            point.du if ground is None else ground)
+        if fold is None or not fold.t < point.t:
+            return None, f"fold solve: {fold_rep.failure_reason or 'not past the handover'}"
+        inst, u, phi = fold_rep.inst, fold_rep.solution, fold.du
+        a = float(np.mean((2.0 / inst.n) * problem.linearization(inst, u).W * phi**3))
+        b = float(np.mean(phi * dF_dt(problem.conformal_factor(inst, u))))
+        if not a * b < 0:
+            return None, f"a*b={a * b!r} is not negative"
+        delta = min(CLOSE_FRACTION * tol, 0.5 * (point.t - fold.t))
+        sigma = np.sign(a) * np.sqrt(-2.0 * b * delta / a)
+        solved = solvers.newton_solve(inst_at(fold.t + delta),
+                                      ScalarField(u.domain, u.values + sigma * phi))
+        if not solved.converged:
+            return None, f"newton at the solvable end: {solved.failure_reason}"
+        failed = solvers.newton_solve(inst_at(fold.t - delta), solved.solution)
+        if failed.converged:
+            raise NumericalFailure(f"{param_name}={sign * (fold.t - delta)!r}, past the fold "
+                                   f"at {sign * fold.t!r}, solves")
+        ground = phi.reshape(-1)
+        end = ProbeRecord(sign * (fold.t + delta), [], solved)
+        accept(end)
+        evidence = [f"fold: {param_name}={sign * fold.t!r}",
+                    f"fold: extended residual={fold_rep.residual_history[-1]!r}",
+                    f"fold: a=mean((2/n) W phi^3)={a!r}", f"fold: b=mean(phi dF/dt)={b!r}",
+                    f"newton[warm]: {failed.failure_reason}"]
+        lo, hi = sorted((sign * (fold.t - delta), end.param))
+        return ThresholdReport(param_name, lo, hi, probes + [end, ProbeRecord(
+            sign * (fold.t - delta), evidence)], sign * fold.t), None
+
+    lam = last = accept(probes[-1])
     zero = np.zeros(v.report.solution.values.shape)
     point = solvers.branch_point(inst_at, dF_dt, v.report, sign * param, zero, -1.0)
-    past = None          # the nearest converged point past the fold
     ds, grow = FIRST_STEP, True
     for _ in range(MAX_SEARCH_PROBES):
         rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds)
         if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
             ds, grow = 0.5 * ds, False
             if ds < MIN_STEP:
-                raise NumericalFailure(
-                    f"{param_name} continuation stalled at {sign * point.t}: {rep.failure_reason}"
-                )
+                raise NumericalFailure(f"{param_name} continuation stalled at "
+                                       f"{sign * point.t}: {rep.failure_reason}")
             continue
-        if nxt.dt < 0:
+        turned = nxt.dt >= 0    # the fold lies between point and nxt
+        if not turned:
             probes.append(ProbeRecord(sign * nxt.t, [], rep))
-            accept(probes[-1])
+            last, lam = lam, accept(probes[-1])
             factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
             point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
-        else:
-            past = nxt
-        if past is not None:
-            ds = _fold_step(point, past, FOLD_MARGIN * tol)
-            if ds is None:
-                break
-    else:
-        raise NumericalFailure(
-            f"{param_name} continuation did not reach its fold in {MAX_SEARCH_PROBES} steps"
-        )
-
-    # close: probe past the fold from the last stable point; only the first
-    # probe rests on the fold certificate
-    fold = _fold_certificate(param_name, sign, point, past, min_eig(past.report))
-    t, report, t_failed, step = point.t, point.report, None, CLOSE_FRACTION * tol
-    for _ in range(MAX_SEARCH_PROBES):
-        if t_failed is not None and t - t_failed <= tol:
-            break
-        if t_failed is None:
-            nxt_t, step = t - step, 2.0 * step
-        else:
-            nxt_t = t - GAP_FRACTION * (t - t_failed)
-        v = _probe_twice(inst_at(nxt_t), param=sign * nxt_t, warm_start=report.solution, fold=fold)
-        fold = None
-        probes.append(v)
-        if v.solved:
-            t, report = nxt_t, v.report
-            accept(probes[-1])
-        else:
-            t_failed = nxt_t
-    else:
-        raise NumericalFailure(
-            f"{param_name} search did not close its bracket in {MAX_SEARCH_PROBES} probes "
-            f"(solvable end {sign * t})"
-        )
-
-    lo, hi = sorted((sign * t, sign * t_failed))
-    return ThresholdReport(param_name=param_name, lo=lo, hi=hi, probes=probes)
+        if turned or (None not in (last, lam) and lam * lam <= 0.5 * last * last):
+            report, why = close(point)
+            if report is not None:
+                return report
+            if turned:
+                raise NumericalFailure(f"{param_name} search passed its fold but did not "
+                                       f"solve it from {sign * point.t}: {why}")
+    raise NumericalFailure(f"{param_name} continuation did not reach its fold "
+                           f"in {MAX_SEARCH_PROBES} steps")
 
 
 def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
@@ -382,13 +317,14 @@ def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
     member raises NumericalFailure with its evidence), and it is reported as
     unbounded with the ladder as its family.
     Otherwise `_fold_search` finds a solvable α near 0⁻ (START_ALPHA,
-    divided by 4 on failure) and follows the solution branch down to its
-    fold at α★ by pseudo-arclength continuation, where the stability
-    eigenvalue λ_min vanishes. lo is a failed probe just past the fold, hi
-    a converged point, hi − lo ≤ tol. probes lists every probe and stable
-    point; the solved ones are the family, the stable branch, α strictly
-    decreasing, each report with its λ_min. Every solve converges at
-    solvers.RESIDUAL_TOL.
+    divided by 4 on failure), follows the solution branch down toward its
+    fold by pseudo-arclength continuation and solves for the fold α★, where
+    the stability eigenvalue λ_min vanishes (solvers.fold_solve); estimate
+    is α★. hi is a converged point and lo a failed Newton solve, at
+    α★ ± δ, hi − lo ≤ tol/2. probes lists every probe, stable point and
+    closing solve; the solved ones are the family, the stable branch, α
+    strictly decreasing, each report with its λ_min. Every solve converges
+    at solvers.RESIDUAL_TOL.
     """
     if _sign_obstructed(S):
         raise SolverError("find_alpha_star requires integrate(S) < 0")
@@ -411,12 +347,13 @@ def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) ->
     Requires max g₀ = 0 (callers shift), g₀ nonconstant, s₀ < 0. Solvable
     for λ ∈ (0, λ★); g₀ + λ ≥ 0 makes λ ≥ −min g₀ unsolvable.
     `_fold_search` finds a solvable λ near 0⁺ (0.05·(−min g₀), halved on
-    failure) and follows the branch up to its fold at λ★ by pseudo-arclength
-    continuation in t = −λ. lo is a converged point, hi a failed probe just
-    past the fold, hi − lo ≤ tol, and a bracket that does not lie strictly
-    inside (0, −min g₀) raises NumericalFailure. The family is the stable branch, λ strictly
-    increasing, each report with its λ_min. Every solve converges at
-    solvers.RESIDUAL_TOL.
+    failure), follows the branch up toward its fold by pseudo-arclength
+    continuation in t = −λ and solves for the fold λ★, where a solution
+    still exists; estimate is λ★. lo is a converged point and hi a failed
+    Newton solve, at λ★ ∓ δ, hi − lo ≤ tol/2, and a bracket that does not
+    lie strictly inside (0, −min g₀) raises NumericalFailure. The family is
+    the stable branch, λ strictly increasing, each report with its λ_min.
+    Every solve converges at solvers.RESIDUAL_TOL.
     """
     if g0.domain.d != 2:
         raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")

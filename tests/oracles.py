@@ -31,6 +31,16 @@ def dense_fd_laplacian(domain: TorusDomain) -> np.ndarray:
     return A
 
 
+def dense_spectral_laplacian(domain: TorusDomain) -> np.ndarray:
+    """Dense matrix of the Fourier-spectral Laplacian, built column by column
+    with numpy's complex FFT (small grids only)."""
+    k = [2 * np.pi * np.fft.fftfreq(N, d=L / N) for N, L in zip(domain.sizes, domain.lengths)]
+    ksq = sum(np.meshgrid(*[kk**2 for kk in k], indexing="ij"))
+    cols = [np.fft.ifftn(-ksq * np.fft.fftn(col.reshape(domain.sizes))).real.reshape(-1)
+            for col in np.eye(domain.npoints)]
+    return np.array(cols).T
+
+
 def dense_newton(S: np.ndarray, alpha: float, n: int, domain: TorusDomain,
                  u0=None, tol=1e-10, max_iters=60):
     """Dense-Jacobian Newton on the FD discretization. Returns (converged, u)."""

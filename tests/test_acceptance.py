@@ -62,14 +62,14 @@ def family64(t2_64a, threshold64):
 def test_01_exact_solution_recovery(t2_64a):
     t0 = time.perf_counter()
     inst1 = ProblemInstance(ScalarField.constant(t2_64a, -1.0), -2.0)
-    rep1 = newton_solve(inst1)
+    rep1 = newton_solve(inst1, ScalarField.constant(inst1.domain, 0.0))
     err1 = np.max(np.abs(rep1.solution.values - 0.5 * np.log(2.0)))
     dt1 = time.perf_counter() - t0
 
     dom4 = make_torus(4, [16] * 4, [1.0] * 4)
     t0 = time.perf_counter()
     inst2 = ProblemInstance(ScalarField.constant(dom4, -1.0), -np.e)
-    rep2 = newton_solve(inst2)
+    rep2 = newton_solve(inst2, ScalarField.constant(inst2.domain, 0.0))
     err2 = np.max(np.abs(rep2.solution.values - 1.0))
     dt2 = time.perf_counter() - t0
 
@@ -93,8 +93,8 @@ def test_02_manufactured_convergence(t2_64a, t2_32a):
         assert S.max < 0
         return ProblemInstance(S, alpha)
 
-    rep64 = newton_solve(build(t2_64a, u64))
-    rep32 = newton_solve(build(t2_32a, u32))
+    rep64 = newton_solve(build(t2_64a, u64), ScalarField.constant(t2_64a, 0.0))
+    rep32 = newton_solve(build(t2_32a, u32), ScalarField.constant(t2_32a, 0.0))
     err_star = np.max(np.abs(rep64.solution.values - u64.values))
     cross = np.max(np.abs(restrict(rep64.solution.values) - rep32.solution.values))
     ok = rep64.converged and rep32.converged and err_star <= 1e-8 and cross <= 1e-6
@@ -107,7 +107,7 @@ def test_03_integral_identity(t2_64a, family64):
     reports = list(family64)
     insts = [ProblemInstance(S, r.alpha) for r in reports]
     inst_c = ProblemInstance(ScalarField.constant(t2_64a, -1.0), -2.0)
-    reports.append(newton_solve(inst_c))
+    reports.append(newton_solve(inst_c, ScalarField.constant(inst_c.domain, 0.0)))
     insts.append(inst_c)
     worst = 0.0
     all_negative = True

@@ -53,6 +53,8 @@ def test_tracer_sees_one_failed_probe_per_search(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     metrics = tracer.metrics()
-    assert metrics["threshold.probes_failed"] == 1
-    assert metrics["threshold.probes_solved"] == 1  # the bootstrap probe
+    # the bootstrap is the one probe; the failed end, past the solved fold, is
+    # one Newton solve warm from the solvable end
+    assert metrics["threshold.probes_solved"] == metrics["threshold.probes"] == 1
+    assert metrics["solvers.newton_failed"] == 1
     assert metrics["threshold.search_s"] > 0

@@ -65,7 +65,7 @@ def test_solve_runs_only_the_constant_start(tmp_path, capsys, monkeypatch):
     starts = []
     newton = solvers.newton_solve
 
-    def recorded(inst, start="zero", **kw):
+    def recorded(inst, start, **kw):
         starts.append(start)
         return newton(inst, start, **kw)
 
@@ -134,6 +134,20 @@ def test_unknown_config_file_key_exit_1(tmp_path, capsys, monkeypatch):
         assert json.loads(cap.err.strip())["error"] == f"unknown config key {key!r}"
         assert cap.out == ""
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", ".", "binary.cfg"],
+                         ids=["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_exit_1(tmp_path, capsys, monkeypatch, config):
+    # a --config that cannot be read is an operational error like any other:
+    # one JSON error line, no traceback, and nothing written
+    monkeypatch.chdir(tmp_path)
+    Path("binary.cfg").write_bytes(b"field=const\n\xff\xfe\n")
+    code, cap = run_cli(capsys, "solve", "--config", config, "--out", "run", "alpha=-2.0")
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"].startswith(f"cannot read config {config!r}: ")
+    assert cap.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.cfg"]
 
 
 @pytest.mark.parametrize("where", ["override", "config"])
@@ -308,8 +322,8 @@ def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monke
     assert code == 0
     thr = json.loads((out / "summary.json").read_text())["threshold"]
     assert "flags" not in thr
-    # one per member, and the fold certificate's at the point past the fold
-    assert len(calls) == thr["family_size"] + 1
+    # one per member, the solvable end's among them
+    assert len(calls) == thr["family_size"]
     # the probe record: every probe, with the λ_min the search steered by
     solved = [p for p in thr["probes"] if p["solved"]]
     assert len(solved) == thr["family_size"]
@@ -379,8 +393,8 @@ def test_dingliu_family_csv_carries_lambda_min(tmp_path, capsys, monkeypatch):
     assert code == 0
     thr = last_json_line(cap.out)["threshold"]
     # with_eigs is false: the λ_min column is the search's, no eigen-solve
-    # added to the members' and the fold certificate's
-    assert len(calls) == thr["family_size"] + 1
+    # added to the members'
+    assert len(calls) == thr["family_size"]
     solved = [p["min_eig"] for p in thr["probes"] if p["solved"]]
     rows = csv_floats(out / "family.csv")
     assert [row[-1] for row in rows] == solved
@@ -470,8 +484,11 @@ def test_threshold_summary_carries_the_fold_certificate(tmp_path, capsys):
     assert code == 0
     thr = json.loads((out / "summary.json").read_text())["threshold"]
     (failed,) = [p for p in thr["probes"] if not p["solved"]]
-    assert failed["param"] == thr["lo"]
-    assert [e.partition(":")[0] for e in failed["evidence"]] == ["fold"] * 3 + ["newton[warm]"]
+    assert failed["param"] == thr["lo"] and thr["probes"][-1] == failed
+    assert [e.partition(":")[0] for e in failed["evidence"]] == ["fold"] * 4 + ["newton[warm]"]
+    # the estimate is the solved fold, the first evidence line's value
+    assert failed["evidence"][0] == f"fold: alpha={thr['estimate']!r}"
+    assert thr["lo"] < thr["estimate"] < thr["hi"]
 
 
 def test_search_precondition_failure_writes_nothing(tmp_path, capsys):
@@ -558,7 +575,7 @@ def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch
     starts = []
     original = solvers.newton_solve
 
-    def recorded(inst, start="zero", **kw):
+    def recorded(inst, start, **kw):
         rep = original(inst, start, **kw)
         starts.append((inst.alpha, "warm" if isinstance(start, kwlab.ScalarField) else start,
                        rep.failure_reason))
@@ -756,7 +773,7 @@ def test_default_diagnose_certifies_the_limit_family(tmp_path, capsys):
     assert summary["family_size"] == 8
     assert len(summary["walk"]) == 8 and all(p["solved"] for p in summary["walk"])
     assert summary["verdicts"]["apriori_sup_bound"] is True
-    assert summary["apriori_bound_on_sup_u"] == pytest.approx(3.16951850134939, abs=1e-9)
+    assert summary["apriori_bound_on_sup_u"] == pytest.approx(3.16951769796588, abs=1e-9)
 
 
 def test_one_member_has_no_trend(tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestAprioriBound:
         cert = apriori_c0_bound(S, -4.0, phi, K)
         family = []
         for a in (-0.5, -1.0, -2.0, -3.9):
-            rep = newton_solve(ProblemInstance(S, a))
+            rep = newton_solve(ProblemInstance(S, a), ScalarField.constant(S.domain, 0.0))
             assert rep.converged
             family.append(rep)
         assert cert.check_family([(r.alpha, r) for r in family])
@@ -169,7 +169,7 @@ class TestFamilyTable:
         alphas = [-2.0 + 4.0 ** (-k) for k in range(1, 7)]
         family = []
         for a in alphas:
-            rep = newton_solve(ProblemInstance(S, a))
+            rep = newton_solve(ProblemInstance(S, a), ScalarField.constant(S.domain, 0.0))
             assert rep.converged
             family.append(rep)
         diag = family_table([(r.alpha, r) for r in family], K)
@@ -194,7 +194,8 @@ class TestFamilyTable:
             family = []
             for a in (-1.0, -1.5, -1.75):
                 inst = ProblemInstance(S, a)
-                warm = newton_solve(ProblemInstance(S, a - 1.0))
+                warm = newton_solve(ProblemInstance(S, a - 1.0),
+                                    ScalarField.constant(S.domain, 0.0))
                 rep = monotone_iterate(inst, make_interval(inst, warm))
                 assert rep.converged and rep.method == "monotone"
                 family.append((a, rep))
@@ -211,7 +212,8 @@ class TestFamilyTable:
         K = ball_mask(t2_32, (0.5, 0.5), 0.2)
 
         def newton_family():
-            return [(a, newton_solve(ProblemInstance(S, a))) for a in (-1.0, -1.5, -1.75)]
+            zero = ScalarField.constant(S.domain, 0.0)
+            return [(a, newton_solve(ProblemInstance(S, a), zero)) for a in (-1.0, -1.5, -1.75)]
 
         assert family_table(newton_family(), K).verdicts["stability"]
         monkeypatch.setattr(spectral, "min_eigenvalue",
@@ -223,7 +225,7 @@ class TestFamilyTable:
     def test_csv_shape(self, t2_32):
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2)
-        rep = newton_solve(ProblemInstance(S, -1.0))
+        rep = newton_solve(ProblemInstance(S, -1.0), ScalarField.constant(S.domain, 0.0))
         diag = family_table([(rep.alpha, rep)], K)
         lines = table_csv(FAMILY_COLUMNS, diag.rows).strip().splitlines()
         assert lines[0] == ",".join(FAMILY_COLUMNS)
@@ -237,7 +239,7 @@ class TestFamilyTable:
         monkeypatch.setattr(spectral, "min_eigenvalue", unconverged)
         S = ScalarField.constant(t2_32, -1.0)
         K = ball_mask(t2_32, (0.5, 0.5), 0.2)
-        rep = newton_solve(ProblemInstance(S, -1.0))
+        rep = newton_solve(ProblemInstance(S, -1.0), ScalarField.constant(S.domain, 0.0))
         with pytest.raises(EigenSolveError, match="forced non-convergence"):
             family_table([(rep.alpha, rep)], K)
         assert rep.min_eig is None
@@ -301,7 +303,8 @@ class TestFamilyTable:
         # each member is read at the instance it solved, on its own grid
         family = []
         for dom in (t2_16, t2_32):
-            rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), -1.0))
+            rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), -1.0),
+                               ScalarField.constant(dom, 0.0))
             assert rep.converged
             family.append((rep.alpha, rep))
         diag = family_table(family)
@@ -324,7 +327,8 @@ class TestFamilyTable:
         family = []
         for dom in (t2_16, t2_32):
             for a in (-1.0, -1.5):
-                rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), a))
+                rep = newton_solve(ProblemInstance(named_field(dom, "sin1", offset=-0.5), a),
+                                   ScalarField.constant(dom, 0.0))
                 assert rep.converged
                 family.append((a, rep))
         calls = record_eig_calls(monkeypatch)

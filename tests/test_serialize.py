@@ -30,7 +30,7 @@ def test_field_header_contents(tmp_path):
 
 def test_report_roundtrip(tmp_path, t2_32):
     inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
-    rep = newton_solve(inst)
+    rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
     path = write_report(rep, tmp_path / "run")
     payload = json.loads(path.read_text())
     assert payload["converged"] is True
@@ -43,7 +43,7 @@ def test_report_roundtrip(tmp_path, t2_32):
 
 def test_report_summary_keys(t2_32):
     inst = ProblemInstance(ScalarField.constant(t2_32, -1.0), -2.0)
-    rep = newton_solve(inst)
+    rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
     summary = report_summary(rep)
     assert set(summary) == {
         "converged", "method", "alpha", "iterations", "final_residual",

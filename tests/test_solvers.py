@@ -146,13 +146,13 @@ class TestNewton:
     def test_constant_instance(self, t2_32):
         # u* = (n/2)·ln(α/S) for constant data
         inst = constant_instance(t2_32, S0=-1.0, alpha=-2.0)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 0.5 * np.log(2.0))) < 1e-10
 
     def test_manufactured_solution(self, t2_64):
         inst, u_star = make_manufactured_neg(t2_64)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - u_star.values)) <= 1e-8
 
@@ -160,7 +160,7 @@ class TestNewton:
         # FD and spectral discretizations differ, so agreement is coarse;
         # S < 0 keeps the continuum solution unique.
         inst, _ = make_manufactured_neg(t2_16, seed=71, amplitude=0.1)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert rep.converged
         ok, u_dense = dense_newton(inst.S.values, inst.alpha, inst.n, t2_16, tol=1e-10)
         assert ok
@@ -168,14 +168,14 @@ class TestNewton:
 
     def test_n2_constant(self, t4_16):
         inst = ProblemInstance(ScalarField.constant(t4_16, -1.0), -np.e)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 1.0)) < 1e-9
 
     def test_superlinear_tail(self, t2_32, monkeypatch):
         inst, _ = make_manufactured(t2_32, alpha=-1.0)
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-12)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert rep.converged
         h = rep.residual_history
         # the last full step at least squares the residual scale
@@ -196,7 +196,7 @@ class TestNewton:
         # settles on a residual plateau; without the plateau rule it crawls
         # along it until the line search fails
         S = named_field(t2_32, "sin1", offset=-0.5)
-        warm = newton_solve(ProblemInstance(S, -3.17))
+        warm = newton_solve(ProblemInstance(S, -3.17), ScalarField.constant(S.domain, 0.0))
         assert warm.converged
         inst = ProblemInstance(S, -3.2)
         rep = newton_solve(inst, warm.solution)
@@ -213,12 +213,12 @@ class TestNewton:
         # near the fold the zero start cuts ‖F‖_∞ by only 8–15% a step at
         # first; it converges exactly as it does without the plateau rule
         inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -3.1)
-        rep = newton_solve(inst)
+        rep = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         h = rep.residual_history
         assert rep.converged and rep.iterations == 9
         assert 0.8 <= h[1] / h[0] < 0.95 and 0.8 <= h[2] / h[1] < 0.95
         monkeypatch.setattr(solvers, "PLATEAU_STEPS", 10**6)  # the rule never fires
-        ref = newton_solve(inst)
+        ref = newton_solve(inst, ScalarField.constant(inst.domain, 0.0))
         assert ref.converged and ref.iterations == rep.iterations
         assert ref.residual_history == h
         assert np.array_equal(ref.solution.values, rep.solution.values)
@@ -274,7 +274,7 @@ class TestNewton:
     @pytest.mark.parametrize("budget", [{"max_iters": 0}], ids=["max_iters"])
     def test_rejects_an_empty_budget(self, t2_16, budget):
         with pytest.raises(SolverError):
-            newton_solve(constant_instance(t2_16), **budget)
+            newton_solve(constant_instance(t2_16), ScalarField.constant(t2_16, 0.0), **budget)
 
     @pytest.mark.parametrize("mean_S", [0.0, 1.0])
     def test_constant_start_needs_negative_mean_S(self, t2_16, mean_S):
@@ -439,7 +439,7 @@ def test_engines_agree(t2_32):
     inst, _ = make_manufactured_neg(t2_32)
     warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
     iv = make_interval(inst, warm)
-    u_newton = newton_solve(inst).solution
+    u_newton = newton_solve(inst, ScalarField.constant(inst.domain, 0.0)).solution
     u_mono = monotone_iterate(inst, iv).solution
     u_min = minimize_over_interval(inst, iv).solution
     assert np.max(np.abs(u_newton.values - u_mono.values)) <= 1e-7
@@ -524,3 +524,36 @@ class TestArclength:
         ]
         assert lam[0] > 0 > lam[1]
         assert q.t > -3.2 and p.t > -3.2
+
+
+class TestFoldSolve:
+    """Newton on the Moore–Spence extended system, on sin1 − ½ at 16², whose
+    fold lies at α★ = −3.17820068330."""
+
+    @staticmethod
+    def start(t2_16, alpha):
+        S = named_field(t2_16, "sin1", offset=-0.5)
+        rep = newton_solve(ProblemInstance(S, alpha), "constant")
+        _, x = problem.stability_eigenvalue(rep.inst, rep.solution)
+        return (lambda t: ProblemInstance(S, t)), rep.solution, x
+
+    @pytest.mark.parametrize("alpha", [-3.0, -3.17])
+    def test_converges_to_the_fold(self, t2_16, alpha):
+        inst_at, u, x = self.start(t2_16, alpha)
+        rep, fold = solvers.fold_solve(inst_at, lambda e: 1.0, u, alpha, x)
+        assert rep.converged and rep.method == "fold" and rep.iterations <= 5
+        assert fold.report is rep and fold.t == pytest.approx(-3.17820068330, abs=1e-10)
+        # the fold's tangent is (φ, 0), a unit null vector of F_u
+        assert fold.dt == 0.0 and np.mean(fold.du**2) == pytest.approx(1.0)
+        inst = inst_at(fold.t)
+        assert residual(inst, rep.solution).sup_norm <= solvers.RESIDUAL_TOL
+        J = problem.linearization(inst, rep.solution)
+        assert np.max(np.abs(J.apply(fold.du))) <= solvers.RESIDUAL_TOL
+
+    def test_start_before_the_peak_leaves_the_range(self, t2_16):
+        # from α = −1, where λ_min still grows along the branch, the first
+        # step heads for the degenerate limit α → 0⁻ and past it
+        inst_at, u, x = self.start(t2_16, -1.0)
+        rep, fold = solvers.fold_solve(inst_at, lambda e: 1.0, u, -1.0, x)
+        assert fold is None and not rep.converged
+        assert rep.failure_reason.startswith("out_of_range: ") and rep.iterations == 1

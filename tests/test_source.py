@@ -121,6 +121,24 @@ def test_the_convergence_tolerance_is_read_in_solvers_only():
     assert found == []
 
 
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE constant that nothing in the package reads
+    # is a setting that changes nothing, such as a tuning value left behind
+    # by the code it tuned
+    assigned, read = set(), set()
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned |= {(path.stem, name.id) for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and name.id.isupper()}
+        read |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert assigned
+    assert sorted(f"{stem}.{name}" for stem, name in assigned if name not in read) == []
+
+
 def _public_defs(tree):
     """Public module functions, and public methods and properties of public
     classes: each qualified name with its node."""

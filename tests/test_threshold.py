@@ -19,7 +19,7 @@ from kwlab.threshold import (
 )
 
 from eigrecord import assert_threaded, record_eig_calls
-from oracles import dense_alpha_star
+from oracles import dense_alpha_star, dense_spectral_laplacian
 
 
 def sine_field(domain, offset):
@@ -79,20 +79,6 @@ class TestProbe:
         # a mean of −1e-9 lies far outside the bound
         assert not threshold._sign_obstructed(named_field(S.domain, name, offset=-1e-9))
 
-    def test_fold_needs_a_warm_start(self, t2_16):
-        inst = ProblemInstance(sine_field(t2_16, -0.5), -1.0)
-        with pytest.raises(SolverError, match="warm start"):
-            probe_solvable(inst, fold=["fold: given"])
-
-    def test_fold_runs_the_warm_start_alone(self, t2_16):
-        S = sine_field(t2_16, -0.5)
-        warm = probe_solvable(ProblemInstance(S, -1.0)).report
-        v = probe_solvable(ProblemInstance(S, -50.0), warm_start=warm.solution,
-                           fold=["fold: given"])
-        assert not v.solved
-        assert v.evidence[0] == "fold: given"
-        assert [e.partition(":")[0] for e in v.evidence[1:]] == ["newton[warm]"]
-
     def test_failed_collects_evidence(self, t2_32):
         S = sine_field(t2_32, -0.5)
         warm = probe_solvable(ProblemInstance(S, -1.0)).report
@@ -131,15 +117,39 @@ def assert_bracket_on_probes(rep, tol):
     assert rep.family[-1][1].min_eig == record.min_eig
 
 
-def assert_certified_close(rep):
-    """The search's closing failed probe ran the warm start alone, resting
-    on the fold certificate: its evidence opens with the certificate, which
-    holds λ_min < 0 at the converged point past the fold."""
-    closing = [p for p in rep.probes if not p.solved][-1]
-    *certificate, last = closing.evidence
-    assert len(certificate) == 3 and all(e.startswith("fold: ") for e in certificate)
-    assert float(re.search(r"lambda_min=(\S+)", certificate[2]).group(1)) < 0
+def counting_newton_failures(monkeypatch):
+    """Wrap solvers.newton_solve; returns the list of its failure reasons."""
+    failures = []
+    original = solvers.newton_solve
+
+    def counted(inst, start, **kw):
+        rep = original(inst, start, **kw)
+        if not rep.converged:
+            failures.append(rep.failure_reason)
+        return rep
+
+    monkeypatch.setattr(solvers, "newton_solve", counted)
+    return failures
+
+
+def assert_closed_on_the_fold(rep, tol):
+    """The search ends on its two closing solves across the solved fold: the
+    solvable end, a stable Newton solution, and the failed end, whose
+    evidence is the fold (its parameter, the estimate, strictly inside the
+    bracket; an extended residual within RESIDUAL_TOL; a·b < 0) and the
+    failure of Newton warm from the solvable end alone; width ≤ tol/2."""
+    *_, solvable, failed = rep.probes
+    assert solvable.solved and solvable.report.method == "newton" and solvable.min_eig > 0
+    assert rep.family[-1][1] is solvable.report
+    assert not failed.solved
+    *fold, last = failed.evidence
+    assert len(fold) == 4 and all(e.startswith("fold: ") for e in fold)
+    value = [float(re.search(r"=(\S+)$", e).group(1)) for e in fold]
+    assert value[0] == rep.estimate and rep.lo < rep.estimate < rep.hi
+    assert value[1] <= solvers.RESIDUAL_TOL and value[2] * value[3] < 0
     assert last.startswith("newton[warm]: ")
+    assert sorted((solvable.param, failed.param)) == [rep.lo, rep.hi]
+    assert rep.width <= 0.5 * tol + 1e-12  # 2δ, δ ≤ tol/4, up to the round-off of t★ ± δ
 
 
 def assert_stable_family(rep):
@@ -276,44 +286,39 @@ class TestAlphaStar:
 
     def test_few_failed_probes(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
+        failures = counting_newton_failures(monkeypatch)
         rep = find_alpha_star(sine_field(t2_32, -0.5), tol=1e-3)
-        assert calls.count(False) == 1
-        assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
+        # the bootstrap is the one probe; the walk's points are not re-probed,
+        # and the failed end is one Newton solve
+        assert calls == [True] and len(failures) == 1
         assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
-        assert_certified_close(rep)
+        assert_closed_on_the_fold(rep, 1e-3)
 
     def test_few_failed_probes_two_mode(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
+        failures = counting_newton_failures(monkeypatch)
         S = named_field(t2_32, "two_mode", offset=-0.5)
         rep = find_alpha_star(S, tol=1e-3)
-        assert calls.count(False) == 1
+        assert calls == [True] and len(failures) == 1
         assert abs(rep.lo - (-2.791003)) <= 1e-3 and abs(rep.hi - (-2.790053)) <= 1e-3
         assert_bracket_on_probes(rep, 1e-3)
+        assert_closed_on_the_fold(rep, 1e-3)
 
-    def test_closes_when_first_closing_probe_solves(self, t2_16, monkeypatch):
-        # stop the walk far above the fold, so that the probe at the last
-        # stable point − 0.99·tol solves and the fallback closes the bracket
-        monkeypatch.setattr(threshold, "FOLD_MARGIN", 20.0)
-        closing, certified = [], []
-        original = threshold._probe_twice
+    def test_a_solve_past_the_fold_raises(self, t2_16, monkeypatch):
+        # the closing Newton at α★ − δ must fail; one that converges would
+        # put a solution past the fold, and the search refuses its bracket
+        original = solvers.newton_solve
 
-        def counted(inst, **kw):
-            v = original(inst, **kw)
-            (certified if kw.get("fold") else closing).append(v.solved)
-            return v
+        def warm_always_converges(inst, start, **kw):
+            rep = original(inst, start, **kw)
+            if isinstance(start, ScalarField):
+                rep.failure_reason = None
+            return rep
 
-        monkeypatch.setattr(threshold, "_probe_twice", counted)
-        rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
-        # the first closing probe rests on the certificate and solves: the
-        # fold evidence was wrong, so the march probes from every start
-        assert certified == [True] and False in closing
-        failed = [p for p in rep.probes if not p.solved]
-        assert all([e.partition(":")[0] for e in p.evidence] == ["newton[warm]", "newton[constant]"]
-                   for p in failed)
-        assert abs(rep.lo - (-3.178722)) <= 1e-3 and abs(rep.hi - (-3.178009)) <= 1e-3
-        assert_bracket_on_probes(rep, 1e-3)
-        assert_stable_family(rep)
+        monkeypatch.setattr(solvers, "newton_solve", warm_always_converges)
+        with pytest.raises(NumericalFailure, match="past the fold"):
+            find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
 
     def test_bracket_rests_on_probes_and_repeats(self, t2_16):
         S = sine_field(t2_16, -0.5)
@@ -353,36 +358,76 @@ class TestEigenFallback:
         assert_bracket_on_probes(rep, 1e-2)
 
 
-class TestFoldCertificate:
-    """Without a certificate, from λ_min ≥ 0 or an unconverged λ_min at the
-    point past the fold, the closing probe runs every start, and the
-    bracket does not move."""
+def recording_folds(monkeypatch, fail_first=0):
+    """Wrap solvers.fold_solve; returns the list of (handover t, report,
+    fold) of its calls. The first fail_first calls are made to fail."""
+    calls = []
+    original = solvers.fold_solve
 
-    @pytest.mark.parametrize("at_past", ["nonnegative", "unconverged"])
-    def test_fallback_runs_every_start(self, t2_16, monkeypatch, at_past):
+    def recorded(make_inst, dF_dt, u, t, phi0):
+        rep, fold = original(make_inst, dF_dt, u, t, phi0)
+        if len(calls) < fail_first:
+            rep.failure_reason, fold = "stagnation", None
+        calls.append((t, rep, fold))
+        return rep, fold
+
+    monkeypatch.setattr(solvers, "fold_solve", recorded)
+    return calls
+
+
+class TestFoldSolve:
+    @pytest.mark.parametrize("param", ["alpha", "lambda"])
+    def test_fold_is_singular_on_the_dense_jacobian(self, t2_16, monkeypatch, param):
+        # at the solved fold the dense spectral Jacobian has a zero
+        # eigenvalue, and φ spans its null vector
+        folds = recording_folds(monkeypatch)
+        if param == "alpha":
+            rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        else:
+            g0 = named_field(t2_16, "two_mode", shift_max_zero=True)
+            rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
+        (_, fold_rep, fold), = [c for c in folds if c[2] is not None]
+        assert fold.t * (1.0 if param == "alpha" else -1.0) == rep.estimate
+        W = problem.stability_potential(fold_rep.inst, fold_rep.solution).values.reshape(-1)
+        J = -dense_spectral_laplacian(fold_rep.inst.domain) + np.diag(W)
+        lams, vecs = np.linalg.eigh(J)
+        assert abs(lams[0]) <= 1e-6 < lams[1]
+        phi = fold.du.reshape(-1)
+        assert np.mean(phi**2) == pytest.approx(1.0)
+        assert abs(vecs[:, 0] @ phi) / np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-9)
+
+    def test_failed_fold_solve_walks_on(self, t2_16, monkeypatch):
+        # a fold solve that fails at the first handover lets the walk go on;
+        # the next stable point hands over again and closes on the same fold
         S = sine_field(t2_16, -0.5)
-        certified = find_alpha_star(S, tol=1e-3)
-        assert_certified_close(certified)
-        original, unstable = problem.stability_eigenvalue, []
-
-        def at_past_fold(inst, u, start=None):
-            lam, x = original(inst, u, start)
-            if lam >= 0:
-                return lam, x
-            unstable.append(lam)  # the only unstable point is the one past the fold
-            if at_past == "unconverged":
-                raise EigenSolveError("forced non-convergence", lam)
-            return -lam, x
-
-        monkeypatch.setattr(problem, "stability_eigenvalue", at_past_fold)
-        calls = counting_probes(monkeypatch)
+        ref = find_alpha_star(S, tol=1e-3)
+        folds = recording_folds(monkeypatch, fail_first=1)
         rep = find_alpha_star(S, tol=1e-3)
-        assert len(unstable) == 1 and calls.count(False) == 1
-        (failed,) = [p for p in rep.probes if not p.solved]
-        assert ([e.partition(":")[0] for e in failed.evidence]
-                == ["newton[warm]", "newton[constant]"])
-        assert (rep.lo, rep.hi) == (certified.lo, certified.hi)
-        assert rep.probes == certified.probes[:-1] + [failed]
+        walk = [p.param for p in rep.probes if p.solved][:-1]
+        assert [t for t, _, _ in folds] == walk[-2:]
+        assert walk[:-1] == [p.param for p in ref.probes if p.solved][:-1]
+        assert rep.estimate == pytest.approx(ref.estimate, abs=1e-9)
+        assert_closed_on_the_fold(rep, 1e-3)
+        assert_stable_family(rep)
+
+    def test_fold_solve_failing_past_the_fold_raises(self, t2_16, monkeypatch):
+        folds = recording_folds(monkeypatch, fail_first=100)
+        with pytest.raises(NumericalFailure, match="passed its fold but did not solve it"):
+            find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        # every handover was tried once, the last at the last stable point
+        assert len(folds) >= 2
+
+    @pytest.mark.parametrize("param", ["alpha", "lambda"])
+    def test_coarse_tol_keeps_the_family_in_order(self, t2_16, param):
+        # at tol 0.5, δ = tol/4 would put the solvable end above the handover
+        # point; the cap δ ≤ (t_handover − t★)/2 keeps it between
+        if param == "alpha":
+            rep = find_alpha_star(sine_field(t2_16, -0.5), tol=0.5)
+        else:
+            rep = ding_liu_lambda_star(named_field(t2_16, "two_mode", shift_max_zero=True), -1.0,
+                                       tol=0.5)
+        assert_stable_family(rep)
+        assert_closed_on_the_fold(rep, 0.5)
 
 
 class TestEigenStarts:
@@ -392,23 +437,26 @@ class TestEigenStarts:
     def test_walk_threads_the_ritz_vector(self, t2_16, monkeypatch):
         calls = record_eig_calls(monkeypatch)
         rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
-        assert_certified_close(rep)
-        # one solve per member, in order, then the fold certificate's
-        *members, certificate = calls
-        assert [c["lam"] for c in members] == [r.min_eig for _, r in rep.family]
-        assert_threaded(calls)
-        # the certificate, past the fold, starts from the last stable point's vector
+        assert_closed_on_the_fold(rep, 1e-3)
+        # one solve per member, in order: the walk's, then the solvable end's
+        assert [c["lam"] for c in calls] == [r.min_eig for _, r in rep.family]
+        *walk, end = calls
+        assert_threaded(walk)
         last = rep.family[-1][1]
         V = problem.stability_potential(last.inst, last.solution)
-        assert np.array_equal(members[-1]["V"].values, V.values)
-        assert certificate["start"] is members[-1]["x"]
-        assert certificate["lam"] < 0 < members[-1]["lam"]
+        assert np.array_equal(end["V"].values, V.values)
+        # the solvable end's starts from the fold's null vector φ, mean(φ²) = 1,
+        # which is close to the ground state at the walk's last point
+        phi = end["start"]
+        assert np.mean(phi**2) == pytest.approx(1.0)
+        assert abs(phi @ walk[-1]["x"]) / np.linalg.norm(phi) > 0.99
+        assert 0 < end["lam"] < walk[-1]["lam"]
 
     def test_unconverged_solve_passes_nothing_on(self, t2_16, monkeypatch):
         calls = record_eig_calls(monkeypatch, fail_at={2})
         rep = find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
         assert calls[2]["x"] is None and calls[3]["start"] is calls[1]["x"]
-        assert_threaded(calls)
+        assert_threaded(calls[:-1])
         assert [r.min_eig is None for _, r in rep.family[:4]] == [False, False, True, False]
 
 
@@ -456,28 +504,35 @@ class TestDingLiu:
 
     def test_few_failed_probes(self, t2_32, monkeypatch):
         calls = counting_probes(monkeypatch)
+        failures = counting_newton_failures(monkeypatch)
         g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
         rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
-        assert calls.count(False) == 1
-        assert calls.count(True) == 1  # the bootstrap; the walk's points are not re-probed
+        # the bootstrap is the one probe; the failed end is one Newton solve
+        assert calls == [True] and len(failures) == 1
         # every record is filed under λ, not under the instance's α = s₀
         assert all(0.0 < p.param < -g0.min for p in rep.probes)
         assert abs(rep.lo - 1.179785) <= 1e-2 and abs(rep.hi - 1.185352) <= 1e-2
         assert_bracket_on_probes(rep, 1e-2)
-        assert_certified_close(rep)
+        assert_closed_on_the_fold(rep, 1e-2)
 
-    def test_obstructed_bootstrap_is_recorded(self, t2_16):
+    def test_obstructed_bootstrap_is_recorded(self, t2_16, monkeypatch):
         # g₀ = −(narrow bump): ∫(g₀ + λ) ≥ 0 at the first bootstrap λ, so
         # that probe fails on the Kazdan-Warner obstruction; the summary's
-        # probes name it, and the certificate behind the closing probe
+        # probes name it, and the fold behind the closing solve
         x = t2_16.coords()
         bump = np.exp(-((x[0] - 0.5) ** 2 + (x[1] - 0.5) ** 2) / 0.01)
         g0 = ScalarField(t2_16, -bump + np.min(bump))
+        folds = recording_folds(monkeypatch)
         rep = ding_liu_lambda_star(g0, -1.0, tol=1e-2)
         evidence = [p["evidence"] for p in _threshold_summary(rep)["probes"]]
         assert evidence[0] == ["sign_obstruction: integral of S >= 0"]
         assert evidence[-1][0].startswith("fold: ")
-        assert_certified_close(rep)
+        assert_closed_on_the_fold(rep, 1e-2)
+        # the first corrector step passes the fold: the one handover comes
+        # after the tangent turns, at the bootstrap point, the one stable one
+        bootstrap = next(p for p in rep.probes if p.solved)
+        assert [-t for t, _, _ in folds] == [bootstrap.param]
+        assert [p.param for p in rep.probes if p.solved] == [bootstrap.param, rep.lo]
 
 
 class TestWalkSchedule:
