@@ -9,6 +9,15 @@
                         tangent of the walk's first point,
   * fold_solve        — Newton on the Moore–Spence extended system, which
                         solves for the fold itself.
+
+Every engine converges once its residual's ‖·‖_∞ is at most RESIDUAL_TOL.
+The corrector and the fold solve share one Newton loop and one failure
+policy: a solve that blows up (`blow_up: …`), leaves the instances' range
+(`out_of_range: …`), meets a non-finite residual (`blow_up: non-finite`),
+runs out of CORRECTOR_ITERS iterations (`max_iters`), does not halve its
+residual where the halving rule applies (`stagnation`) or takes a
+non-finite Krylov step (`linear_solve_diverged`) fails with that reason on
+its report and no point.
 """
 
 from __future__ import annotations
@@ -241,19 +250,53 @@ class BranchPoint:
     dt: float
 
 
-def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
-    """The instance at t, F(u, t), e^{2u/n}, solve(rhs) and tangent(report).
+def _extended_newton(method, make_inst, linearize, halve_from, inst, u, x, t, z=None):
+    """The Newton loop of arclength_correct (x empty) and fold_solve (x = φ)
+    in (u, x, t), from (u, x, t) at inst, moved first by the step z when
+    given. linearize(inst, e, u, x, t), e = e^{2u/n}, returns the residual's
+    ‖·‖_∞, step() → the flattened Newton step and tangent() → the unit
+    tangent (du, dt) at a converged point. The halving rule applies from
+    iteration halve_from."""
+    shape, N = u.values.shape, u.values.size
+    history: list[float] = []
+    for it in range(CORRECTOR_ITERS + 1):
+        try:
+            if z is not None:
+                u = ScalarField(u.domain, u.values + z[:N].reshape(shape))
+                x, t = x + z[N:-1], t + float(z[-1])
+                inst = make_inst(t)
+            e = problem.conformal_factor(inst, u)
+            normF, step, tangent = linearize(inst, e, u, x, t)
+        except BlowUpError as err:
+            return _finish(inst, u, it, history, method, f"blow_up: {err}"), None
+        except DomainError as err:
+            return _finish(inst, u, it, history, method, f"out_of_range: {err}"), None
+        history.append(normF)
+        if not np.isfinite(normF):
+            reason = "blow_up: non-finite"
+        elif normF <= RESIDUAL_TOL:
+            rep = _finish(inst, u, it, history, method, e=e)
+            return rep, BranchPoint(rep, t, *tangent())
+        elif it == CORRECTOR_ITERS:
+            reason = "max_iters"
+        elif it >= halve_from and normF > 0.5 * history[-2]:
+            reason = "stagnation"
+        else:
+            z = step()
+            reason = None if np.all(np.isfinite(z)) else "linear_solve_diverged"
+        if reason:
+            return _finish(inst, u, it, history, method, reason), None
+
+
+def _bordered(inst, dF_dt, u: ScalarField, e, du, dt):
+    """solve(rhs) and tangent() of the bordered Jacobian at u, e = e^{2u/n}.
     solve is an inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered
     Jacobian [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
     P = diag(M, 1), M = (−Δ + c)⁻¹. _gmres runs on P·B: (v, s) ↦
     (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair per Krylov step, with
     M·f_t formed once here and rhs preconditioned once per solve; its info
-    refers to the preconditioned residual. tangent is the BranchPoint of a
-    converged report at (u, t), z = solve(0, 1) normalized. Raises
-    BlowUpError, and DomainError for a t outside the instances' range."""
-    inst = make_inst(t)
-    e = problem.conformal_factor(inst, u)
-    F = problem.residual(inst, u, e=e)
+    refers to the preconditioned residual. tangent is the unit tangent
+    (du, dt) of the branch at u, z = solve(0, 1) normalized."""
     J = problem.linearization(inst, u, e)
     Mft = J.solve_diagonal(np.broadcast_to(dF_dt(e), e.shape)).reshape(-1)
     du = du.reshape(-1)
@@ -270,19 +313,21 @@ def _bordered(make_inst, dF_dt, u: ScalarField, t: float, du, dt):
         Mrhs = np.append(J.solve_diagonal(rhs[:-1]), rhs[-1])
         return _gmres(apply, Mrhs, 1e-6)[0]
 
-    def tangent(report):
+    def tangent():
         z = solve(np.append(np.zeros(du.size), 1.0))
         v, s = z[:-1], float(z[-1])
         norm = float(np.sqrt(spectral.inner(v, v) / v.size + s * s))
-        return BranchPoint(report, t, (v / norm).reshape(u.values.shape), s / norm)
+        return (v / norm).reshape(u.values.shape), s / norm
 
-    return inst, F, e, solve, tangent
+    return solve, tangent
 
 
 def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
     """A walk's first point: the converged report at t with its branch tangent
     z, [[J, f_t], [duᵀ/N, dt]]·z = (0, 1), oriented along (du, dt)."""
-    return _bordered(make_inst, dF_dt, report.solution, t, du, dt)[4](report)
+    inst, u = make_inst(t), report.solution
+    _, tangent = _bordered(inst, dF_dt, u, problem.conformal_factor(inst, u), du, dt)
+    return BranchPoint(report, t, *tangent())
 
 
 def arclength_correct(make_inst, dF_dt, base: BranchPoint,
@@ -293,45 +338,21 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint,
     factor e^{2u/n} to the exact ∂F/∂t. From the tangent predictor
     base + ds·(du, dt), Newton on (u, t) solves F = 0 together with the
     arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is the
-    bordered solve of _bordered, well posed through a fold where J is singular.
-    Converged means ‖F‖_∞ ≤ RESIDUAL_TOL, the contract of newton_solve;
-    the new point then carries the tangent of its last bordered solve. A
-    corrector that does not halve ‖F‖_∞ every iteration, blows up, leaves the
-    instances' parameter range or runs out of its CORRECTOR_ITERS iterations
-    fails, with the reason on the report and no point; the caller shortens
-    the step.
+    bordered solve of _bordered, well posed through a fold where J is
+    singular. Its residual is ‖F‖_∞, which every Newton step must halve. A
+    converged point carries the tangent of its last bordered solve.
     """
-    shape = base.report.solution.values.shape
     u0, t0 = base.report.solution.values, base.t
-    u = ScalarField(base.report.solution.domain, u0 + ds * base.du)
-    t = float(t0 + ds * base.dt)
-    history: list[float] = []
-    inst = make_inst(t0)
-    for it in range(CORRECTOR_ITERS + 1):
-        try:
-            inst, F, e, solve, tangent = _bordered(make_inst, dF_dt, u, t, base.du, base.dt)
-        except BlowUpError as err:
-            return _finish(inst, u, it, history, "arclength", f"blow_up: {err}"), None
-        except DomainError as err:
-            return _finish(inst, u, it, history, "arclength", f"out_of_range: {err}"), None
-        normF = F.sup_norm
-        history.append(normF)
-        if not np.isfinite(normF):
-            return _finish(inst, u, it, history, "arclength", "blow_up: non-finite"), None
-        if normF <= RESIDUAL_TOL:
-            rep = _finish(inst, u, it, history, "arclength", e=e)
-            return rep, tangent(rep)
-        if it == CORRECTOR_ITERS:
-            break
-        if it >= 1 and normF > 0.5 * history[-2]:
-            return _finish(inst, u, it, history, "arclength", "stagnation"), None
+
+    def linearize(inst, e, u, _, t):
+        F = problem.residual(inst, u, e=e)
+        solve, tangent = _bordered(inst, dF_dt, u, e, base.du, base.dt)
         arc = np.mean(base.du * (u.values - u0)) + base.dt * (t - t0) - ds
-        z = solve(-np.append(F.values.reshape(-1), arc))
-        if not np.all(np.isfinite(z)):
-            return _finish(inst, u, it, history, "arclength", "linear_solve_diverged"), None
-        u = ScalarField(u.domain, u.values + z[:-1].reshape(shape))
-        t += float(z[-1])
-    return _finish(inst, u, CORRECTOR_ITERS, history, "arclength", "max_iters"), None
+        return F.sup_norm, lambda: solve(-np.append(F.values.reshape(-1), arc)), tangent
+
+    return _extended_newton("arclength", make_inst, linearize, 1, base.report.inst,
+                            base.report.solution, np.empty(0), t0,
+                            ds * np.append(base.du, base.dt))
 
 
 def fold_solve(make_inst, dF_dt, u: ScalarField, t: float,
@@ -342,45 +363,33 @@ def fold_solve(make_inst, dF_dt, u: ScalarField, t: float,
     dF_dt are arclength_correct's; F is affine in e = e^{2u/n}, so with
     W = −(2/n)·S·e, F_uu[φ, v] = (2/n)·W·φ·v and ∂_t(W) = (2/n)·(dF_dt(e) −
     dF_dt(0)). Each step runs _gmres on the 2N+1 system, preconditioned by
-    diag(M, M, 1), two FFT pairs per Krylov step. Converged means
-    ‖(F, F_u·φ)‖_∞ ≤ RESIDUAL_TOL: the fold is the BranchPoint at t★ with unit
-    tangent (φ, 0), mean(φ²) = 1. Otherwise it fails as arclength_correct
-    does, though its first step may raise the residual.
+    diag(M, M, 1), two FFT pairs per Krylov step. Its residual is
+    ‖(F, F_u·φ)‖_∞, which the first Newton step may raise and later ones
+    must halve. The fold is the BranchPoint at t★ with tangent (φ, 0), mean(φ²) = 1.
     """
     shape, N = u.values.shape, u.values.size
-    phi = phi0 = phi0.reshape(-1) * (np.sqrt(N) / _norm(phi0.reshape(-1)))
-    history, inst = [], make_inst(t)
-    for it in range(CORRECTOR_ITERS + 1):
-        try:
-            inst = make_inst(t)
-            e = problem.conformal_factor(inst, u)
-        except BlowUpError as err:
-            return _finish(inst, u, it, history, "fold", f"blow_up: {err}"), None
-        except DomainError as err:
-            return _finish(inst, u, it, history, "fold", f"out_of_range: {err}"), None
+    phi0 = phi0.reshape(-1) * (np.sqrt(N) / _norm(phi0.reshape(-1)))
+
+    def linearize(inst, e, u, phi, t):
         J = problem.linearization(inst, u, e)
         F, Jphi = problem.residual(inst, u, e=e).values.reshape(-1), J.apply(phi)
-        history.append(float(np.max(np.abs(np.concatenate([F, Jphi])))))
-        if not np.isfinite(history[-1]):
-            return _finish(inst, u, it, history, "fold", "blow_up: non-finite"), None
-        if history[-1] <= RESIDUAL_TOL:
-            rep = _finish(inst, u, it, history, "fold", e=e)
-            return rep, BranchPoint(rep, t, (np.sqrt(N) / _norm(phi) * phi).reshape(shape), 0.0)
-        if it == CORRECTOR_ITERS:
-            return _finish(inst, u, it, history, "fold", "max_iters"), None
-        if it >= 2 and history[-1] > 0.5 * history[-2]:
-            return _finish(inst, u, it, history, "fold", "stagnation"), None
-        ft = np.broadcast_to(dF_dt(e), shape).reshape(-1)
-        Wc, Fuu_phi = J.W.reshape(-1) - J.c, (2.0 / inst.n) * J.W.reshape(-1) * phi
-        Wt_phi = (2.0 / inst.n) * (ft - dF_dt(0.0)) * phi
 
-        def apply(z):
-            v, w, s = z[:N], z[N:-1], z[-1]
-            return np.concatenate([v + J.solve_diagonal(Wc * v + s * ft),
-                                   w + J.solve_diagonal(Wc * w + Fuu_phi * v + s * Wt_phi),
-                                   [spectral.inner(phi0, w) / N]])
+        def step():
+            ft = np.broadcast_to(dF_dt(e), shape).reshape(-1)
+            Wc, Fuu_phi = J.W.reshape(-1) - J.c, (2.0 / inst.n) * J.W.reshape(-1) * phi
+            Wt_phi = (2.0 / inst.n) * (ft - dF_dt(0.0)) * phi
 
-        z = _gmres(apply, -np.concatenate([J.solve_diagonal(F), J.solve_diagonal(Jphi),
-                                           [spectral.inner(phi0, phi) / N - 1.0]]), 1e-10)[0]
-        u = ScalarField(u.domain, u.values + z[:N].reshape(shape))
-        phi, t = phi + z[N:-1], t + float(z[-1])
+            def apply(z):
+                v, w, s = z[:N], z[N:-1], z[-1]
+                return np.concatenate([v + J.solve_diagonal(Wc * v + s * ft),
+                                       w + J.solve_diagonal(Wc * w + Fuu_phi * v + s * Wt_phi),
+                                       [spectral.inner(phi0, w) / N]])
+
+            rhs = np.concatenate([J.solve_diagonal(F), J.solve_diagonal(Jphi),
+                                  [spectral.inner(phi0, phi) / N - 1.0]])
+            return _gmres(apply, -rhs, 1e-10)[0]
+
+        return (float(np.max(np.abs(np.concatenate([F, Jphi])))), step,
+                lambda: ((np.sqrt(N) / _norm(phi) * phi).reshape(shape), 0.0))
+
+    return _extended_newton("fold", make_inst, linearize, 2, make_inst(t), u, phi0, t)

@@ -64,15 +64,11 @@ def laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(u.domain, plan.ifft(-plan.ksq * plan.fft(u.values)))
 
 
-def gradient_components(u: ScalarField) -> list[np.ndarray]:
-    plan = get_plan(u.domain)
-    uhat = plan.fft(u.values)
-    return [plan.ifft(1j * kd * uhat) for kd in plan._kderiv]
-
-
 def grad_norm_sq(u: ScalarField) -> ScalarField:
     """Pointwise |∇u|² via spectral first derivatives."""
-    return ScalarField(u.domain, sum(g**2 for g in gradient_components(u)))
+    plan = get_plan(u.domain)
+    uhat = plan.fft(u.values)
+    return ScalarField(u.domain, sum(plan.ifft(1j * kd * uhat)**2 for kd in plan._kderiv))
 
 
 class SchrodingerOperator:

@@ -447,7 +447,8 @@ def test_engines_agree(t2_32):
 
 
 class TestArclength:
-    """Pseudo-arclength corrector on branches in t = α."""
+    """Pseudo-arclength corrector on branches in t = α, and the failures it
+    shares with the fold solve, whose Newton loop is the same."""
 
     @staticmethod
     def start(inst_at, t):
@@ -455,6 +456,14 @@ class TestArclength:
         assert rep.converged
         zero = np.zeros(rep.solution.values.shape)
         return branch_point(inst_at, lambda e: 1.0, rep, t, zero, -1.0)
+
+    @staticmethod
+    def run(engine, inst_at, p, ds):
+        """The corrector's step ds from p, or the fold solve from p with its
+        tangent's du as φ₀."""
+        if engine == "arclength":
+            return arclength_correct(inst_at, lambda e: 1.0, p, ds)
+        return solvers.fold_solve(inst_at, lambda e: 1.0, p.report.solution, p.t, p.du)
 
     def test_constant_branch_closed_form(self, t2_16):
         # S ≡ −1: u = ½·ln(−α) on the whole branch
@@ -473,21 +482,27 @@ class TestArclength:
             assert arc + p.dt * (q.t - p.t) == pytest.approx(ds, rel=1e-5)
             p = q
 
-    @pytest.mark.parametrize("ds, reason", [(-1.0, "out_of_range: "), (1e3, "blow_up: ")])
-    def test_predictor_off_the_branch_fails(self, t2_16, ds, reason):
+    @pytest.mark.parametrize("engine, ds, reason, iterations", [
+        pytest.param("arclength", -1.0, "out_of_range: ", 0, id="arclength-out_of_range"),
+        pytest.param("arclength", 1e3, "blow_up: ", 0, id="arclength-blow_up"),
+        pytest.param("fold", None, "out_of_range: ", 1, id="fold-out_of_range"),
+    ])
+    def test_predictor_off_the_branch_fails(self, t2_16, engine, ds, reason, iterations):
         # S ≡ −1 at α = −0.5: the tangent is (du, dt) ∝ (1, −1), so ds = −1
         # predicts α > 0, where no instance exists, and ds = 1e3 predicts
-        # u ≈ 700, past problem.EXP_ARG_CAP
+        # u ≈ 700, past problem.EXP_ARG_CAP. The branch has no fold: the
+        # fold solve's first step, du = −½ with φ constant, lands on α = 0
         def inst_at(t):
             return constant_instance(t2_16, -1.0, t)
 
         p = self.start(inst_at, -0.5)
-        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, ds)
-        assert q is None and not rep.converged
-        assert rep.failure_reason.startswith(reason) and rep.iterations == 0
+        rep, q = self.run(engine, inst_at, p, ds)
+        assert q is None and not rep.converged and rep.method == engine
+        assert rep.failure_reason.startswith(reason) and rep.iterations == iterations
 
-    def test_one_conformal_factor_per_iteration(self, t2_16, monkeypatch):
-        # one bordered system per corrector iteration, one e^{2u/n} each
+    @pytest.mark.parametrize("engine", ["arclength", "fold"])
+    def test_one_conformal_factor_per_iteration(self, t2_16, monkeypatch, engine):
+        # one extended system per iteration, one e^{2u/n} each
         S = named_field(t2_16, "sin1", offset=-0.5)
 
         def inst_at(t):
@@ -496,9 +511,24 @@ class TestArclength:
         p = self.start(inst_at, -3.0)
         calls = count_conformal_factors(monkeypatch)
         monkeypatch.setattr(solvers, "CORRECTOR_ITERS", 1)
-        rep, q = arclength_correct(inst_at, lambda e: 1.0, p, 0.02)
+        rep, q = self.run(engine, inst_at, p, 0.02)
         assert rep.failure_reason == "max_iters" and q is None
-        assert len(calls) == 2
+        assert rep.iterations == 1 and len(calls) == 2
+
+    @pytest.mark.parametrize("engine", ["arclength", "fold"])
+    def test_a_non_finite_krylov_step_fails(self, t2_16, monkeypatch, engine):
+        # a Krylov solve that returns NaN ends the solve with a reason; it
+        # does not reach the next iterate, whose field would reject it
+        S = named_field(t2_16, "sin1", offset=-0.5)
+
+        def inst_at(t):
+            return ProblemInstance(S, t)
+
+        p = self.start(inst_at, -3.0)
+        monkeypatch.setattr(solvers, "_gmres", lambda apply, b, rtol: (np.full_like(b, np.nan), 1))
+        rep, q = self.run(engine, inst_at, p, 0.02)
+        assert q is None and rep.failure_reason == "linear_solve_diverged"
+        assert rep.iterations == 0
 
     def test_steps_through_the_fold(self, t2_16):
         x = t2_16.coords()

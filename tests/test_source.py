@@ -108,17 +108,26 @@ def test_no_solve_setting_has_a_literal_default():
 
 def test_the_convergence_tolerance_is_read_in_solvers_only():
     # every solve converges at solvers.RESIDUAL_TOL, which no caller passes
-    # down: no function takes a residual_tol, and no other module reads it
-    found = []
+    # down: no function takes a residual_tol, and no other module reads it.
+    # Within solvers it is compared in two functions, Newton's and the loop
+    # the corrector and the fold solve share
+    found, compared = [], set()
     for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.arg) and node.arg == "residual_tol":
                 found.append(f"{path.stem}:{node.lineno} parameter residual_tol")
             if path.stem != "solvers" and "RESIDUAL_TOL" in (
                     getattr(node, "id", None), getattr(node, "attr", None),
                     getattr(node, "name", None)):
                 found.append(f"{path.stem}:{node.lineno} reads RESIDUAL_TOL")
+        if path.stem == "solvers":
+            compared = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                        for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                        for name in ast.walk(node)
+                        if isinstance(name, ast.Name) and name.id == "RESIDUAL_TOL"}
     assert found == []
+    assert compared == {"newton_solve", "_extended_newton"}
 
 
 def test_every_module_constant_is_read():
