@@ -34,6 +34,8 @@ def _number(kind, many=False):
             values = [kind(x) for x in text.split(",") if x.strip()] if many else [kind(text)]
         except ValueError:
             raise ValueError(f"malformed number {text!r}") from None
+        if not values:
+            raise ValueError(f"no number in {text!r}")
         if kind is float and not np.all(np.isfinite(values)):
             raise ValueError(f"must be finite, got {text!r}")
         return values if many else values[0]
@@ -309,6 +311,9 @@ def main(argv=None) -> int:
             raise KWLabError("config validation failed: " + "; ".join(problems))
 
         outdir = Path(args.out or f"kwlab_out_{args.mode}")
+        # an --out under a file, or one that is a file, fails before the run
+        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+            raise KWLabError(f"--out {str(outdir)!r} cannot be made a directory")
         try:
             code, summary = run(args.mode, cfg, text, outdir)
         except NumericalFailure as e:
@@ -322,7 +327,7 @@ def main(argv=None) -> int:
         (outdir / "summary.json").write_text(line + "\n")
         print(line)
         return code
-    except KWLabError as e:
+    except (KWLabError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1
 

@@ -16,11 +16,27 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class TorusDomain:
-    """Uniform periodic grid on a flat torus of real dimension d (2 or 4)."""
+    """Uniform periodic grid on a flat torus of real dimension d = len(sizes),
+    2 or 4: even sizes of at least 8 points, one positive length per axis."""
 
-    d: int
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.d not in (2, 4) or len(self.lengths) != self.d:
+            raise DomainError(f"need 2 or 4 axes, a length each: {self.sizes}, {self.lengths}")
+        for N in self.sizes:
+            if N < 8:
+                raise DomainError(f"axis size {N} < 8: too coarse for spectral differentiation")
+            if N % 2 != 0:
+                raise DomainError(f"axis size {N} is odd: even sizes required")
+        for L in self.lengths:
+            if not L > 0:
+                raise DomainError(f"axis length {L} must be positive")
+
+    @property
+    def d(self) -> int:
+        return len(self.sizes)
 
     @property
     def volume(self) -> float:
@@ -65,21 +81,11 @@ class TorusDomain:
 
 
 def make_torus(d: int, sizes, lengths) -> TorusDomain:
-    if d not in (2, 4):
-        raise DomainError(f"grid dimension must be 2 or 4, got {d}")
+    """The TorusDomain of d axes with the given sizes and lengths."""
     sizes = tuple(int(N) for N in sizes)
-    lengths = tuple(float(L) for L in lengths)
-    if len(sizes) != d or len(lengths) != d:
-        raise DomainError(f"need {d} sizes and {d} lengths, got {len(sizes)}/{len(lengths)}")
-    for N in sizes:
-        if N < 8:
-            raise DomainError(f"axis size {N} < 8: too coarse for spectral differentiation")
-        if N % 2 != 0:
-            raise DomainError(f"axis size {N} is odd: even sizes required")
-    for L in lengths:
-        if not L > 0:
-            raise DomainError(f"axis length {L} must be positive")
-    return TorusDomain(d=d, sizes=sizes, lengths=lengths)
+    if len(sizes) != d:
+        raise DomainError(f"need {d} sizes, got {len(sizes)}")
+    return TorusDomain(sizes, tuple(float(L) for L in lengths))
 
 
 @dataclass(eq=False)

@@ -30,8 +30,6 @@ class ProblemInstance:
     alpha: float
 
     def __post_init__(self):
-        if self.domain.d not in (2, 4):
-            raise DomainError(f"grid dimension must be 2 or 4, got {self.domain.d}")
         if not self.alpha < 0:
             raise DomainError(f"alpha must be negative, got {self.alpha}")
 

@@ -5,8 +5,8 @@
                         probe tries a warm start, then the constant one,
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
                         solutions in a parameter t toward its fold (the
-                        threshold search), with branch_point giving the
-                        tangent of the walk's first point,
+                        threshold search); its step of length 0 in the
+                        direction (0, −1) gives the walk's first point,
   * fold_solve        — Newton on the Moore–Spence extended system, which
                         solves for the fold itself.
 
@@ -288,48 +288,6 @@ def _extended_newton(method, make_inst, linearize, halve_from, inst, u, x, t, z=
             return _finish(inst, u, it, history, method, reason), None
 
 
-def _bordered(inst, dF_dt, u: ScalarField, e, du, dt):
-    """solve(rhs) and tangent() of the bordered Jacobian at u, e = e^{2u/n}.
-    solve is an inexact Krylov solve on (v, s) ∈ R^{N+1} of the bordered
-    Jacobian [[J, f_t], [duᵀ/N, dt]], J = F′(u), f_t = ∂F/∂t, left-preconditioned by
-    P = diag(M, 1), M = (−Δ + c)⁻¹. _gmres runs on P·B: (v, s) ↦
-    (M·J·v + s·M·f_t, ⟨du, v⟩/N + dt·s), one FFT pair per Krylov step, with
-    M·f_t formed once here and rhs preconditioned once per solve; its info
-    refers to the preconditioned residual. tangent is the unit tangent
-    (du, dt) of the branch at u, z = solve(0, 1) normalized."""
-    J = problem.linearization(inst, u, e)
-    Mft = J.solve_diagonal(np.broadcast_to(dF_dt(e), e.shape)).reshape(-1)
-    du = du.reshape(-1)
-
-    def apply(z):
-        z = z.reshape(-1)
-        v, s = z[:-1], z[-1]
-        return np.append(J.apply_preconditioned(v) + s * Mft,
-                         spectral.inner(du, v) / v.size + dt * s)
-
-    def solve(rhs):
-        # an inexact solve is enough: the corrector's residual test decides
-        # convergence, and the tangent only steers the next step
-        Mrhs = np.append(J.solve_diagonal(rhs[:-1]), rhs[-1])
-        return _gmres(apply, Mrhs, 1e-6)[0]
-
-    def tangent():
-        z = solve(np.append(np.zeros(du.size), 1.0))
-        v, s = z[:-1], float(z[-1])
-        norm = float(np.sqrt(spectral.inner(v, v) / v.size + s * s))
-        return (v / norm).reshape(u.values.shape), s / norm
-
-    return solve, tangent
-
-
-def branch_point(make_inst, dF_dt, report: SolveReport, t: float, du, dt) -> BranchPoint:
-    """A walk's first point: the converged report at t with its branch tangent
-    z, [[J, f_t], [duᵀ/N, dt]]·z = (0, 1), oriented along (du, dt)."""
-    inst, u = make_inst(t), report.solution
-    _, tangent = _bordered(inst, dF_dt, u, problem.conformal_factor(inst, u), du, dt)
-    return BranchPoint(report, t, *tangent())
-
-
 def arclength_correct(make_inst, dF_dt, base: BranchPoint,
                       ds: float) -> tuple[SolveReport, Optional[BranchPoint]]:
     """One pseudo-arclength step (Keller 1977) along the branch F(u, t) = 0.
@@ -337,18 +295,40 @@ def arclength_correct(make_inst, dF_dt, base: BranchPoint,
     make_inst maps t to its ProblemInstance and dF_dt maps the conformal
     factor e^{2u/n} to the exact ∂F/∂t. From the tangent predictor
     base + ds·(du, dt), Newton on (u, t) solves F = 0 together with the
-    arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds; each step is the
-    bordered solve of _bordered, well posed through a fold where J is
-    singular. Its residual is ‖F‖_∞, which every Newton step must halve. A
-    converged point carries the tangent of its last bordered solve.
+    arclength row mean(du·(u − u₀)) + dt·(t − t₀) = ds. Each step is an
+    inexact _gmres solve of the bordered Jacobian B = [[J, f_t], [duᵀ/N, dt]],
+    J = F′(u), f_t = ∂F/∂t, well posed through a fold where J is singular and
+    left-preconditioned by diag(M, 1), M = (−Δ + c)⁻¹: one FFT pair per
+    Krylov step. Its residual is ‖F‖_∞, which every Newton step must halve. A
+    converged point carries its unit tangent, B⁻¹·(0, 1) normalized. A step
+    of length 0 from a converged report in the direction (0, −1) is a walk's
+    first point: it stops at iteration 0 with that tangent.
     """
-    u0, t0 = base.report.solution.values, base.t
+    u0, t0, du = base.report.solution.values, base.t, base.du.reshape(-1)
 
     def linearize(inst, e, u, _, t):
         F = problem.residual(inst, u, e=e)
-        solve, tangent = _bordered(inst, dF_dt, u, e, base.du, base.dt)
+        J = problem.linearization(inst, u, e)
+        Mft = J.solve_diagonal(np.broadcast_to(dF_dt(e), e.shape)).reshape(-1)
+
+        def apply(z):
+            v, s = z[:-1], z[-1]
+            return np.append(J.apply_preconditioned(v) + s * Mft,
+                             spectral.inner(du, v) / v.size + base.dt * s)
+
+        def solve(r, a):
+            # an inexact solve of B·z = (r, a) is enough: the residual test
+            # decides convergence, and the tangent only steers the next step
+            return _gmres(apply, np.append(J.solve_diagonal(r), a), 1e-6)[0]
+
+        def tangent():
+            z = solve(np.zeros(du.size), 1.0)
+            v, s = z[:-1], float(z[-1])
+            norm = float(np.sqrt(spectral.inner(v, v) / v.size + s * s))
+            return (v / norm).reshape(u0.shape), s / norm
+
         arc = np.mean(base.du * (u.values - u0)) + base.dt * (t - t0) - ds
-        return F.sup_norm, lambda: solve(-np.append(F.values.reshape(-1), arc)), tangent
+        return F.sup_norm, lambda: solve(-F.values.reshape(-1), -arc), tangent
 
     return _extended_newton("arclength", make_inst, linearize, 1, base.report.inst,
                             base.report.solution, np.empty(0), t0,

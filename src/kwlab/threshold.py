@@ -16,7 +16,7 @@ from . import problem, solvers
 from .domain import ScalarField, integrate
 from .errors import EigenSolveError, NumericalFailure, SolverError
 from .problem import ProblemInstance
-from .solvers import MAX_ITERS, SolveReport
+from .solvers import MAX_ITERS, BranchPoint, SolveReport
 
 # fixed probe points for the "threshold is unbounded" verification (the
 # S ≤ 0 regime is solvable at every negative α)
@@ -255,8 +255,9 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
         if fold is None or not fold.t < point.t:
             return None, f"fold solve: {fold_rep.failure_reason or 'not past the handover'}"
         inst, u, phi = fold_rep.inst, fold_rep.solution, fold.du
-        a = float(np.mean((2.0 / inst.n) * problem.linearization(inst, u).W * phi**3))
-        b = float(np.mean(phi * dF_dt(problem.conformal_factor(inst, u))))
+        e = problem.conformal_factor(inst, u)
+        a = float(np.mean((2.0 / inst.n) * problem.linearization(inst, u, e).W * phi**3))
+        b = float(np.mean(phi * dF_dt(e)))
         if not a * b < 0:
             return None, f"a*b={a * b!r} is not negative"
         delta = min(CLOSE_FRACTION * tol, 0.5 * (point.t - fold.t))
@@ -281,8 +282,8 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
             sign * (fold.t - delta), evidence)], sign * fold.t), None
 
     lam = last = accept(probes[-1])
-    zero = np.zeros(v.report.solution.values.shape)
-    point = solvers.branch_point(inst_at, dF_dt, v.report, sign * param, zero, -1.0)
+    first = BranchPoint(v.report, sign * param, np.zeros(v.report.solution.values.shape), -1.0)
+    _, point = solvers.arclength_correct(inst_at, dF_dt, first, 0.0)   # with its tangent
     ds, grow = FIRST_STEP, True
     for _ in range(MAX_SEARCH_PROBES):
         rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds)

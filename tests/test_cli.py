@@ -430,15 +430,38 @@ def test_family_mode_explicit_alphas(tmp_path, capsys):
     assert (out / "member_002.report.json").exists()
 
 
-def test_family_rejects_nondecreasing_alphas(tmp_path, capsys):
+@pytest.mark.parametrize("alphas, problem", [
+    ("-1,-0.5,-2", "strictly decreasing"),
+    (",", "alphas: no number in ','"),
+], ids=["nondecreasing", "empty"])
+def test_family_rejects_nondecreasing_alphas(tmp_path, capsys, alphas, problem):
     code, cap = run_cli(
         capsys, "family", "--out", str(tmp_path / "fam"),
-        "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=-1,-0.5,-2",
+        "field=sin1", "field_offset=-0.5", "sizes=16,16", f"alphas={alphas}",
     )
     assert code == 1
-    assert "strictly decreasing" in json.loads(cap.err.strip())["error"]
+    assert problem in json.loads(cap.err.strip())["error"]
     assert cap.out == ""
     assert not (tmp_path / "fam").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, monkeypatch, under):
+    # an --out that names a file, or a path under one, is an IO error found
+    # before the solve runs, and the run writes nothing
+    def no_solve(*args, **kw):
+        raise AssertionError("the solve ran before --out was checked")
+
+    monkeypatch.setattr(threshold, "probe_solvable", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if under else taken
+    code, cap = run_cli(capsys, "solve", "--out", str(out), "field=const", "field_value=-1",
+                        "alpha=-1", "sizes=16,16")
+    assert code == 1
+    assert json.loads(cap.err.strip())["error"] == f"--out {str(out)!r} cannot be made a directory"
+    assert cap.out == ""
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("mode, bad, keys", [

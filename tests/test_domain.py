@@ -3,6 +3,7 @@ import pytest
 
 from kwlab import (
     ScalarField,
+    TorusDomain,
     ball_mask,
     integrate,
     make_cutoff,
@@ -21,6 +22,7 @@ def test_make_torus_basic():
     dom4 = make_torus(4, [16] * 4, [1.0] * 4)
     assert dom4.volume == 1.0
     assert dom4.npoints == 65536
+    assert (dom.d, dom4.d) == (2, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -33,6 +35,17 @@ def test_make_torus_basic():
 def test_make_torus_rejects(bad):
     with pytest.raises(DomainError):
         make_torus(**bad)
+
+
+@pytest.mark.parametrize("sizes, lengths", [
+    ((8, 8, 8), (1.0, 1.0, 1.0)),
+    ((7, 7), (1.0, 1.0)),
+    ((8, 8), (1.0,)),
+], ids=["3-axis", "odd", "lengths"])
+def test_torus_domain_rejects(sizes, lengths):
+    # a directly built TorusDomain checks its grid as make_torus's does
+    with pytest.raises(DomainError):
+        TorusDomain(sizes, lengths)
 
 
 def test_integrate_constant(t2_64):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, TorusDomain, integrate, make_torus
+from kwlab import ProblemInstance, ScalarField, integrate, make_torus
 from kwlab import spectral
 from kwlab.errors import BlowUpError, DomainError
 from kwlab.problem import (
@@ -29,10 +29,6 @@ def make_manufactured(domain, alpha, seed=31, amplitude=0.4):
 def test_instance_validation(t2_32):
     with pytest.raises(DomainError):
         ProblemInstance(ScalarField.constant(t2_32, -1.0), 0.5)
-    # a directly built TorusDomain bypasses make_torus's dimension check
-    t3 = TorusDomain(d=3, sizes=(8, 8, 8), lengths=(1.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        ProblemInstance(ScalarField.constant(t3, -1.0), -1.0)
 
 
 @pytest.mark.parametrize("read", [

@@ -6,9 +6,9 @@ from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
 from kwlab.solvers import (
+    BranchPoint,
     SolveReport,
     arclength_correct,
-    branch_point,
     newton_solve,
 )
 
@@ -452,10 +452,15 @@ class TestArclength:
 
     @staticmethod
     def start(inst_at, t):
+        """The walk's first point at t: a step of length 0 from Newton's
+        solution in the direction (0, −1), which stops at once on it."""
         rep = newton_solve(inst_at(t), "constant")
         assert rep.converged
         zero = np.zeros(rep.solution.values.shape)
-        return branch_point(inst_at, lambda e: 1.0, rep, t, zero, -1.0)
+        first, p = arclength_correct(inst_at, lambda e: 1.0, BranchPoint(rep, t, zero, -1.0), 0.0)
+        assert first.converged and first.iterations == 0 and p.t == t
+        assert np.array_equal(first.solution.values, rep.solution.values)
+        return p
 
     @staticmethod
     def run(engine, inst_at, p, ds):
@@ -471,7 +476,9 @@ class TestArclength:
             return constant_instance(t2_16, -1.0, t)
 
         p = self.start(inst_at, -0.5)
-        assert p.dt < 0
+        # the tangent of t ↦ ½·ln(−t), oriented toward smaller t
+        assert p.dt == pytest.approx(-1.0 / np.sqrt(1.0 + 1.0 / (4.0 * p.t**2)), abs=1e-9)
+        assert np.max(np.abs(p.du - p.dt / (2.0 * p.t))) < 1e-9
         assert np.mean(p.du**2) + p.dt**2 == pytest.approx(1.0)
         for ds in (0.3, 0.6):
             rep, q = arclength_correct(inst_at, lambda e: 1.0, p, ds)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import kwlab
-from kwlab import ProblemInstance, cli
+from kwlab import ProblemInstance, TorusDomain, cli
 
 
 def test_no_assert_statements():
@@ -221,9 +221,10 @@ def test_every_stored_field_is_read():
 
 
 def test_no_function_takes_what_its_field_fixes():
-    # a field carries its grid, the grid its plan, and n = d/2: a function
-    # of a field or an instance that also takes a domain, plan or n takes a
-    # second copy that can disagree with the first
+    # a field carries its grid, the grid its plan and d = len(sizes), and
+    # n = d/2: a function of a field or an instance that also takes a
+    # domain, plan or n takes a second copy that can disagree with the
+    # first, and so would a grid that stored d beside its sizes
     found = []
     for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -236,6 +237,7 @@ def test_no_function_takes_what_its_field_fixes():
                 found.append(f"{path.stem}.{name}")
     assert found == []
     assert [f.name for f in dataclasses.fields(ProblemInstance)] == ["S", "alpha"]
+    assert [f.name for f in dataclasses.fields(TorusDomain)] == ["sizes", "lengths"]
 
 
 
