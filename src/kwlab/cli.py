@@ -239,9 +239,9 @@ def run(mode: str, cfg: dict, text: dict[str, str], outdir: Path) -> tuple[int, 
         sign = -1.0 if cfg["inject"] == "diverge_down" else 1.0
         family = _injected_family(S, sign, cfg["count"])
     else:
-        # the solved records of the walk if one ran, else of the search
-        family = [(p.param, p.report) for p in (thr.probes if walk is None else walk)
-                  if p.solved]
+        # the solved records of the walk if one ran, else the search's family
+        family = thr.family if walk is None else [(p.param, p.report) for p in walk
+                                                  if p.solved]
     if mode in ("family", "diagnose"):
         summary["family_size"] = len(family)
 

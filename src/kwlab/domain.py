@@ -23,6 +23,8 @@ class TorusDomain:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(int(N) for N in self.sizes))
+        object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if self.d not in (2, 4) or len(self.lengths) != self.d:
             raise DomainError(f"need 2 or 4 axes, a length each: {self.sizes}, {self.lengths}")
         for N in self.sizes:
@@ -82,10 +84,9 @@ class TorusDomain:
 
 def make_torus(d: int, sizes, lengths) -> TorusDomain:
     """The TorusDomain of d axes with the given sizes and lengths."""
-    sizes = tuple(int(N) for N in sizes)
     if len(sizes) != d:
         raise DomainError(f"need {d} sizes, got {len(sizes)}")
-    return TorusDomain(sizes, tuple(float(L) for L in lengths))
+    return TorusDomain(sizes, lengths)
 
 
 @dataclass(eq=False)

@@ -53,35 +53,27 @@ def named_field(
     Names: const (needs value), cos1, sin1, two_mode, random_fourier (needs
     seed and decay_p). `offset` is added afterwards; `shift_max_zero`
     subtracts the max (the normalization the λ-continuation requires).
-    The *_shifted aliases set shift_max_zero.
     """
-    if name.endswith("_shifted"):
-        name = name[: -len("_shifted")]
-        shift_max_zero = True
-
     x = domain.coords()
     L = domain.lengths
     if name == "const":
         if value is None:
             raise DomainError("const field needs a value")
-        f = ScalarField.constant(domain, value)
+        vals = float(value)
     elif name == "cos1":
-        f = ScalarField(domain, np.broadcast_to(
-            np.cos(2 * np.pi * x[0] / L[0]), domain.sizes).copy())
+        vals = np.cos(2 * np.pi * x[0] / L[0])
     elif name == "sin1":
-        f = ScalarField(domain, np.broadcast_to(
-            np.sin(2 * np.pi * x[0] / L[0]), domain.sizes).copy())
+        vals = np.sin(2 * np.pi * x[0] / L[0])
     elif name == "two_mode":
         vals = np.cos(2 * np.pi * x[0] / L[0]) + 0.5 * np.cos(4 * np.pi * x[1] / L[1])
-        f = ScalarField(domain, np.broadcast_to(vals, domain.sizes).copy())
     elif name == "random_fourier":
         if seed is None or decay_p is None:
             raise DomainError("random_fourier needs seed and decay_p")
-        f = random_fourier(domain, seed, decay_p)
+        vals = random_fourier(domain, seed, decay_p).values
     else:
         raise DomainError(f"unknown field name {name!r}")
 
-    vals = f.values + offset
+    vals = np.broadcast_to(vals, domain.sizes) + offset
     if shift_max_zero:
         vals = vals - np.max(vals)
     return ScalarField(domain, vals)

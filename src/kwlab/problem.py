@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .domain import ScalarField, TorusDomain
-from .errors import BlowUpError, DomainError
+from .domain import ScalarField, TorusDomain, mean
+from .errors import BlowUpError, DomainError, SolverError
 
 # e^{2u/n} is never evaluated past this exponent; hitting the cap is treated
 # as blow-up evidence, not as a value.
@@ -40,6 +40,15 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.domain.d // 2
+
+
+def constant_solution(inst: ProblemInstance) -> ScalarField:
+    """The solution (n/2)·ln(α/mean S) of the equation averaged over the
+    torus, Newton's start when no warm one is given; it needs mean S < 0."""
+    m = mean(inst.S)
+    if not m < 0:
+        raise SolverError(f"a constant start needs mean S < 0, got {m!r}")
+    return ScalarField.constant(inst.domain, 0.5 * inst.n * np.log(inst.alpha / m))
 
 
 def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:

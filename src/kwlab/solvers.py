@@ -1,8 +1,8 @@
 """Solution engines for −Δu + α = S·e^{2u/n}.
 
   * newton_solve      — damped Newton with Krylov inner solves, the solve of
-                        one instance from the constant or a given start; a
-                        probe tries a warm start, then the constant one,
+                        one instance from a given field; a probe tries a
+                        warm start, then problem.constant_solution,
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
                         solutions in a parameter t toward its fold (the
                         threshold search); its step of length 0 in the
@@ -23,12 +23,12 @@ its report and no point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import problem, spectral
-from .domain import ScalarField, mean
+from .domain import ScalarField
 from .errors import BlowUpError, DomainError, SolverError
 from .problem import ProblemInstance
 
@@ -39,8 +39,7 @@ CORRECTOR_ITERS = 10        # a corrector that has not converged by then has fai
 MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
 PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
-RESTART = 30                # Krylov steps per GMRES cycle
-MAX_CYCLES = 4              # GMRES cycles before a solve gives up
+KRYLOV_STEPS = 30           # the most vectors of GMRES's one Krylov basis
 
 
 @dataclass
@@ -72,19 +71,6 @@ class SolveReport:
         return self.inst.alpha
 
 
-def start_field(inst: ProblemInstance, start: Union[str, ScalarField]) -> ScalarField:
-    """A copy of a given field, or for "constant" the solution
-    (n/2)·ln(α/mean S) of the averaged equation, which needs mean S < 0."""
-    if isinstance(start, ScalarField):
-        return start.copy()
-    if start == "constant":
-        m = mean(inst.S)
-        if not m < 0:
-            raise SolverError(f"a constant start needs mean S < 0, got {m!r}")
-        return ScalarField.constant(inst.domain, 0.5 * inst.n * np.log(inst.alpha / m))
-    raise SolverError(f"unknown start strategy {start!r}")
-
-
 def _finish(inst, u, iters, history, method, reason=None, e=None) -> SolveReport:
     """The report of a solve. Only a converged one carries the energy, from
     e, the e^{2u/n} its last residual evaluated under the overflow cap."""
@@ -104,63 +90,55 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Restarted GMRES (Saad & Schultz 1986) for A·x = b, A given by apply.
+    """One cycle of GMRES (Saad & Schultz 1986) for A·x = b, A given by apply.
 
-    Each cycle builds a Krylov basis of at most RESTART vectors by modified
-    Gram–Schmidt Arnoldi and solves the small least-squares problem with
-    Givens rotations, whose last entry is ‖b − A·x‖ with no extra apply. The
-    first cycle starts from x = 0 with r = b, so A is never applied to a zero
-    vector; a restart recomputes r = b − A·x. A happy breakdown, when the
-    basis spans an invariant subspace (H[j+1, j] = 0), ends the cycle at the
-    exact solution on that subspace. Returns (x, info): info is 0 once
-    ‖b − A·x‖ ≤ rtol·‖b‖, and 1 when MAX_CYCLES cycles end short of it or A
-    is singular on the basis.
+    It builds a Krylov basis of at most KRYLOV_STEPS vectors by modified
+    Gram–Schmidt Arnoldi from x = 0, r = b, so A is never applied to a zero
+    vector, and solves the small least-squares problem with Givens
+    rotations, whose last entry is ‖b − A·x‖ with no extra apply. A happy
+    breakdown, when the basis spans an invariant subspace (H[j+1, j] = 0),
+    ends it at the exact solution on that subspace. Returns (x, info): info
+    is 0 once ‖b − A·x‖ ≤ rtol·‖b‖, and 1 when the basis fills up short of
+    it or A is singular on the basis.
     """
-    x = np.zeros_like(b)
-    target = rtol * _norm(b)
-    r = b
-    for cycle in range(MAX_CYCLES):
-        if cycle:
-            r = b - apply(x)
-        beta = _norm(r)
-        if beta <= target:
-            return x, 0
-        V = np.empty((RESTART, b.size))
-        V[0] = r / beta
-        H = np.zeros((RESTART, RESTART))        # R of the rotated Hessenberg matrix
-        cs, sn = np.zeros(RESTART), np.zeros(RESTART)
-        g = np.zeros(RESTART + 1)
-        g[0] = beta
-        for j in range(RESTART):
-            w = apply(V[j])
-            for i in range(j + 1):
-                H[i, j] = spectral.inner(w, V[i])
-                w -= H[i, j] * V[i]
-            h = _norm(w)                        # H[j+1, j] before its rotation
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            rho = np.hypot(H[j, j], h)
-            if rho == 0.0:                      # A is singular on the basis
-                return x, 1
-            cs[j], sn[j], H[j, j] = H[j, j] / rho, h / rho, rho
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            # a happy breakdown, h = 0, gives sn[j] = 0 and so g[j + 1] = 0
-            if abs(g[j + 1]) <= target or j + 1 == RESTART:
-                break
-            V[j + 1] = w / h
-        k = j + 1
-        x = x + spectral.inner(V[:k].T, np.linalg.solve(H[:k, :k], g[:k]))
-        if abs(g[k]) <= target:
-            return x, 0
-    return x, 1
+    beta = _norm(b)
+    target = rtol * beta
+    if beta <= target:
+        return np.zeros_like(b), 0
+    V = np.empty((KRYLOV_STEPS, b.size))
+    V[0] = b / beta
+    H = np.zeros((KRYLOV_STEPS, KRYLOV_STEPS))  # R of the rotated Hessenberg matrix
+    cs, sn = np.zeros(KRYLOV_STEPS), np.zeros(KRYLOV_STEPS)
+    g = np.zeros(KRYLOV_STEPS + 1)
+    g[0] = beta
+    for j in range(KRYLOV_STEPS):
+        w = apply(V[j])
+        for i in range(j + 1):
+            H[i, j] = spectral.inner(w, V[i])
+            w -= H[i, j] * V[i]
+        h = _norm(w)                            # H[j+1, j] before its rotation
+        for i in range(j):
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        rho = np.hypot(H[j, j], h)
+        if rho == 0.0:                          # A is singular on the basis
+            return np.zeros_like(b), 1
+        cs[j], sn[j], H[j, j] = H[j, j] / rho, h / rho, rho
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        # a happy breakdown, h = 0, gives sn[j] = 0 and so g[j + 1] = 0
+        if abs(g[j + 1]) <= target or j + 1 == KRYLOV_STEPS:
+            break
+        V[j + 1] = w / h
+    k = j + 1
+    x = spectral.inner(V[:k].T, np.linalg.solve(H[:k, :k], g[:k]))
+    return x, 0 if abs(g[k]) <= target else 1
 
 
-def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField], *,
+def newton_solve(inst: ProblemInstance, start: ScalarField, *,
                  max_iters: int = MAX_ITERS) -> SolveReport:
     """Damped Newton on F(u) = −Δu + α − S e^{2u/n}.
 
-    From start (start_field), at most max_iters iterations (fewer than 1
+    From a copy of start, at most max_iters iterations (fewer than 1
     raises SolverError); converged means ‖F‖_∞ ≤ RESIDUAL_TOL. Jacobian
     problem.linearization J = F′(u) = −Δ − (2/n) S e^{2u/n}; the inner
     _gmres solves M·J·d = −M·F, left-preconditioned by the
@@ -180,7 +158,7 @@ def newton_solve(inst: ProblemInstance, start: Union[str, ScalarField], *,
     """
     if max_iters < 1:
         raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
-    u = start_field(inst, start)
+    u = start.copy()
     lap = spectral.laplacian(u).values
     history: list[float] = []
 

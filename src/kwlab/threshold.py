@@ -122,7 +122,8 @@ def probe_solvable(
 
     An S with ∫S ≥ 0 fails at once with sign_obstruction evidence
     (_sign_obstructed). Otherwise Newton runs from the warm start, when
-    given, and then from the constant one; the first that converges solves
+    given, and then from problem.constant_solution, which past the
+    obstruction always exists (mean S < 0); the first that converges solves
     the probe and is the record's report. The constant start rescues a warm
     start from far up the branch (two_mode − ½ on 16², warm from α = −0.01,
     stagnates at α = −2). A failed record means no start converged, not a
@@ -136,11 +137,11 @@ def probe_solvable(
 
     evidence = []
     iters = round(MAX_ITERS * budget)
-    for start in ([] if warm_start is None else [warm_start]) + ["constant"]:
+    starts = [("warm", warm_start)] if warm_start is not None else []
+    for tag, start in starts + [("constant", problem.constant_solution(inst))]:
         rep = solvers.newton_solve(inst, start, max_iters=iters)
         if rep.converged:
             return ProbeRecord(param, [], rep)
-        tag = "warm" if isinstance(start, ScalarField) else start
         evidence.append(f"newton[{tag}]: {rep.failure_reason}")
     return ProbeRecord(param, evidence)
 

@@ -146,7 +146,8 @@ def test_04_variational_consistency(t2_32a):
 
 def test_05_stability_of_ordered_solutions(t2_32a):
     inst, _ = make_manufactured_neg(t2_32a)
-    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
+    inst_tilde = ProblemInstance(inst.S, 2 * inst.alpha)
+    warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
     iv = make_interval(inst, warm)
     lam_min = np.inf
     for rep in (monotone_iterate(inst, iv), minimize_over_interval(inst, iv)):
@@ -183,10 +184,10 @@ def test_07_finite_threshold_with_oracle(threshold64):
 
 def test_08_lambda_star_containment(t2_32a):
     g0s = {
-        "cos1_shifted": named_field(t2_32a, "cos1_shifted"),
-        "two_mode_shifted": named_field(t2_32a, "two_mode_shifted"),
-        "random_p3_shifted": named_field(t2_32a, "random_fourier_shifted",
-                                         seed=3, decay_p=3.0),
+        "cos1_shifted": named_field(t2_32a, "cos1", shift_max_zero=True),
+        "two_mode_shifted": named_field(t2_32a, "two_mode", shift_max_zero=True),
+        "random_p3_shifted": named_field(t2_32a, "random_fourier", seed=3, decay_p=3.0,
+                                         shift_max_zero=True),
     }
     details = []
     ok = True

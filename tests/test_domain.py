@@ -8,6 +8,7 @@ from kwlab import (
     integrate,
     make_cutoff,
     make_torus,
+    spectral,
     sublevel_mask,
 )
 from kwlab.errors import DomainError
@@ -46,6 +47,16 @@ def test_torus_domain_rejects(sizes, lengths):
     # a directly built TorusDomain checks its grid as make_torus's does
     with pytest.raises(DomainError):
         TorusDomain(sizes, lengths)
+
+
+def test_torus_domain_coerces_lists():
+    # lists, the form a parsed config or JSON header gives, become the
+    # tuples that field shapes and the plan cache compare and hash
+    dom = TorusDomain([8, 8], [1.0, 1.0])
+    assert dom == make_torus(2, [8, 8], [1.0, 1.0])
+    assert (dom.sizes, dom.lengths) == ((8, 8), (1.0, 1.0))
+    f = ScalarField(dom, np.cos(2 * np.pi * dom.coords()[0]) + np.zeros(dom.sizes))
+    assert np.allclose(spectral.laplacian(f).values, -4 * np.pi**2 * f.values)
 
 
 def test_integrate_constant(t2_64):

@@ -25,11 +25,11 @@ def test_two_mode_offset(t2_64):
     assert np.max(np.abs(f.values - g.values - 0.25)) < 1e-14
 
 
-def test_shifted_alias_max_zero(t2_64):
-    f = named_field(t2_64, "cos1_shifted")
-    assert f.max == pytest.approx(0.0, abs=1e-12)
-    g = named_field(t2_64, "cos1", shift_max_zero=True)
-    assert np.array_equal(f.values, g.values)
+def test_shift_max_zero_subtracts_the_max(t2_64):
+    f = named_field(t2_64, "cos1", shift_max_zero=True)
+    g = named_field(t2_64, "cos1")
+    assert f.max == 0.0
+    assert np.array_equal(f.values, g.values - g.max)
 
 
 def test_unknown_name_rejected(t2_32):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, make_torus, problem, solvers
+from kwlab import ProblemInstance, ScalarField, make_torus, problem, solvers, threshold
 from kwlab.errors import SolverError
 from kwlab.fields import named_field
 from kwlab.problem import energy, residual, stability_potential
@@ -47,7 +47,7 @@ def make_manufactured_neg(domain, seed=31, amplitude=0.3):
 
 def warm_report(inst_tilde):
     """Converged report at a more negative alpha, for super-solution building."""
-    rep = newton_solve(inst_tilde, "constant")
+    rep = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
     assert rep.converged
     return rep
 
@@ -187,7 +187,7 @@ class TestNewton:
         # of a converged solve is recomputed from the solution itself
         inst = (make_manufactured(t2_32, alpha=-1.0)[0] if field == "manufactured"
                 else ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -2.0))
-        rep = newton_solve(inst, "constant")
+        rep = newton_solve(inst, problem.constant_solution(inst))
         assert rep.converged and rep.iterations > 0
         assert rep.residual_history[-1] == residual(inst, rep.solution).sup_norm
 
@@ -226,7 +226,7 @@ class TestNewton:
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root
         inst = ProblemInstance(sin_minus_half, -50.0)
-        rep = newton_solve(inst, "constant")
+        rep = newton_solve(inst, problem.constant_solution(inst))
         assert not rep.converged
         assert rep.failure_reason is not None
 
@@ -235,7 +235,7 @@ class TestNewton:
         # at the start, one at the accepted full step
         inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -1.0)
         calls = count_conformal_factors(monkeypatch)
-        rep = newton_solve(inst, "constant", max_iters=1)
+        rep = newton_solve(inst, problem.constant_solution(inst), max_iters=1)
         assert rep.failure_reason == "max_iters" and rep.iterations == 1
         assert calls == [-1.0, -1.0]
 
@@ -248,10 +248,11 @@ class TestNewton:
 
         monkeypatch.setattr(problem, "energy", counted)
         S = named_field(t2_32, "sin1", offset=-0.5)
-        failed = newton_solve(ProblemInstance(S, -50.0), "constant")
+        far, near = ProblemInstance(S, -50.0), ProblemInstance(S, -1.0)
+        failed = newton_solve(far, problem.constant_solution(far))
         assert not failed.converged and failed.energy is None
         assert calls == []
-        solved = newton_solve(ProblemInstance(S, -1.0), "constant")
+        solved = newton_solve(near, problem.constant_solution(near))
         assert solved.converged and calls == [-1.0]
         assert solved.energy == energy(solved.inst, solved.solution)
 
@@ -260,7 +261,7 @@ class TestNewton:
         # iterate evaluates e^{2u/n} once; the energy reads the last of them
         inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -1.0)
         calls = count_conformal_factors(monkeypatch)
-        rep = newton_solve(inst, "constant")
+        rep = newton_solve(inst, problem.constant_solution(inst))
         assert rep.converged and rep.iterations == len(rep.residual_history) - 1
         assert len(calls) == len(rep.residual_history)
         assert rep.energy == energy(inst, rep.solution)
@@ -281,7 +282,7 @@ class TestNewton:
         # mean S ≥ 0 has no constant solution of the averaged equation to start from
         S = named_field(t2_16, "sin1", offset=mean_S)
         with pytest.raises(SolverError, match="mean S < 0"):
-            newton_solve(ProblemInstance(S, -1.0), "constant")
+            problem.constant_solution(ProblemInstance(S, -1.0))
 
 
 class TestGmres:
@@ -315,18 +316,8 @@ class TestGmres:
         inputs = []
         x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
         self.assert_solves(x, info, dense, b)
-        # one cycle from x = 0: the operator never sees a zero vector
-        assert len(inputs) <= solvers.RESTART
-        assert all(np.any(v) for v in inputs)
-
-    def test_restarts_reach_the_same_solution(self, monkeypatch):
-        op, dense, b = self.system()
-        monkeypatch.setattr(solvers, "RESTART", 3)
-        monkeypatch.setattr(solvers, "MAX_CYCLES", 50)
-        inputs = []
-        x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
-        self.assert_solves(x, info, dense, b)
-        assert len(inputs) > 2 * 3          # at least two restarts
+        # one basis from x = 0: the operator never sees a zero vector
+        assert len(inputs) <= solvers.KRYLOV_STEPS
         assert all(np.any(v) for v in inputs)
 
     def test_happy_breakdown(self, t2_16):
@@ -346,10 +337,9 @@ class TestGmres:
         assert np.max(np.abs(x - mode / (4 * np.pi**2 + 2.0))) <= 1e-15
         assert info_exact == 0 and np.array_equal(y, e0 / 3.0)
 
-    def test_cycle_cap_reports_nonzero_info(self, monkeypatch):
+    def test_full_basis_reports_nonzero_info(self, monkeypatch):
         op, dense, b = self.system()
-        monkeypatch.setattr(solvers, "RESTART", 2)
-        monkeypatch.setattr(solvers, "MAX_CYCLES", 1)
+        monkeypatch.setattr(solvers, "KRYLOV_STEPS", 2)
         inputs = []
         x, info = solvers._gmres(self.counted(op.apply_preconditioned, inputs), b, 1e-10)
         assert info != 0 and len(inputs) == 2
@@ -370,7 +360,8 @@ class TestMonotone:
 
     def test_manufactured_bracket(self, t2_32):
         inst, u_star = make_manufactured_neg(t2_32)
-        warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
+        inst_tilde = ProblemInstance(inst.S, 2 * inst.alpha)
+        warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
         assert warm.converged
         iv = make_interval(inst, warm)
         rep = monotone_iterate(inst, iv)
@@ -401,7 +392,8 @@ class TestMinimize:
 
     def test_minimum_beats_random_interval_points(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
+        inst_tilde = ProblemInstance(inst.S, -2.0)
+        warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         assert rep.converged
@@ -415,7 +407,8 @@ class TestMinimize:
 
     def test_interior_minimizer_satisfies_equation(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
+        inst_tilde = ProblemInstance(inst.S, -2.0)
+        warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         assert rep.converged
@@ -427,7 +420,8 @@ class TestMinimize:
 
     def test_energy_not_above_endpoints(self, t2_32):
         inst, _ = make_manufactured(t2_32, alpha=-1.0, amplitude=0.3)
-        warm = newton_solve(ProblemInstance(inst.S, -2.0), "constant")
+        inst_tilde = ProblemInstance(inst.S, -2.0)
+        warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
         iv = make_interval(inst, warm)
         rep = minimize_over_interval(inst, iv)
         I_min = energy(inst, rep.solution)
@@ -437,7 +431,8 @@ class TestMinimize:
 
 def test_engines_agree(t2_32):
     inst, _ = make_manufactured_neg(t2_32)
-    warm = newton_solve(ProblemInstance(inst.S, 2 * inst.alpha), "constant")
+    inst_tilde = ProblemInstance(inst.S, 2 * inst.alpha)
+    warm = newton_solve(inst_tilde, problem.constant_solution(inst_tilde))
     iv = make_interval(inst, warm)
     u_newton = newton_solve(inst, ScalarField.constant(inst.domain, 0.0)).solution
     u_mono = monotone_iterate(inst, iv).solution
@@ -454,7 +449,8 @@ class TestArclength:
     def start(inst_at, t):
         """The walk's first point at t: a step of length 0 from Newton's
         solution in the direction (0, −1), which stops at once on it."""
-        rep = newton_solve(inst_at(t), "constant")
+        inst = inst_at(t)
+        rep = newton_solve(inst, problem.constant_solution(inst))
         assert rep.converged
         zero = np.zeros(rep.solution.values.shape)
         first, p = arclength_correct(inst_at, lambda e: 1.0, BranchPoint(rep, t, zero, -1.0), 0.0)
@@ -570,7 +566,8 @@ class TestFoldSolve:
     @staticmethod
     def start(t2_16, alpha):
         S = named_field(t2_16, "sin1", offset=-0.5)
-        rep = newton_solve(ProblemInstance(S, alpha), "constant")
+        inst = ProblemInstance(S, alpha)
+        rep = newton_solve(inst, problem.constant_solution(inst))
         _, x = problem.stability_eigenvalue(rep.inst, rep.solution)
         return (lambda t: ProblemInstance(S, t)), rep.solution, x
 
@@ -594,3 +591,24 @@ class TestFoldSolve:
         rep, fold = solvers.fold_solve(inst_at, lambda e: 1.0, u, -1.0, x)
         assert fold is None and not rep.converged
         assert rep.failure_reason.startswith("out_of_range: ") and rep.iterations == 1
+
+
+def test_searches_leave_krylov_headroom(t2_16, monkeypatch):
+    # every Krylov solve of a search, in Newton, the corrector and the fold
+    # solve, converges within half of the one basis GMRES builds: a kernel
+    # that needs more fails here before the answers degrade
+    calls, gmres = [], solvers._gmres
+
+    def counted(apply, b, rtol):
+        inputs = []
+        x, info = gmres(TestGmres.counted(apply, inputs), b, rtol)
+        calls.append((len(inputs), info))
+        return x, info
+
+    monkeypatch.setattr(solvers, "_gmres", counted)
+    for name in ("sin1", "two_mode"):
+        threshold.find_alpha_star(named_field(t2_16, name, offset=-0.5))
+    threshold.ding_liu_lambda_star(named_field(t2_16, "two_mode", shift_max_zero=True), -1.0)
+    assert len(calls) > 100
+    assert all(info == 0 for _, info in calls)
+    assert max(n for n, _ in calls) <= solvers.KRYLOV_STEPS // 2
