@@ -6,6 +6,7 @@ import numpy as np
 
 from .domain import ScalarField, TorusDomain
 from .errors import DomainError
+from .spectral import get_plan
 
 
 def random_fourier(domain: TorusDomain, seed: int, decay_p: float) -> ScalarField:
@@ -18,7 +19,8 @@ def random_fourier(domain: TorusDomain, seed: int, decay_p: float) -> ScalarFiel
         raise DomainError(f"spectrum decay p must exceed 1, got {decay_p}")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(domain.sizes)
-    what = np.fft.rfftn(white)
+    plan = get_plan(domain)
+    what = plan.fft(white)
     idx = []
     for i, N in enumerate(domain.sizes):
         if i == domain.d - 1:
@@ -31,7 +33,7 @@ def random_fourier(domain: TorusDomain, seed: int, decay_p: float) -> ScalarFiel
     ksq = sum(m**2 for m in idx)
     what = what * (1.0 + ksq) ** (-decay_p)
     what.reshape(-1)[0] = 0.0  # mean handled by the caller's offset
-    vals = np.fft.irfftn(what, s=domain.sizes, axes=range(domain.d))
+    vals = plan.ifft(what)
     sup = np.max(np.abs(vals))
     if sup > 0:
         vals = vals * (1.0 / sup)   # not vals / sup: that rounds differently

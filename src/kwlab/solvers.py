@@ -108,27 +108,31 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     V = np.empty((KRYLOV_STEPS, b.size))
     V[0] = b / beta
     H = np.zeros((KRYLOV_STEPS, KRYLOV_STEPS))  # R of the rotated Hessenberg matrix
-    cs, sn = np.zeros(KRYLOV_STEPS), np.zeros(KRYLOV_STEPS)
-    g = np.zeros(KRYLOV_STEPS + 1)
+    # the small arithmetic runs on Python floats, which round as float64 does
+    cs, sn = [0.0] * KRYLOV_STEPS, [0.0] * KRYLOV_STEPS
+    g = [0.0] * (KRYLOV_STEPS + 1)
     g[0] = beta
     for j in range(KRYLOV_STEPS):
         w = apply(V[j])
+        col = []                                # column j of H
         for i in range(j + 1):
-            H[i, j] = spectral.inner(w, V[i])
-            w -= H[i, j] * V[i]
+            col.append(float(spectral.inner(w, V[i])))
+            w -= col[i] * V[i]
         h = _norm(w)                            # H[j+1, j] before its rotation
         for i in range(j):
-            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-        rho = np.hypot(H[j, j], h)
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  cs[i] * col[i + 1] - sn[i] * col[i])
+        rho = float(np.hypot(col[j], h))
         if rho == 0.0:                          # A is singular on the basis
             return np.zeros_like(b), 1
-        cs[j], sn[j], H[j, j] = H[j, j] / rho, h / rho, rho
+        cs[j], sn[j], col[j] = col[j] / rho, h / rho, rho
+        H[:j + 1, j] = col
         g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
         # a happy breakdown, h = 0, gives sn[j] = 0 and so g[j + 1] = 0
         if abs(g[j + 1]) <= target or j + 1 == KRYLOV_STEPS:
             break
         V[j + 1] = w / h
+        del w   # not held through the next apply, the cycle's memory peak
     k = j + 1
     x = spectral.inner(V[:k].T, np.linalg.solve(H[:k, :k], g[:k]))
     return x, 0 if abs(g[k]) <= target else 1
@@ -334,7 +338,7 @@ def fold_solve(make_inst, dF_dt, u: ScalarField, t: float,
 
         def step():
             ft = np.broadcast_to(dF_dt(e), shape).reshape(-1)
-            Wc, Fuu_phi = J.W.reshape(-1) - J.c, (2.0 / inst.n) * J.W.reshape(-1) * phi
+            Wc, Fuu_phi = J.Wc.reshape(-1), (2.0 / inst.n) * J.W.reshape(-1) * phi
             Wt_phi = (2.0 / inst.n) * (ft - dF_dt(0.0)) * phi
 
             def apply(z):

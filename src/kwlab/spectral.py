@@ -17,13 +17,21 @@ from .errors import DomainError, EigenSolveError
 
 
 class SpectralPlan:
-    """Cached frequency tables for one domain.
+    """Cached frequency tables and transforms for one domain.
 
-    Real-to-complex transforms (rfftn over the last axis) with Hermitian
-    symmetry. ksq is |ξ|² per retained frequency; kderiv are the first
-    derivative multipliers with the Nyquist mode zeroed (standard spectral
-    convention for odd-order derivatives on even grids).
+    Real-to-complex transforms with Hermitian symmetry over the last axis,
+    run as one pocketfft pass per axis by numpy's own gufuncs, in the order
+    and with the factors of np.fft.rfftn and irfftn, so their values are
+    bitwise theirs without the n-d wrappers' Python cost. The complex passes
+    run in place in the transform's one new array; neither transform writes
+    into its argument. ksq is |ξ|² per retained frequency; kderiv are the
+    first derivative multipliers with the Nyquist mode zeroed (standard
+    spectral convention for odd-order derivatives on even grids).
     """
+
+    # numpy's pocketfft gufuncs, the passes its n-d wrappers run: imported
+    # here and nowhere else in the package
+    from numpy.fft import _pocketfft_umath as _pocketfft
 
     def __init__(self, domain: TorusDomain):
         self.domain = domain
@@ -46,12 +54,25 @@ class SpectralPlan:
             flat[N // 2 if i < domain.d - 1 else -1] = 0.0
             kderiv.append(kd)
         self._kderiv = kderiv
+        self._axes = [[(i,), (), (i,)] for i in range(domain.d)]  # one gufunc pass on axis i
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
+        # rfftn's passes: the real one on the last axis (even sizes always
+        # hold, enforced at domain construction), then axes d−2 … 0
+        pf, axes, last = self._pocketfft, self._axes, self.domain.d - 1
+        spec = pf.rfft_n_even(values, 1.0, axes=axes[last], out=np.empty(self.ksq.shape, complex))
+        for i in range(last - 1, -1, -1):
+            pf.fft(spec, 1.0, axes=axes[i], out=spec)
+        return spec
 
     def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spec, s=self.domain.sizes, axes=range(self.domain.d))
+        # irfftn's passes: axes 0 … d−2 (d ≥ 2 always holds), then the real
+        # one on the last axis, each scaled by 1/N of its own axis
+        pf, axes, sizes, last = self._pocketfft, self._axes, self.domain.sizes, self.domain.d - 1
+        work = pf.ifft(spec, 1.0 / sizes[0], axes=axes[0], out=np.empty(self.ksq.shape, complex))
+        for i in range(1, last):
+            pf.ifft(work, 1.0 / sizes[i], axes=axes[i], out=work)
+        return pf.irfft(work, 1.0 / sizes[last], axes=axes[last], out=np.empty(sizes))
 
 
 @lru_cache(maxsize=32)
@@ -77,13 +98,15 @@ class SchrodingerOperator:
 
     W is a grid array or a scalar, c > 0. `apply`, `solve_diagonal` and
     `apply_preconditioned` take grids or flattened grids and keep the shape,
-    so the Krylov and eigen-solvers call them on flat vectors.
+    so the Krylov and eigen-solvers call them on flat vectors. The shifted
+    potential Wc = W − c is computed once, here, and the solve divides each
+    fresh spectrum by |ξ|² + c in place.
     """
 
     def __init__(self, plan: SpectralPlan, W, c: float):
         if not c > 0:
             raise DomainError(f"Helmholtz constant must be positive, got {c}")
-        self.plan, self.W, self.c = plan, W, c
+        self.plan, self.W, self.c, self.Wc = plan, W, c, W - c
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         plan, g = self.plan, x.reshape(self.plan.domain.sizes)
@@ -91,12 +114,14 @@ class SchrodingerOperator:
 
     def solve_diagonal(self, x: np.ndarray) -> np.ndarray:
         plan, g = self.plan, x.reshape(self.plan.domain.sizes)
-        return plan.ifft(plan.fft(g) / (plan.ksq + self.c)).reshape(x.shape)
+        spec = plan.fft(g)
+        spec /= plan.ksq + self.c
+        return plan.ifft(spec).reshape(x.shape)
 
     def apply_preconditioned(self, x: np.ndarray) -> np.ndarray:
         """x ↦ M·A·x = x + (−Δ + c)⁻¹((W − c)·x): one FFT pair; M·(A·x) costs two."""
         g = x.reshape(self.plan.domain.sizes)
-        return x + self.solve_diagonal((self.W - self.c) * g).reshape(x.shape)
+        return x + self.solve_diagonal(self.Wc * g).reshape(x.shape)
 
 
 def inner(a, b):

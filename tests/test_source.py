@@ -33,6 +33,30 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_transforms_run_through_the_plan():
+    # the transform is spelled once, in SpectralPlan, whose fft and ifft the
+    # benchmark's tracer wraps by name: no n-d transform is called, and no
+    # pocketfft gufunc imported, anywhere else. np.fft's frequency tables
+    # stay free to use
+    transforms = {"rfftn", "irfftn", "fftn", "ifftn"}
+    found = []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        plan = {id(node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "SpectralPlan"
+                for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if id(node) in plan:
+                continue
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in transforms:
+                found.append(f"{path.stem}:{node.lineno} {ast.unparse(node.func)}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                if any("_pocketfft_umath" in name or name in transforms for name in names):
+                    found.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_every_config_key_is_read():
     # a key whose typed value nothing reads is a setting that changes nothing
     path = Path(cli.__file__)

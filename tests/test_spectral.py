@@ -19,6 +19,46 @@ def test_plan_eigenvalue_table(t2_32):
     assert np.all(flat[1:] > 0)
 
 
+class TestPlanTransforms:
+    """The plan's transforms run numpy's pocketfft passes one axis at a
+    time; their values are np.fft.rfftn's and irfftn's bit for bit, so a
+    numpy whose private gufuncs change fails here."""
+
+    GRIDS = pytest.mark.parametrize("sizes, lengths", [
+        ((8, 12), (1.0, 2.5)), ((32, 32), (1.0, 1.0)),
+        ((8, 10, 12, 8), (1.0,) * 4), ((16,) * 4, (1.0,) * 4),
+    ], ids=["8x12", "32x32", "8x10x12x8", "16x16x16x16"])
+
+    @staticmethod
+    def arrays(sizes, lengths):
+        plan = get_plan(make_torus(len(sizes), sizes, lengths))
+        rng = np.random.default_rng(len(sizes) + sizes[0])
+        values = rng.standard_normal(sizes)
+        # off the Hermitian subspace, so that what the inverse drops is compared too
+        spec = rng.standard_normal(plan.ksq.shape) + 1j * rng.standard_normal(plan.ksq.shape)
+        return plan, values, spec
+
+    @GRIDS
+    def test_fft_is_rfftn_bitwise(self, sizes, lengths):
+        plan, values, _ = self.arrays(sizes, lengths)
+        assert np.array_equal(plan.fft(values), np.fft.rfftn(values))
+
+    @GRIDS
+    def test_ifft_is_irfftn_bitwise(self, sizes, lengths):
+        plan, _, spec = self.arrays(sizes, lengths)
+        assert np.array_equal(plan.ifft(spec),
+                              np.fft.irfftn(spec, s=sizes, axes=range(len(sizes))))
+
+    @GRIDS
+    def test_transforms_leave_their_argument_alone(self, sizes, lengths):
+        plan, values, spec = self.arrays(sizes, lengths)
+        values0, spec0 = values.copy(), spec.copy()
+        out_spec, out_values = plan.fft(values), plan.ifft(spec)
+        assert np.array_equal(values, values0) and np.array_equal(spec, spec0)
+        assert not np.shares_memory(out_spec, values)
+        assert not np.shares_memory(out_values, spec)
+
+
 def test_laplacian_constant_is_zero(t2_32):
     out = laplacian(ScalarField.constant(t2_32, 4.2))
     assert out.sup_norm < 1e-12
@@ -132,10 +172,12 @@ class TestPreconditionedApply:
         assert np.max(np.abs(op.apply_preconditioned(x) - expected)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(expected))))
 
-    def test_one_fft_pair_per_call(self, t2_32, monkeypatch):
-        op, rng = self.operator(t2_32, seed=43)
+    @pytest.mark.parametrize("grid", ["t2_32", "t4_16"])
+    def test_one_fft_pair_per_call(self, grid, request, monkeypatch):
+        domain = request.getfixturevalue(grid)
+        op, rng = self.operator(domain, seed=43)
         calls = count_ffts(monkeypatch)
-        op.apply_preconditioned(rng.standard_normal(t2_32.npoints))
+        op.apply_preconditioned(rng.standard_normal(domain.npoints))
         assert calls == ["fft", "ifft"]
 
 
