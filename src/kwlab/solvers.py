@@ -167,7 +167,7 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
     history: list[float] = []
 
     # e = e^{2u/n} of the iterate serves its residual and its Jacobian; the
-    # line search sets it to each trial's, so it is the accepted iterate's
+    # line search sets it and F to each trial's, so they are the accepted iterate's
     try:
         e = problem.conformal_factor(inst, u)
     except BlowUpError as err:
@@ -190,11 +190,12 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
         if it == max_iters:
             return _finish(inst, u, it, history, "newton", "max_iters")
         J = problem.linearization(inst, u, e)
-        del e   # not held through the Krylov basis, a solve's memory peak
+        rhs = J.solve_diagonal(-F.values).reshape(-1)
+        del e, F   # not held through the Krylov basis, a solve's memory peak
         # the Krylov budget is deliberately modest: near a fold the Jacobian
         # is near-singular and full solves stall; an inexact direction plus
         # the line search is enough, and failures surface much faster.
-        d, info = _gmres(J.apply_preconditioned, J.solve_diagonal(-F.values).reshape(-1), 1e-10)
+        d, info = _gmres(J.apply_preconditioned, rhs, 1e-10)
         if not np.all(np.isfinite(d)):
             return _finish(inst, u, it, history, "newton", "linear_solve_diverged")
         d = d.reshape(inst.domain.sizes)
@@ -209,9 +210,9 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
             except BlowUpError:
                 t *= 0.5
                 continue
-            Ft = problem.residual(inst, trial, lap_t, e)
-            if Ft.sup_norm <= (1.0 - ARMIJO * t) * normF:
-                u, F, normF, lap = trial, Ft, Ft.sup_norm, lap_t
+            F = problem.residual(inst, trial, lap_t, e)
+            if F.sup_norm <= (1.0 - ARMIJO * t) * normF:
+                u, normF, lap = trial, F.sup_norm, lap_t
                 history.append(normF)
                 accepted = True
                 break

@@ -197,15 +197,15 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     Bootstrap: _probe_twice, from the constant start, at param = start,
     divided by shrink until a probe solves. From there a pseudo-arclength
     walk (solvers.arclength_correct) follows the stable branch toward its
-    fold, its step steered toward TARGET_ITERS corrector iterations and
-    halved when the corrector fails. It hands over to solvers.fold_solve,
+    fold, its step steered toward TARGET_ITERS corrector iterations; it
+    keeps only a step that converges at a stable point (dt < 0) below the
+    current one, and halves any other. It hands over to solvers.fold_solve,
     from the stable point's solution and the last converged Ritz vector (its
-    tangent when none converged), at the first stable point where λ_min²
-    has at least halved since the previous one (so its secant reaches 0
-    within one more step), and at the last stable point once the tangent's
-    t-component turns positive. A fold solve that fails or lands at or above
-    the handover t lets the walk go on; past the fold it raises
-    NumericalFailure. Closing, by the saddle-node normal form: with
+    tangent when none converged), at the first stable point where λ_min² has
+    at least halved since the previous one (so its secant reaches 0 within
+    one more step), and at the current one when a step turns past the fold
+    (dt ≥ 0). A fold solve that fails or lands at or above the handover t
+    lets the walk go on. Closing, by the saddle-node normal form: with
     mean(φ²) = 1, a = mean((2/n)·W·φ³), b = mean(φ·∂F/∂t) and
     δ = min(CLOSE_FRACTION·tol, (t_handover − t★)/2), Newton at t★ + δ from
     u★ + sign(a)·√(−2bδ/a)·φ is the solvable end, its λ_min started from φ;
@@ -215,7 +215,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     solved probes, t strictly decreasing, each with its λ_min, are the
     family. A tol that is not positive raises SolverError; a search that
     finds no solvable start, stalls or does not reach its fold raises
-    NumericalFailure.
+    NumericalFailure, a stall with its last rejection's reason.
     """
     if not tol > 0:
         raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
@@ -248,8 +248,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
         return make_inst(sign * t)
 
     def close(point):
-        """(the ThresholdReport closed across the fold solved from point,
-        None), or (None, why it failed)."""
+        """(the ThresholdReport closed on the fold solved from point, None) or (None, why not)."""
         nonlocal ground
         fold_rep, fold = solvers.fold_solve(inst_at, dF_dt, point.report.solution, point.t,
                                             point.du if ground is None else ground)
@@ -288,25 +287,24 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     ds, grow = FIRST_STEP, True
     for _ in range(MAX_SEARCH_PROBES):
         rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds)
-        if nxt is None or (nxt.dt < 0 and not nxt.t < point.t):
+        turned = nxt is not None and nxt.dt >= 0    # the fold lies between point and nxt
+        report, why = close(point) if turned else (None, rep.failure_reason)
+        if report is not None:
+            return report
+        if nxt is None or not (nxt.dt < 0 and nxt.t < point.t):
             ds, grow = 0.5 * ds, False
             if ds < MIN_STEP:
                 raise NumericalFailure(f"{param_name} continuation stalled at "
-                                       f"{sign * point.t}: {rep.failure_reason}")
+                                       f"{sign * point.t}: {why}")
             continue
-        turned = nxt.dt >= 0    # the fold lies between point and nxt
-        if not turned:
-            probes.append(ProbeRecord(sign * nxt.t, [], rep))
-            last, lam = lam, accept(probes[-1])
-            factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
-            point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
-        if turned or (None not in (last, lam) and lam * lam <= 0.5 * last * last):
-            report, why = close(point)
+        probes.append(ProbeRecord(sign * nxt.t, [], rep))
+        last, lam = lam, accept(probes[-1])
+        factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
+        point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
+        if None not in (last, lam) and lam * lam <= 0.5 * last * last:
+            report, _ = close(point)
             if report is not None:
                 return report
-            if turned:
-                raise NumericalFailure(f"{param_name} search passed its fold but did not "
-                                       f"solve it from {sign * point.t}: {why}")
     raise NumericalFailure(f"{param_name} continuation did not reach its fold "
                            f"in {MAX_SEARCH_PROBES} steps")
 
@@ -319,14 +317,15 @@ def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
     member raises NumericalFailure with its evidence), and it is reported as
     unbounded with the ladder as its family.
     Otherwise `_fold_search` finds a solvable α near 0⁻ (START_ALPHA,
-    divided by 4 on failure), follows the solution branch down toward its
-    fold by pseudo-arclength continuation and solves for the fold α★, where
-    the stability eigenvalue λ_min vanishes (solvers.fold_solve); estimate
-    is α★. hi is a converged point and lo a failed Newton solve, at
-    α★ ± δ, hi − lo ≤ tol/2. probes lists every probe, stable point and
-    closing solve; the solved ones are the family, the stable branch, α
-    strictly decreasing, each report with its λ_min. Every solve converges
-    at solvers.RESIDUAL_TOL.
+    divided by 4 on failure), follows the stable branch down by
+    pseudo-arclength continuation and solves for its fold α★, where λ_min
+    vanishes (solvers.fold_solve); estimate is α★. A step that turns past
+    the fold is halved like any rejected one, so a fold near 0⁻ (small S⁺,
+    or a large torus: α★ scales as 1/L²) closes too. hi is a converged point
+    and lo a failed Newton solve, at α★ ± δ, hi − lo ≤ tol/2. probes lists
+    every probe, stable point and closing solve; the solved ones are the
+    family, α strictly decreasing, each report with its λ_min. Every solve
+    converges at solvers.RESIDUAL_TOL.
     """
     if _sign_obstructed(S):
         raise SolverError("find_alpha_star requires integrate(S) < 0")

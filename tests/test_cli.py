@@ -318,6 +318,21 @@ def test_threshold_mode(tmp_path, capsys):
     assert (out / "member_000.report.json").exists()
 
 
+def test_threshold_on_a_large_torus(tmp_path, capsys):
+    # α★ scales as 1/L²: on the 2×2 torus the fold of two_mode − ½ lies
+    # within the search's first steps, one of which turns past it
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(tmp_path / "thr"),
+        "field=two_mode", "field_offset=-0.5", "sizes=32,32", "lengths=2,2",
+    )
+    assert code == 0
+    thr = last_json_line(cap.out)["threshold"]
+    assert thr["lo"] < thr["estimate"] < thr["hi"] < 0
+    assert np.isfinite(thr["lo"]) and 0 < thr["width"] <= 1e-3
+    # a quarter of the unit torus's α★
+    assert thr["estimate"] == pytest.approx(-2.790931345125221 / 4, abs=1e-9)
+
+
 def test_threshold_with_eigs_solves_each_eigenvalue_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = spectral.min_eigenvalue

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from kwlab import ProblemInstance, ScalarField, SolveReport, problem, solvers, spectral, threshold
+from kwlab import (ProblemInstance, ScalarField, SolveReport, make_torus, problem, solvers,
+                   spectral, threshold)
 from kwlab.cli import _threshold_summary
 from kwlab.domain import integrate
 from kwlab.errors import EigenSolveError, NumericalFailure, SolverError
@@ -334,6 +335,35 @@ class TestAlphaStar:
         assert all(r.min_eig is not None for _, r in a.family)
 
 
+class TestSmallAlphaStar:
+    """A fold close to α = 0, from a small S⁺ or a large torus (α★ scales
+    as 1/L²), lies within the walk's first steps, which can turn past it
+    onto the unstable branch; the search halves such a step and closes."""
+
+    @pytest.mark.parametrize("offset", [-0.1, -0.2])
+    @pytest.mark.parametrize("name", ["sin1", "cos1", "two_mode"])
+    def test_closes_on_32(self, t2_32, name, offset):
+        rep = find_alpha_star(named_field(t2_32, name, offset=offset), tol=1e-3)
+        assert -0.5 < rep.lo < rep.hi < 0
+        assert_closed_on_the_fold(rep, 1e-3)
+        assert_stable_family(rep)
+
+    def test_closes_on_8_to_the_4(self):
+        rep = find_alpha_star(named_field(make_torus(4, [8] * 4, [1.0] * 4), "sin1",
+                                          offset=-0.1), tol=1e-3)
+        assert_closed_on_the_fold(rep, 1e-3)
+        assert_stable_family(rep)
+
+    @pytest.mark.parametrize("name, offset", [("sin1", -0.1), ("two_mode", -0.2)])
+    def test_matches_dense_oracle(self, t2_16, name, offset):
+        # acceptance test 07's 5% for the gap between spectral and FD
+        S = named_field(t2_16, name, offset=offset)
+        rep = find_alpha_star(S, tol=1e-3)
+        lo, hi = dense_alpha_star(S.values, 1, t2_16, tol=1e-3, start=-0.01)
+        assert rep.lo == pytest.approx(0.5 * (lo + hi), rel=0.05)
+        assert rep.hi == pytest.approx(0.5 * (lo + hi), rel=0.05)
+
+
 def unconverged_eig(V, tol=1e-8, max_iters=None, start=None):
     raise EigenSolveError("forced non-convergence", -0.5)
 
@@ -410,12 +440,30 @@ class TestFoldSolve:
         assert_closed_on_the_fold(rep, 1e-3)
         assert_stable_family(rep)
 
-    def test_fold_solve_failing_past_the_fold_raises(self, t2_16, monkeypatch):
+    def test_fold_solve_failing_everywhere_stalls(self, t2_16, monkeypatch):
+        # a step that turns past the fold hands over from the stable point
+        # before it; when that fold solve fails, the step is rejected and
+        # halved like any other, until the walk stalls below MIN_STEP
         folds = recording_folds(monkeypatch, fail_first=100)
-        with pytest.raises(NumericalFailure, match="passed its fold but did not solve it"):
+        steps = []
+        original = solvers.arclength_correct
+
+        def recorded(make_inst, dF_dt, point, ds):
+            rep, nxt = original(make_inst, dF_dt, point, ds)
+            steps.append(nxt)
+            return rep, nxt
+
+        monkeypatch.setattr(solvers, "arclength_correct", recorded)
+        with pytest.raises(NumericalFailure,
+                           match=r"alpha continuation stalled at \S+: fold solve: stagnation"
+                           ) as err:
             find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
-        # every handover was tried once, the last at the last stable point
-        assert len(folds) >= 2
+        # the walk did step past the fold, and every handover is a stable
+        # point of the walk, the last of them where it stalled
+        assert any(p is not None and p.dt >= 0 for p in steps)
+        stable = {p.t for p in steps if p is not None and p.dt < 0}
+        assert len(folds) >= 2 and all(t in stable for t, _, _ in folds)
+        assert float(re.search(r"stalled at (\S+):", str(err.value)).group(1)) == folds[-1][0]
 
     @pytest.mark.parametrize("param", ["alpha", "lambda"])
     def test_coarse_tol_keeps_the_family_in_order(self, t2_16, param):
@@ -582,3 +630,50 @@ def test_lambda_star_is_where_alpha_star_crosses_s0(t2_16):
     below, above = (find_alpha_star(ScalarField(t2_16, g0.values + x), tol=1e-3)
                     for x in (lam.lo, lam.hi))
     assert below.hi < s0 < above.lo
+
+
+class TestExactInvariance:
+    """Symmetries of the equation that the discrete problem keeps exactly,
+    so the solved fold α★ keeps them to round-off."""
+
+    BOUND = 1e-9
+
+    @pytest.fixture(scope="class")
+    def two_mode(self, t2_16):
+        """two_mode − ½ on 16² and its α★."""
+        S = named_field(t2_16, "two_mode", offset=-0.5)
+        return S, find_alpha_star(S, tol=1e-3).estimate
+
+    @pytest.mark.parametrize("k", [1e-3, 0.1, 10.0, 1e3])
+    def test_scaling_S(self, two_mode, k):
+        # u ↦ u − (n/2)·log k maps the solutions for S onto those for kS
+        S, ref = two_mode
+        scaled = find_alpha_star(ScalarField(S.domain, k * S.values), tol=1e-3).estimate
+        assert abs(scaled - ref) <= self.BOUND
+
+    @pytest.mark.parametrize("shift", [(3, 0), (0, 5), (7, 11)])
+    def test_grid_roll(self, two_mode, shift):
+        S, ref = two_mode
+        rolled = find_alpha_star(ScalarField(S.domain, np.roll(S.values, shift, axis=(0, 1))),
+                                 tol=1e-3).estimate
+        assert abs(rolled - ref) <= self.BOUND
+
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_torus_length(self, t2_16, name):
+        # on the L-torus, x = L·y turns −Δ into −Δ/L², and L²·S is S up to
+        # the scaling above: L²·α★(L) = α★(1). The larger L put the fold
+        # within the walk's first steps.
+        S = named_field(t2_16, name, offset=-0.5)
+        ref = find_alpha_star(S, tol=1e-3).estimate
+        for L in (0.5, 2.0, 2.5, 3.0, 4.0, 6.0):
+            dom = make_torus(2, list(t2_16.sizes), [L, L])
+            rep = find_alpha_star(ScalarField(dom, S.values.copy()), tol=1e-3)
+            assert abs(L * L * rep.estimate - ref) <= self.BOUND, L
+
+    @pytest.mark.parametrize("s0", [-0.5, -1.0, -2.0])
+    def test_lambda_star_is_the_fold_of_its_field(self, t2_32, s0):
+        # the two searches solve the same fold: α★(g₀ + λ★(s₀)) = s₀
+        g0 = named_field(t2_32, "two_mode", shift_max_zero=True)
+        lam = ding_liu_lambda_star(g0, s0, tol=1e-2).estimate
+        rep = find_alpha_star(ScalarField(t2_32, g0.values + lam), tol=1e-3)
+        assert abs(rep.estimate - s0) <= self.BOUND
