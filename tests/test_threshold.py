@@ -440,7 +440,7 @@ class TestFoldSolve:
         assert_closed_on_the_fold(rep, 1e-3)
         assert_stable_family(rep)
 
-    def test_fold_solve_failing_everywhere_stalls(self, t2_16, monkeypatch):
+    def test_fold_solve_failing_past_the_fold_raises(self, t2_16, monkeypatch):
         # a step that turns past the fold hands over from the stable point
         # before it; when that fold solve fails, the step is rejected and
         # halved like any other, until the walk stalls below MIN_STEP
