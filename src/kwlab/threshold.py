@@ -32,6 +32,8 @@ FIRST_STEP = 0.5         # arclength of the first step from the bootstrap point
 TARGET_ITERS = 3         # corrector iterations the step size is steered to
 MIN_STEP = 1e-8          # a walk whose step halves below this is stuck
 CLOSE_FRACTION = 0.25    # the closing points sit at most this many tol either side of the fold
+FLOOR_ITERS = 3          # the failed end's Newton budget, enough to reach the normal form's floor
+FLOOR_FRACTION = 0.75    # a failed end whose ρ (its share of that floor) is below this solves
 MAX_SEARCH_PROBES = 200  # cap on corrector steps
 
 
@@ -63,7 +65,8 @@ class ProbeRecord:
     @property
     def budget_exhausted(self) -> bool:
         """Some Newton start stopped at its iteration cap: the only failure
-        a larger budget can change."""
+        a larger budget can change. A search's closing record reads max_iters
+        at its floor budget (FLOOR_ITERS), which no retry reads."""
         return any(e.endswith(": max_iters") for e in self.evidence)
 
 
@@ -209,13 +212,17 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     mean(φ²) = 1, a = mean((2/n)·W·φ³), b = mean(φ·∂F/∂t) and
     δ = min(CLOSE_FRACTION·tol, (t_handover − t★)/2), Newton at t★ + δ from
     u★ + sign(a)·√(−2bδ/a)·φ is the solvable end, its λ_min started from φ;
-    Newton at t★ − δ, warm from it alone, must fail (else NumericalFailure),
-    and its record's evidence is the fold (t★, the extended residual, a, b)
-    and that failure. The bracket is [t★ − δ, t★ + δ], its estimate t★; the
-    solved probes, t strictly decreasing, each with its λ_min, are the
-    family. A tol that is not positive raises SolverError; a search that
-    finds no solvable start, stalls or does not reach its fold raises
-    NumericalFailure, a stall with its last rejection's reason.
+    Newton at t★ − δ, warm from it alone, is held for FLOOR_ITERS iterations
+    on the normal form's floor: past the fold, −bδ + (a/2)s² has no root and
+    its least value is |b|δ, so ρ = |mean(φ·F)|/(|b|δ) of its last iterate
+    stays near 1 or above. A Newton that converges, or ρ < FLOOR_FRACTION,
+    puts a solution past the fold and raises NumericalFailure. Its record's
+    evidence is the fold (t★, the extended residual, a, b, ρ) and that
+    Newton's reason, max_iters. The bracket is [t★ − δ, t★ + δ], its
+    estimate t★; the solved probes, t strictly decreasing, each with its
+    λ_min, are the family. A tol that is not positive raises SolverError;
+    a search that finds no solvable start, stalls or does not reach its fold
+    raises NumericalFailure, a stall with its last rejection's reason.
     """
     if not tol > 0:
         raise SolverError(f"{param_name} search needs tol > 0, got {tol}")
@@ -266,16 +273,20 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
                                       ScalarField(u.domain, u.values + sigma * phi))
         if not solved.converged:
             return None, f"newton at the solvable end: {solved.failure_reason}"
-        failed = solvers.newton_solve(inst_at(fold.t - delta), solved.solution)
-        if failed.converged:
+        failed = solvers.newton_solve(inst_at(fold.t - delta), solved.solution,
+                                      max_iters=FLOOR_ITERS)
+        F = problem.residual(failed.inst, failed.solution)
+        rho = abs(float(np.mean(phi * F.values))) / (abs(b) * delta)
+        if failed.converged or rho < FLOOR_FRACTION:
             raise NumericalFailure(f"{param_name}={sign * (fold.t - delta)!r}, past the fold "
-                                   f"at {sign * fold.t!r}, solves")
+                                   f"at {sign * fold.t!r}, solves (rho={rho!r})")
         ground = phi.reshape(-1)
         end = ProbeRecord(sign * (fold.t + delta), [], solved)
         accept(end)
         evidence = [f"fold: {param_name}={sign * fold.t!r}",
                     f"fold: extended residual={fold_rep.residual_history[-1]!r}",
                     f"fold: a=mean((2/n) W phi^3)={a!r}", f"fold: b=mean(phi dF/dt)={b!r}",
+                    f"fold: rho=|mean(phi F)|/(|b| delta)={rho!r}",
                     f"newton[warm]: {failed.failure_reason}"]
         lo, hi = sorted((sign * (fold.t - delta), end.param))
         return ThresholdReport(param_name, lo, hi, probes + [end, ProbeRecord(
@@ -322,10 +333,11 @@ def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
     vanishes (solvers.fold_solve); estimate is α★. A step that turns past
     the fold is halved like any rejected one, so a fold near 0⁻ (small S⁺,
     or a large torus: α★ scales as 1/L²) closes too. hi is a converged point
-    and lo a failed Newton solve, at α★ ± δ, hi − lo ≤ tol/2. probes lists
-    every probe, stable point and closing solve; the solved ones are the
-    family, α strictly decreasing, each report with its λ_min. Every solve
-    converges at solvers.RESIDUAL_TOL.
+    and lo a failed Newton solve, at α★ ± δ, hi − lo ≤ tol/2; lo is a
+    3-iteration Newton (FLOOR_ITERS) held on the normal form's floor.
+    probes lists every probe, stable point and closing solve; the solved
+    ones are the family, α strictly decreasing, each report with its
+    λ_min. Every solve converges at solvers.RESIDUAL_TOL.
     """
     if _sign_obstructed(S):
         raise SolverError("find_alpha_star requires integrate(S) < 0")
@@ -351,7 +363,8 @@ def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) ->
     failure), follows the branch up toward its fold by pseudo-arclength
     continuation in t = −λ and solves for the fold λ★, where a solution
     still exists; estimate is λ★. lo is a converged point and hi a failed
-    Newton solve, at λ★ ∓ δ, hi − lo ≤ tol/2, and a bracket that does not
+    Newton solve, at λ★ ∓ δ, hi − lo ≤ tol/2; hi is a 3-iteration Newton
+    (FLOOR_ITERS) held on the normal form's floor. A bracket that does not
     lie strictly inside (0, −min g₀) raises NumericalFailure. The family is
     the stable branch, λ strictly increasing, each report with its λ_min.
     Every solve converges at solvers.RESIDUAL_TOL.

@@ -54,7 +54,9 @@ def test_tracer_sees_one_failed_probe_per_search(tmp_path, capsys):
     assert code == 0
     metrics = tracer.metrics()
     # the bootstrap is the one probe; the failed end, past the solved fold, is
-    # one Newton solve warm from the solvable end
+    # one Newton solve warm from the solvable end, stopped at its floor budget
     assert metrics["threshold.probes_solved"] == metrics["threshold.probes"] == 1
     assert metrics["solvers.newton_failed"] == 1
+    assert metrics["solvers.newton_fail.max_iters"] == 1
+    assert metrics["solvers.newton_fail.stagnation"] == 0
     assert metrics["threshold.search_s"] > 0

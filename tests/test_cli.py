@@ -536,7 +536,12 @@ def test_threshold_summary_carries_the_fold_certificate(tmp_path, capsys):
     thr = json.loads((out / "summary.json").read_text())["threshold"]
     (failed,) = [p for p in thr["probes"] if not p["solved"]]
     assert failed["param"] == thr["lo"] and thr["probes"][-1] == failed
-    assert [e.partition(":")[0] for e in failed["evidence"]] == ["fold"] * 4 + ["newton[warm]"]
+    assert [e.partition(":")[0] for e in failed["evidence"]] == ["fold"] * 5 + ["newton[warm]"]
+    # the failed end's fold component sits on the normal form's floor, and
+    # its Newton stops at the floor budget
+    rho = float(failed["evidence"][4].rpartition("=")[2])
+    assert failed["evidence"][4].startswith("fold: rho=") and rho >= threshold.FLOOR_FRACTION
+    assert failed["evidence"][-1] == "newton[warm]: max_iters"
     # the estimate is the solved fold, the first evidence line's value
     assert failed["evidence"][0] == f"fold: alpha={thr['estimate']!r}"
     assert thr["lo"] < thr["estimate"] < thr["hi"]

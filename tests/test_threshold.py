@@ -137,18 +137,21 @@ def assert_closed_on_the_fold(rep, tol):
     """The search ends on its two closing solves across the solved fold: the
     solvable end, a stable Newton solution, and the failed end, whose
     evidence is the fold (its parameter, the estimate, strictly inside the
-    bracket; an extended residual within RESIDUAL_TOL; a·b < 0) and the
-    failure of Newton warm from the solvable end alone; width ≤ tol/2."""
+    bracket; an extended residual within RESIDUAL_TOL; a·b < 0; the failed
+    end's fold component on the normal form's floor, ρ ≥ FLOOR_FRACTION)
+    and Newton warm from the solvable end alone, stopped at its floor
+    budget; width ≤ tol/2."""
     *_, solvable, failed = rep.probes
     assert solvable.solved and solvable.report.method == "newton" and solvable.min_eig > 0
     assert rep.family[-1][1] is solvable.report
     assert not failed.solved
     *fold, last = failed.evidence
-    assert len(fold) == 4 and all(e.startswith("fold: ") for e in fold)
+    assert len(fold) == 5 and all(e.startswith("fold: ") for e in fold)
     value = [float(re.search(r"=(\S+)$", e).group(1)) for e in fold]
     assert value[0] == rep.estimate and rep.lo < rep.estimate < rep.hi
     assert value[1] <= solvers.RESIDUAL_TOL and value[2] * value[3] < 0
-    assert last.startswith("newton[warm]: ")
+    assert fold[4].startswith("fold: rho=") and value[4] >= threshold.FLOOR_FRACTION
+    assert last == "newton[warm]: max_iters"
     assert sorted((solvable.param, failed.param)) == [rep.lo, rep.hi]
     assert rep.width <= 0.5 * tol + 1e-12  # 2δ, δ ≤ tol/4, up to the round-off of t★ ± δ
 
@@ -320,6 +323,31 @@ class TestAlphaStar:
         monkeypatch.setattr(solvers, "newton_solve", warm_always_converges)
         with pytest.raises(NumericalFailure, match="past the fold"):
             find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+
+    @pytest.mark.parametrize("shift", [1, 4])
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_a_fold_moved_up_raises(self, t2_32, monkeypatch, name, shift):
+        # negative control for the failed end's floor check: a fold moved
+        # toward the solvable side by δ (or 4δ) puts the failed end on (or
+        # above) the true fold, where its capped Newton leaves the fold
+        # component of F below FLOOR_FRACTION of the normal form's |b|·δ
+        original = solvers.fold_solve
+        delta = threshold.CLOSE_FRACTION * 1e-3
+
+        def moved(*args):
+            rep, fold = original(*args)
+            if fold is not None:
+                fold = solvers.BranchPoint(fold.report, fold.t + shift * delta, fold.du, fold.dt)
+            return rep, fold
+
+        monkeypatch.setattr(solvers, "fold_solve", moved)
+        with pytest.raises(NumericalFailure, match="past the fold") as err:
+            find_alpha_star(named_field(t2_32, name, offset=-0.5), tol=1e-3)
+        rho = float(re.search(r"rho=(\S+)\)$", str(err.value)).group(1))
+        assert rho < threshold.FLOOR_FRACTION
+        if (name, shift) == ("two_mode", 1):
+            # the case a bound of ½ would pass: ρ reads about 0.66 on the true fold
+            assert rho > 0.5
 
     def test_bracket_rests_on_probes_and_repeats(self, t2_16):
         S = sine_field(t2_16, -0.5)
