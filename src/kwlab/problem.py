@@ -64,14 +64,12 @@ def conformal_factor(inst: ProblemInstance, u: ScalarField) -> np.ndarray:
     return np.exp(arg)
 
 
-def residual(inst: ProblemInstance, u: ScalarField, lap=None, e=None) -> ScalarField:
-    """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0. lap is the
-    grid of Δu and e is e^{2u/n} when the caller already has them."""
-    if lap is None:
-        lap = spectral.laplacian(u).values
+def residual(inst: ProblemInstance, u: ScalarField, e=None) -> ScalarField:
+    """F(u) = −Δu + α − S e^{2u/n}; a solution has ‖F(u)‖_∞ ≈ 0. e is
+    e^{2u/n} when the caller already has it."""
     if e is None:
         e = conformal_factor(inst, u)
-    vals = -lap + inst.alpha - inst.S.values * e
+    vals = -spectral.laplacian(u).values + inst.alpha - inst.S.values * e
     return ScalarField(inst.domain, vals)
 
 

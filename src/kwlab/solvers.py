@@ -149,21 +149,20 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
     constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step.
     Its info, and with it linear_solve_stagnation versus
     line_search_failure, refers to the preconditioned residual
-    ‖M(J·d + F)‖. Backtracking on ‖F‖_∞ without an FFT:
-    Δ(u + t·d) = Δu + t·Δd. A converged iterate is confirmed by a fresh
-    residual, which is the report's last. An iterate that has not converged
-    stops with stagnation on a residual plateau: the last PLATEAU_STEPS
-    accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO). A step damped
-    to t lowers ‖F‖_∞ by about t times itself, so a run of heavily damped
-    steps is such a plateau. Past a fold, Newton from any start reaches such
-    a plateau and would otherwise crawl along it; a steady descent of a few
-    percent a step is not stopped. Failures (line search, blow-up) are
-    reported as evidence, never raised.
+    ‖M(J·d + F)‖. Backtracking halves t from 1 until ‖F(u + t·d)‖_∞ meets
+    the Armijo condition, each trial's residual evaluated afresh, so the
+    report's last residual is its solution's. An iterate that has not
+    converged stops with stagnation on a residual plateau: the last
+    PLATEAU_STEPS accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO).
+    A step damped to t lowers ‖F‖_∞ by about t times itself, so a run of
+    heavily damped steps is such a plateau. Past a fold, Newton from any
+    start reaches such a plateau and would otherwise crawl along it; a
+    steady descent of a few percent a step is not stopped. Failures (line
+    search, blow-up) are reported as evidence, never raised.
     """
     if max_iters < 1:
         raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
     u = start.copy()
-    lap = spectral.laplacian(u).values
     history: list[float] = []
 
     # e = e^{2u/n} of the iterate serves its residual and its Jacobian; the
@@ -172,16 +171,11 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
         e = problem.conformal_factor(inst, u)
     except BlowUpError as err:
         return _finish(inst, u, 0, history, "newton", f"blow_up: {err}")
-    F = problem.residual(inst, u, lap, e)
+    F = problem.residual(inst, u, e=e)
     normF = F.sup_norm
     history.append(normF)
 
     for it in range(max_iters + 1):
-        if normF <= RESIDUAL_TOL and it:
-            # Δu carries the round-off of its updates: confirm with a fresh one
-            lap = spectral.laplacian(u).values
-            F = problem.residual(inst, u, lap, e)
-            normF = history[-1] = F.sup_norm
         if normF <= RESIDUAL_TOL:
             return _finish(inst, u, it, history, "newton", e=e)
         if (len(history) > PLATEAU_STEPS
@@ -199,27 +193,24 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
         if not np.all(np.isfinite(d)):
             return _finish(inst, u, it, history, "newton", "linear_solve_diverged")
         d = d.reshape(inst.domain.sizes)
-        lap_d = spectral.laplacian(ScalarField(inst.domain, d)).values
 
         t = 1.0
-        accepted = False
         while t >= MIN_DAMPING:
-            trial, lap_t = ScalarField(inst.domain, u.values + t * d), lap + t * lap_d
+            trial = ScalarField(inst.domain, u.values + t * d)
             try:
                 e = problem.conformal_factor(inst, trial)
             except BlowUpError:
                 t *= 0.5
                 continue
-            F = problem.residual(inst, trial, lap_t, e)
+            F = problem.residual(inst, trial, e=e)
             if F.sup_norm <= (1.0 - ARMIJO * t) * normF:
-                u, normF, lap = trial, F.sup_norm, lap_t
-                history.append(normF)
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             reason = "line_search_failure" if info == 0 else "linear_solve_stagnation"
             return _finish(inst, u, it + 1, history, "newton", reason)
+        u, normF = trial, F.sup_norm
+        history.append(normF)
 
 
 @dataclass

@@ -216,7 +216,10 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     on the normal form's floor: past the fold, −bδ + (a/2)s² has no root and
     its least value is |b|δ, so ρ = |mean(φ·F)|/(|b|δ) of its last iterate
     stays near 1 or above. A Newton that converges, or ρ < FLOOR_FRACTION,
-    puts a solution past the fold and raises NumericalFailure. Its record's
+    puts a solution past the fold and raises NumericalFailure, except one
+    that converges with ρ ≥ FLOOR_FRACTION: mean(φ²) = 1 bounds |mean(φ·F)|
+    by ‖F‖_∞, so there |b|δ ≤ (4/3)·solvers.RESIDUAL_TOL, a tol too small to
+    resolve, and the NumericalFailure names tol and |b|δ. Its record's
     evidence is the fold (t★, the extended residual, a, b, ρ) and that
     Newton's reason, max_iters. The bracket is [t★ − δ, t★ + δ], its
     estimate t★; the solved probes, t strictly decreasing, each with its
@@ -277,6 +280,11 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
                                       max_iters=FLOOR_ITERS)
         F = problem.residual(failed.inst, failed.solution)
         rho = abs(float(np.mean(phi * F.values))) / (abs(b) * delta)
+        if failed.converged and rho >= FLOOR_FRACTION:
+            raise NumericalFailure(f"{param_name} tol={tol!r} is too small to resolve: the "
+                                   f"Newton past the fold at {sign * fold.t!r} converges on "
+                                   f"the normal form's floor, |b|*delta={abs(b) * delta!r} "
+                                   f"at most 4/3 of its residual")
         if failed.converged or rho < FLOOR_FRACTION:
             raise NumericalFailure(f"{param_name}={sign * (fold.t - delta)!r}, past the fold "
                                    f"at {sign * fold.t!r}, solves (rho={rho!r})")

@@ -649,6 +649,26 @@ def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch
     assert starts[1:] == [(-2.0, "warm", "stagnation"), (-2.0, "constant", None)]
 
 
+@pytest.mark.parametrize("probes, case, error", [
+    (2, ["sizes=16,16"], "alpha continuation did not reach its fold in 2 steps"),
+    (None, ["sizes=32,32", "tol=1e-11"], "alpha tol=1e-11 is too small to resolve"),
+])
+def test_search_that_closes_no_bracket_exits_2(tmp_path, capsys, monkeypatch, probes, case,
+                                               error):
+    # a search stopped at its step cap, or at a tol below the solves' own
+    # resolution, is a numerical outcome: exit 2 with summary.json alone
+    if probes is not None:
+        monkeypatch.setattr(threshold, "MAX_SEARCH_PROBES", probes)
+    out = tmp_path / "thr"
+    code, cap = run_cli(capsys, "threshold", "--out", str(out),
+                        "field=sin1", "field_offset=-0.5", *case)
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == last_json_line(cap.out)
+    assert summary["exit_code"] == 2 and summary["error"].startswith(error)
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 def test_search_that_finds_no_solvable_start_exits_2(tmp_path, capsys, monkeypatch):
     # a search that never solves is a numerical outcome: exit 2, and the
     # summary is written although no other output was started

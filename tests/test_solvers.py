@@ -183,8 +183,8 @@ class TestNewton:
 
     @pytest.mark.parametrize("field", ["manufactured", "sin1"])
     def test_last_residual_is_a_fresh_one(self, t2_32, field):
-        # the line search carries Δu along its steps; the reported residual
-        # of a converged solve is recomputed from the solution itself
+        # the reported residual of a converged solve is the residual of the
+        # solution itself, evaluated afresh with its own Laplacian
         inst = (make_manufactured(t2_32, alpha=-1.0)[0] if field == "manufactured"
                 else ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -2.0))
         rep = newton_solve(inst, problem.constant_solution(inst))

@@ -349,6 +349,20 @@ class TestAlphaStar:
             # the case a bound of ½ would pass: ρ reads about 0.66 on the true fold
             assert rho > 0.5
 
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_a_tol_too_small_to_resolve_raises(self, t2_32, name):
+        # at tol 1e-11 the normal form's floor |b|·δ, δ = tol/4, lies below
+        # RESIDUAL_TOL, so the failed end converges with ρ ≥ FLOOR_FRACTION;
+        # mean(φ²) = 1 bounds |mean(φ·F)| by ‖F‖_∞, so only such a floor
+        # allows that, and the failure names tol and |b|·δ
+        with pytest.raises(NumericalFailure) as err:
+            find_alpha_star(named_field(t2_32, name, offset=-0.5), tol=1e-11)
+        message = str(err.value)
+        assert message.startswith("alpha tol=1e-11 is too small to resolve")
+        assert float(re.search(r"tol=(\S+) ", message).group(1)) == 1e-11
+        floor = float(re.search(r"\|b\|\*delta=(\S+) ", message).group(1))
+        assert 0 < floor <= 4 / 3 * solvers.RESIDUAL_TOL
+
     def test_bracket_rests_on_probes_and_repeats(self, t2_16):
         S = sine_field(t2_16, -0.5)
         a = find_alpha_star(S, tol=1e-3)
@@ -504,6 +518,55 @@ class TestFoldSolve:
                                        tol=0.5)
         assert_stable_family(rep)
         assert_closed_on_the_fold(rep, 0.5)
+
+
+class TestUnclosedSearch:
+    """The exits of a search that closes no bracket: the step cap, and the
+    two rejections of a fold solved past its handover, a·b ≥ 0 and a
+    solvable end that does not converge, after which the walk goes on until
+    it stalls."""
+
+    def test_step_cap_raises(self, t2_16, monkeypatch):
+        monkeypatch.setattr(threshold, "MAX_SEARCH_PROBES", 2)
+        with pytest.raises(NumericalFailure,
+                           match="alpha continuation did not reach its fold in 2 steps"):
+            find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+
+    def test_a_fold_whose_a_b_is_not_negative_is_rejected(self, t2_16, monkeypatch):
+        # with φ ≡ 1, a = (2/n)·mean(W) = −(2/n)²·α > 0 by the mean identity
+        # and b = mean(φ) = 1: no fold closes, and no closing Newton runs, so
+        # none fails
+        original, past, failures = solvers.fold_solve, [], counting_newton_failures(monkeypatch)
+
+        def flat(make_inst, dF_dt, u, t, phi0):
+            rep, fold = original(make_inst, dF_dt, u, t, phi0)
+            if fold is not None:
+                past.append(fold.t < t)
+                fold = solvers.BranchPoint(rep, fold.t, np.ones_like(fold.du), fold.dt)
+            return rep, fold
+
+        monkeypatch.setattr(solvers, "fold_solve", flat)
+        with pytest.raises(NumericalFailure, match="alpha continuation stalled"):
+            find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        assert any(past) and failures == []
+
+    def test_a_failed_solvable_end_is_rejected(self, t2_16, monkeypatch):
+        # every Newton after the bootstrap probe stops at max_iters: each fold
+        # solved past its handover runs the solvable end's Newton alone
+        original, starts = solvers.newton_solve, []
+
+        def capped(inst, start, **kw):
+            starts.append(start)
+            if len(starts) == 1:
+                return original(inst, start, **kw)
+            return SolveReport(start, 0, [], "newton", inst, failure_reason="max_iters")
+
+        monkeypatch.setattr(solvers, "newton_solve", capped)
+        folds = recording_folds(monkeypatch)
+        with pytest.raises(NumericalFailure, match="alpha continuation stalled"):
+            find_alpha_star(sine_field(t2_16, -0.5), tol=1e-3)
+        past = [t for t, _, fold in folds if fold is not None and fold.t < t]
+        assert len(starts) - 1 == len(past) >= 1
 
 
 class TestEigenStarts:
