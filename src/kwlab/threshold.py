@@ -129,10 +129,11 @@ def probe_solvable(
     obstruction always exists (mean S < 0); the first that converges solves
     the probe and is the record's report. The constant start rescues a warm
     start from far up the branch (two_mode − ½ on 16², warm from α = −0.01,
-    stagnates at α = −2). A failed record means no start converged, not a
-    proof of nonexistence: its evidence names each start's failure reason
-    (max_iters, stagnation, a line-search or linear-solve failure,
-    blow-up), and only max_iters is one a larger budget can change.
+    stagnates at α = −2); walk_schedule hands the probe a predicted start
+    instead, which solves that jump. A failed record means no start
+    converged, not a proof of nonexistence: its evidence names each start's
+    failure reason (max_iters, stagnation, a line-search or linear-solve
+    failure, blow-up), and only max_iters is one a larger budget can change.
     """
     param = inst.alpha if param is None else param
     if _sign_obstructed(inst.S):
@@ -175,18 +176,31 @@ def walk_schedule(S: ScalarField, alphas: Sequence[float]) -> list[ProbeRecord]:
     """One ProbeRecord per α probed along a strictly decreasing α schedule;
     the solved records carry the converged solutions.
 
-    Each α is probed by _probe_twice warm from the previous member, so it is
-    retried at 4x budget only when a Newton start ran out of iterations. The
-    first failed α ends the walk: the family is truncated there, and the
-    failed probe's record, with its evidence, is the last of the probes. A
-    schedule that is not strictly decreasing raises SolverError.
+    Each α is probed by _probe_twice, so it is retried at 4x budget only
+    when a Newton start ran out of iterations, warm from a start predicted
+    in τ = ln(−α). After two members it is their secant in τ,
+    u_k + r·(u_k − u_{k−1}) with r = ln(α_{k+1}/α_k)/ln(α_k/α_{k−1}); after
+    one it is u_k + (n/2)·ln(α_{k+1}/α_k), the τ-slope of the constant
+    solution (n/2)·ln(α/mean S). Both are exact on a constant S, and the
+    secant's (n/2)·Δτ terms cancel, so it is also the secant of
+    u − constant_solution. The first failed α ends the walk: the family is
+    truncated there, and the failed probe's record, with its evidence, is
+    the last of the probes. A schedule that is not strictly decreasing
+    raises SolverError.
     """
     check_schedule(alphas)
+    dtau = np.log(np.divide(alphas[1:], alphas[:-1]))   # the steps in τ = ln(−α)
     probes: list[ProbeRecord] = []
-    for a in alphas:
-        last = probes[-1].report if probes else None
-        probes.append(_probe_twice(ProblemInstance(S, a),
-                                   warm_start=last.solution if last else None))
+    for k, a in enumerate(alphas):
+        start = None
+        if k:
+            u = probes[-1].report.solution.values
+            if k == 1:
+                start = u + 0.5 * (S.domain.d // 2) * dtau[0]
+            else:
+                start = u + dtau[k - 1] / dtau[k - 2] * (u - probes[-2].report.solution.values)
+            start = ScalarField(S.domain, start)
+        probes.append(_probe_twice(ProblemInstance(S, a), warm_start=start))
         if not probes[-1].solved:
             break
     return probes

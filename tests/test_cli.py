@@ -625,9 +625,8 @@ def test_family_alphas_member_retried_on_max_iters(tmp_path, capsys, monkeypatch
     assert probes == [(-1.0, 1.0), (-1.0, 4.0), (-2.0, 1.0)]
 
 
-def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch):
-    # warm from α = −0.01, Newton stagnates at α = −2 on two_mode − ½; the
-    # constant start that follows the warm one solves it
+def record_newton_starts(monkeypatch):
+    """Wrap solvers.newton_solve; returns the list of its (alpha, start, reason)."""
     starts = []
     original = solvers.newton_solve
 
@@ -638,6 +637,13 @@ def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch
         return rep
 
     monkeypatch.setattr(solvers, "newton_solve", recorded)
+    return starts
+
+
+def test_walk_solves_the_far_jump_from_its_predicted_start(tmp_path, capsys, monkeypatch):
+    # two_mode − ½ from α = −0.01 to −2: the walk's start predicted in
+    # τ = ln(−α) solves the jump, with no constant-start rescue
+    starts = record_newton_starts(monkeypatch)
     out = tmp_path / "fam"
     code, cap = run_cli(
         capsys, "family", "--out", str(out),
@@ -646,7 +652,18 @@ def test_far_jump_is_rescued_by_the_constant_start(tmp_path, capsys, monkeypatch
     assert code == 0
     walk = last_json_line(cap.out)["walk"]
     assert [(p["param"], p["solved"]) for p in walk] == [(-0.01, True), (-2.0, True)]
-    assert starts[1:] == [(-2.0, "warm", "stagnation"), (-2.0, "constant", None)]
+    assert starts[1:] == [(-2.0, "warm", None)]
+
+
+def test_far_jump_is_rescued_by_the_constant_start(t2_16, monkeypatch):
+    # warm from α = −0.01's raw solution, Newton stagnates at α = −2 on
+    # two_mode − ½; the constant start that follows the warm one solves it
+    S = named_field(t2_16, "two_mode", offset=-0.5)
+    warm = threshold.probe_solvable(problem.ProblemInstance(S, -0.01)).report.solution
+    starts = record_newton_starts(monkeypatch)
+    record = threshold.probe_solvable(problem.ProblemInstance(S, -2.0), warm_start=warm)
+    assert record.solved and record.evidence == []
+    assert starts == [(-2.0, "warm", "stagnation"), (-2.0, "constant", None)]
 
 
 @pytest.mark.parametrize("probes, case, error", [

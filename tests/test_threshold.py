@@ -133,6 +133,19 @@ def counting_newton_failures(monkeypatch):
     return failures
 
 
+def newton_reports(monkeypatch):
+    """Wrap solvers.newton_solve; returns the list of its reports."""
+    reports = []
+    original = solvers.newton_solve
+
+    def recorded(inst, start, **kw):
+        reports.append(original(inst, start, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(solvers, "newton_solve", recorded)
+    return reports
+
+
 def assert_closed_on_the_fold(rep, tol):
     """The search ends on its two closing solves across the solved fold: the
     solvable end, a stable Newton solution, and the failed end, whose
@@ -689,6 +702,62 @@ class TestWalkSchedule:
         S = ScalarField.constant(t2_32, -1.0)
         with pytest.raises(SolverError):
             walk_schedule(S, [-1.0, -0.5, -2.0])
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("alphas", [[-1.0, -2.0, -4.0, -8.0], [-1.0, -3.0, -4.0, -40.0]])
+    def test_predicted_start_is_exact_on_a_constant_S(self, d, alphas):
+        # u = (n/2)·ln(−α) on S ≡ −1 is linear in τ = ln(−α): the n/2 slope
+        # and the secant, at any ratio r, start every member on its solution
+        S = ScalarField.constant(make_torus(d, [16 // (d // 2)] * d, [1.0] * d), -1.0)
+        fam = [p.report for p in walk_schedule(S, alphas)]
+        assert [r.iterations for r in fam] == [0, 0, 0, 0]
+        for r, a in zip(fam, alphas):
+            assert np.max(np.abs(r.solution.values - 0.25 * d * np.log(-a))) < 1e-12
+
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_predicted_start_keeps_the_stable_branch(self, t2_32, name):
+        # near the fold a second, unstable solution exists: every member of
+        # the limit family is the one Newton reaches from the raw previous
+        # member, and is stable
+        S = named_field(t2_32, name, offset=-0.5)
+        probes = limit_family(S, find_alpha_star(S), count=8)
+        assert len(probes) == 8 and all(p.solved for p in probes)
+        ground = None
+        for prev, p in zip([None] + probes, probes):
+            u = p.report.solution
+            if prev is not None:
+                raw = solvers.newton_solve(p.report.inst, prev.report.solution)
+                assert raw.converged
+                assert np.max(np.abs(raw.solution.values - u.values)) < 1e-9
+            lam, ground = problem.stability_eigenvalue(p.report.inst, u, ground)
+            assert lam > 0
+
+    def test_extreme_secant_ratio_needs_no_constant_start(self, t2_32, monkeypatch):
+        # r = ln(3/1.001)/ln(1.001) ≈ 1100: the predicted start still solves,
+        # in no more iterations than the raw previous member takes
+        S = named_field(t2_32, "sin1", offset=-0.5)
+        alphas = [-1.0, -1.001, -3.0]
+        reports = newton_reports(monkeypatch)
+        probes = walk_schedule(S, alphas)
+        assert [p.param for p in probes if p.solved] == alphas
+        assert [r.alpha for r in reports] == alphas    # one Newton per member
+        predicted = sum(r.iterations for r in reports)
+        raw = reports[0].iterations + sum(
+            solvers.newton_solve(ProblemInstance(S, a), p.report.solution).iterations
+            for a, p in zip(alphas[1:], probes))
+        assert predicted <= raw
+
+    def test_family_4d_ladder_takes_at_most_ten_newton_iterations(self, monkeypatch):
+        # the benchmark's family-4d ladder at 8⁴ (3, 3, 4 iterations; 3, 6, 6
+        # warm from the raw previous member): a deterministic guard on the
+        # predictor, counted over every Newton start
+        f = named_field(make_torus(4, [8] * 4, [1.0] * 4), "random_fourier", seed=1,
+                        decay_p=3.0)
+        S = ScalarField(f.domain, f.values - 0.5 * f.max)
+        reports = newton_reports(monkeypatch)
+        probes = walk_schedule(S, [-1.0, -4.0, -16.0])
+        assert all(p.solved for p in probes) and len(reports) == 3
+        assert sum(r.iterations for r in reports) <= 10
 
 
 class TestLimitFamily:
