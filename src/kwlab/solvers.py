@@ -1,8 +1,8 @@
 """Solution engines for −Δu + α = S·e^{2u/n}.
 
-  * newton_solve      — damped Newton with Krylov inner solves, the solve of
-                        one instance from a given field; a probe tries a
-                        warm start, then problem.constant_solution,
+  * newton_solve      — damped inexact Newton with Krylov inner solves, the
+                        solve of one instance from a given field; a probe
+                        tries a warm start, then problem.constant_solution,
   * arclength_correct — the pseudo-arclength corrector that walks a branch of
                         solutions in a parameter t toward its fold (the
                         threshold search); its step of length 0 in the
@@ -40,6 +40,8 @@ MIN_DAMPING = 2.0**-30      # Newton's line search gives up below this step
 PLATEAU_STEPS = 4           # Newton stagnates when its last PLATEAU_STEPS accepted
 PLATEAU_RATIO = 0.99        # steps left ‖F‖_∞ above PLATEAU_RATIO times where they began
 KRYLOV_STEPS = 30           # the most vectors of GMRES's one Krylov basis
+FORCING = 0.1               # Newton's GMRES stops at relative min(FORCING, ‖F‖_∞)
+TIGHT_RTOL = 1e-10          # ... and at TIGHT_RTOL once a loose step has failed
 
 
 @dataclass
@@ -146,8 +148,13 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
     raises SolverError); converged means ‖F‖_∞ ≤ RESIDUAL_TOL. Jacobian
     problem.linearization J = F′(u) = −Δ − (2/n) S e^{2u/n}; the inner
     _gmres solves M·J·d = −M·F, left-preconditioned by the
-    constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step.
-    Its info, and with it linear_solve_stagnation versus
+    constant-coefficient Helmholtz inverse M, one FFT pair per Krylov step,
+    to the relative tolerance min(FORCING, ‖F‖_∞): a forcing term (Dembo,
+    Eisenstat & Steihaug 1982), loose far from the root, that keeps
+    Newton's quadratic tail. Near a fold a loose direction can fail the
+    line search; when its full step fails, the step is solved again at
+    TIGHT_RTOL, and so is every later step of the solve. The last solve's
+    info, and with it linear_solve_stagnation versus
     line_search_failure, refers to the preconditioned residual
     ‖M(J·d + F)‖. Backtracking halves t from 1 until ‖F(u + t·d)‖_∞ meets
     the Armijo condition, each trial's residual evaluated afresh, so the
@@ -164,6 +171,7 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
         raise SolverError(f"max_iters must be >= 1, got {max_iters!r}")
     u = start.copy()
     history: list[float] = []
+    forcing = FORCING
 
     # e = e^{2u/n} of the iterate serves its residual and its Jacobian; the
     # line search sets it and F to each trial's, so they are the accepted iterate's
@@ -186,26 +194,28 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
         J = problem.linearization(inst, u, e)
         rhs = J.solve_diagonal(-F.values).reshape(-1)
         del e, F   # not held through the Krylov basis, a solve's memory peak
-        # the Krylov budget is deliberately modest: near a fold the Jacobian
-        # is near-singular and full solves stall; an inexact direction plus
-        # the line search is enough, and failures surface much faster.
-        d, info = _gmres(J.apply_preconditioned, rhs, 1e-10)
-        if not np.all(np.isfinite(d)):
-            return _finish(inst, u, it, history, "newton", "linear_solve_diverged")
-        d = d.reshape(inst.domain.sizes)
-
-        t = 1.0
+        # the forcing term; forcing drops to TIGHT_RTOL once a loose step fails
+        t, rtol, d = 1.0, min(forcing, normF), None
         while t >= MIN_DAMPING:
+            if d is None:
+                d, info = _gmres(J.apply_preconditioned, rhs, rtol)
+                if not np.all(np.isfinite(d)):
+                    return _finish(inst, u, it, history, "newton", "linear_solve_diverged")
+                d = d.reshape(inst.domain.sizes)
             trial = ScalarField(inst.domain, u.values + t * d)
             try:
                 e = problem.conformal_factor(inst, trial)
             except BlowUpError:
+                pass
+            else:
+                F = problem.residual(inst, trial, e=e)
+                if F.sup_norm <= (1.0 - ARMIJO * t) * normF:
+                    break
+            if t == 1.0 and rtol > TIGHT_RTOL:
+                rtol = forcing = TIGHT_RTOL
+                trial = e = F = d = None   # not held through the Krylov basis
+            else:
                 t *= 0.5
-                continue
-            F = problem.residual(inst, trial, e=e)
-            if F.sup_norm <= (1.0 - ARMIJO * t) * normF:
-                break
-            t *= 0.5
         else:
             reason = "line_search_failure" if info == 0 else "linear_solve_stagnation"
             return _finish(inst, u, it + 1, history, "newton", reason)

@@ -126,14 +126,15 @@ def probe_solvable(
     An S with ∫S ≥ 0 fails at once with sign_obstruction evidence
     (_sign_obstructed). Otherwise Newton runs from the warm start, when
     given, and then from problem.constant_solution, which past the
-    obstruction always exists (mean S < 0); the first that converges solves
-    the probe and is the record's report. The constant start rescues a warm
-    start from far up the branch (two_mode − ½ on 16², warm from α = −0.01,
-    stagnates at α = −2); walk_schedule hands the probe a predicted start
-    instead, which solves that jump. A failed record means no start
-    converged, not a proof of nonexistence: its evidence names each start's
-    failure reason (max_iters, stagnation, a line-search or linear-solve
-    failure, blow-up), and only max_iters is one a larger budget can change.
+    obstruction always exists (mean S < 0) and is built only once the warm
+    start has failed; the first that converges solves the probe and is the
+    record's report. The constant start rescues a warm start from far up
+    the branch (two_mode − ½ on 16², warm from α = −0.01, stagnates at
+    α = −2); walk_schedule hands the probe a predicted start instead, which
+    solves that jump. A failed record means no start converged, not a proof
+    of nonexistence: its evidence names each start's failure reason
+    (max_iters, stagnation, a line-search or linear-solve failure, blow-up),
+    and only max_iters is one a larger budget can change.
     """
     param = inst.alpha if param is None else param
     if _sign_obstructed(inst.S):
@@ -141,9 +142,9 @@ def probe_solvable(
 
     evidence = []
     iters = round(MAX_ITERS * budget)
-    starts = [("warm", warm_start)] if warm_start is not None else []
-    for tag, start in starts + [("constant", problem.constant_solution(inst))]:
-        rep = solvers.newton_solve(inst, start, max_iters=iters)
+    starts = [("warm", lambda: warm_start)] if warm_start is not None else []
+    for tag, start in starts + [("constant", lambda: problem.constant_solution(inst))]:
+        rep = solvers.newton_solve(inst, start(), max_iters=iters)
         if rep.converged:
             return ProbeRecord(param, [], rep)
         evidence.append(f"newton[{tag}]: {rep.failure_reason}")

@@ -64,6 +64,18 @@ def count_conformal_factors(monkeypatch):
     return calls
 
 
+def record_gmres_tolerances(monkeypatch):
+    """Wrap solvers._gmres; returns the list of the rtol of each call."""
+    rtols, original = [], solvers._gmres
+
+    def recorded(apply, b, rtol):
+        rtols.append(rtol)
+        return original(apply, b, rtol)
+
+    monkeypatch.setattr(solvers, "_gmres", recorded)
+    return rtols
+
+
 class TestSubSolution:
     def test_worked_constant(self, t2_32):
         # n=1, S ≡ −2, α = −2: u₋ = ½·ln(1) − 1 = −1
@@ -222,6 +234,41 @@ class TestNewton:
         assert ref.converged and ref.iterations == rep.iterations
         assert ref.residual_history == h
         assert np.array_equal(ref.solution.values, rep.solution.values)
+
+    def test_a_loose_step_that_fails_is_solved_again_tightly(self, t2_32, monkeypatch):
+        # the setup above, near the fold: the first step's direction, solved
+        # only to FORCING, fails the line search at every damping; solved
+        # again at TIGHT_RTOL, as every later step is, it converges
+        inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -3.1)
+        zero = ScalarField.constant(inst.domain, 0.0)
+        rtols = record_gmres_tolerances(monkeypatch)
+        rep = newton_solve(inst, zero)
+        assert rep.converged
+        assert rtols == [solvers.FORCING] + [solvers.TIGHT_RTOL] * rep.iterations
+
+        # the tight solve made to return the loose direction again: no step
+        # of that direction is accepted, so the solve fails where it began
+        gmres, loose = solvers._gmres, []
+
+        def replayed(apply, b, rtol):
+            if rtol != solvers.TIGHT_RTOL:
+                loose.append(gmres(apply, b, rtol))
+            return loose[-1]
+
+        monkeypatch.setattr(solvers, "_gmres", replayed)
+        rep = newton_solve(inst, zero)
+        assert rep.failure_reason == "line_search_failure" and rep.iterations == 1
+        assert len(loose) == 1 and len(rep.residual_history) == 1
+
+    def test_forcing_follows_the_residual(self, t2_32, monkeypatch):
+        # away from the fold every step's GMRES stops at min(FORCING, ‖F‖_∞)
+        inst = ProblemInstance(named_field(t2_32, "sin1", offset=-0.5), -1.0)
+        rtols = record_gmres_tolerances(monkeypatch)
+        rep = newton_solve(inst, problem.constant_solution(inst))
+        assert rep.converged and rep.iterations >= 3
+        h = rep.residual_history
+        assert rtols == [min(solvers.FORCING, r) for r in h[:-1]]
+        assert rtols[0] == solvers.FORCING and rtols[-1] == h[-2] < solvers.FORCING
 
     def test_unsolvable_never_false_converges(self, t2_64, sin_minus_half):
         # far below the solvable range: must report failure, not a bogus root
