@@ -213,11 +213,10 @@ def family_table(
         }
         if K is not None:
             on_K = u.values[K.mask]
-            gsq = spectral.grad_norm_sq(u)
             row.update(
                 sup_K_u=float(np.max(on_K)),
                 inf_M_u=u.min,
-                grad_l2=float(np.sqrt(integrate(gsq))),
+                grad_l2=float(np.sqrt(spectral.dirichlet_integral(u))),
                 int_exp=integrate(ScalarField(inst.domain, e)),
                 sup_plus_inf=float(np.max(on_K) + np.min(on_K)),
             )

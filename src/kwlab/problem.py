@@ -75,12 +75,12 @@ def residual(inst: ProblemInstance, u: ScalarField, e=None) -> ScalarField:
 
 def energy(inst: ProblemInstance, u: ScalarField, e=None) -> float:
     """I(u) = ∫(|∇u|² + 2αu − nS e^{2u/n}), its three terms summed in that
-    order. e is e^{2u/n} when the caller already has it."""
+    order; the Dirichlet term is spectral.dirichlet_integral's, one forward
+    transform. e is e^{2u/n} when the caller already has it."""
     if e is None:
         e = conformal_factor(inst, u)
-    gsq = spectral.grad_norm_sq(u)
     w = inst.domain.cell_weight
-    dirichlet = float(np.sum(gsq.values)) * w
+    dirichlet = spectral.dirichlet_integral(u)
     linear = 2.0 * inst.alpha * float(np.sum(u.values)) * w
     exponential = -inst.n * float(np.sum(inst.S.values * e)) * w
     return dirichlet + linear + exponential

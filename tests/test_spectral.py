@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from kwlab import ScalarField, integrate, make_torus
+from kwlab import ProblemInstance, ScalarField, integrate, make_torus
 from kwlab import spectral
 from kwlab.errors import DomainError, EigenSolveError
-from kwlab.spectral import (SchrodingerOperator, get_plan, grad_norm_sq, laplacian,
-                            min_eigenvalue)
+from kwlab.problem import energy
+from kwlab.spectral import (SchrodingerOperator, dirichlet_integral, get_plan, grad_norm_sq,
+                            laplacian, min_eigenvalue)
 
 from oracles import dense_fd_laplacian, fd_laplacian, smooth_random_field
 
@@ -105,6 +106,29 @@ class TestGradNormSq:
         ulap = laplacian(u)
         rhs = -integrate(ScalarField(t2_64, u.values * ulap.values))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestDirichletIntegral:
+    """∫|∇u|² by Parseval from one forward transform equals the integral of
+    the pointwise grad_norm_sq, Nyquist modes included: white noise has them."""
+
+    @pytest.mark.parametrize("sizes, lengths", [
+        ((32, 32), (1.0, 1.0)), ((16, 48), (2.0, 0.7)),
+        ((16,) * 4, (1.0,) * 4), ((8, 8, 10, 12), (1.0, 0.5, 2.5, 1.3)),
+    ], ids=["32x32", "16x48", "16x16x16x16", "8x8x10x12"])
+    def test_equals_integral_of_grad_norm_sq(self, sizes, lengths):
+        domain = make_torus(len(sizes), sizes, lengths)
+        u = ScalarField(domain, np.random.default_rng(sizes[-1]).standard_normal(sizes))
+        expected = integrate(grad_norm_sq(u))
+        assert dirichlet_integral(u) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_energy_runs_one_transform(self, t2_32, monkeypatch):
+        S = ScalarField(t2_32, smooth_random_field(t2_32, seed=53).values - 2.0)
+        inst = ProblemInstance(S, -1.0)
+        u = smooth_random_field(t2_32, seed=59, amplitude=0.3)
+        calls = count_ffts(monkeypatch)
+        energy(inst, u)
+        assert calls == ["fft"]
 
 
 class TestHelmholtz:
@@ -208,11 +232,14 @@ class TestMinEigenvalue:
         lam, _ = min_eigenvalue(V, 1e-8)
         assert lam == pytest.approx(expected, abs=1e-6)
 
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_matches_dense_eigh(self, n):
-        # the same spectral −Δ + V as a dense matrix, one column per unit vector
+    @pytest.mark.parametrize("n, amplitude", [(8, 5.0), (16, 5.0), (16, 200.0)],
+                             ids=["8", "16", "16-amplitude200"])
+    def test_matches_dense_eigh(self, n, amplitude):
+        # the same spectral −Δ + V as a dense matrix, one column per unit vector;
+        # at amplitude 200 the solve runs 35 iterations on the A-images the
+        # recurrence carries, and only the final eigenresidual is applied afresh
         domain = make_torus(2, [n, n], [1.0, 1.0])
-        V = smooth_random_field(domain, seed=29, amplitude=5.0)
+        V = smooth_random_field(domain, seed=29, amplitude=amplitude)
         eye = np.eye(domain.npoints)
         dense = np.column_stack([
             -laplacian(ScalarField(domain, e.reshape(domain.sizes))).values.reshape(-1)
@@ -269,9 +296,39 @@ class TestMinEigenvalue:
             assert 0 < k < cap // 10
 
 
+class TestMinEigenvalueCost:
+    """A solve costs iterations + 2 FFT pairs: one for the start's A·x, one
+    per iteration for the preconditioned residual M·r, whose image A·M·r =
+    r + (W − c)·M·r needs none, and one for the final eigenresidual."""
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_pairs_of_a_capped_solve(self, t2_32, monkeypatch, max_iters):
+        V = smooth_random_field(t2_32, seed=23, amplitude=5.0)
+        calls = count_ffts(monkeypatch)
+        with pytest.raises(EigenSolveError, match=f"stopped after {max_iters} of"):
+            min_eigenvalue(V, 1e-8, max_iters=max_iters)
+        assert calls == ["fft", "ifft"] * (max_iters + 2)
+
+    @pytest.mark.parametrize("grid", ["t2_32", "t4_16"])
+    def test_pairs_of_a_converged_solve(self, grid, request, monkeypatch):
+        domain = request.getfixturevalue(grid)
+        V = smooth_random_field(domain, seed=61, amplitude=3.0)
+        calls = count_ffts(monkeypatch)
+        iters = []    # one preconditioner solve per iteration
+        solve = spectral.SchrodingerOperator.solve_diagonal
+
+        def counted(op, x):
+            iters.append(1)
+            return solve(op, x)
+        monkeypatch.setattr(spectral.SchrodingerOperator, "solve_diagonal", counted)
+        min_eigenvalue(V, 1e-8)
+        assert len(iters) > 2
+        assert calls == ["fft", "ifft"] * (len(iters) + 2)
+
+
 class TestMinEigenvalueStart:
     """A solve started from a nearby potential's Ritz vector returns the
-    cold solve's eigenvalue in fewer iterations; each costs 2·iterations + 2
+    cold solve's eigenvalue in fewer iterations; each costs iterations + 2
     FFT pairs."""
 
     def test_exact_start_runs_no_iteration(self, t2_32, monkeypatch):

@@ -862,3 +862,14 @@ class TestExactInvariance:
         lam = ding_liu_lambda_star(g0, s0, tol=1e-2).estimate
         rep = find_alpha_star(ScalarField(t2_32, g0.values + lam), tol=1e-3)
         assert abs(rep.estimate - s0) <= self.BOUND
+
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_four_torus_is_twice_the_two_torus(self, name):
+        # for S on (x₁, x₂) only, u = 2v + ln 2 maps the T⁴ equation at α
+        # onto the T² one at α/2 on the same (x₁, x₂) grid, whatever the
+        # lengths of x₃ and x₄: α★(T⁴) = 2·α★(T²)
+        t2 = make_torus(2, [8, 8], [1.0, 1.0])
+        t4 = make_torus(4, [8] * 4, [1.0, 1.0, 0.5, 2.5])
+        ref = find_alpha_star(named_field(t2, name, offset=-0.5), tol=1e-3).estimate
+        rep = find_alpha_star(named_field(t4, name, offset=-0.5), tol=1e-3)
+        assert abs(rep.estimate - 2 * ref) <= 1e-12
