@@ -84,8 +84,7 @@ def apriori_c0_bound(
     """
     if phi.domain != S.domain or K.domain != S.domain:
         raise DomainError("S, phi and K must share one domain")
-    if not alpha_star < 0:
-        raise DomainError("alpha_star must be negative")
+    n = problem.ProblemInstance(S, alpha_star).n   # raises DomainError unless α★ < 0
     support = phi.values > SUPPORT_EPS
     if not np.any(support):
         raise DomainError("cutoff support is empty")
@@ -95,7 +94,6 @@ def apriori_c0_bound(
     if not np.all(phi.values[K.mask] >= 1.0 - PLATEAU_TOL):
         raise DomainError("K must lie inside the plateau {φ = 1}")
 
-    n = S.domain.d // 2
     gsq = spectral.grad_norm_sq(phi)
     lap = spectral.laplacian(phi)
     expr = (

@@ -193,15 +193,15 @@ def walk_schedule(S: ScalarField, alphas: Sequence[float]) -> list[ProbeRecord]:
     dtau = np.log(np.divide(alphas[1:], alphas[:-1]))   # the steps in τ = ln(−α)
     probes: list[ProbeRecord] = []
     for k, a in enumerate(alphas):
-        start = None
+        inst, start = ProblemInstance(S, a), None
         if k:
             u = probes[-1].report.solution.values
             if k == 1:
-                start = u + 0.5 * (S.domain.d // 2) * dtau[0]
+                start = u + 0.5 * inst.n * dtau[0]
             else:
                 start = u + dtau[k - 1] / dtau[k - 2] * (u - probes[-2].report.solution.values)
             start = ScalarField(S.domain, start)
-        probes.append(_probe_twice(ProblemInstance(S, a), warm_start=start))
+        probes.append(_probe_twice(inst, warm_start=start))
         if not probes[-1].solved:
             break
     return probes
@@ -378,7 +378,7 @@ def find_alpha_star(S: ScalarField, tol: float = ALPHA_TOL) -> ThresholdReport:
 
 
 def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) -> ThresholdReport:
-    """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀+λ)e^{2u}, n = 1.
+    """Bracket the Ding-Liu threshold λ★ for −Δu + s₀ = (g₀ + λ)·e^{2u/n}, n = d/2.
 
     Requires max g₀ = 0 (callers shift), g₀ nonconstant, s₀ < 0. Solvable
     for λ ∈ (0, λ★); g₀ + λ ≥ 0 makes λ ≥ −min g₀ unsolvable.
@@ -392,8 +392,6 @@ def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) ->
     the stable branch, λ strictly increasing, each report with its λ_min.
     Every solve converges at solvers.RESIDUAL_TOL.
     """
-    if g0.domain.d != 2:
-        raise SolverError("Ding-Liu continuation is the n=1 (d=2) problem")
     if abs(g0.max) > 1e-8:
         raise SolverError(f"max g0 must be 0 (got {g0.max}); shift the field first")
     if g0.max - g0.min < 1e-12:
@@ -402,8 +400,8 @@ def ding_liu_lambda_star(g0: ScalarField, s0: float, tol: float = LAMBDA_TOL) ->
         raise SolverError("s0 must be negative")
     lam_max = -g0.min
 
-    # the instance at λ is −Δu + s₀ = (g₀ + λ)e^{2u}; in t = −λ,
-    # F = −Δu + s₀ − (g₀ − t)e^{2u}, so ∂F/∂t = e^{2u}
+    # the instance at λ is −Δu + s₀ = (g₀ + λ)e^{2u/n}; in t = −λ,
+    # F = −Δu + s₀ − (g₀ − t)e^{2u/n}, so ∂F/∂t = e^{2u/n}
     rep = _fold_search(lambda lam: ProblemInstance(ScalarField(g0.domain, g0.values + lam), s0),
                        lambda e: e, "lambda", 0.05 * lam_max, 2.0, tol)
     if not (0.0 < rep.lo and rep.hi < lam_max):

@@ -373,14 +373,19 @@ def test_dingliu_mode(tmp_path, capsys):
     assert 0.0 < thr["lo"] < thr["hi"] < 2.0
 
 
-def test_dingliu_on_a_4d_grid_exits_1(tmp_path, capsys):
-    # Ding-Liu's problem is the n = 1 one: the search rejects T⁴ before any output
-    code, cap = run_cli(capsys, "dingliu", "--out", str(tmp_path / "dl"),
+def test_dingliu_on_a_4d_grid(tmp_path, capsys):
+    # the λ★ search runs on T⁴ as on T², and its effective_config.txt replays it
+    a, b = tmp_path / "a", tmp_path / "b"
+    code, cap = run_cli(capsys, "dingliu", "--out", str(a),
                         "d=4", "sizes=8,8,8,8", "field=two_mode")
-    assert code == 1
-    assert "n=1 (d=2)" in json.loads(cap.err.strip())["error"]
-    assert cap.out == ""
-    assert not (tmp_path / "dl").exists()
+    assert code == 0
+    summary = last_json_line(cap.out)
+    thr = summary["threshold"]
+    assert 0.0 < thr["lo"] < thr["hi"] < summary["lambda_range_upper"]
+    replayed, cap = run_cli(capsys, "dingliu", "--config", str(a / "effective_config.txt"),
+                            "--out", str(b))
+    assert replayed == 0, cap.err
+    assert read_tree(b) == read_tree(a)
 
 
 def test_dingliu_bracket_outside_its_range_exits_2(tmp_path, capsys, monkeypatch):

@@ -287,3 +287,38 @@ def test_every_eigen_solve_goes_through_stability_eigenvalue():
         found += [(path.stem, fn, ast.unparse(node))
                   for fn, node in _references(tree, "min_eigenvalue")]
     assert found == [("problem", "stability_eigenvalue", "spectral.min_eigenvalue")]
+
+
+def _qualified(tree):
+    """(qualified name of the enclosing function, node) of every node of a
+    module: a method as Class.method, module level as None."""
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    yield from walk(tree, None)
+
+
+def test_n_is_half_of_d_in_one_place():
+    # n = d/2 is spelled once, as ProblemInstance.n, which every other
+    # reader of n asks; and no equation code branches on the dimension.
+    # TorusDomain's input check and the CLI's default sizes are facts of the
+    # grid and the config, so the second rule leaves domain and cli out
+    halvers, found = set(), []
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _qualified(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.Div))
+                    and "d" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))):
+                halvers.add(f"{path.stem}.{scope}")
+                if f"{path.stem}.{scope}" != "problem.ProblemInstance.n":
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if (path.stem in ("problem", "solvers", "threshold", "diagnostics")
+                    and isinstance(node, ast.Compare)
+                    and any(isinstance(x, ast.Attribute) and x.attr == "d"
+                            for x in [node.left, *node.comparators])):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+    assert "problem.ProblemInstance.n" in halvers

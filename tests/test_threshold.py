@@ -635,11 +635,6 @@ class TestDingLiu:
         with pytest.raises(SolverError):
             ding_liu_lambda_star(g0, 1.0)
 
-    def test_rejects_a_4d_grid(self, t4_16):
-        g0 = named_field(t4_16, "two_mode", shift_max_zero=True)
-        with pytest.raises(SolverError, match=r"n=1 \(d=2\)"):
-            ding_liu_lambda_star(g0, -1.0)
-
     def test_bracket_containment(self, t2_32):
         x = t2_32.coords()
         g0 = ScalarField(
@@ -863,13 +858,36 @@ class TestExactInvariance:
         rep = find_alpha_star(ScalarField(t2_32, g0.values + lam), tol=1e-3)
         assert abs(rep.estimate - s0) <= self.BOUND
 
+    @pytest.fixture(scope="class")
+    def tori(self):
+        """8² and an 8⁴ over the same (x₁, x₂) grid, x₃ and x₄ of lengths 0.5 and 2.5."""
+        return make_torus(2, [8, 8], [1.0, 1.0]), make_torus(4, [8] * 4, [1.0, 1.0, 0.5, 2.5])
+
     @pytest.mark.parametrize("name", ["sin1", "two_mode"])
-    def test_four_torus_is_twice_the_two_torus(self, name):
+    def test_four_torus_is_twice_the_two_torus(self, tori, name):
         # for S on (x₁, x₂) only, u = 2v + ln 2 maps the T⁴ equation at α
         # onto the T² one at α/2 on the same (x₁, x₂) grid, whatever the
         # lengths of x₃ and x₄: α★(T⁴) = 2·α★(T²)
-        t2 = make_torus(2, [8, 8], [1.0, 1.0])
-        t4 = make_torus(4, [8] * 4, [1.0, 1.0, 0.5, 2.5])
+        t2, t4 = tori
         ref = find_alpha_star(named_field(t2, name, offset=-0.5), tol=1e-3).estimate
         rep = find_alpha_star(named_field(t4, name, offset=-0.5), tol=1e-3)
         assert abs(rep.estimate - 2 * ref) <= 1e-12
+
+    @pytest.mark.parametrize("s0", [-0.5, -1.0])
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_four_torus_lambda_star_is_the_two_torus_one_at_half_s0(self, tori, name, s0):
+        # the same map takes the T⁴ equation with S = g₀ + λ at α = s₀ onto
+        # the T² one at s₀/2, for every λ: λ★(T⁴, s₀) = λ★(T², s₀/2)
+        t2, t4 = tori
+        ref = ding_liu_lambda_star(named_field(t2, name, shift_max_zero=True), s0 / 2).estimate
+        rep = ding_liu_lambda_star(named_field(t4, name, shift_max_zero=True), s0)
+        assert abs(rep.estimate - ref) <= 1e-12
+
+    @pytest.mark.parametrize("s0", [-0.5, -1.0])
+    @pytest.mark.parametrize("name", ["sin1", "two_mode"])
+    def test_lambda_star_is_the_fold_of_its_field_on_the_four_torus(self, tori, name, s0):
+        # α★(g₀ + λ★(s₀)) = s₀ in every dimension
+        g0 = named_field(tori[1], name, shift_max_zero=True)
+        lam = ding_liu_lambda_star(g0, s0, tol=1e-2).estimate
+        rep = find_alpha_star(ScalarField(g0.domain, g0.values + lam), tol=1e-3)
+        assert abs(rep.estimate - s0) <= self.BOUND
