@@ -159,7 +159,7 @@ def build_field(cfg, domain) -> ScalarField:
 def _threshold_summary(rep: threshold.ThresholdReport) -> dict:
     return {
         "param": rep.param_name,
-        "lo": rep.lo,
+        "lo": None if rep.unbounded else rep.lo,
         "hi": rep.hi,
         "width": None if rep.unbounded else rep.width,
         "estimate": rep.estimate,

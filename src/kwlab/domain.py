@@ -51,7 +51,7 @@ class TorusDomain:
     @property
     def cell_weight(self) -> float:
         """Quadrature weight per grid point: Π (L_i / N_i)."""
-        return float(np.prod([L / N for L, N in zip(self.lengths, self.sizes)]))
+        return float(np.prod(self.spacings))
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -61,14 +61,9 @@ class TorusDomain:
         N = self.sizes[axis]
         return np.arange(N) * (self.lengths[axis] / N)
 
-    def coords(self) -> list[np.ndarray]:
+    def coords(self) -> tuple[np.ndarray, ...]:
         """Broadcastable coordinate arrays, one per axis."""
-        out = []
-        for i in range(self.d):
-            shape = [1] * self.d
-            shape[i] = self.sizes[i]
-            out.append(self.axis_coords(i).reshape(shape))
-        return out
+        return np.meshgrid(*map(self.axis_coords, range(self.d)), indexing="ij", sparse=True)
 
     def periodic_distance(self, center: tuple[float, ...]) -> np.ndarray:
         """Distance to `center` under the per-axis minimal-image convention."""

@@ -21,16 +21,9 @@ def random_fourier(domain: TorusDomain, seed: int, decay_p: float) -> ScalarFiel
     white = rng.standard_normal(domain.sizes)
     plan = get_plan(domain)
     what = plan.fft(white)
-    idx = []
-    for i, N in enumerate(domain.sizes):
-        if i == domain.d - 1:
-            m = np.arange(N // 2 + 1, dtype=float)
-        else:
-            m = np.fft.fftfreq(N, d=1.0 / N)
-        shape = [1] * domain.d
-        shape[i] = m.size
-        idx.append(m.reshape(shape))
-    ksq = sum(m**2 for m in idx)
+    modes = [np.fft.fftfreq(N, d=1.0 / N) for N in domain.sizes[:-1]]
+    modes.append(np.arange(domain.sizes[-1] // 2 + 1, dtype=float))
+    ksq = sum(m**2 for m in np.meshgrid(*modes, indexing="ij", sparse=True))
     what = what * (1.0 + ksq) ** (-decay_p)
     what.reshape(-1)[0] = 0.0  # mean handled by the caller's offset
     vals = plan.ifft(what)

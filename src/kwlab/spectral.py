@@ -35,25 +35,18 @@ class SpectralPlan:
 
     def __init__(self, domain: TorusDomain):
         self.domain = domain
-        freqs = []
+        freqs, kderiv = [], []
         for i, (N, L) in enumerate(zip(domain.sizes, domain.lengths)):
-            if i == domain.d - 1:
-                k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
-            else:
-                k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
-            shape = [1] * domain.d
-            shape[i] = k.size
-            freqs.append(k.reshape(shape))
-        self.ksq = sum(k**2 for k in freqs)
-        kderiv = []
-        for i, (N, k) in enumerate(zip(domain.sizes, freqs)):
+            fftfreq = np.fft.rfftfreq if i == domain.d - 1 else np.fft.fftfreq
+            k = 2.0 * np.pi * fftfreq(N, d=L / N)
             kd = k.copy()
-            flat = kd.reshape(-1)
-            # even N always holds (enforced at domain construction); the
-            # Nyquist index is N//2 on full axes and the last rfft entry.
-            flat[N // 2 if i < domain.d - 1 else -1] = 0.0
+            # even N always holds (enforced at domain construction), so the
+            # Nyquist index is N//2 on every axis (the last entry of the rfft one)
+            kd[N // 2] = 0.0
+            freqs.append(k)
             kderiv.append(kd)
-        self._kderiv = kderiv
+        self.ksq = sum(k**2 for k in np.meshgrid(*freqs, indexing="ij", sparse=True))
+        self._kderiv = np.meshgrid(*kderiv, indexing="ij", sparse=True)
         self._axes = [[(i,), (), (i,)] for i in range(domain.d)]  # one gufunc pass on axis i
 
     def fft(self, values: np.ndarray) -> np.ndarray:

@@ -187,13 +187,14 @@ def walk_schedule(S: ScalarField, alphas: Sequence[float]) -> list[ProbeRecord]:
     u − constant_solution. The first failed α ends the walk: the family is
     truncated there, and the failed probe's record, with its evidence, is
     the last of the probes. A schedule that is not strictly decreasing
-    raises SolverError.
+    raises SolverError, and one with an α ≥ 0 DomainError, before any probe.
     """
     check_schedule(alphas)
+    insts = [ProblemInstance(S, a) for a in alphas]   # α ≥ 0 raises before its logarithm
     dtau = np.log(np.divide(alphas[1:], alphas[:-1]))   # the steps in τ = ln(−α)
     probes: list[ProbeRecord] = []
-    for k, a in enumerate(alphas):
-        inst, start = ProblemInstance(S, a), None
+    for k, inst in enumerate(insts):
+        start = None
         if k:
             u = probes[-1].report.solution.values
             if k == 1:

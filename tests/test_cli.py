@@ -451,6 +451,24 @@ def test_summary_probes_carry_the_rows_lambda_min(tmp_path, capsys, mode, extra)
     assert [(p["param"], p["min_eig"]) for p in thr["probes"]] == [(r[0], r[-1]) for r in rows]
 
 
+def test_unbounded_summary_is_strict_json(tmp_path, capsys):
+    # RFC 8259 has no -Infinity or NaN: an unbounded threshold's lo is null,
+    # like its width, on stdout and in summary.json alike
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = tmp_path / "thr"
+    code, cap = run_cli(
+        capsys, "threshold", "--out", str(out), "field=const", "field_value=-1", "sizes=16,16",
+    )
+    assert code == 0
+    text = (out / "summary.json").read_text()
+    assert text.strip() == cap.out.strip()
+    thr = json.loads(text, parse_constant=reject)["threshold"]
+    assert thr["unbounded"]
+    assert thr["lo"] is None and thr["width"] is None
+
+
 def test_family_mode_explicit_alphas(tmp_path, capsys):
     out = tmp_path / "fam"
     code, cap = run_cli(
@@ -476,6 +494,20 @@ def test_family_rejects_nondecreasing_alphas(tmp_path, capsys, alphas, problem):
     assert problem in json.loads(cap.err.strip())["error"]
     assert cap.out == ""
     assert not (tmp_path / "fam").exists()
+
+
+def test_family_with_a_positive_alpha_exits_1_with_only_its_error(tmp_path):
+    # run as a process, so a numpy warning would reach stderr: the schedule's
+    # α ≥ 0 is rejected before the walk takes a logarithm of it
+    env = {**os.environ, "PYTHONPATH": str(Path(kwlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kwlab.cli", "family", "--out", str(tmp_path / "fam"),
+         "field=sin1", "field_offset=-0.5", "sizes=16,16", "alphas=0.5,-1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": "alpha must be negative, got 0.5"}]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])

@@ -322,3 +322,23 @@ def test_n_is_half_of_d_in_one_place():
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
     assert "problem.ProblemInstance.n" in halvers
+
+
+def test_grid_tables_are_laid_out_by_meshgrid():
+    # a per-axis table is laid along its own axis of the grid by one
+    # np.meshgrid(..., indexing="ij", sparse=True), never by a hand-built
+    # shape such as [1] * d
+    found, layouts = [], 0
+    for path in sorted(Path(kwlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and ast.unparse(node.left) == "[1]"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "meshgrid":
+                layouts += 1
+                keywords = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+                if keywords != {"indexing": "ij", "sparse": True}:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+    assert layouts > 0

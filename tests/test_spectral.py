@@ -5,6 +5,7 @@ import pytest
 
 from kwlab import ProblemInstance, ScalarField, integrate, make_torus
 from kwlab import spectral
+from kwlab.fields import random_fourier
 from kwlab.errors import DomainError, EigenSolveError
 from kwlab.problem import energy
 from kwlab.spectral import (SchrodingerOperator, dirichlet_integral, get_plan, grad_norm_sq,
@@ -18,6 +19,76 @@ def test_plan_eigenvalue_table(t2_32):
     flat = plan.ksq.reshape(-1)
     assert flat[0] == 0.0
     assert np.all(flat[1:] > 0)
+
+
+class TestGridTableLayout:
+    """Each per-axis table — wavenumbers, derivative multipliers, coordinates
+    and the random field's mode numbers — equals, bit for bit, its 1-D table
+    reshaped by hand to lie along its own axis, on grids whose axes differ
+    in size and length."""
+
+    GRIDS = pytest.mark.parametrize("sizes, lengths", [
+        ((16, 48), (0.3, 2.5)), ((8, 8, 10, 12), (1.0, 0.5, 2.5, 1.0)),
+    ], ids=["16x48", "8x8x10x12"])
+
+    @staticmethod
+    def along_axes(tables):
+        out = []
+        for i, t in enumerate(tables):
+            shape = [1] * len(tables)
+            shape[i] = t.size
+            out.append(t.reshape(shape))
+        return out
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def wavenumbers(sizes, lengths):
+        # fftfreq on full axes, rfftfreq on the last
+        tables = [np.fft.fftfreq(N, d=L / N) for N, L in zip(sizes[:-1], lengths[:-1])]
+        tables.append(np.fft.rfftfreq(sizes[-1], d=lengths[-1] / sizes[-1]))
+        return [2.0 * np.pi * k for k in tables]
+
+    @GRIDS
+    def test_eigenvalue_table(self, sizes, lengths):
+        plan = get_plan(make_torus(len(sizes), sizes, lengths))
+        ref = sum(k**2 for k in self.along_axes(self.wavenumbers(sizes, lengths)))
+        self.assert_bitwise(plan.ksq, ref)
+
+    @GRIDS
+    def test_derivative_multipliers_zero_the_nyquist_mode(self, sizes, lengths):
+        plan = get_plan(make_torus(len(sizes), sizes, lengths))
+        tables = self.wavenumbers(sizes, lengths)
+        for i, (N, k) in enumerate(zip(sizes, tables)):
+            k[N // 2 if i < len(sizes) - 1 else -1] = 0.0
+        assert len(plan._kderiv) == len(sizes)
+        for kd, ref in zip(plan._kderiv, self.along_axes(tables)):
+            self.assert_bitwise(kd, ref)
+
+    @GRIDS
+    def test_coordinates(self, sizes, lengths):
+        dom = make_torus(len(sizes), sizes, lengths)
+        x = dom.coords()
+        assert len(x) == len(sizes)
+        refs = self.along_axes([np.arange(N) * (L / N) for N, L in zip(sizes, lengths)])
+        for xi, ref in zip(x, refs):
+            self.assert_bitwise(xi, ref)
+
+    @GRIDS
+    def test_random_field(self, sizes, lengths):
+        dom = make_torus(len(sizes), sizes, lengths)
+        plan = get_plan(dom)
+        what = plan.fft(np.random.default_rng(3).standard_normal(sizes))
+        modes = [np.fft.fftfreq(N, d=1.0 / N) for N in sizes[:-1]]
+        modes.append(np.arange(sizes[-1] // 2 + 1, dtype=float))
+        what = what * (1.0 + sum(m**2 for m in self.along_axes(modes))) ** -2.5
+        what.reshape(-1)[0] = 0.0
+        vals = plan.ifft(what)
+        self.assert_bitwise(random_fourier(dom, seed=3, decay_p=2.5).values,
+                            vals * (1.0 / np.max(np.abs(vals))))
 
 
 class TestPlanTransforms:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from kwlab import (ProblemInstance, ScalarField, SolveReport, make_torus, proble
                    spectral, threshold)
 from kwlab.cli import _threshold_summary
 from kwlab.domain import integrate
-from kwlab.errors import EigenSolveError, NumericalFailure, SolverError
+from kwlab.errors import DomainError, EigenSolveError, NumericalFailure, SolverError
 from kwlab.fields import named_field
 from kwlab.threshold import (
     _probe_twice,
@@ -697,6 +698,15 @@ class TestWalkSchedule:
         S = ScalarField.constant(t2_32, -1.0)
         with pytest.raises(SolverError):
             walk_schedule(S, [-1.0, -0.5, -2.0])
+
+    def test_rejects_a_nonnegative_alpha_before_its_logarithm(self, t2_16):
+        # the members' instances are built first, so an α ≥ 0 raises
+        # DomainError before ln(α_{k+1}/α_k) can warn
+        S = named_field(t2_16, "sin1", offset=-0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="alpha must be negative, got 0.5"):
+                walk_schedule(S, [0.5, -1.0])
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("alphas", [[-1.0, -2.0, -4.0, -8.0], [-1.0, -3.0, -4.0, -40.0]])
