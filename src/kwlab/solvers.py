@@ -32,7 +32,6 @@ from .domain import ScalarField
 from .errors import BlowUpError, DomainError, SolverError
 from .problem import ProblemInstance
 
-ARMIJO = 1e-4               # sufficient-decrease constant of Newton's line search
 MAX_ITERS = 80              # a solve's iteration cap
 RESIDUAL_TOL = 1e-10        # a solve converges once ‖F(u)‖_∞ is at most this
 CORRECTOR_ITERS = 10        # a corrector that has not converged by then has failed
@@ -59,8 +58,7 @@ class SolveReport:
     failure_reason: Optional[str] = None
 
     def __post_init__(self):
-        # contract: converged implies the final residual met the tol the
-        # engine was run with; engines pass the history they verified.
+        # contract: a converged report's last residual is finite
         if self.converged and self.residual_history and not np.isfinite(self.residual_history[-1]):
             raise SolverError("converged report with a non-finite final residual")
 
@@ -92,7 +90,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """One cycle of GMRES (Saad & Schultz 1986) for A·x = b, A given by apply.
+    """One cycle of GMRES (Saad & Schultz 1986) for A·x = b ≠ 0, A given by apply.
 
     It builds a Krylov basis of at most KRYLOV_STEPS vectors by modified
     Gram–Schmidt Arnoldi from x = 0, r = b, so A is never applied to a zero
@@ -105,8 +103,6 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """
     beta = _norm(b)
     target = rtol * beta
-    if beta <= target:
-        return np.zeros_like(b), 0
     V = np.empty((KRYLOV_STEPS, b.size))
     V[0] = b / beta
     H = np.zeros((KRYLOV_STEPS, KRYLOV_STEPS))  # R of the rotated Hessenberg matrix
@@ -156,8 +152,8 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
     TIGHT_RTOL, and so is every later step of the solve. The last solve's
     info, and with it linear_solve_stagnation versus
     line_search_failure, refers to the preconditioned residual
-    ‖M(J·d + F)‖. Backtracking halves t from 1 until ‖F(u + t·d)‖_∞ meets
-    the Armijo condition, each trial's residual evaluated afresh, so the
+    ‖M(J·d + F)‖. Backtracking halves t from 1 until ‖F(u + t·d)‖_∞ is
+    strictly below ‖F(u)‖_∞, each trial's residual evaluated afresh, so the
     report's last residual is its solution's. An iterate that has not
     converged stops with stagnation on a residual plateau: the last
     PLATEAU_STEPS accepted steps cut ‖F‖_∞ by less than 1% (PLATEAU_RATIO).
@@ -209,7 +205,7 @@ def newton_solve(inst: ProblemInstance, start: ScalarField, *,
                 pass
             else:
                 F = problem.residual(inst, trial, e=e)
-                if F.sup_norm <= (1.0 - ARMIJO * t) * normF:
+                if F.sup_norm < normF:
                     break
             if t == 1.0 and rtol > TIGHT_RTOL:
                 rtol = forcing = TIGHT_RTOL

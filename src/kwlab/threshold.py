@@ -319,7 +319,7 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
     lam = last = accept(probes[-1])
     first = BranchPoint(v.report, sign * param, np.zeros(v.report.solution.values.shape), -1.0)
     _, point = solvers.arclength_correct(inst_at, dF_dt, first, 0.0)   # with its tangent
-    ds, grow = FIRST_STEP, True
+    ds = FIRST_STEP
     for _ in range(MAX_SEARCH_PROBES):
         rep, nxt = solvers.arclength_correct(inst_at, dF_dt, point, ds)
         turned = nxt is not None and nxt.dt >= 0    # the fold lies between point and nxt
@@ -327,15 +327,14 @@ def _fold_search(make_inst, dF_dt, param_name, start, shrink, tol):
         if report is not None:
             return report
         if nxt is None or not (nxt.dt < 0 and nxt.t < point.t):
-            ds, grow = 0.5 * ds, False
+            ds *= 0.5
             if ds < MIN_STEP:
                 raise NumericalFailure(f"{param_name} continuation stalled at "
                                        f"{sign * point.t}: {why}")
             continue
         probes.append(ProbeRecord(sign * nxt.t, [], rep))
         last, lam = lam, accept(probes[-1])
-        factor = min(2.0, max(0.5, (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5))
-        point, ds, grow = nxt, ds * (factor if grow else min(factor, 1.0)), True
+        point, ds = nxt, ds * (TARGET_ITERS / max(rep.iterations, 1)) ** 0.5
         if None not in (last, lam) and lam * lam <= 0.5 * last * last:
             report, _ = close(point)
             if report is not None:

@@ -23,11 +23,12 @@ from kwlab import problem, spectral
 from kwlab.domain import ScalarField
 from kwlab.errors import BlowUpError, SolverError
 from kwlab.problem import ProblemInstance
-from kwlab.solvers import ARMIJO, RESIDUAL_TOL, SolveReport, _finish, newton_solve
+from kwlab.solvers import RESIDUAL_TOL, SolveReport, _finish, newton_solve
 
 PGD_MAX_ITERS = 20000       # projected-gradient iterations of minimize_over_interval
 MONOTONE_MAX_ITERS = 50000  # fixed-point iterations of monotone_iterate
 ORDER_SLACK = 1e-9          # residual sign tolerance of an OrderInterval's endpoints
+ARMIJO = 1e-4               # sufficient-decrease constant of minimize_over_interval's backtracking
 
 
 @dataclass

@@ -118,6 +118,23 @@ class TestAprioriBound:
             apriori_c0_bound(ScalarField.constant(t2_32, -1.0), -2.0, phi, K)
 
 
+def whole(domain):
+    return RegionMask(domain, np.ones(domain.sizes, dtype=bool))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda S, other: apriori_c0_bound(S, -2.0, ScalarField.constant(other, 1.0), whole(S.domain)),
+     "S, phi and K must share one domain"),
+    (lambda S, other: apriori_c0_bound(S, -2.0, ScalarField.constant(S.domain, 1.0), whole(other)),
+     "S, phi and K must share one domain"),
+    (lambda S, other: auto_cutoff_region(ScalarField.constant(S.domain, 1.0)),
+     "is empty: S is nowhere below"),
+], ids=["phi-grid", "K-grid", "no-negative-set"])
+def test_rejects_malformed_input(t2_16, t2_32, call, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        call(ScalarField.constant(t2_32, -1.0), t2_16)
+
+
 class TestAutoCutoff:
     def test_sign_changing(self, t2_64, sin_minus_half):
         phi, K = auto_cutoff_region(sin_minus_half)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kwlab import (
+    RegionMask,
     ScalarField,
     TorusDomain,
     ball_mask,
@@ -90,6 +91,24 @@ def test_field_rejects_nonfinite(t2_32):
     vals[0, 0] = np.nan
     with pytest.raises(DomainError):
         ScalarField(t2_32, vals)
+
+
+def _integrate_made_nonfinite(dom):
+    f = ScalarField.constant(dom, 1.0)
+    f.values[0, 0] = np.nan   # after the constructor's finiteness check
+    return integrate(f)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda dom: TorusDomain((10, 9), (1.0, 1.0)), "axis size 9 is odd"),
+    (lambda dom: dom.periodic_distance((0.5,)), "center has 1 coordinates"),
+    (lambda dom: ScalarField(dom, np.zeros((8, 10))), "does not match grid"),
+    (_integrate_made_nonfinite, "cannot integrate non-finite field"),
+    (lambda dom: RegionMask(dom, np.zeros((8, 10), dtype=bool)), "mask shape does not match"),
+], ids=["odd-axis", "center-length", "field-shape", "integrate-nonfinite", "mask-shape"])
+def test_rejects_malformed_input(call, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        call(make_torus(2, [8, 8], [1.0, 1.0]))
 
 
 class TestCutoff:

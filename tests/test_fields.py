@@ -57,6 +57,12 @@ class TestRandomFourier:
         with pytest.raises(DomainError):
             random_fourier(t2_32, seed=1, decay_p=1.0)
 
+    @pytest.mark.parametrize("given", [dict(seed=1), dict(decay_p=3.0)],
+                             ids=["no-decay_p", "no-seed"])
+    def test_named_needs_seed_and_decay_p(self, t2_32, given):
+        with pytest.raises(DomainError, match="random_fourier needs seed and decay_p"):
+            named_field(t2_32, "random_fourier", **given)
+
     def test_smoothness_increases_with_p(self, t2_64):
         from kwlab import spectral
 

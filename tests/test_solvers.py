@@ -149,6 +149,13 @@ class TestInterval:
             iv.validate(inst)
 
 
+@pytest.mark.parametrize("last", [np.nan, np.inf], ids=["nan", "inf"])
+def test_converged_report_needs_a_finite_last_residual(t2_16, last):
+    inst = constant_instance(t2_16)
+    with pytest.raises(SolverError, match="converged report with a non-finite final residual"):
+        SolveReport(ScalarField.constant(t2_16, 0.0), 1, [1.0, last], "newton", inst)
+
+
 class TestNewton:
     def test_zero_iterations_at_exact_solution(self, t2_32):
         inst = constant_instance(t2_32, S0=-2.0, alpha=-2.0)

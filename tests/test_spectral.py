@@ -340,6 +340,11 @@ class TestMinEigenvalue:
             min_eigenvalue(V, 1e-8, max_iters=1)
         assert np.isfinite(exc.value.best_estimate)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_a_tol_that_is_not_positive(self, t2_16, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            min_eigenvalue(ScalarField.constant(t2_16, 1.0), tol)
+
     def test_unshiftable_potential_raises_before_any_fft(self, t2_16, monkeypatch):
         # at V ≡ 1e17 the shift σ = min V − 1 rounds to min V, so V − σ is 0:
         # a numerical outcome, not a rejected Helmholtz constant

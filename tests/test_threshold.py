@@ -626,6 +626,28 @@ def test_search_rejects_nonpositive_tol(t2_16, monkeypatch, tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("search, most", [
+    (lambda dom: find_alpha_star(named_field(dom, "sin1", offset=-0.5), tol=1e-3), 560),
+    (lambda dom: find_alpha_star(named_field(dom, "two_mode", offset=-0.5), tol=1e-3), 670),
+    (lambda dom: ding_liu_lambda_star(named_field(dom, "two_mode", shift_max_zero=True), -1.0,
+                                      tol=1e-2), 378),
+], ids=["alpha-sin1", "alpha-two_mode", "lambda-two_mode"])
+def test_bracket_2d_searches_take_at_most_their_forward_transforms(t2_32, monkeypatch,
+                                                                    search, most):
+    # the benchmark's bracket-2d searches on 32²: a deterministic guard on the
+    # walk's step control and its λ² handover, counted in forward transforms.
+    # They take 560, 670 and 378; 686, 801 and 429 without the handover
+    ffts, original = [], spectral.SpectralPlan.fft
+
+    def counted(plan, values):
+        ffts.append(1)
+        return original(plan, values)
+
+    monkeypatch.setattr(spectral.SpectralPlan, "fft", counted)
+    search(t2_32)
+    assert len(ffts) <= most
+
+
 class TestDingLiu:
     def test_input_validation(self, t2_32):
         g0 = sine_field(t2_32, -1.0)  # max = 0
